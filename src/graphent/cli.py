@@ -71,6 +71,29 @@ def _parse_pi_fraction(text: str) -> float:
     return math.pi * float(frac)
 
 
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
+
+
+def _probability(text: str) -> float:
+    """argparse type: a number in [0, 1]."""
+    value = _number(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """argparse type: a finite number >= 0 (NaN would fail every check)."""
+    value = _number(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _resolve_max_qubits(args: argparse.Namespace) -> int:
     if getattr(args, "max_qubits", None) is not None:
         return args.max_qubits
@@ -350,10 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_topology_flags(p_verify)
     p_verify.add_argument("--random-graphs", type=int, help="verify on this many seeded random graphs")
     p_verify.add_argument("--max-vertices", type=int, default=10, help="random-graph size cap (default 10)")
-    p_verify.add_argument("--edge-prob", type=float, default=0.4, help="random-graph edge probability")
+    p_verify.add_argument("--edge-prob", type=_probability, default=0.4, help="random-graph edge probability")
     p_verify.add_argument("--samples", type=int, default=25, help="parameter draws per graph (default 25)")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=float, default=1e-10)
+    p_verify.add_argument("--tol", type=_tolerance, default=1e-10)
     p_verify.add_argument("--max-qubits", type=int, help=f"simulation cap (default {DEFAULT_MAX_QUBITS})")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -42,35 +42,72 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DirectedGraph:
-    """A directed simple graph: vertex count plus an ordered edge list."""
+    """A directed simple graph: vertex count plus an ordered edge list.
+
+    `degrees[i]` is the total degree of vertex i, ignoring orientation; it is
+    counted once, while the edges are validated, and is derived data, so it
+    takes no part in equality, hashing or repr.
+    """
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
+    degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.num_vertices < 1:
-            raise ValueError(f"num_vertices must be >= 1, got {self.num_vertices}")
-        edges = tuple((int(a), int(b)) for a, b in self.edges)
-        object.__setattr__(self, "edges", edges)
-        seen: set[tuple[int, int]] = set()
-        for a, b in edges:
-            if not (0 <= a < self.num_vertices and 0 <= b < self.num_vertices):
-                raise ValueError(f"edge ({a},{b}) out of range for {self.num_vertices} vertices")
+        m = self.num_vertices
+        if m < 1:
+            raise ValueError(f"num_vertices must be >= 1, got {m}")
+        edges = []
+        degrees = [0] * m
+        seen: set[int] = set()
+        for a, b in self.edges:
+            a, b = int(a), int(b)
+            if not (0 <= a < m and 0 <= b < m):
+                raise ValueError(f"edge ({a},{b}) out of range for {m} vertices")
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
-            key = (a, b) if a < b else (b, a)
+            key = a * m + b if a < b else b * m + a
             if key in seen:
-                raise ValueError(f"duplicate or anti-parallel edge on pair {key}")
+                raise ValueError(f"duplicate or anti-parallel edge on pair {divmod(key, m)}")
             seen.add(key)
+            degrees[a] += 1
+            degrees[b] += 1
+            edges.append((a, b))
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "degrees", tuple(degrees))
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
 
+def _erdos_gallai(counts: Mapping[int, int]) -> bool:
+    """Erdos-Gallai inequalities for a degree sequence given as {degree: count}.
+
+    With the degrees sorted descending, d_1 >= ... >= d_m, and an even degree
+    sum, a simple graph exists iff for every k
+        sum_{i<=k} d_i <= k(k-1) + sum_{i>k} min(d_i, k).
+    Testing the last k of each run of equal degrees suffices (Tripathi and
+    Vijay, Discrete Math. 265 (2003)), so the cost is quadratic in the number
+    of distinct degrees, not in the number of vertices.
+    """
+    runs = sorted(counts.items(), reverse=True)
+    k = 0
+    head = 0
+    for j, (d, n) in enumerate(runs):
+        k += n
+        head += d * n
+        if head > k * (k - 1) + sum(c * min(e, k) for e, c in runs[j + 1:]):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class DegreeDistribution:
-    """Map from total degree k to the number of vertices n_k with that degree."""
+    """Map from total degree k to the number of vertices n_k with that degree.
+
+    Only distributions that some simple graph has are accepted.
+    """
 
     counts: Mapping[int, int]
 
@@ -85,6 +122,14 @@ class DegreeDistribution:
                 raise ValueError(f"invalid entry degree {k} -> count {n}")
             if k > m - 1:
                 raise ValueError(f"degree {k} impossible in a simple graph on {m} vertices")
+        total = sum(k * n for k, n in counts.items())
+        if total % 2:
+            raise ValueError(f"degree sum {total} is odd: no graph has these degrees")
+        if not _erdos_gallai(counts):
+            raise ValueError(
+                f"degrees {dict(sorted(counts.items()))} fail the Erdos-Gallai inequalities: "
+                "no simple graph has them"
+            )
 
     @property
     def num_vertices(self) -> int:
@@ -119,15 +164,11 @@ def in_neighbors(g: DirectedGraph, i: int) -> set[int]:
 def degree(g: DirectedGraph, i: int) -> int:
     """Total degree of vertex i, ignoring edge orientation."""
     _check_vertex(g, i)
-    return sum(1 for a, b in g.edges if a == i or b == i)
+    return g.degrees[i]
 
 
 def degree_distribution(g: DirectedGraph) -> DegreeDistribution:
-    degs = [0] * g.num_vertices
-    for a, b in g.edges:
-        degs[a] += 1
-        degs[b] += 1
-    return DegreeDistribution(dict(Counter(degs)))
+    return DegreeDistribution(dict(Counter(g.degrees)))
 
 
 # ----------------------------------------------------------------------
@@ -296,13 +337,32 @@ def to_json(g: DirectedGraph) -> str:
 
 
 def from_json(text: str) -> DirectedGraph:
+    """Parse {"num_vertices": M, "edges": [[a, b], ...]}.  Vertex counts and
+    endpoints must be JSON integers (not booleans, floats or strings) and
+    every edge exactly two of them; anything else is a ValueError."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"malformed graph JSON: top level must be an object, got {type(data).__name__}"
+        )
     try:
         num_vertices = data["num_vertices"]
         edges = data["edges"]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise ValueError(f"malformed graph JSON: missing {exc}") from exc
-    return from_edge_list(int(num_vertices), edges)
+    if type(num_vertices) is not int:
+        raise ValueError(
+            f"malformed graph JSON: num_vertices must be an integer, got {num_vertices!r}"
+        )
+    if not isinstance(edges, list):
+        raise ValueError(f"malformed graph JSON: edges must be a list, got {type(edges).__name__}")
+    for index, edge in enumerate(edges):
+        if not (type(edge) is list and len(edge) == 2 and type(edge[0]) is type(edge[1]) is int):
+            raise ValueError(
+                f"malformed graph JSON: edges[{index}] must be a pair of integer vertices, got {edge!r}"
+            )
+    # The constructor builds the edge tuples and the degrees in its own single pass.
+    return DirectedGraph(num_vertices, edges)
 
 
 def save_graph(g: DirectedGraph, path: str) -> None:

@@ -128,6 +128,62 @@ def test_ed_bad_graph_file_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("[0, 1]", "top level"),
+        ('{"num_vertices": 2.7, "edges": []}', "num_vertices"),
+        ('{"num_vertices": 3, "edges": [[0, 1, 5]]}', "edges[0]"),
+    ],
+)
+def test_ed_malformed_graph_json_names_field(tmp_path, capsys, text, field):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, stdout, stderr = run(capsys, "ed", "--graph", str(path), "--theta", "1.0")
+    assert code == 2
+    assert stdout == ""
+    assert f"error: malformed graph JSON: {field} " in stderr
+
+
+# Exact stdout, 17 significant digits per value: the closed-form lines are a
+# byte-level contract.  The simulate lines depend on numpy's floating-point
+# summation order (recorded with numpy 2.4 on x86-64).
+GOLDEN_ED_BRIDGED = """\
+closed: 0.53328517852811541
+  vertex 0: 0.60783596310355581
+  vertex 1: 0.48358465547782159
+  vertex 2: 0.48358465547782159
+  vertex 3: 0.60783596310355581
+  vertex 4: 0.48358465547782159
+  vertex 5: 0.60783596310355581
+  vertex 6: 0.48358465547782159
+  vertex 7: 0.48358465547782159
+  vertex 8: 0.60783596310355581
+  vertex 9: 0.48358465547782159
+simulate: 0.53328517852811541
+  vertex 0: 0.60783596310355603
+  vertex 1: 0.48358465547782181
+  vertex 2: 0.48358465547782181
+  vertex 3: 0.60783596310355614
+  vertex 4: 0.48358465547782181
+  vertex 5: 0.60783596310355592
+  vertex 6: 0.48358465547782181
+  vertex 7: 0.48358465547782192
+  vertex 8: 0.60783596310355592
+  vertex 9: 0.48358465547782192
+diff: 0
+"""
+
+
+def test_ed_golden_stdout(capsys):
+    code, stdout, _ = run(
+        capsys, "ed", "--topology", "bridged", "--cycles", "3,4,3", "--theta", "0.7",
+        "--p", "0.3", "--method", "both", "--verbose",
+    )
+    assert code == 0
+    assert stdout == GOLDEN_ED_BRIDGED
+
+
 def test_ed_cap_and_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GRAPHENT_MAX_QUBITS", "3")
     code, _, stderr = run(
@@ -291,6 +347,25 @@ def test_verify_corrupted_closed_form_exit_1(capsys, monkeypatch):
     )
     assert code == 1
     assert "result: FAIL" in stdout
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--tol=nan", "argument --tol: must be a finite number >= 0, got 'nan'"),
+        ("--tol=-1e-10", "argument --tol: must be a finite number >= 0, got '-1e-10'"),
+        ("--tol=inf", "argument --tol: must be a finite number >= 0, got 'inf'"),
+        ("--tol=tiny", "argument --tol: expected a number, got 'tiny'"),
+        ("--edge-prob=7", "argument --edge-prob: must be in [0, 1], got '7'"),
+        ("--edge-prob=-0.5", "argument --edge-prob: must be in [0, 1], got '-0.5'"),
+        ("--edge-prob=nan", "argument --edge-prob: must be in [0, 1], got 'nan'"),
+    ],
+)
+def test_verify_bad_numeric_flags_exit_2(capsys, flag, message):
+    code, stdout, stderr = run(capsys, "verify", "--random-graphs", "1", "--samples", "1", flag)
+    assert code == 2
+    assert stdout == ""
+    assert message in stderr
 
 
 def test_verify_deterministic_output(capsys):

@@ -151,6 +151,15 @@ def test_reports_match_distribution_forms():
     assert general.total == pytest.approx(ed_closed_general(dist, 0.3, 0.7), abs=1e-14)
 
 
+@given(directed_graphs(max_vertices=10), angles)
+def test_closed_report_is_general_report_at_half(g, theta):
+    # exact: p = 1/2 zeroes (1-2p)^2 and makes 4p(1-p) one, so the general
+    # formula gives the bits of the balanced one, 1 - cos^2(theta)^d
+    balanced = tuple(1.0 - (math.cos(theta) ** 2) ** degree(g, i) for i in range(g.num_vertices))
+    assert ed_closed_report(g, theta).per_vertex == ed_general_report(g, 0.5, theta).per_vertex
+    assert ed_general_report(g, 0.5, theta).per_vertex == balanced
+
+
 def test_per_vertex_contribution_depends_only_on_degree():
     g = gen_young_fibonacci(4)
     report = ed_closed_report(g, 1.07)

@@ -1,4 +1,6 @@
 import json
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -39,6 +41,10 @@ def test_minimal_edge():
     g = from_edge_list(2, [(0, 1)])
     assert g.num_vertices == 2
     assert g.edges == ((0, 1),)
+    assert g.degrees == (1, 1)
+    # the degree vector is derived data: not part of repr, equality or hashing
+    assert repr(g) == "DirectedGraph(num_vertices=2, edges=((0, 1),))"
+    assert hash(g) == hash(from_edge_list(2, [(np.int64(0), np.int64(1))]))
 
 
 @pytest.mark.parametrize(
@@ -82,6 +88,21 @@ def test_young_fibonacci_3_degree_multiset():
     assert sorted(degree(g, i) for i in range(g.num_vertices)) == [1, 1, 2, 2, 3, 3]
 
 
+def _scanned_degrees(g):
+    return tuple(sum(1 for a, b in g.edges if i in (a, b)) for i in range(g.num_vertices))
+
+
+@given(directed_graphs(max_vertices=10), st.data())
+def test_degree_vector_matches_edge_scan(g, data):
+    assert g.degrees == _scanned_degrees(g)
+    assert tuple(degree(g, i) for i in range(g.num_vertices)) == g.degrees
+    if g.edges:
+        flipped = flip_edge(g, data.draw(st.integers(0, len(g.edges) - 1)))
+        assert flipped.degrees == _scanned_degrees(flipped) == g.degrees
+    relabeled = permute_vertices(g, data.draw(st.permutations(range(g.num_vertices))))
+    assert relabeled.degrees == _scanned_degrees(relabeled)
+
+
 @given(directed_graphs())
 def test_neighbor_sets_disjoint_and_degree_consistent(g):
     for i in range(g.num_vertices):
@@ -121,6 +142,41 @@ def test_distribution_validation():
         DegreeDistribution({5: 2})  # degree 5 impossible on 2 vertices
     with pytest.raises(ValueError):
         DegreeDistribution({1: 0})
+    with pytest.raises(ValueError, match="odd"):
+        DegreeDistribution({0: 1, 1: 1})  # handshake lemma
+    with pytest.raises(ValueError, match="Erdos-Gallai"):
+        DegreeDistribution({3: 2, 1: 2})  # two hubs on 4 vertices leave no degree-1 vertex
+
+
+def _havel_hakimi(degrees):
+    """Reference graphicality test: repeatedly join the largest-degree vertex
+    to the next largest ones."""
+    seq = sorted(degrees, reverse=True)
+    while seq and seq[0] > 0:
+        d = seq.pop(0)
+        if d > len(seq):
+            return False
+        for i in range(d):
+            seq[i] -= 1
+        if seq and min(seq) < 0:
+            return False
+        seq.sort(reverse=True)
+    return True
+
+
+@given(st.lists(st.integers(0, 8), min_size=1, max_size=9))
+def test_distribution_accepts_exactly_graphical_sequences(degrees):
+    if _havel_hakimi(degrees):
+        assert DegreeDistribution(Counter(degrees)).num_vertices == len(degrees)
+    else:
+        with pytest.raises(ValueError):
+            DegreeDistribution(Counter(degrees))
+
+
+@given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_random_graph_distributions_are_accepted(n, edge_prob, seed):
+    g = random_graph(n, np.random.default_rng(seed), edge_prob)
+    assert degree_distribution(g).num_vertices == n
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +375,38 @@ def test_file_round_trip(tmp_path):
 def test_malformed_json_rejected():
     with pytest.raises(ValueError):
         from_json('{"edges": [[0, 1]]}')
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('[{"num_vertices": 2, "edges": []}]', "top level"),
+        ('{"num_vertices": true, "edges": []}', "num_vertices"),
+        ('{"num_vertices": 2.7, "edges": []}', "num_vertices"),
+        ('{"num_vertices": "2", "edges": []}', "num_vertices"),
+        ('{"num_vertices": 3, "edges": {"0": 1}}', "edges"),
+        ('{"num_vertices": 3, "edges": [[0, 1], [1, 2, 5]]}', "edges[1]"),
+        ('{"num_vertices": 3, "edges": [[0]]}', "edges[0]"),
+        ('{"num_vertices": 3, "edges": [[0, true]]}', "edges[0]"),
+        ('{"num_vertices": 3, "edges": [[0, 1.0]]}', "edges[0]"),
+        ('{"num_vertices": 3, "edges": [["0", 1]]}', "edges[0]"),
+    ],
+    ids=[
+        "top-level-list",
+        "num-vertices-bool",
+        "num-vertices-float",
+        "num-vertices-string",
+        "edges-object",
+        "edge-three-elements",
+        "edge-one-element",
+        "endpoint-bool",
+        "endpoint-float",
+        "endpoint-string",
+    ],
+)
+def test_strict_json_rejected(text, field):
+    with pytest.raises(ValueError, match=f"malformed graph JSON: {re.escape(field)} "):
+        from_json(text)
 
 
 # ----------------------------------------------------------------------

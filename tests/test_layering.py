@@ -1,0 +1,45 @@
+"""The two routes stay independent by construction: the state-vector oracle
+(statevector.py) and the reduced-density analytics (density.py) import no
+closed-form code, directly or through the graphent modules they import."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import graphent
+from graphent import entanglement
+
+PACKAGE = Path(graphent.__file__).resolve().parent
+CLOSED_FORM_NAMES = {"entanglement", *entanglement.__all__}
+
+
+def _import_tokens(module: str) -> set[str]:
+    """Every module-path part and imported name in graphent/<module>.py."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    tokens = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                tokens.update(alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            tokens.update((node.module or "").split("."))
+            tokens.update(alias.name for alias in node.names)
+    return tokens
+
+
+@pytest.mark.parametrize("oracle_module", ["statevector", "density"])
+def test_oracle_imports_no_closed_form_code(oracle_module):
+    todo, seen = [oracle_module], set()
+    while todo:
+        module = todo.pop()
+        if module in seen:
+            continue
+        seen.add(module)
+        tokens = _import_tokens(module)
+        assert not tokens & CLOSED_FORM_NAMES, (
+            f"{module}.py (reached from {oracle_module}.py) imports "
+            f"{sorted(tokens & CLOSED_FORM_NAMES)}"
+        )
+        todo += [t for t in tokens if (PACKAGE / f"{t}.py").is_file()]
+    assert "graphs" in seen  # the walk followed the package-relative imports
