@@ -39,8 +39,6 @@ from .entanglement import (
 from .graphs import (
     DegreeDistribution,
     DirectedGraph,
-    TopologySpec,
-    build_topology,
     degree,
     degree_distribution,
     flip_edge,

@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -23,26 +24,30 @@ from . import entanglement, verify
 from .density import hs_distance_sq_analytic, pair_entropy_analytic
 from .graphs import (
     DirectedGraph,
-    TopologySpec,
-    build_topology,
     degree_distribution,
+    gen_bridged_cycles,
+    gen_ffnn,
+    gen_full_binary_tree,
+    gen_young_fibonacci,
     load_graph,
     random_graph,
     save_graph,
 )
 from .statevector import DEFAULT_MAX_QUBITS, InitialQubit, InteractionParams, build_graph_state
 
-__all__ = ["SweepSpec", "run_sweep", "main"]
+__all__ = ["TOPOLOGIES", "SweepSpec", "run_sweep", "main"]
 
 MAX_QUBITS_ENV = "GRAPHENT_MAX_QUBITS"
 
 QUANTITIES = ("ed", "ed-general", "entropy", "hs2")
 
-_TOPOLOGY_KINDS = {
-    "yf": "young-fibonacci",
-    "ffnn": "ffnn",
-    "btree": "binary-tree",
-    "bridged": "bridged-cycles",
+# --topology NAME -> (dest of the flag that sizes it, the generator that flag's
+# value is passed to, the infinite-size ED curve that sweep --limit draws).
+TOPOLOGIES: dict[str, tuple[str, Callable[..., DirectedGraph], Callable[[float], float] | None]] = {
+    "yf": ("layers", gen_young_fibonacci, entanglement.ed_young_fibonacci_limit),
+    "ffnn": ("layer_sizes", gen_ffnn, None),
+    "btree": ("depth", gen_full_binary_tree, entanglement.ed_binary_tree_limit),
+    "bridged": ("cycles", gen_bridged_cycles, None),
 }
 
 
@@ -86,6 +91,14 @@ def _probability(text: str) -> float:
     return value
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite number (angles go into cos and sin)."""
+    value = _number(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     """argparse type: a finite number >= 0 (NaN would fail every check)."""
     value = _number(text)
@@ -108,7 +121,7 @@ def _resolve_max_qubits(args: argparse.Namespace) -> int:
 
 def _add_topology_flags(parser: argparse.ArgumentParser, required: bool = False) -> None:
     parser.add_argument(
-        "--topology", choices=sorted(_TOPOLOGY_KINDS), required=required, help="generator family"
+        "--topology", choices=sorted(TOPOLOGIES), required=required, help="generator family"
     )
     parser.add_argument("--layers", type=int, help="layer count (topology yf)")
     parser.add_argument("--layer-sizes", type=_parse_sizes, help="e.g. 3,4,4,2 (topology ffnn)")
@@ -116,25 +129,35 @@ def _add_topology_flags(parser: argparse.ArgumentParser, required: bool = False)
     parser.add_argument("--depth", type=int, help="layer count (topology btree)")
 
 
-def _topology_spec(args: argparse.Namespace) -> TopologySpec | None:
-    if args.topology is None:
-        return None
-    return TopologySpec(
-        kind=_TOPOLOGY_KINDS[args.topology],
-        layers=args.layers,
-        layer_sizes=args.layer_sizes,
-        cycle_sizes=args.cycles,
-        depth=args.depth,
-    )
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _check_size_flags(args: argparse.Namespace) -> None:
+    """Refuse a topology size flag that would be ignored."""
+    for name, (dest, _, _) in TOPOLOGIES.items():
+        if getattr(args, dest) is None:
+            continue
+        if getattr(args, "graph", None) is not None:
+            raise ValueError(f"{_flag(dest)} does not apply with --graph")
+        if getattr(args, "limit", False):
+            raise ValueError(f"{_flag(dest)} does not apply with --limit")
+        if args.topology is None:
+            raise ValueError(f"{_flag(dest)} needs --topology {name}")
+        if args.topology != name:
+            raise ValueError(f"{_flag(dest)} does not apply to --topology {args.topology}")
 
 
 def _graph_from_args(args: argparse.Namespace) -> DirectedGraph:
     if getattr(args, "graph", None) is not None:
         return load_graph(args.graph)
-    spec = _topology_spec(args)
-    if spec is None:
+    if args.topology is None:
         raise ValueError("no graph source: pass --graph PATH or --topology plus its parameters")
-    return build_topology(spec)
+    dest, generate, _ = TOPOLOGIES[args.topology]
+    size = getattr(args, dest)
+    if size is None:
+        raise ValueError(f"--topology {args.topology} needs {_flag(dest)}")
+    return generate(size)
 
 
 def _theta_from_args(args: argparse.Namespace) -> float:
@@ -150,7 +173,7 @@ def _theta_from_args(args: argparse.Namespace) -> float:
 # ----------------------------------------------------------------------
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    graph = build_topology(_topology_spec(args))
+    graph = _graph_from_args(args)
     save_graph(graph, args.out)
     dist = degree_distribution(graph)
     print(f"vertices: {graph.num_vertices}")
@@ -209,7 +232,7 @@ class SweepSpec:
     fixed_p: float = 0.5
     psi: float = 0.0  # recorded for provenance; every sweep quantity is psi-independent
     graph: DirectedGraph | None = None
-    limit_kind: str | None = None  # asymptotic curve instead of a finite graph
+    limit: Callable[[float], float] | None = None  # infinite-size curve instead of a graph
 
     def __post_init__(self) -> None:
         if self.quantity not in QUANTITIES:
@@ -229,17 +252,12 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[tuple[float, ...]]]:
     thetas = _grid(spec.theta_lo, spec.theta_hi, spec.theta_steps)
 
     if spec.quantity == "ed":
-        if spec.limit_kind == "young-fibonacci":
-            curve = entanglement.ed_young_fibonacci_limit
-        elif spec.limit_kind == "binary-tree":
-            curve = entanglement.ed_binary_tree_limit
-        elif spec.limit_kind is not None:
-            raise ValueError(f"no asymptotic curve for topology {spec.limit_kind!r}")
+        if spec.limit is not None:
+            curve = spec.limit
         elif spec.graph is not None:
-            dist = degree_distribution(spec.graph)
-            curve = functools.partial(entanglement.ed_closed_form, dist)
+            curve = functools.partial(entanglement.ed_closed_form, degree_distribution(spec.graph))
         else:
-            raise ValueError("quantity 'ed' needs a graph source or --limit with yf/btree")
+            raise ValueError("quantity 'ed' needs a graph source or a limit curve")
         return ["theta", "value"], [(th, curve(th)) for th in thetas]
 
     if spec.quantity == "ed-general":
@@ -269,11 +287,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     graph = None
     if args.graph is not None or (args.topology is not None and not args.limit):
         graph = _graph_from_args(args)
-    limit_kind = None
+    limit = None
     if args.limit:
-        if args.topology is None:
-            raise ValueError("--limit needs --topology yf or btree")
-        limit_kind = _TOPOLOGY_KINDS[args.topology]
+        limit = TOPOLOGIES[args.topology][2] if args.topology is not None else None
+        if limit is None:
+            names = " or ".join(name for name, row in TOPOLOGIES.items() if row[2] is not None)
+            raise ValueError(f"--limit needs --topology {names}")
     spec = SweepSpec(
         quantity=args.quantity,
         theta_lo=args.theta_min,
@@ -285,7 +304,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fixed_p=args.p,
         psi=args.psi,
         graph=graph,
-        limit_kind=limit_kind,
+        limit=limit,
     )
     header, rows = run_sweep(spec)
     _write_csv(args.out, header, rows)
@@ -314,7 +333,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = verify.run_verification(
         graphs, args.samples, args.seed, args.tol, max_qubits=max_qubits
     )
-    if args.topology == "ffnn" and args.layer_sizes is not None:
+    if args.layer_sizes is not None:  # only --topology ffnn accepts it
         dev_degree, dev_variant = verify.ffnn_variant_report(
             args.layer_sizes, max_qubits=max_qubits
         )
@@ -343,10 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ed = sub.add_parser("ed", help="evaluate the ED of a graph")
     p_ed.add_argument("--graph", help="graph JSON path")
     _add_topology_flags(p_ed)
-    p_ed.add_argument("--theta", type=float, help="interaction angle in radians")
+    p_ed.add_argument("--theta", type=_finite, help="interaction angle in radians")
     p_ed.add_argument("--theta-pi-frac", help="interaction angle as a rational multiple of pi, e.g. 1/2")
-    p_ed.add_argument("--p", type=float, default=0.5, help="input |1> weight (default 0.5)")
-    p_ed.add_argument("--psi", type=float, default=0.0, help="global interaction phase (default 0)")
+    p_ed.add_argument("--p", type=_probability, default=0.5, help="input |1> weight (default 0.5)")
+    p_ed.add_argument("--psi", type=_finite, default=0.0, help="global interaction phase (default 0)")
     p_ed.add_argument("--method", choices=("closed", "simulate", "both"), default="both")
     p_ed.add_argument("--max-qubits", type=int, help=f"simulation cap (default {DEFAULT_MAX_QUBITS})")
     p_ed.add_argument("--verbose", action="store_true", help="also print per-vertex contributions")
@@ -357,14 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--graph", help="graph JSON path (quantities ed / ed-general)")
     _add_topology_flags(p_sweep)
     p_sweep.add_argument("--limit", action="store_true", help="asymptotic curve (yf/btree, quantity ed)")
-    p_sweep.add_argument("--theta-min", type=float, default=0.0)
-    p_sweep.add_argument("--theta-max", type=float, default=math.pi)
+    p_sweep.add_argument("--theta-min", type=_finite, default=0.0)
+    p_sweep.add_argument("--theta-max", type=_finite, default=math.pi)
     p_sweep.add_argument("--theta-steps", type=int, required=True)
-    p_sweep.add_argument("--p-min", type=float, default=0.0)
-    p_sweep.add_argument("--p-max", type=float, default=1.0)
+    p_sweep.add_argument("--p-min", type=_probability, default=0.0)
+    p_sweep.add_argument("--p-max", type=_probability, default=1.0)
     p_sweep.add_argument("--p-steps", type=int, help="add an inner p grid (2-D sweep)")
-    p_sweep.add_argument("--p", type=float, default=0.5, help="fixed p for 1-D sweeps (default 0.5)")
-    p_sweep.add_argument("--psi", type=float, default=0.0)
+    p_sweep.add_argument("--p", type=_probability, default=0.5, help="fixed p for 1-D sweeps (default 0.5)")
+    p_sweep.add_argument("--psi", type=_finite, default=0.0)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -390,6 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed usage; keep its code
         return int(exc.code) if exc.code is not None else 0
     try:
+        _check_size_flags(args)
         return args.func(args)
     except (ValueError, OSError) as exc:  # JSON decode errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

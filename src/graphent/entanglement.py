@@ -24,7 +24,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .graphs import DegreeDistribution, DirectedGraph
+from .graphs import DegreeDistribution, DirectedGraph, ffnn_layer_sizes
 from .statevector import InitialQubit, InteractionParams, PureState, pauli_expectations
 
 __all__ = [
@@ -214,11 +214,7 @@ def ed_young_fibonacci_limit(theta: float) -> float:
 
 
 def _ffnn_degree_counts(layer_sizes: Sequence[int], output_self_exponent: bool) -> Counter:
-    sizes = tuple(int(s) for s in layer_sizes)
-    if len(sizes) < 2:
-        raise ValueError(f"need at least 2 layers, got {len(sizes)}")
-    if any(s < 1 for s in sizes):
-        raise ValueError(f"all layer sizes must be >= 1, got {sizes}")
+    sizes = ffnn_layer_sizes(layer_sizes)
     last = len(sizes) - 1
     counts: Counter = Counter()
     counts[sizes[1]] += sizes[0]

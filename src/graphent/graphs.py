@@ -10,6 +10,7 @@ oriented downstream, so identical parameters always produce identical graphs.
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -19,17 +20,16 @@ import numpy as np
 __all__ = [
     "DirectedGraph",
     "DegreeDistribution",
-    "TopologySpec",
     "from_edge_list",
     "out_neighbors",
     "in_neighbors",
     "degree",
     "degree_distribution",
     "gen_young_fibonacci",
+    "ffnn_layer_sizes",
     "gen_ffnn",
     "gen_full_binary_tree",
     "gen_bridged_cycles",
-    "build_topology",
     "permute_vertices",
     "flip_edge",
     "random_graph",
@@ -38,6 +38,17 @@ __all__ = [
     "save_graph",
     "load_graph",
 ]
+
+
+def _endpoint(x: object) -> int:
+    """An edge endpoint as a plain int: numpy integers pass, while floats and
+    bools are refused rather than truncated."""
+    if not isinstance(x, bool):  # operator.index(True) is 1
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"edge endpoint {x!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -61,7 +72,8 @@ class DirectedGraph:
         degrees = [0] * m
         seen: set[int] = set()
         for a, b in self.edges:
-            a, b = int(a), int(b)
+            if type(a) is not int or type(b) is not int:
+                a, b = _endpoint(a), _endpoint(b)
             if not (0 <= a < m and 0 <= b < m):
                 raise ValueError(f"edge ({a},{b}) out of range for {m} vertices")
             if a == b:
@@ -197,14 +209,20 @@ def gen_young_fibonacci(num_layers: int) -> DirectedGraph:
     return DirectedGraph(nid, tuple(edges))
 
 
-def gen_ffnn(layer_sizes: Sequence[int]) -> DirectedGraph:
-    """Layered network with complete bipartite connections between consecutive
-    layers, oriented input-to-output."""
+def ffnn_layer_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
+    """Checked widths of a layered network: at least 2 layers, each >= 1."""
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 2:
         raise ValueError(f"need at least 2 layers, got {len(sizes)}")
     if any(s < 1 for s in sizes):
         raise ValueError(f"all layer sizes must be >= 1, got {sizes}")
+    return sizes
+
+
+def gen_ffnn(layer_sizes: Sequence[int]) -> DirectedGraph:
+    """Layered network with complete bipartite connections between consecutive
+    layers, oriented input-to-output."""
+    sizes = ffnn_layer_sizes(layer_sizes)
     layer_start = []
     nid = 0
     for s in sizes:
@@ -255,41 +273,6 @@ def gen_bridged_cycles(cycle_sizes: Sequence[int]) -> DirectedGraph:
     for i in range(len(sizes) - 1):
         edges.append((cycle_start[i], cycle_start[i + 1] + sizes[i + 1] // 2))
     return DirectedGraph(nid, tuple(edges))
-
-
-@dataclass(frozen=True)
-class TopologySpec:
-    """Parameters selecting one of the four generator families."""
-
-    kind: str  # young-fibonacci | ffnn | binary-tree | bridged-cycles
-    layers: int | None = None
-    layer_sizes: tuple[int, ...] | None = None
-    cycle_sizes: tuple[int, ...] | None = None
-    depth: int | None = None
-
-    KINDS = ("young-fibonacci", "ffnn", "binary-tree", "bridged-cycles")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown topology kind {self.kind!r}")
-
-
-def build_topology(spec: TopologySpec) -> DirectedGraph:
-    if spec.kind == "young-fibonacci":
-        if spec.layers is None:
-            raise ValueError("young-fibonacci topology needs a layer count")
-        return gen_young_fibonacci(spec.layers)
-    if spec.kind == "ffnn":
-        if spec.layer_sizes is None:
-            raise ValueError("ffnn topology needs layer sizes")
-        return gen_ffnn(spec.layer_sizes)
-    if spec.kind == "binary-tree":
-        if spec.depth is None:
-            raise ValueError("binary-tree topology needs a depth")
-        return gen_full_binary_tree(spec.depth)
-    if spec.cycle_sizes is None:
-        raise ValueError("bridged-cycles topology needs cycle sizes")
-    return gen_bridged_cycles(spec.cycle_sizes)
 
 
 # ----------------------------------------------------------------------

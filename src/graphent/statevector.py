@@ -103,14 +103,6 @@ class PureState:
         return abs(float(np.vdot(self.amplitudes, self.amplitudes).real) - 1.0)
 
 
-def _check_cap(num_qubits: int, max_qubits: int) -> None:
-    if num_qubits > max_qubits:
-        raise ValueError(
-            f"{num_qubits} qubits exceeds the configured cap of {max_qubits} "
-            f"(2^{num_qubits} amplitudes); raise the cap explicitly to proceed"
-        )
-
-
 def product_state(
     num_qubits: int,
     qubit: InitialQubit = InitialQubit(),
@@ -121,7 +113,11 @@ def product_state(
     the product over qubits i of alpha_{bit_i(x)}."""
     if num_qubits < 1:
         raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
-    _check_cap(num_qubits, max_qubits)
+    if num_qubits > max_qubits:
+        raise ValueError(
+            f"{num_qubits} qubits exceeds the configured cap of {max_qubits} "
+            f"(2^{num_qubits} amplitudes); raise the cap explicitly to proceed"
+        )
     a0, a1 = qubit.alpha0, qubit.alpha1
     amps = np.ones(1, dtype=np.complex128)
     for _ in range(num_qubits):
@@ -172,15 +168,12 @@ def build_graph_state(
     All edge operators commute exactly (they are diagonal), so the result does
     not depend on the edge order.
     """
-    _check_cap(graph.num_vertices, max_qubits)
-    a0, a1 = qubit.alpha0, qubit.alpha1
-    amps = np.ones(1, dtype=np.complex128)
-    for _ in range(graph.num_vertices):
-        amps = np.concatenate([a0 * amps, a1 * amps])
+    state = product_state(graph.num_vertices, qubit, max_qubits=max_qubits)
+    # Nothing else holds this state yet, so its amplitudes are phased in place.
     phases = params.target_phases()
     for a, b in graph.edges:
-        _apply_edge_inplace(amps, graph.num_vertices, a, b, phases)
-    return PureState(graph.num_vertices, amps)
+        _apply_edge_inplace(state.amplitudes, state.num_qubits, a, b, phases)
+    return state
 
 
 def pauli_expectations(state: PureState, i: int) -> np.ndarray:

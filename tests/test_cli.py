@@ -1,9 +1,13 @@
+import hashlib
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
 import graphent.entanglement
-from graphent.cli import SweepSpec, main, run_sweep
+from graphent.cli import TOPOLOGIES, SweepSpec, main, run_sweep
 from graphent.graphs import from_edge_list, load_graph, save_graph
 
 
@@ -47,6 +51,76 @@ def test_gen_bridged(tmp_path, capsys):
     code, stdout, _ = run(capsys, "gen", "--topology", "bridged", "--cycles", "3,3", "--out", out)
     assert code == 0
     assert "vertices: 6" in stdout and "edges: 7" in stdout
+
+
+# One size per family (a family added to the table without one fails below):
+# the flag's text and the value the generator receives.
+TOPOLOGY_SIZES = {
+    "yf": ("4", 4),
+    "ffnn": ("3,4,2", (3, 4, 2)),
+    "btree": ("3", 3),
+    "bridged": ("3,4,3", (3, 4, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+def test_gen_topology_table(tmp_path, capsys, name):
+    dest, generate, _ = TOPOLOGIES[name]
+    flag = "--" + dest.replace("_", "-")
+    text, size = TOPOLOGY_SIZES[name]
+    out = str(tmp_path / "g.json")
+    code, _, _ = run(capsys, "gen", "--topology", name, flag, text, "--out", out)
+    assert code == 0
+    assert load_graph(out) == generate(size)
+    code, stdout, stderr = run(capsys, "gen", "--topology", name, "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert stdout == ""
+    assert f"error: --topology {name} needs {flag}" in stderr
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["ed", "--topology", "yf", "--layers", "3", "--depth", "9", "--theta", "1"],
+            "--depth does not apply to --topology yf",
+        ),
+        (
+            ["gen", "--topology", "btree", "--depth", "2", "--cycles", "3,3"],
+            "--cycles does not apply to --topology btree",
+        ),
+        (["ed", "--graph", "g.json", "--depth", "2", "--theta", "1"], "--depth does not apply with --graph"),
+        (["ed", "--depth", "2", "--theta", "1"], "--depth needs --topology btree"),
+        (["verify", "--random-graphs", "1", "--layer-sizes", "2,2"], "--layer-sizes needs --topology ffnn"),
+        (
+            ["sweep", "--quantity", "ed", "--topology", "yf", "--layers", "3", "--limit",
+             "--theta-steps", "3", "--out", "x.csv"],
+            "--layers does not apply with --limit",
+        ),
+        (
+            ["sweep", "--quantity", "ed", "--topology", "ffnn", "--limit", "--theta-steps", "3",
+             "--out", "x.csv"],
+            "--limit needs --topology yf or btree",
+        ),
+        (
+            ["sweep", "--quantity", "ed", "--topology", "bridged", "--limit", "--theta-steps", "3",
+             "--out", "x.csv"],
+            "--limit needs --topology yf or btree",
+        ),
+        (
+            ["sweep", "--quantity", "ed", "--limit", "--theta-steps", "3", "--out", "x.csv"],
+            "--limit needs --topology yf or btree",
+        ),
+    ],
+)
+def test_stray_topology_flag_exit_2(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert f"error: {message}\n" == stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_invalid_params_exit_2(tmp_path, capsys):
@@ -349,23 +423,43 @@ def test_verify_corrupted_closed_form_exit_1(capsys, monkeypatch):
     assert "result: FAIL" in stdout
 
 
+VERIFY_ARGV = ("verify", "--random-graphs", "1", "--samples", "1")
+ED_ARGV = ("ed", "--topology", "btree", "--depth", "2", "--method", "closed")
+SWEEP_ARGV = ("sweep", "--quantity", "hs2", "--theta-steps", "3", "--out", "x.csv")
+
+
+# Each argv ends with the flag under test, which names the case.
 @pytest.mark.parametrize(
-    "flag, message",
+    "argv, message",
     [
-        ("--tol=nan", "argument --tol: must be a finite number >= 0, got 'nan'"),
-        ("--tol=-1e-10", "argument --tol: must be a finite number >= 0, got '-1e-10'"),
-        ("--tol=inf", "argument --tol: must be a finite number >= 0, got 'inf'"),
-        ("--tol=tiny", "argument --tol: expected a number, got 'tiny'"),
-        ("--edge-prob=7", "argument --edge-prob: must be in [0, 1], got '7'"),
-        ("--edge-prob=-0.5", "argument --edge-prob: must be in [0, 1], got '-0.5'"),
-        ("--edge-prob=nan", "argument --edge-prob: must be in [0, 1], got 'nan'"),
+        ((*VERIFY_ARGV, "--tol=nan"), "argument --tol: must be a finite number >= 0, got 'nan'"),
+        ((*VERIFY_ARGV, "--tol=-1e-10"), "argument --tol: must be a finite number >= 0, got '-1e-10'"),
+        ((*VERIFY_ARGV, "--tol=inf"), "argument --tol: must be a finite number >= 0, got 'inf'"),
+        ((*VERIFY_ARGV, "--tol=tiny"), "argument --tol: expected a number, got 'tiny'"),
+        ((*VERIFY_ARGV, "--edge-prob=7"), "argument --edge-prob: must be in [0, 1], got '7'"),
+        ((*VERIFY_ARGV, "--edge-prob=-0.5"), "argument --edge-prob: must be in [0, 1], got '-0.5'"),
+        ((*VERIFY_ARGV, "--edge-prob=nan"), "argument --edge-prob: must be in [0, 1], got 'nan'"),
+        ((*ED_ARGV, "--theta=inf"), "argument --theta: must be a finite number, got 'inf'"),
+        ((*ED_ARGV, "--theta=nan"), "argument --theta: must be a finite number, got 'nan'"),
+        ((*ED_ARGV, "--theta=pi"), "argument --theta: expected a number, got 'pi'"),
+        ((*ED_ARGV, "--psi=-inf"), "argument --psi: must be a finite number, got '-inf'"),
+        ((*ED_ARGV, "--p=nan"), "argument --p: must be in [0, 1], got 'nan'"),
+        ((*SWEEP_ARGV, "--theta-max=inf"), "argument --theta-max: must be a finite number, got 'inf'"),
+        ((*SWEEP_ARGV, "--theta-min=nan"), "argument --theta-min: must be a finite number, got 'nan'"),
+        ((*SWEEP_ARGV, "--psi=nan"), "argument --psi: must be a finite number, got 'nan'"),
+        ((*SWEEP_ARGV, "--p=1.5"), "argument --p: must be in [0, 1], got '1.5'"),
+        ((*SWEEP_ARGV, "--p-min=-0.1"), "argument --p-min: must be in [0, 1], got '-0.1'"),
+        ((*SWEEP_ARGV, "--p-max=2"), "argument --p-max: must be in [0, 1], got '2'"),
     ],
+    ids=lambda value: value[-1] if isinstance(value, tuple) else None,
 )
-def test_verify_bad_numeric_flags_exit_2(capsys, flag, message):
-    code, stdout, stderr = run(capsys, "verify", "--random-graphs", "1", "--samples", "1", flag)
+def test_verify_bad_numeric_flags_exit_2(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run(capsys, *argv)
     assert code == 2
     assert stdout == ""
     assert message in stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_deterministic_output(capsys):
@@ -373,3 +467,33 @@ def test_verify_deterministic_output(capsys):
     _, out_a, _ = run(capsys, *args)
     _, out_b, _ = run(capsys, *args)
     assert out_a == out_b
+
+
+# ----------------------------------------------------------------------
+# figure data
+# ----------------------------------------------------------------------
+
+# sha256 of each CSV written by scripts/make_figure_data.py; the bytes are a
+# contract (17-digit values, LF endings), so any change to them must be deliberate.
+FIGURE_SHA256 = {
+    "fig1_hs2.csv": "8d6bd71e652563ee8f9a4f5bcaea975a5153728c3276e1afa500ced2267c4f82",
+    "fig2_entropy.csv": "d26e9c0cbf9470f5fee35ee63f6c2a63e9fc6fc5abd2b62c5763e963cd888469",
+    "fig3_yf_N3.csv": "f445414ba99d47f71818df83c8a1095182c0f843c2f8fc5e69e6e883da3deb84",
+    "fig3_yf_N5.csv": "99f11c99fc3bb5d490056c07b4e7e36d2f0a89604e3d58c5a143dd52b27d457e",
+    "fig3_yf_N10.csv": "79d84f3785429f2612b9b1e89deeb926775cc20bc75910ad24ca12fdd699d83d",
+    "fig3_yf_limit.csv": "6b4b85612f61210bc827d1bfaa9beb86bdd6fb81a5c41f5be6f58765836612b1",
+    "fig5_btree_N2.csv": "044f402d0f86993f680d5cb0c1b5b7468de2793b5d130b883ecad39ea32b3066",
+    "fig5_btree_N4.csv": "a90651fe756a0ae1780c13b939bd5dbb295d2e27c0e401cd746a737b13f29e6c",
+    "fig5_btree_limit.csv": "303254a9435c2784b379ee40f856ea88fd456ec6176cf6885b0137e76cb28097",
+}
+
+
+def test_figure_data_golden_bytes(tmp_path, capsys, monkeypatch):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_figure_data.py"
+    spec = importlib.util.spec_from_file_location("make_figure_data", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [str(script), "--outdir", str(tmp_path)])
+    assert module.main() == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    assert written == FIGURE_SHA256

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from graphent.graphs import (
     DegreeDistribution,
-    TopologySpec,
-    build_topology,
     degree,
     degree_distribution,
     flip_edge,
@@ -60,6 +58,19 @@ def test_minimal_edge():
 def test_invalid_edges_rejected(num_vertices, edges):
     with pytest.raises(ValueError):
         from_edge_list(num_vertices, edges)
+
+
+@pytest.mark.parametrize("endpoint", [1.7, 1.0, True, np.True_, "1", None])
+def test_non_integer_endpoints_rejected(endpoint):
+    # refused, never truncated: int(1.7) and int(True) would both give vertex 1
+    with pytest.raises(ValueError, match=f"edge endpoint {re.escape(repr(endpoint))} is not an integer"):
+        from_edge_list(3, [(0, endpoint)])
+
+
+def test_numpy_integer_endpoints_accepted():
+    g = from_edge_list(3, [(np.int64(0), np.int32(2)), (np.uint8(1), 2)])
+    assert g == from_edge_list(3, [(0, 2), (1, 2)])
+    assert all(type(v) is int for edge in g.edges for v in edge)
 
 
 def test_zero_vertices_rejected():
@@ -410,22 +421,8 @@ def test_strict_json_rejected(text, field):
 
 
 # ----------------------------------------------------------------------
-# topology specs and random graphs
+# random graphs
 # ----------------------------------------------------------------------
-
-def test_build_topology_dispatch():
-    assert build_topology(TopologySpec("young-fibonacci", layers=4)).num_vertices == 10
-    assert build_topology(TopologySpec("binary-tree", depth=3)).num_vertices == 7
-    assert build_topology(TopologySpec("ffnn", layer_sizes=(1, 1))).num_edges == 1
-    assert build_topology(TopologySpec("bridged-cycles", cycle_sizes=(3, 3))).num_edges == 7
-
-
-def test_topology_spec_validation():
-    with pytest.raises(ValueError):
-        TopologySpec("ring")
-    with pytest.raises(ValueError):
-        build_topology(TopologySpec("ffnn"))
-
 
 def test_random_graph_seeded_determinism():
     a = random_graph(8, np.random.default_rng(123))
