@@ -14,9 +14,8 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,11 +34,17 @@ from .graphs import (
 )
 from .statevector import DEFAULT_MAX_QUBITS, InitialQubit, InteractionParams, build_graph_state
 
-__all__ = ["TOPOLOGIES", "SweepSpec", "run_sweep", "main"]
+__all__ = ["TOPOLOGIES", "run_sweep", "main"]
 
 MAX_QUBITS_ENV = "GRAPHENT_MAX_QUBITS"
 
-QUANTITIES = ("ed", "ed-general", "entropy", "hs2")
+# sweep --quantity NAME -> the dests of the sweep flags it does not read.
+SWEEP_IGNORES = {
+    "ed": ("p", "p_min", "p_max", "p_steps"),
+    "ed-general": ("limit",),
+    "entropy": ("graph", "topology", "limit"),
+    "hs2": ("graph", "topology", "limit"),
+}
 
 # --topology NAME -> (dest of the flag that sizes it, the generator that flag's
 # value is passed to, the infinite-size ED curve that sweep --limit draws).
@@ -55,8 +60,10 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _grid(lo: float, hi: float, steps: int) -> list[float]:
-    """Inclusive uniform grid: lo + i*(hi-lo)/(steps-1)."""
+def _grid(lo: float, hi: float, steps: int, name: str) -> list[float]:
+    """Inclusive uniform grid over --NAME-min .. --NAME-max: lo + i*(hi-lo)/(steps-1)."""
+    if not lo < hi:
+        raise ValueError(f"--{name}-min must be less than --{name}-max")
     return [lo + (i * (hi - lo)) / (steps - 1) for i in range(steps)]
 
 
@@ -65,15 +72,6 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _parse_pi_fraction(text: str) -> float:
-    """Rational multiple of pi, e.g. '1/2' -> pi/2, '0.25' -> pi/4."""
-    try:
-        frac = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"expected a rational multiple of pi, got {text!r}") from exc
-    return math.pi * float(frac)
 
 
 def _number(text: str) -> float:
@@ -99,6 +97,29 @@ def _finite(text: str) -> float:
     return value
 
 
+def _pi_fraction(text: str) -> float:
+    """argparse type: a rational multiple of pi, e.g. '1/2' -> pi/2, '0.25' -> pi/4."""
+    try:
+        value = math.pi * float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite rational multiple of pi, got {text!r}")
+    return value
+
+
+def _integer(minimum: int) -> Callable[[str], int]:
+    """argparse type: an integer >= minimum."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+
+    return integer
+
+
 def _tolerance(text: str) -> float:
     """argparse type: a finite number >= 0 (NaN would fail every check)."""
     value = _number(text)
@@ -119,18 +140,28 @@ def _resolve_max_qubits(args: argparse.Namespace) -> int:
     return DEFAULT_MAX_QUBITS
 
 
-def _add_topology_flags(parser: argparse.ArgumentParser, required: bool = False) -> None:
-    parser.add_argument(
-        "--topology", choices=sorted(TOPOLOGIES), required=required, help="generator family"
-    )
+def _add_source_flags(parser: argparse.ArgumentParser, graph: bool = True):
+    """Add the size flags and the exclusive group of graph sources (required without --graph)."""
+    source = parser.add_mutually_exclusive_group(required=not graph)
+    if graph:
+        source.add_argument("--graph", help="graph JSON path")
+    source.add_argument("--topology", choices=sorted(TOPOLOGIES), help="generator family")
     parser.add_argument("--layers", type=int, help="layer count (topology yf)")
     parser.add_argument("--layer-sizes", type=_parse_sizes, help="e.g. 3,4,4,2 (topology ffnn)")
     parser.add_argument("--cycles", type=_parse_sizes, help="e.g. 3,3,3 (topology bridged)")
     parser.add_argument("--depth", type=int, help="layer count (topology btree)")
+    return source
 
 
 def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
+
+
+def _refuse(args: argparse.Namespace, dests: Sequence[str], reason: str) -> None:
+    """Refuse the first of these flags that was given, as one that would be ignored."""
+    for dest in dests:
+        if getattr(args, dest) not in (None, False):
+            raise ValueError(f"{_flag(dest)} {reason}")
 
 
 def _check_size_flags(args: argparse.Namespace) -> None:
@@ -160,14 +191,6 @@ def _graph_from_args(args: argparse.Namespace) -> DirectedGraph:
     return generate(size)
 
 
-def _theta_from_args(args: argparse.Namespace) -> float:
-    if args.theta_pi_frac is not None:
-        return _parse_pi_fraction(args.theta_pi_frac)
-    if args.theta is None:
-        raise ValueError("pass --theta RADIANS or --theta-pi-frac FRACTION")
-    return args.theta
-
-
 # ----------------------------------------------------------------------
 # gen
 # ----------------------------------------------------------------------
@@ -189,24 +212,21 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_ed(args: argparse.Namespace) -> int:
     graph = _graph_from_args(args)
-    theta = _theta_from_args(args)
     reports = {}
     if args.method in ("closed", "both"):
-        reports["closed"] = entanglement.ed_general_report(graph, args.p, theta)
+        reports["closed"] = entanglement.ed_general_report(graph, args.p, args.theta)
     if args.method in ("simulate", "both"):
         state = build_graph_state(
             graph,
             InitialQubit(args.p),
-            InteractionParams(theta, args.psi),
+            InteractionParams(args.theta, args.psi),
             max_qubits=_resolve_max_qubits(args),
         )
         reports["simulate"] = entanglement.ed_numeric(state)
-    for name in ("closed", "simulate"):
-        if name not in reports:
-            continue
-        print(f"{name}: {_fmt(reports[name].total)}")
+    for name, report in reports.items():  # closed before simulate
+        print(f"{name}: {_fmt(report.total)}")
         if args.verbose:
-            for i, value in enumerate(reports[name].per_vertex):
+            for i, value in enumerate(report.per_vertex):
                 print(f"  vertex {i}: {_fmt(value)}")
     if args.method == "both":
         print(f"diff: {_fmt(abs(reports['closed'].total - reports['simulate'].total))}")
@@ -217,62 +237,13 @@ def cmd_ed(args: argparse.Namespace) -> int:
 # sweep
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One sweep: a quantity over an inclusive theta grid, optionally crossed
-    with an inclusive p grid (theta outer, p inner)."""
-
-    quantity: str
-    theta_lo: float = 0.0
-    theta_hi: float = math.pi
-    theta_steps: int = 33
-    p_lo: float = 0.0
-    p_hi: float = 1.0
-    p_steps: int | None = None
-    fixed_p: float = 0.5
-    psi: float = 0.0  # recorded for provenance; every sweep quantity is psi-independent
-    graph: DirectedGraph | None = None
-    limit: Callable[[float], float] | None = None  # infinite-size curve instead of a graph
-
-    def __post_init__(self) -> None:
-        if self.quantity not in QUANTITIES:
-            raise ValueError(f"unknown quantity {self.quantity!r}")
-        if self.theta_steps < 2:
-            raise ValueError(f"theta steps must be >= 2, got {self.theta_steps}")
-        if not self.theta_lo < self.theta_hi:
-            raise ValueError("theta range must satisfy lo < hi")
-        if self.p_steps is not None:
-            if self.p_steps < 2:
-                raise ValueError(f"p steps must be >= 2, got {self.p_steps}")
-            if not self.p_lo < self.p_hi:
-                raise ValueError("p range must satisfy lo < hi")
-
-
-def run_sweep(spec: SweepSpec) -> tuple[list[str], list[tuple[float, ...]]]:
-    thetas = _grid(spec.theta_lo, spec.theta_hi, spec.theta_steps)
-
-    if spec.quantity == "ed":
-        if spec.limit is not None:
-            curve = spec.limit
-        elif spec.graph is not None:
-            curve = functools.partial(entanglement.ed_closed_form, degree_distribution(spec.graph))
-        else:
-            raise ValueError("quantity 'ed' needs a graph source or a limit curve")
-        return ["theta", "value"], [(th, curve(th)) for th in thetas]
-
-    if spec.quantity == "ed-general":
-        if spec.graph is None:
-            raise ValueError("quantity 'ed-general' needs a graph source")
-        dist = degree_distribution(spec.graph)
-        value = functools.partial(entanglement.ed_closed_general, dist)  # value(p, theta)
-    elif spec.quantity == "entropy":
-        value = pair_entropy_analytic
-    else:  # hs2
-        value = hs_distance_sq_analytic
-
-    if spec.p_steps is None:
-        return ["theta", "value"], [(th, value(spec.fixed_p, th)) for th in thetas]
-    ps = _grid(spec.p_lo, spec.p_hi, spec.p_steps)
+def run_sweep(
+    value: Callable[..., float], thetas: Sequence[float], ps: Sequence[float] | None = None
+) -> tuple[list[str], list[tuple[float, ...]]]:
+    """CSV header and rows: value(theta) over thetas, or value(p, theta) over
+    thetas crossed with ps (theta outer, p inner)."""
+    if ps is None:
+        return ["theta", "value"], [(th, value(th)) for th in thetas]
     return ["theta", "p", "value"], [(th, p, value(p, th)) for th in thetas for p in ps]
 
 
@@ -284,29 +255,29 @@ def _write_csv(path: str, header: list[str], rows: list[tuple[float, ...]]) -> N
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    graph = None
-    if args.graph is not None or (args.topology is not None and not args.limit):
-        graph = _graph_from_args(args)
-    limit = None
+    _refuse(args, SWEEP_IGNORES[args.quantity], f"does not apply to --quantity {args.quantity}")
+    if args.p_steps is None:
+        _refuse(args, ("p_min", "p_max"), "needs --p-steps")
+    else:
+        _refuse(args, ("p",), "does not apply with --p-steps")
     if args.limit:
-        limit = TOPOLOGIES[args.topology][2] if args.topology is not None else None
-        if limit is None:
+        value = TOPOLOGIES[args.topology][2] if args.topology is not None else None
+        if value is None:
             names = " or ".join(name for name, row in TOPOLOGIES.items() if row[2] is not None)
             raise ValueError(f"--limit needs --topology {names}")
-    spec = SweepSpec(
-        quantity=args.quantity,
-        theta_lo=args.theta_min,
-        theta_hi=args.theta_max,
-        theta_steps=args.theta_steps,
-        p_lo=args.p_min,
-        p_hi=args.p_max,
-        p_steps=args.p_steps,
-        fixed_p=args.p,
-        psi=args.psi,
-        graph=graph,
-        limit=limit,
-    )
-    header, rows = run_sweep(spec)
+    elif args.quantity in ("ed", "ed-general"):
+        form = entanglement.ed_closed_form if args.quantity == "ed" else entanglement.ed_closed_general
+        value = functools.partial(form, degree_distribution(_graph_from_args(args)))
+    else:
+        value = pair_entropy_analytic if args.quantity == "entropy" else hs_distance_sq_analytic
+    ps = None
+    if args.p_steps is not None:
+        p_max = 1.0 if args.p_max is None else args.p_max
+        ps = _grid(0.0 if args.p_min is None else args.p_min, p_max, args.p_steps, "p")
+    elif args.quantity != "ed":  # value(p, theta) at the fixed p
+        value = functools.partial(value, 0.5 if args.p is None else args.p)
+    thetas = _grid(args.theta_min, args.theta_max, args.theta_steps, "theta")
+    header, rows = run_sweep(value, thetas, ps)
     _write_csv(args.out, header, rows)
     print(f"wrote: {args.out} ({len(rows)} rows)")
     return 0
@@ -319,15 +290,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     max_qubits = _resolve_max_qubits(args)
     if args.random_graphs is not None:
-        if args.max_vertices < 2:
-            raise ValueError(f"--max-vertices must be >= 2, got {args.max_vertices}")
+        max_vertices = 10 if args.max_vertices is None else args.max_vertices
+        edge_prob = 0.4 if args.edge_prob is None else args.edge_prob
         rng = np.random.default_rng(args.seed)
         graphs = [
-            random_graph(int(rng.integers(2, args.max_vertices + 1)), rng, args.edge_prob)
+            random_graph(int(rng.integers(2, max_vertices + 1)), rng, edge_prob)
             for _ in range(args.random_graphs)
         ]
-        print(f"graphs: {len(graphs)} random (<= {args.max_vertices} vertices)")
+        print(f"graphs: {len(graphs)} random (<= {max_vertices} vertices)")
     else:
+        _refuse(args, ("max_vertices", "edge_prob"), "needs --random-graphs")
         graphs = [_graph_from_args(args)]
         print(f"graphs: 1 ({graphs[0].num_vertices} vertices, {graphs[0].num_edges} edges)")
     report = verify.run_verification(
@@ -355,15 +327,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a topology and write its graph JSON")
-    _add_topology_flags(p_gen, required=True)
+    _add_source_flags(p_gen, graph=False)
     p_gen.add_argument("--out", default="graph.json", help="output path (default graph.json)")
     p_gen.set_defaults(func=cmd_gen)
 
     p_ed = sub.add_parser("ed", help="evaluate the ED of a graph")
-    p_ed.add_argument("--graph", help="graph JSON path")
-    _add_topology_flags(p_ed)
-    p_ed.add_argument("--theta", type=_finite, help="interaction angle in radians")
-    p_ed.add_argument("--theta-pi-frac", help="interaction angle as a rational multiple of pi, e.g. 1/2")
+    _add_source_flags(p_ed)
+    angle = p_ed.add_mutually_exclusive_group(required=True)
+    angle.add_argument("--theta", type=_finite, help="interaction angle in radians")
+    angle.add_argument(
+        "--theta-pi-frac", dest="theta", type=_pi_fraction,
+        help="interaction angle as a rational multiple of pi, e.g. 1/2",
+    )
     p_ed.add_argument("--p", type=_probability, default=0.5, help="input |1> weight (default 0.5)")
     p_ed.add_argument("--psi", type=_finite, default=0.0, help="global interaction phase (default 0)")
     p_ed.add_argument("--method", choices=("closed", "simulate", "both"), default="both")
@@ -372,28 +347,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_ed.set_defaults(func=cmd_ed)
 
     p_sweep = sub.add_parser("sweep", help="write a parameter sweep as CSV")
-    p_sweep.add_argument("--quantity", choices=QUANTITIES, required=True)
-    p_sweep.add_argument("--graph", help="graph JSON path (quantities ed / ed-general)")
-    _add_topology_flags(p_sweep)
+    p_sweep.add_argument("--quantity", choices=tuple(SWEEP_IGNORES), required=True)
+    _add_source_flags(p_sweep)
     p_sweep.add_argument("--limit", action="store_true", help="asymptotic curve (yf/btree, quantity ed)")
     p_sweep.add_argument("--theta-min", type=_finite, default=0.0)
     p_sweep.add_argument("--theta-max", type=_finite, default=math.pi)
-    p_sweep.add_argument("--theta-steps", type=int, required=True)
-    p_sweep.add_argument("--p-min", type=_probability, default=0.0)
-    p_sweep.add_argument("--p-max", type=_probability, default=1.0)
-    p_sweep.add_argument("--p-steps", type=int, help="add an inner p grid (2-D sweep)")
-    p_sweep.add_argument("--p", type=_probability, default=0.5, help="fixed p for 1-D sweeps (default 0.5)")
-    p_sweep.add_argument("--psi", type=_finite, default=0.0)
+    p_sweep.add_argument("--theta-steps", type=_integer(2), required=True)
+    p_sweep.add_argument("--p-min", type=_probability, help="p grid start (default 0)")
+    p_sweep.add_argument("--p-max", type=_probability, help="p grid end (default 1)")
+    p_sweep.add_argument("--p-steps", type=_integer(2), help="add an inner p grid (2-D sweep)")
+    p_sweep.add_argument("--p", type=_probability, help="fixed p for 1-D sweeps (default 0.5)")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="closed forms vs the simulation oracle")
-    p_verify.add_argument("--graph", help="graph JSON path")
-    _add_topology_flags(p_verify)
-    p_verify.add_argument("--random-graphs", type=int, help="verify on this many seeded random graphs")
-    p_verify.add_argument("--max-vertices", type=int, default=10, help="random-graph size cap (default 10)")
-    p_verify.add_argument("--edge-prob", type=_probability, default=0.4, help="random-graph edge probability")
-    p_verify.add_argument("--samples", type=int, default=25, help="parameter draws per graph (default 25)")
+    source = _add_source_flags(p_verify)
+    source.add_argument("--random-graphs", type=_integer(1), help="verify on this many seeded random graphs")
+    p_verify.add_argument("--max-vertices", type=_integer(2), help="random-graph size cap (default 10)")
+    p_verify.add_argument("--edge-prob", type=_probability, help="random-graph edge probability (default 0.4)")
+    p_verify.add_argument("--samples", type=_integer(1), default=25, help="parameter draws per graph (default 25)")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tol", type=_tolerance, default=1e-10)
     p_verify.add_argument("--max-qubits", type=int, help=f"simulation cap (default {DEFAULT_MAX_QUBITS})")
@@ -413,6 +385,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:  # JSON decode errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -31,6 +31,18 @@ __all__ = [
 DEFAULT_MAX_QUBITS = 22
 
 
+def _available_bytes(meminfo: str = "/proc/meminfo") -> int | None:
+    """MemAvailable in bytes, or None where it cannot be read."""
+    try:
+        with open(meminfo, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # the value is in kB
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 @dataclass(frozen=True)
 class InteractionParams:
     """Edge interaction angles.
@@ -118,6 +130,16 @@ def product_state(
             f"{num_qubits} qubits exceeds the configured cap of {max_qubits} "
             f"(2^{num_qubits} amplitudes); raise the cap explicitly to proceed"
         )
+    if num_qubits > DEFAULT_MAX_QUBITS:
+        # The last concatenate holds the old 2^(M-1) amplitudes, its two scaled
+        # halves and the 2^M result at once: 2.5 * 2^M complex128 values.
+        needed = 40 * 2**num_qubits
+        available = _available_bytes()
+        if available is not None and needed > available:
+            raise ValueError(
+                f"{num_qubits} qubits need about {needed} bytes to build, "
+                f"but only {available} bytes of memory are available"
+            )
     a0, a1 = qubit.alpha0, qubit.alpha1
     amps = np.ones(1, dtype=np.complex128)
     for _ in range(num_qubits):

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import graphent.cli
 import graphent.entanglement
-from graphent.cli import TOPOLOGIES, SweepSpec, main, run_sweep
+import graphent.statevector
+from graphent.cli import TOPOLOGIES, main
 from graphent.graphs import from_edge_list, load_graph, save_graph
 
 
@@ -111,6 +113,63 @@ def test_gen_topology_table(tmp_path, capsys, name):
         (
             ["sweep", "--quantity", "ed", "--limit", "--theta-steps", "3", "--out", "x.csv"],
             "--limit needs --topology yf or btree",
+        ),
+        (["verify", "--graph", "g.json", "--max-vertices", "5"], "--max-vertices needs --random-graphs"),
+        (["verify", "--graph", "g.json", "--edge-prob", "0.9"], "--edge-prob needs --random-graphs"),
+        (
+            ["sweep", "--quantity", "hs2", "--graph", "g.json", "--theta-steps", "3", "--out", "x.csv"],
+            "--graph does not apply to --quantity hs2",
+        ),
+        (
+            ["sweep", "--quantity", "entropy", "--topology", "yf", "--layers", "3", "--theta-steps", "3",
+             "--out", "x.csv"],
+            "--topology does not apply to --quantity entropy",
+        ),
+        (
+            ["sweep", "--quantity", "ed", "--topology", "yf", "--layers", "3", "--p-steps", "5",
+             "--theta-steps", "3", "--out", "x.csv"],
+            "--p-steps does not apply to --quantity ed",
+        ),
+        (
+            ["sweep", "--quantity", "ed", "--topology", "yf", "--layers", "3", "--p", "0.2",
+             "--theta-steps", "3", "--out", "x.csv"],
+            "--p does not apply to --quantity ed",
+        ),
+        (
+            ["sweep", "--quantity", "hs2", "--limit", "--theta-steps", "3", "--out", "x.csv"],
+            "--limit does not apply to --quantity hs2",
+        ),
+        (
+            ["sweep", "--quantity", "ed-general", "--topology", "yf", "--limit", "--theta-steps", "3",
+             "--out", "x.csv"],
+            "--limit does not apply to --quantity ed-general",
+        ),
+        (
+            ["sweep", "--quantity", "hs2", "--p-min", "0.2", "--theta-steps", "3", "--out", "x.csv"],
+            "--p-min needs --p-steps",
+        ),
+        (
+            ["sweep", "--quantity", "hs2", "--p-max", "0.8", "--theta-steps", "3", "--out", "x.csv"],
+            "--p-max needs --p-steps",
+        ),
+        (
+            ["sweep", "--quantity", "hs2", "--p-steps", "3", "--p", "0.3", "--theta-steps", "3",
+             "--out", "x.csv"],
+            "--p does not apply with --p-steps",
+        ),
+        (
+            ["sweep", "--quantity", "hs2", "--theta-min", "2", "--theta-max", "1", "--theta-steps", "3",
+             "--out", "x.csv"],
+            "--theta-min must be less than --theta-max",
+        ),
+        (
+            ["sweep", "--quantity", "hs2", "--p-min", "0.5", "--p-max", "0.5", "--p-steps", "3",
+             "--theta-steps", "3", "--out", "x.csv"],
+            "--p-min must be less than --p-max",
+        ),
+        (
+            ["sweep", "--quantity", "ed", "--theta-steps", "3", "--out", "x.csv"],
+            "no graph source: pass --graph PATH or --topology plus its parameters",
         ),
     ],
 )
@@ -276,6 +335,41 @@ def test_unknown_flag_exit_2(capsys):
     assert run(capsys, "ed", "--nonsense")[0] == 2
 
 
+@pytest.mark.parametrize("command", ["gen", "ed", "sweep", "verify"])
+def test_help_exit_0(capsys, command):
+    code, stdout, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert stdout.startswith(f"usage: graphent {command}")
+
+
+def test_ed_memory_estimate_exit_2(capsys, monkeypatch):
+    # The probe is replaced, so no large state is ever allocated.
+    monkeypatch.setattr(graphent.statevector, "_available_bytes", lambda: 2**30)
+    code, stdout, stderr = run(
+        capsys, "ed", "--topology", "yf", "--layers", "7", "--theta", "0.5",
+        "--method", "simulate", "--max-qubits", "28",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr == (
+        "error: 28 qubits need about 10737418240 bytes to build, "
+        "but only 1073741824 bytes of memory are available\n"
+    )
+
+
+def test_ed_memory_error_exit_2(capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64. GiB")
+
+    monkeypatch.setattr(graphent.cli, "build_graph_state", out_of_memory)
+    code, stdout, stderr = run(
+        capsys, "ed", "--topology", "btree", "--depth", "2", "--theta", "1", "--method", "simulate"
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: out of memory: Unable to allocate 64. GiB\n"
+
+
 # ----------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------
@@ -352,17 +446,6 @@ def test_sweep_1d_ed_general_fixed_p(tmp_path, capsys):
     lines = open(out, encoding="utf-8").read().splitlines()
     assert lines[0] == "theta,value"
     assert len(lines) == 6
-
-
-def test_sweep_spec_validation():
-    with pytest.raises(ValueError):
-        SweepSpec(quantity="nope")
-    with pytest.raises(ValueError):
-        SweepSpec(quantity="hs2", theta_steps=1)
-    with pytest.raises(ValueError):
-        SweepSpec(quantity="hs2", theta_lo=2.0, theta_hi=1.0)
-    with pytest.raises(ValueError):
-        run_sweep(SweepSpec(quantity="ed"))  # no graph source
 
 
 def test_sweep_deterministic_bytes(tmp_path, capsys):
@@ -446,10 +529,26 @@ SWEEP_ARGV = ("sweep", "--quantity", "hs2", "--theta-steps", "3", "--out", "x.cs
         ((*ED_ARGV, "--p=nan"), "argument --p: must be in [0, 1], got 'nan'"),
         ((*SWEEP_ARGV, "--theta-max=inf"), "argument --theta-max: must be a finite number, got 'inf'"),
         ((*SWEEP_ARGV, "--theta-min=nan"), "argument --theta-min: must be a finite number, got 'nan'"),
-        ((*SWEEP_ARGV, "--psi=nan"), "argument --psi: must be a finite number, got 'nan'"),
         ((*SWEEP_ARGV, "--p=1.5"), "argument --p: must be in [0, 1], got '1.5'"),
         ((*SWEEP_ARGV, "--p-min=-0.1"), "argument --p-min: must be in [0, 1], got '-0.1'"),
         ((*SWEEP_ARGV, "--p-max=2"), "argument --p-max: must be in [0, 1], got '2'"),
+        (("ed", "--graph", "g.json", "--theta=0.3", "--topology=btree"),
+         "argument --topology: not allowed with argument --graph"),
+        ((*ED_ARGV, "--theta=0.3", "--theta-pi-frac=1/2"),
+         "argument --theta-pi-frac: not allowed with argument --theta"),
+        ((*ED_ARGV, "--theta-pi-frac=1e400"),
+         "argument --theta-pi-frac: expected a finite rational multiple of pi, got '1e400'"),
+        (("verify", "--random-graphs=2", "--depth=2", "--topology=btree"),
+         "argument --topology: not allowed with argument --random-graphs"),
+        (("verify", "--graph", "g.json", "--random-graphs=2"),
+         "argument --random-graphs: not allowed with argument --graph"),
+        (("verify", "--random-graphs=0"), "argument --random-graphs: must be an integer >= 1, got '0'"),
+        ((*VERIFY_ARGV, "--max-vertices=1"), "argument --max-vertices: must be an integer >= 2, got '1'"),
+        ((*VERIFY_ARGV, "--samples=0"), "argument --samples: must be an integer >= 1, got '0'"),
+        ((*SWEEP_ARGV, "--psi=1"), "unrecognized arguments: --psi=1"),
+        ((*SWEEP_ARGV, "--quantity=nope"), "argument --quantity: invalid choice: 'nope'"),
+        ((*SWEEP_ARGV, "--theta-steps=1"), "argument --theta-steps: must be an integer >= 2, got '1'"),
+        ((*SWEEP_ARGV, "--p-steps=1"), "argument --p-steps: must be an integer >= 2, got '1'"),
     ],
     ids=lambda value: value[-1] if isinstance(value, tuple) else None,
 )

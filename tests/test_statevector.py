@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphent import statevector
 from graphent.graphs import flip_edge, from_edge_list, gen_young_fibonacci
 from graphent.statevector import (
     InitialQubit,
@@ -76,6 +77,38 @@ def test_qubit_cap_enforced():
     with pytest.raises(ValueError):
         product_state(6, max_qubits=5)
     assert product_state(6, max_qubits=6).num_qubits == 6
+
+
+def test_memory_estimate_above_default_cap(monkeypatch):
+    # The default cap is lowered and the probe replaced, so no large state is allocated.
+    probed = []
+    monkeypatch.setattr(statevector, "DEFAULT_MAX_QUBITS", 3)
+    monkeypatch.setattr(statevector, "_available_bytes", lambda: probed.append(1) or 639)
+    assert product_state(3, max_qubits=9).num_qubits == 3
+    assert probed == []  # at or below the default cap there is no probe
+    with pytest.raises(ValueError, match="^4 qubits need about 640 bytes to build, but only 639 bytes"):
+        product_state(4, max_qubits=9)
+    monkeypatch.setattr(statevector, "_available_bytes", lambda: 640)
+    assert product_state(4, max_qubits=9).num_qubits == 4
+    monkeypatch.setattr(statevector, "_available_bytes", lambda: None)  # unreadable: no check
+    assert product_state(5, max_qubits=9).num_qubits == 5
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("MemTotal:       8000 kB\nMemAvailable:    2048 kB\n", 2048 * 1024),
+        ("MemTotal:       8000 kB\n", None),
+        ("MemAvailable:    lots kB\n", None),
+        ("MemAvailable:\n", None),
+        (None, None),  # no such file
+    ],
+)
+def test_available_bytes_probe(tmp_path, text, expected):
+    path = tmp_path / "meminfo"
+    if text is not None:
+        path.write_text(text)
+    assert statevector._available_bytes(str(path)) == expected
 
 
 @given(st.integers(1, 8), probabilities, angles, angles)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,14 @@ def test_corrupted_closed_form_is_caught(monkeypatch):
     assert "FAIL" in report.format_table()
 
 
+def test_nan_deviation_fails(monkeypatch):
+    monkeypatch.setattr(graphent.entanglement, "ed_closed_form", lambda dist, theta: math.nan)
+    report = run_verification([gen_full_binary_tree(2)], samples=2, seed=0, tol=1e-10)
+    assert not report.passed
+    assert math.isnan(report.checks[0].max_deviation)
+    assert report.format_table().splitlines()[1].endswith("nan  FAIL")
+
+
 def test_table_format():
     report = run_verification([from_edge_list(2, [(0, 1)])], samples=2, seed=0, tol=1e-10)
     table = report.format_table()
@@ -55,6 +65,25 @@ def test_table_format():
 def test_samples_validated():
     with pytest.raises(ValueError):
         run_verification([from_edge_list(2, [(0, 1)])], samples=0, seed=0, tol=1e-10)
+    with pytest.raises(ValueError):
+        run_verification([], samples=1, seed=0, tol=1e-10)
+
+
+def test_samples_counted_and_unsampled_check_skipped():
+    graphs = [from_edge_list(3, []), from_edge_list(2, [(0, 1)])]
+    report = run_verification(graphs, samples=3, seed=0, tol=1e-10)
+    assert {c.name: c.samples for c in report.checks} == {
+        "closed-form oracle": 6,
+        "general-closed oracle": 6,
+        "psi independence": 6,
+        "orientation flip": 3,  # only the graph with an edge has one to flip
+        "vertex relabeling": 6,
+    }
+    report = run_verification([from_edge_list(3, [])], samples=2, seed=0, tol=1e-10)
+    flip = report.format_table().splitlines()[1 + CHECK_ORDER.index("orientation flip")]
+    assert flip.startswith("orientation flip") and flip.endswith("  skipped")
+    assert report.passed
+    assert report.format_table().count("  pass") == len(CHECK_ORDER) - 1
 
 
 def test_ffnn_variant_report_separates_the_forms():
