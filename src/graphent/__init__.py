@@ -25,7 +25,6 @@ from .entanglement import (
     ed_bridged_cycles,
     ed_closed_form,
     ed_closed_general,
-    ed_closed_report,
     ed_ffnn,
     ed_ffnn_output_self_exponent,
     ed_general_report,
@@ -39,7 +38,6 @@ from .entanglement import (
 from .graphs import (
     DegreeDistribution,
     DirectedGraph,
-    degree,
     degree_distribution,
     flip_edge,
     from_edge_list,
@@ -61,7 +59,6 @@ from .statevector import (
     InitialQubit,
     InteractionParams,
     PureState,
-    apply_edge_phase,
     build_graph_state,
     pauli_expectations,
     product_state,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -35,8 +34,6 @@ from .graphs import (
 from .statevector import DEFAULT_MAX_QUBITS, InitialQubit, InteractionParams, build_graph_state
 
 __all__ = ["TOPOLOGIES", "run_sweep", "main"]
-
-MAX_QUBITS_ENV = "GRAPHENT_MAX_QUBITS"
 
 # sweep --quantity NAME -> the dests of the sweep flags it does not read.
 SWEEP_IGNORES = {
@@ -128,18 +125,6 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _resolve_max_qubits(args: argparse.Namespace) -> int:
-    if getattr(args, "max_qubits", None) is not None:
-        return args.max_qubits
-    env = os.environ.get(MAX_QUBITS_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"{MAX_QUBITS_ENV} must be an integer, got {env!r}") from exc
-    return DEFAULT_MAX_QUBITS
-
-
 def _add_source_flags(parser: argparse.ArgumentParser, graph: bool = True):
     """Add the size flags and the exclusive group of graph sources (required without --graph)."""
     source = parser.add_mutually_exclusive_group(required=not graph)
@@ -160,7 +145,8 @@ def _flag(dest: str) -> str:
 def _refuse(args: argparse.Namespace, dests: Sequence[str], reason: str) -> None:
     """Refuse the first of these flags that was given, as one that would be ignored."""
     for dest in dests:
-        if getattr(args, dest) not in (None, False):
+        value = getattr(args, dest)
+        if value is not None and value is not False:  # by identity: 0.0 == False
             raise ValueError(f"{_flag(dest)} {reason}")
 
 
@@ -211,6 +197,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_ed(args: argparse.Namespace) -> int:
+    if args.method == "closed":
+        _refuse(args, ("psi", "max_qubits"), "does not apply to --method closed")
     graph = _graph_from_args(args)
     reports = {}
     if args.method in ("closed", "both"):
@@ -219,8 +207,8 @@ def cmd_ed(args: argparse.Namespace) -> int:
         state = build_graph_state(
             graph,
             InitialQubit(args.p),
-            InteractionParams(args.theta, args.psi),
-            max_qubits=_resolve_max_qubits(args),
+            InteractionParams(args.theta, 0.0 if args.psi is None else args.psi),
+            max_qubits=DEFAULT_MAX_QUBITS if args.max_qubits is None else args.max_qubits,
         )
         reports["simulate"] = entanglement.ed_numeric(state)
     for name, report in reports.items():  # closed before simulate
@@ -288,7 +276,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    max_qubits = _resolve_max_qubits(args)
     if args.random_graphs is not None:
         max_vertices = 10 if args.max_vertices is None else args.max_vertices
         edge_prob = 0.4 if args.edge_prob is None else args.edge_prob
@@ -303,11 +290,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         graphs = [_graph_from_args(args)]
         print(f"graphs: 1 ({graphs[0].num_vertices} vertices, {graphs[0].num_edges} edges)")
     report = verify.run_verification(
-        graphs, args.samples, args.seed, args.tol, max_qubits=max_qubits
+        graphs, args.samples, args.seed, args.tol, max_qubits=args.max_qubits
     )
     if args.layer_sizes is not None:  # only --topology ffnn accepts it
         dev_degree, dev_variant = verify.ffnn_variant_report(
-            args.layer_sizes, max_qubits=max_qubits
+            args.layer_sizes, max_qubits=args.max_qubits
         )
         report.notes.append(f"ffnn degree-distribution form vs oracle: {_fmt(dev_degree)}")
         report.notes.append(f"ffnn output-self-exponent form vs oracle: {_fmt(dev_variant)}")
@@ -340,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="interaction angle as a rational multiple of pi, e.g. 1/2",
     )
     p_ed.add_argument("--p", type=_probability, default=0.5, help="input |1> weight (default 0.5)")
-    p_ed.add_argument("--psi", type=_finite, default=0.0, help="global interaction phase (default 0)")
+    p_ed.add_argument("--psi", type=_finite, help="global interaction phase (default 0)")
     p_ed.add_argument("--method", choices=("closed", "simulate", "both"), default="both")
     p_ed.add_argument("--max-qubits", type=int, help=f"simulation cap (default {DEFAULT_MAX_QUBITS})")
     p_ed.add_argument("--verbose", action="store_true", help="also print per-vertex contributions")
@@ -368,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=_integer(1), default=25, help="parameter draws per graph (default 25)")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tol", type=_tolerance, default=1e-10)
-    p_verify.add_argument("--max-qubits", type=int, help=f"simulation cap (default {DEFAULT_MAX_QUBITS})")
+    p_verify.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS, help="simulation cap (default %(default)s)")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

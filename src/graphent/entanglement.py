@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "ed_numeric",
     "ed_closed_form",
     "ed_closed_general",
-    "ed_closed_report",
     "ed_general_report",
     "pauli_vector_closed",
     "interaction_expectation",
@@ -46,35 +45,26 @@ __all__ = [
     "ed_bridged_cycles",
 ]
 
-METHODS = ("numeric", "closed", "general-closed")
-
 DistributionLike = Union[DegreeDistribution, Mapping[int, int]]
 
 
 @dataclass(frozen=True)
 class EdReport:
-    """Per-vertex contributions 1 - ||<sigma^(i)>||^2 plus their mean."""
+    """Per-vertex contributions 1 - ||<sigma^(i)>||^2; `total`, their mean, is
+    derived from them."""
 
     per_vertex: tuple[float, ...]
-    total: float
-    method: str
+    total: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "per_vertex", tuple(float(v) for v in self.per_vertex))
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method tag {self.method!r}")
-        if not self.per_vertex:
+        values = tuple(float(v) for v in self.per_vertex)
+        if not values:
             raise ValueError("report needs at least one vertex")
-        mean = sum(self.per_vertex) / len(self.per_vertex)
-        if abs(self.total - mean) > 1e-12:
-            raise ValueError(f"total {self.total} is not the mean of the contributions ({mean})")
-        if not -1e-9 <= self.total <= 1.0 + 1e-9:
-            raise ValueError(f"total {self.total} outside [0, 1]")
-
-    @classmethod
-    def from_contributions(cls, per_vertex: Sequence[float], method: str) -> "EdReport":
-        values = tuple(float(v) for v in per_vertex)
-        return cls(values, sum(values) / len(values), method)
+        total = sum(values) / len(values)
+        if not -1e-9 <= total <= 1.0 + 1e-9:
+            raise ValueError(f"total {total} outside [0, 1]")
+        object.__setattr__(self, "per_vertex", values)
+        object.__setattr__(self, "total", total)
 
 
 def _degree_counts(dist: DistributionLike) -> dict[int, int]:
@@ -92,7 +82,7 @@ def ed_numeric(state: PureState) -> EdReport:
     for i in range(state.num_qubits):
         vec = pauli_expectations(state, i)
         per_vertex.append(1.0 - float(vec @ vec))
-    return EdReport.from_contributions(per_vertex, "numeric")
+    return EdReport(per_vertex)
 
 
 def ed_closed_form(dist: DistributionLike, theta: float) -> float:
@@ -125,23 +115,15 @@ def ed_closed_general(dist: DistributionLike, p: float, theta: float) -> float:
     return sum(n * _general_contribution(k, p, r2) for k, n in counts.items()) / m
 
 
-def ed_closed_report(graph: DirectedGraph, theta: float) -> EdReport:
-    """Per-vertex closed-form report for balanced inputs; contribution of
-    vertex i is 1 - cos(theta)^(2 d(i)).  This is :func:`ed_general_report`
-    at p = 1/2, where its formula gives exactly these bits, under the
-    "closed" method tag."""
-    return EdReport.from_contributions(ed_general_report(graph, 0.5, theta).per_vertex, "closed")
-
-
 def ed_general_report(graph: DirectedGraph, p: float, theta: float) -> EdReport:
     """Per-vertex closed-form report for a general input amplitude split:
     one formula per entry of the graph's degree vector, O(M) after the O(E)
-    count the graph made when it was built."""
+    count the graph made when it was built.  At p = 1/2 each entry is exactly
+    the balanced contribution 1 - cos(theta)^(2d)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     r2 = _r_squared(p, theta)
-    per_vertex = [_general_contribution(k, p, r2) for k in graph.degrees]
-    return EdReport.from_contributions(per_vertex, "general-closed")
+    return EdReport([_general_contribution(k, p, r2) for k in graph.degrees])
 
 
 def interaction_expectation(qubit: InitialQubit, params: InteractionParams) -> complex:

@@ -23,7 +23,6 @@ __all__ = [
     "from_edge_list",
     "out_neighbors",
     "in_neighbors",
-    "degree",
     "degree_distribution",
     "gen_young_fibonacci",
     "ffnn_layer_sizes",
@@ -171,12 +170,6 @@ def in_neighbors(g: DirectedGraph, i: int) -> set[int]:
     """Vertices pointing at i by an incoming edge."""
     _check_vertex(g, i)
     return {a for a, b in g.edges if b == i}
-
-
-def degree(g: DirectedGraph, i: int) -> int:
-    """Total degree of vertex i, ignoring edge orientation."""
-    _check_vertex(g, i)
-    return g.degrees[i]
 
 
 def degree_distribution(g: DirectedGraph) -> DegreeDistribution:

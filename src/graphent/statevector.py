@@ -22,7 +22,6 @@ __all__ = [
     "InitialQubit",
     "PureState",
     "product_state",
-    "apply_edge_phase",
     "build_graph_state",
     "pauli_expectations",
 ]
@@ -147,37 +146,6 @@ def product_state(
     return PureState(num_qubits, amps)
 
 
-def _apply_edge_inplace(
-    amps: np.ndarray, num_qubits: int, a: int, b: int, phases: tuple[complex, complex]
-) -> None:
-    # Reshape to one axis per qubit (axis t holds qubit num_qubits-1-t) and
-    # phase the two half-blocks where the control bit is 1.
-    view = amps.reshape((2,) * num_qubits)
-    index: list[object] = [slice(None)] * num_qubits
-    index[num_qubits - 1 - a] = 1
-    index[num_qubits - 1 - b] = 0
-    view[tuple(index)] *= phases[0]
-    index[num_qubits - 1 - b] = 1
-    view[tuple(index)] *= phases[1]
-
-
-def apply_edge_phase(state: PureState, a: int, b: int, params: InteractionParams) -> PureState:
-    """Apply one edge operator with control vertex a and target vertex b.
-
-    Diagonal action per basis index x: unchanged if bit_a(x)=0, multiplied by
-    e^{-i*psi} e^{+i*theta} if (bit_a, bit_b) = (1, 0) and by
-    e^{-i*psi} e^{-i*theta} if (1, 1).  Norm preserving.
-    """
-    m = state.num_qubits
-    if not (0 <= a < m and 0 <= b < m):
-        raise ValueError(f"edge ({a},{b}) out of range for {m} qubits")
-    if a == b:
-        raise ValueError(f"edge endpoints must differ, got ({a},{b})")
-    amps = state.amplitudes.copy()
-    _apply_edge_inplace(amps, m, a, b, params.target_phases())
-    return PureState(m, amps)
-
-
 def build_graph_state(
     graph: DirectedGraph,
     qubit: InitialQubit,
@@ -190,11 +158,21 @@ def build_graph_state(
     All edge operators commute exactly (they are diagonal), so the result does
     not depend on the edge order.
     """
-    state = product_state(graph.num_vertices, qubit, max_qubits=max_qubits)
-    # Nothing else holds this state yet, so its amplitudes are phased in place.
-    phases = params.target_phases()
+    m = graph.num_vertices
+    state = product_state(m, qubit, max_qubits=max_qubits)
+    # Nothing else holds this state yet, so its amplitudes are phased in place
+    # through one view with an axis per qubit (axis t holds qubit m-1-t).
+    view = state.amplitudes.reshape((2,) * m)
+    phase0, phase1 = params.target_phases()
+    index: list[object] = [slice(None)] * m
     for a, b in graph.edges:
-        _apply_edge_inplace(state.amplitudes, state.num_qubits, a, b, phases)
+        # Control bit a set: target bit b at 0 and at 1 take their phases.
+        index[m - 1 - a] = 1
+        index[m - 1 - b] = 0
+        view[tuple(index)] *= phase0
+        index[m - 1 - b] = 1
+        view[tuple(index)] *= phase1
+        index[m - 1 - a] = index[m - 1 - b] = slice(None)
     return state
 
 

@@ -171,6 +171,43 @@ def test_gen_topology_table(tmp_path, capsys, name):
             ["sweep", "--quantity", "ed", "--theta-steps", "3", "--out", "x.csv"],
             "no graph source: pass --graph PATH or --topology plus its parameters",
         ),
+        # a flag given as 0 is given (0.0 == False must not let it through)
+        (
+            ["sweep", "--quantity", "ed", "--topology", "yf", "--layers", "3", "--p", "0",
+             "--theta-steps", "3", "--out", "x.csv"],
+            "--p does not apply to --quantity ed",
+        ),
+        (
+            ["sweep", "--quantity", "hs2", "--p-min", "0", "--theta-steps", "3", "--out", "x.csv"],
+            "--p-min needs --p-steps",
+        ),
+        (
+            ["sweep", "--quantity", "hs2", "--p-steps", "3", "--p", "0", "--theta-steps", "3",
+             "--out", "x.csv"],
+            "--p does not apply with --p-steps",
+        ),
+        (["verify", "--graph", "g.json", "--edge-prob", "0"], "--edge-prob needs --random-graphs"),
+        # the closed forms read neither the phase nor the simulation cap
+        (
+            ["ed", "--topology", "btree", "--depth", "2", "--theta", "1", "--method", "closed",
+             "--psi", "0.3"],
+            "--psi does not apply to --method closed",
+        ),
+        (
+            ["ed", "--topology", "btree", "--depth", "2", "--theta", "1", "--method", "closed",
+             "--max-qubits", "1"],
+            "--max-qubits does not apply to --method closed",
+        ),
+        (
+            ["ed", "--topology", "btree", "--depth", "2", "--theta", "1", "--method", "closed",
+             "--psi", "0"],
+            "--psi does not apply to --method closed",
+        ),
+        (
+            ["ed", "--topology", "btree", "--depth", "2", "--theta", "1", "--method", "closed",
+             "--max-qubits", "22"],
+            "--max-qubits does not apply to --method closed",
+        ),
     ],
 )
 def test_stray_topology_flag_exit_2(tmp_path, capsys, monkeypatch, argv, message):
@@ -317,13 +354,12 @@ def test_ed_golden_stdout(capsys):
     assert stdout == GOLDEN_ED_BRIDGED
 
 
-def test_ed_cap_and_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GRAPHENT_MAX_QUBITS", "3")
+def test_ed_cap_flag(capsys):
     code, _, stderr = run(
-        capsys, "ed", "--topology", "yf", "--layers", "3", "--theta", "0.5", "--method", "simulate"
+        capsys, "ed", "--topology", "yf", "--layers", "3", "--theta", "0.5",
+        "--method", "simulate", "--max-qubits", "3",
     )
     assert code == 2 and "cap" in stderr
-    # flag wins over env
     code, stdout, _ = run(
         capsys, "ed", "--topology", "yf", "--layers", "3", "--theta", "0.5",
         "--method", "simulate", "--max-qubits", "10",

@@ -13,7 +13,6 @@ from graphent.entanglement import (
     ed_bridged_cycles,
     ed_closed_form,
     ed_closed_general,
-    ed_closed_report,
     ed_ffnn,
     ed_ffnn_output_self_exponent,
     ed_general_report,
@@ -25,7 +24,6 @@ from graphent.entanglement import (
     two_qubit_ed_analytic,
 )
 from graphent.graphs import (
-    degree,
     degree_distribution,
     from_edge_list,
     gen_bridged_cycles,
@@ -62,7 +60,6 @@ def balanced_state(g, theta, psi=0.0):
 def test_product_state_has_zero_ed(p, d0, d1):
     report = ed_numeric(product_state(4, InitialQubit(p, d0, d1)))
     assert abs(report.total) <= 1e-12
-    assert report.method == "numeric"
 
 
 def test_single_edge_maximal():
@@ -88,11 +85,9 @@ def test_report_mean_invariant():
 
 def test_report_validation():
     with pytest.raises(ValueError):
-        EdReport((0.5, 0.5), 0.9, "numeric")  # total is not the mean
+        EdReport(())
     with pytest.raises(ValueError):
-        EdReport((0.5,), 0.5, "guesswork")
-    with pytest.raises(ValueError):
-        EdReport((), 0.0, "numeric")
+        EdReport((1.5, 1.5))  # mean outside [0, 1]
 
 
 # ----------------------------------------------------------------------
@@ -143,11 +138,9 @@ def test_general_rejects_bad_p():
 def test_reports_match_distribution_forms():
     g = gen_bridged_cycles((3, 4, 3))
     dist = degree_distribution(g)
-    closed = ed_closed_report(g, 0.7)
-    assert closed.method == "closed"
-    assert closed.total == pytest.approx(ed_closed_form(dist, 0.7), abs=1e-14)
+    balanced = ed_general_report(g, 0.5, 0.7)
+    assert balanced.total == pytest.approx(ed_closed_form(dist, 0.7), abs=1e-14)
     general = ed_general_report(g, 0.3, 0.7)
-    assert general.method == "general-closed"
     assert general.total == pytest.approx(ed_closed_general(dist, 0.3, 0.7), abs=1e-14)
 
 
@@ -155,17 +148,16 @@ def test_reports_match_distribution_forms():
 def test_closed_report_is_general_report_at_half(g, theta):
     # exact: p = 1/2 zeroes (1-2p)^2 and makes 4p(1-p) one, so the general
     # formula gives the bits of the balanced one, 1 - cos^2(theta)^d
-    balanced = tuple(1.0 - (math.cos(theta) ** 2) ** degree(g, i) for i in range(g.num_vertices))
-    assert ed_closed_report(g, theta).per_vertex == ed_general_report(g, 0.5, theta).per_vertex
+    balanced = tuple(1.0 - (math.cos(theta) ** 2) ** d for d in g.degrees)
     assert ed_general_report(g, 0.5, theta).per_vertex == balanced
 
 
 def test_per_vertex_contribution_depends_only_on_degree():
     g = gen_young_fibonacci(4)
-    report = ed_closed_report(g, 1.07)
+    report = ed_general_report(g, 0.5, 1.07)
     by_degree = {}
     for i, value in enumerate(report.per_vertex):
-        by_degree.setdefault(degree(g, i), set()).add(round(value, 14))
+        by_degree.setdefault(g.degrees[i], set()).add(round(value, 14))
     assert all(len(vals) == 1 for vals in by_degree.values())
 
 

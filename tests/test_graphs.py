@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from graphent.graphs import (
     DegreeDistribution,
-    degree,
     degree_distribution,
     flip_edge,
     from_edge_list,
@@ -82,21 +81,20 @@ def test_neighbors_and_degree():
     g = from_edge_list(2, [(0, 1)])
     assert out_neighbors(g, 0) == {1}
     assert in_neighbors(g, 0) == set()
-    assert degree(g, 0) == 1
-    assert degree(g, 1) == 1
+    assert g.degrees == (1, 1)
     with pytest.raises(ValueError):
-        degree(g, 2)
+        out_neighbors(g, 2)
 
 
 def test_binary_tree_depth2_degrees():
     g = gen_full_binary_tree(2)
-    assert degree(g, 0) == 2
-    assert degree(g, 1) == 1 and degree(g, 2) == 1
+    assert g.degrees[0] == 2
+    assert g.degrees[1] == 1 and g.degrees[2] == 1
 
 
 def test_young_fibonacci_3_degree_multiset():
     g = gen_young_fibonacci(3)
-    assert sorted(degree(g, i) for i in range(g.num_vertices)) == [1, 1, 2, 2, 3, 3]
+    assert sorted(g.degrees) == [1, 1, 2, 2, 3, 3]
 
 
 def _scanned_degrees(g):
@@ -106,7 +104,6 @@ def _scanned_degrees(g):
 @given(directed_graphs(max_vertices=10), st.data())
 def test_degree_vector_matches_edge_scan(g, data):
     assert g.degrees == _scanned_degrees(g)
-    assert tuple(degree(g, i) for i in range(g.num_vertices)) == g.degrees
     if g.edges:
         flipped = flip_edge(g, data.draw(st.integers(0, len(g.edges) - 1)))
         assert flipped.degrees == _scanned_degrees(flipped) == g.degrees
@@ -119,7 +116,7 @@ def test_neighbor_sets_disjoint_and_degree_consistent(g):
     for i in range(g.num_vertices):
         outs, ins = out_neighbors(g, i), in_neighbors(g, i)
         assert outs.isdisjoint(ins)
-        assert degree(g, i) == len(outs) + len(ins)
+        assert g.degrees[i] == len(outs) + len(ins)
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +344,7 @@ def test_permutation_pushes_degrees_through(g, rnd):
     rnd.shuffle(perm)
     h = permute_vertices(g, perm)
     for i in range(g.num_vertices):
-        assert degree(h, perm[i]) == degree(g, i)
+        assert h.degrees[perm[i]] == g.degrees[i]
     assert degree_distribution(h).counts == degree_distribution(g).counts
 
 
@@ -357,8 +354,7 @@ def test_flip_preserves_degrees(g, data):
         return
     idx = data.draw(st.integers(0, len(g.edges) - 1))
     h = flip_edge(g, idx)
-    for i in range(g.num_vertices):
-        assert degree(h, i) == degree(g, i)
+    assert h.degrees == g.degrees
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """The two routes stay independent by construction: the state-vector oracle
 (statevector.py) and the reduced-density analytics (density.py) import no
-closed-form code, directly or through the graphent modules they import."""
+closed-form code, directly or through the graphent modules they import.  And
+no export outlives its definition: every name a module lists in `__all__`
+exists, and the package imports only names its modules export."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,18 @@ def test_oracle_imports_no_closed_form_code(oracle_module):
         )
         todo += [t for t in tokens if (PACKAGE / f"{t}.py").is_file()]
     assert "graphs" in seen  # the walk followed the package-relative imports
+
+
+def test_exports_exist_and_package_imports_only_exports():
+    modules = sorted(path.stem for path in PACKAGE.glob("[!_]*.py"))
+    for name in modules:
+        module = importlib.import_module(f"graphent.{name}")
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert not missing, f"{name}.__all__ lists undefined names {missing}"
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports  # the package re-exports from its modules
+    for node in imports:
+        exported = importlib.import_module(f"graphent.{node.module}").__all__
+        stray = [alias.name for alias in node.names if alias.name not in exported]
+        assert not stray, f"graphent/__init__.py imports {stray}, not in {node.module}.__all__"

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from graphent.statevector import (
     InitialQubit,
     InteractionParams,
     PureState,
-    apply_edge_phase,
     build_graph_state,
     pauli_expectations,
     product_state,
@@ -118,35 +118,6 @@ def test_product_state_normalized(m, p, d0, d1):
 
 
 # ----------------------------------------------------------------------
-# edge phases
-# ----------------------------------------------------------------------
-
-def test_edge_phase_on_basis_states():
-    params = InteractionParams(theta=math.pi / 2, psi=0.0)
-    ket10 = PureState(2, [0, 0, 1, 0])  # bit1 (control a) = 1, bit0 (target b) = 0
-    assert np.allclose(apply_edge_phase(ket10, 1, 0, params).amplitudes, [0, 0, 1j, 0])
-    ket11 = PureState(2, [0, 0, 0, 1])
-    assert np.allclose(apply_edge_phase(ket11, 1, 0, params).amplitudes, [0, 0, 0, -1j])
-
-
-@pytest.mark.parametrize("index", [0, 1])  # control bit 0: both |00> and |01>
-def test_edge_phase_inactive_when_control_zero(index):
-    amps = np.zeros(4)
-    amps[index] = 1.0
-    state = PureState(2, amps)
-    out = apply_edge_phase(state, 1, 0, InteractionParams(1.2, 0.7))
-    assert np.array_equal(out.amplitudes, state.amplitudes)
-
-
-def test_edge_phase_rejects_bad_indices():
-    s = product_state(2)
-    with pytest.raises(ValueError):
-        apply_edge_phase(s, 0, 0, InteractionParams(1.0))
-    with pytest.raises(ValueError):
-        apply_edge_phase(s, 0, 2, InteractionParams(1.0))
-
-
-# ----------------------------------------------------------------------
 # graph states
 # ----------------------------------------------------------------------
 
@@ -159,8 +130,14 @@ def test_empty_graph_is_product_state():
 def test_single_edge_amplitudes():
     # edge (1, 0): control on bit 1, target on bit 0
     g = from_edge_list(2, [(1, 0)])
-    s = build_graph_state(g, BALANCED, InteractionParams(math.pi / 2, 0.0))
-    assert np.allclose(s.amplitudes, [0.5, 0.5, 0.5j, -0.5j], atol=1e-15)
+    product = product_state(2).amplitudes
+    for theta, psi in [(math.pi / 2, 0.0), (1.2, 0.7)]:
+        s = build_graph_state(g, BALANCED, InteractionParams(theta, psi))
+        # control 0 (|00>, |01>): untouched, bit for bit
+        assert np.array_equal(s.amplitudes[:2], product[:2])
+        # control 1: e^{-i psi} e^{+i theta} on target 0, e^{-i psi} e^{-i theta} on target 1
+        expected = [0.5 * cmath.exp(1j * (theta - psi)), 0.5 * cmath.exp(-1j * (theta + psi))]
+        assert np.allclose(s.amplitudes[2:], expected, rtol=0, atol=1e-15)
 
 
 def test_edge_order_irrelevant():
