@@ -1,13 +1,14 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphent import statevector
-from graphent.graphs import flip_edge, from_edge_list, gen_young_fibonacci
+from graphent.graphs import flip_edge, from_edge_list, gen_young_fibonacci, random_graph
 from graphent.statevector import (
     InitialQubit,
     InteractionParams,
@@ -150,8 +151,11 @@ def test_edge_order_irrelevant():
     assert np.max(np.abs(s1.amplitudes - s2.amplitudes)) <= 1e-12
 
 
+# A randomly oriented K_7 reaches every count value 0..21; a single vertex has no edges.
 @settings(max_examples=40, deadline=None)
 @given(directed_graphs(max_vertices=5), angles, angles, probabilities, angles, angles, st.randoms(use_true_random=False))
+@example(random_graph(7, np.random.default_rng(7), edge_prob=1.0), 1.3, -0.6, 0.35, 0.4, -2.1, random.Random(7))
+@example(from_edge_list(1, []), 1.3, -0.6, 0.35, 0.4, -2.1, random.Random(1))
 def test_matches_dense_reference_and_order_stable(g, theta, psi, p, d0, d1, rnd):
     qubit = InitialQubit(p, d0, d1)
     params = InteractionParams(theta, psi)
@@ -163,6 +167,27 @@ def test_matches_dense_reference_and_order_stable(g, theta, psi, p, d0, d1, rnd)
     rnd.shuffle(shuffled)
     again = build_graph_state(from_edge_list(g.num_vertices, shuffled), qubit, params)
     assert np.max(np.abs(state.amplitudes - again.amplitudes)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_phase_kernel_matches_edge_definition_at_12_qubits(seed):
+    # Beyond the dense reference's reach: each index's phase is summed edge by
+    # edge in plain Python.  p = 1/2 gives every amplitude modulus 2^-6, so one
+    # absolute tolerance bounds the phase error of every index alike.
+    rng = np.random.default_rng(seed)
+    g = random_graph(12, rng, edge_prob=0.5)
+    theta, psi, d0, d1 = rng.uniform(-2 * math.pi, 2 * math.pi, 4)
+    qubit = InitialQubit(0.5, d0, d1)
+    state = build_graph_state(g, qubit, InteractionParams(theta, psi))
+    phase = []
+    for x in range(2**12):
+        total = 0.0
+        for a, b in g.edges:
+            if x >> a & 1:  # control set: theta - psi, less 2*theta if the target is set
+                total += theta - psi - 2 * theta * (x >> b & 1)
+        phase.append(total)
+    expected = product_state(12, qubit).amplitudes * np.exp(1j * np.array(phase))
+    assert np.max(np.abs(state.amplitudes - expected)) <= 1e-14
 
 
 # ----------------------------------------------------------------------
