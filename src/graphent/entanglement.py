@@ -60,7 +60,7 @@ class EdReport:
         values = tuple(float(v) for v in self.per_vertex)
         if not values:
             raise ValueError("report needs at least one vertex")
-        total = sum(values) / len(values)
+        total = math.fsum(values) / len(values)
         if not -1e-9 <= total <= 1.0 + 1e-9:
             raise ValueError(f"total {total} outside [0, 1]")
         object.__setattr__(self, "per_vertex", values)
@@ -76,7 +76,7 @@ def _degree_counts(dist: DistributionLike) -> dict[int, int]:
 
 def ed_numeric(state: PureState) -> EdReport:
     """Brute-force Entanglement Distance from a simulated state."""
-    if state.norm_error > 1e-8:
+    if not state.norm_error <= 1e-8:  # a NaN norm is refused too
         raise ValueError(f"state not normalized: norm error {state.norm_error:.3e}")
     per_vertex = []
     for i in range(state.num_qubits):
@@ -87,10 +87,7 @@ def ed_numeric(state: PureState) -> EdReport:
 
 def ed_closed_form(dist: DistributionLike, theta: float) -> float:
     """Closed-form ED per qubit for balanced inputs: 1 - (1/M) sum_k n_k cos^(2k)(theta)."""
-    counts = _degree_counts(dist)
-    c2 = math.cos(theta) ** 2
-    m = sum(counts.values())
-    return 1.0 - sum(n * c2**k for k, n in counts.items()) / m
+    return ed_closed_general(dist, 0.5, theta)
 
 
 def _general_contribution(k: int, p: float, r2: float) -> float:
@@ -102,9 +99,10 @@ def _r_squared(p: float, theta: float) -> float:
 
 
 def ed_closed_general(dist: DistributionLike, p: float, theta: float) -> float:
-    """Closed-form ED per qubit for an arbitrary input amplitude split p.
+    """Closed-form ED per qubit for an arbitrary input amplitude split p:
+    1 - (1-2p)^2 - 4p(1-p) * (1/M) sum_k n_k r^(2k).
 
-    Reduces to :func:`ed_closed_form` at p = 1/2 and to 0 at p in {0, 1}.
+    At p = 1/2 this is exactly :func:`ed_closed_form`; at p in {0, 1} it is 0.
     Input phases never enter: only the moduli of the input amplitudes matter.
     """
     if not 0.0 <= p <= 1.0:
@@ -112,7 +110,8 @@ def ed_closed_general(dist: DistributionLike, p: float, theta: float) -> float:
     counts = _degree_counts(dist)
     r2 = _r_squared(p, theta)
     m = sum(counts.values())
-    return sum(n * _general_contribution(k, p, r2) for k, n in counts.items()) / m
+    mean_r2k = sum(n * r2**k for k, n in counts.items()) / m
+    return 1.0 - (1.0 - 2.0 * p) ** 2 - 4.0 * p * (1.0 - p) * mean_r2k
 
 
 def ed_general_report(graph: DirectedGraph, p: float, theta: float) -> EdReport:

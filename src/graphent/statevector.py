@@ -1,5 +1,5 @@
-"""Exact state-vector construction of directed-graph qubit states: a
-phase-count kernel and Pauli expectations.
+"""Exact state-vector construction of directed-graph qubit states: one
+in-place doubling loop over the qubits, and Pauli expectations.
 
 Basis convention (fixed everywhere): basis index x encodes qubit i as bit i
 of x, so qubit 0 is the least significant bit.  Every edge operator is
@@ -9,14 +9,14 @@ phase multiplies and makes the edge application order irrelevant.
 Phase convention: an edge (a, b) with control bit x_a = 1 multiplies the
 amplitude by exp(i*(theta - psi)) when the target bit x_b is 0 and by
 exp(-i*(theta + psi)) when it is 1, i.e. it adds the phase
-theta - psi - 2*theta*x_b.  Summed over all edges, basis state x picks up
-
-    (theta - psi) * c(x) - 2*theta * n11(x),
-
-where c(x) = sum_a x_a * d_out(a) and n11(x) counts the edges whose two
-endpoints are both 1 (the weighted-graph-state form: Hein, Eisert and
-Briegel, PRA 69, 062311, 2004).  This is still a direct simulation of the
-edge operators, not a degree closed form.
+theta - psi - 2*theta*x_b.  Charging each edge to its higher-numbered
+endpoint, appending qubit k to the state of qubits 0..k-1 copies it into the
+half where bit k is set, with the input amplitude alpha1 times
+exp(i*(theta - psi)*d_out(k)) and one factor exp(-2i*theta) per set
+lower-numbered neighbour of k; the half where bit k is clear takes alpha0.
+This is the qubit-by-qubit form of the weighted graph state (Hein, Eisert
+and Briegel, PRA 69, 062311, 2004), still a direct simulation of the edge
+operators, not a degree closed form.
 """
 
 from __future__ import annotations
@@ -88,6 +88,10 @@ class InitialQubit:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
+        if not (math.isfinite(self.delta0) and math.isfinite(self.delta1)):
+            raise ValueError(
+                f"phases must be finite, got delta0={self.delta0}, delta1={self.delta1}"
+            )
 
     @property
     def alpha0(self) -> complex:
@@ -127,60 +131,13 @@ def product_state(
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> PureState:
     """Tensor power of the single-qubit input state: amplitude at index x is
-    the product over qubits i of alpha_{bit_i(x)}."""
+    the product over qubits i of alpha_{bit_i(x)}.  It is the state of the
+    edgeless graph, whose appended halves take alpha1 * e^{0i} = alpha1."""
     if num_qubits < 1:
         raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
-    if num_qubits > max_qubits:
-        raise ValueError(
-            f"{num_qubits} qubits exceeds the configured cap of {max_qubits} "
-            f"(2^{num_qubits} amplitudes); raise the cap explicitly to proceed"
-        )
-    if num_qubits > DEFAULT_MAX_QUBITS:
-        # The last concatenate holds the old 2^(M-1) amplitudes, its two scaled
-        # halves and the 2^M result at once: 2.5 * 2^M complex128 values.  The
-        # graph-state build that follows peaks lower, at 36 bytes per
-        # amplitude (16 for the state, 4 for the counts, 16 for a gather).
-        needed = 40 * 2**num_qubits
-        available = _available_bytes()
-        if available is not None and needed > available:
-            raise ValueError(
-                f"{num_qubits} qubits need about {needed} bytes to build, "
-                f"but only {available} bytes of memory are available"
-            )
-    a0, a1 = qubit.alpha0, qubit.alpha1
-    amps = np.ones(1, dtype=np.complex128)
-    for _ in range(num_qubits):
-        amps = np.concatenate([a0 * amps, a1 * amps])
-    return PureState(num_qubits, amps)
-
-
-def _phase_counts(graph: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """c(x) and n11(x) (see the module docstring) for every basis index x, as
-    int16 arrays of length 2^M.
-
-    Built by doubling: appending qubit k copies the counts of the lower k
-    qubits and adds d_out(k) to c and, to n11, the number of k's set
-    lower-numbered neighbours.  int16 holds any count, since both are at most
-    E <= M(M-1)/2.
-    """
-    m = graph.num_vertices
-    out_degree = [0] * m
-    lower = [0] * m  # bit mask of each vertex's lower-numbered neighbours
-    for a, b in graph.edges:
-        out_degree[a] += 1
-        if a < b:
-            lower[b] |= 1 << a
-        else:
-            lower[a] |= 1 << b
-    size = 1 << m
-    c = np.zeros(size, dtype=np.int16)
-    n11 = np.zeros(size, dtype=np.int16)
-    index = np.arange(size >> 1)
-    for k in range(m):
-        n = 1 << k
-        np.add(c[:n], out_degree[k], out=c[n : 2 * n])
-        np.add(n11[:n], np.bitwise_count(index[:n] & lower[k]), out=n11[n : 2 * n])
-    return c, n11
+    return build_graph_state(
+        DirectedGraph(num_qubits, ()), qubit, InteractionParams(0.0), max_qubits=max_qubits
+    )
 
 
 def build_graph_state(
@@ -190,23 +147,44 @@ def build_graph_state(
     *,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> PureState:
-    """Product input state followed by one edge operator per graph edge.
-
-    All edge operators are diagonal, so together they multiply amplitude x by
-    exp(i*((theta - psi)*c(x) - 2*theta*n11(x))); the two factors are
-    gathered from tables indexed by the counts 0..E.
-    """
-    state = product_state(graph.num_vertices, qubit, max_qubits=max_qubits)
-    if not graph.edges:
-        return state
-    # Counted only now, so the peak stays below product_state's own: the
-    # state, the counts and one gathered factor, 36 bytes per amplitude.
-    c, n11 = _phase_counts(graph)
-    k = np.arange(graph.num_edges + 1)
-    amps = state.amplitudes  # nothing else holds this state yet
-    amps *= np.exp(1j * (params.theta - params.psi) * k)[c]
-    amps *= np.exp(-2j * params.theta * k)[n11]
-    return state
+    """Product input state followed by one edge operator per graph edge,
+    built by in-place doubling (see the module docstring)."""
+    m = graph.num_vertices
+    if m > max_qubits:
+        raise ValueError(
+            f"{m} qubits exceeds the configured cap of {max_qubits} "
+            f"(2^{m} amplitudes); raise the cap explicitly to proceed"
+        )
+    if m > DEFAULT_MAX_QUBITS:
+        # The peak is about 28.5 bytes per amplitude: 16 for the state, 4 for
+        # the int64 index over half of it, and, in the last step, 8 for the
+        # gathered pair factors plus 0.5 for their uint8 counts; 40 bounds it.
+        needed = 40 * 2**m
+        available = _available_bytes()
+        if available is not None and needed > available:
+            raise ValueError(
+                f"{m} qubits need about {needed} bytes to build, "
+                f"but only {available} bytes of memory are available"
+            )
+    out_degree = [0] * m
+    lower = [0] * m  # bit mask of each vertex's lower-numbered neighbours
+    for a, b in graph.edges:
+        out_degree[a] += 1
+        lower[max(a, b)] |= 1 << min(a, b)
+    a0, a1 = qubit.alpha0, qubit.alpha1
+    step = 1j * (params.theta - params.psi)
+    pair = np.exp(-2j * params.theta * np.arange(m))
+    amps = np.empty(1 << m, dtype=np.complex128)
+    amps[0] = 1.0
+    index = np.arange(1 << (m - 1))
+    for k in range(m):
+        n = 1 << k
+        high = amps[n : 2 * n]
+        np.multiply(amps[:n], a1 * cmath.exp(step * out_degree[k]), out=high)
+        if lower[k]:
+            high *= pair[np.bitwise_count(index[:n] & lower[k])]
+        amps[:n] *= a0
+    return PureState(m, amps)
 
 
 def pauli_expectations(state: PureState, i: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import entanglement
 from .entanglement import ed_numeric
-from .graphs import DirectedGraph, degree_distribution, flip_edge, permute_vertices
+from .graphs import DirectedGraph, degree_distribution, flip_edge, gen_ffnn, permute_vertices
 from .statevector import DEFAULT_MAX_QUBITS, InitialQubit, InteractionParams, build_graph_state
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification", "ffnn_variant_report"]
@@ -81,6 +81,9 @@ def run_verification(
     ran = dict.fromkeys(CHECK_ORDER, 0)
     balanced = InitialQubit()
 
+    def oracle(graph: DirectedGraph, qubit: InitialQubit, params: InteractionParams) -> float:
+        return ed_numeric(build_graph_state(graph, qubit, params, max_qubits=max_qubits)).total
+
     def record(name: str, deviation: float) -> None:
         if deviation > worst[name] or math.isnan(deviation):  # a NaN stays and fails
             worst[name] = deviation
@@ -92,7 +95,7 @@ def run_verification(
             theta = rng.uniform(0.0, math.pi)
             psi = rng.uniform(-math.pi, math.pi)
             params = InteractionParams(theta, psi)
-            base = ed_numeric(build_graph_state(g, balanced, params, max_qubits=max_qubits)).total
+            base = oracle(g, balanced, params)
 
             closed = entanglement.ed_closed_form(dist, theta)
             record("closed-form oracle", abs(base - closed))
@@ -101,31 +104,23 @@ def run_verification(
             theta_g = rng.uniform(0.0, math.pi)
             psi_g = rng.uniform(-math.pi, math.pi)
             qubit = InitialQubit(p, rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
-            numeric_g = ed_numeric(
-                build_graph_state(g, qubit, InteractionParams(theta_g, psi_g), max_qubits=max_qubits)
-            ).total
+            numeric_g = oracle(g, qubit, InteractionParams(theta_g, psi_g))
             closed_g = entanglement.ed_closed_general(dist, p, theta_g)
             record("general-closed oracle", abs(numeric_g - closed_g))
 
             psi_values = [base]
             for _ in range(3):
                 alt = InteractionParams(theta, rng.uniform(-math.pi, math.pi))
-                psi_values.append(
-                    ed_numeric(build_graph_state(g, balanced, alt, max_qubits=max_qubits)).total
-                )
+                psi_values.append(oracle(g, balanced, alt))
             record("psi independence", max(psi_values) - min(psi_values))
 
             if g.edges:
                 flipped = flip_edge(g, int(rng.integers(len(g.edges))))
-                flipped_ed = ed_numeric(
-                    build_graph_state(flipped, balanced, params, max_qubits=max_qubits)
-                ).total
+                flipped_ed = oracle(flipped, balanced, params)
                 record("orientation flip", abs(base - flipped_ed))
 
             perm = [int(x) for x in rng.permutation(g.num_vertices)]
-            relabeled_ed = ed_numeric(
-                build_graph_state(permute_vertices(g, perm), balanced, params, max_qubits=max_qubits)
-            ).total
+            relabeled_ed = oracle(permute_vertices(g, perm), balanced, params)
             record("vertex relabeling", abs(base - relabeled_ed))
 
     return VerificationReport(tol, [CheckResult(name, worst[name], ran[name]) for name in CHECK_ORDER])
@@ -141,8 +136,6 @@ def ffnn_variant_report(
     """Max deviation from the simulation oracle of the two layered-network
     closed forms (degree-distribution form, output-self-exponent form) over a
     theta grid.  Informational: shows which form the oracle backs."""
-    from .graphs import gen_ffnn
-
     if theta_values is None:
         theta_values = [i * math.pi / 8 for i in range(1, 8)]
     g = gen_ffnn(layer_sizes)

@@ -320,7 +320,7 @@ def test_ed_malformed_graph_json_names_field(tmp_path, capsys, text, field):
 # summation order and on the state kernel's phase arithmetic (recorded with
 # numpy 2.4 on x86-64).
 GOLDEN_ED_BRIDGED = """\
-closed: 0.53328517852811541
+closed: 0.5332851785281153
   vertex 0: 0.60783596310355581
   vertex 1: 0.48358465547782159
   vertex 2: 0.48358465547782159
@@ -331,18 +331,18 @@ closed: 0.53328517852811541
   vertex 7: 0.48358465547782159
   vertex 8: 0.60783596310355581
   vertex 9: 0.48358465547782159
-simulate: 0.53328517852811563
-  vertex 0: 0.60783596310355636
-  vertex 1: 0.48358465547782203
-  vertex 2: 0.48358465547782203
-  vertex 3: 0.60783596310355614
-  vertex 4: 0.48358465547782181
-  vertex 5: 0.60783596310355603
-  vertex 6: 0.48358465547782192
-  vertex 7: 0.48358465547782203
-  vertex 8: 0.60783596310355603
-  vertex 9: 0.48358465547782192
-diff: 2.2204460492503131e-16
+simulate: 0.53328517852811541
+  vertex 0: 0.60783596310355592
+  vertex 1: 0.48358465547782181
+  vertex 2: 0.48358465547782181
+  vertex 3: 0.60783596310355592
+  vertex 4: 0.4835846554778217
+  vertex 5: 0.6078359631035557
+  vertex 6: 0.48358465547782159
+  vertex 7: 0.48358465547782181
+  vertex 8: 0.60783596310355581
+  vertex 9: 0.48358465547782159
+diff: 1.1102230246251565e-16
 """
 
 

@@ -75,6 +75,8 @@ def test_single_edge_half():
 def test_ed_numeric_rejects_unnormalized():
     with pytest.raises(ValueError):
         ed_numeric(PureState(1, np.array([1.0, 1.0])))
+    with pytest.raises(ValueError, match="not normalized: norm error nan"):
+        ed_numeric(PureState(1, np.array([math.nan, 0.0])))
 
 
 def test_report_mean_invariant():
@@ -88,6 +90,11 @@ def test_report_validation():
         EdReport(())
     with pytest.raises(ValueError):
         EdReport((1.5, 1.5))  # mean outside [0, 1]
+
+
+def test_report_mean_is_exactly_rounded():
+    # A plain left-to-right sum drifts here, to 0.10000000000133288.
+    assert EdReport((0.1,) * 10**6).total == 0.1
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,12 @@ def test_initial_qubit_rejects_bad_p():
         InitialQubit(p=1.5)
 
 
+@pytest.mark.parametrize("d0, d1", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0)])
+def test_initial_qubit_rejects_nonfinite_phases(d0, d1):
+    with pytest.raises(ValueError, match="phases must be finite"):
+        InitialQubit(0.5, d0, d1)
+
+
 def test_interaction_params_reject_nonfinite():
     with pytest.raises(ValueError):
         InteractionParams(math.nan)
@@ -112,6 +118,25 @@ def test_available_bytes_probe(tmp_path, text, expected):
     assert statevector._available_bytes(str(path)) == expected
 
 
+def _input_product(m, qubit):
+    """Pi_i alpha_{bit_i(x)} for every index x, multiplied out in plain Python."""
+    alpha = (qubit.alpha0, qubit.alpha1)
+    amps = []
+    for x in range(2**m):
+        amp = 1.0
+        for i in range(m):
+            amp *= alpha[x >> i & 1]
+        amps.append(amp)
+    return np.array(amps)
+
+
+def test_product_state_matches_per_index_product():
+    qubit = InitialQubit(0.3, 0.8, -2.4)
+    expected = _input_product(10, qubit)
+    amps = product_state(10, qubit).amplitudes
+    assert np.max(np.abs(amps - expected) / np.abs(expected)) <= 1e-15
+
+
 @given(st.integers(1, 8), probabilities, angles, angles)
 def test_product_state_normalized(m, p, d0, d1):
     s = product_state(m, InitialQubit(p, d0, d1))
@@ -151,7 +176,8 @@ def test_edge_order_irrelevant():
     assert np.max(np.abs(s1.amplitudes - s2.amplitudes)) <= 1e-12
 
 
-# A randomly oriented K_7 reaches every count value 0..21; a single vertex has no edges.
+# In a randomly oriented K_7 every qubit has all its lower-numbered neighbours, so
+# every entry of the pair-phase table is gathered; a single vertex has no edges.
 @settings(max_examples=40, deadline=None)
 @given(directed_graphs(max_vertices=5), angles, angles, probabilities, angles, angles, st.randoms(use_true_random=False))
 @example(random_graph(7, np.random.default_rng(7), edge_prob=1.0), 1.3, -0.6, 0.35, 0.4, -2.1, random.Random(7))
@@ -171,9 +197,10 @@ def test_matches_dense_reference_and_order_stable(g, theta, psi, p, d0, d1, rnd)
 
 @pytest.mark.parametrize("seed", range(4))
 def test_phase_kernel_matches_edge_definition_at_12_qubits(seed):
-    # Beyond the dense reference's reach: each index's phase is summed edge by
-    # edge in plain Python.  p = 1/2 gives every amplitude modulus 2^-6, so one
-    # absolute tolerance bounds the phase error of every index alike.
+    # Beyond the dense reference's reach: each index's input product and phase
+    # are built qubit by qubit and edge by edge in plain Python.  p = 1/2 gives
+    # every amplitude modulus 2^-6, so one absolute tolerance bounds the phase
+    # error of every index alike.
     rng = np.random.default_rng(seed)
     g = random_graph(12, rng, edge_prob=0.5)
     theta, psi, d0, d1 = rng.uniform(-2 * math.pi, 2 * math.pi, 4)
@@ -186,7 +213,7 @@ def test_phase_kernel_matches_edge_definition_at_12_qubits(seed):
             if x >> a & 1:  # control set: theta - psi, less 2*theta if the target is set
                 total += theta - psi - 2 * theta * (x >> b & 1)
         phase.append(total)
-    expected = product_state(12, qubit).amplitudes * np.exp(1j * np.array(phase))
+    expected = _input_product(12, qubit) * np.exp(1j * np.array(phase))
     assert np.max(np.abs(state.amplitudes - expected)) <= 1e-14
 
 
