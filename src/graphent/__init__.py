@@ -40,15 +40,12 @@ from .graphs import (
     DirectedGraph,
     degree_distribution,
     flip_edge,
-    from_edge_list,
     from_json,
     gen_bridged_cycles,
     gen_ffnn,
     gen_full_binary_tree,
     gen_young_fibonacci,
-    in_neighbors,
     load_graph,
-    out_neighbors,
     permute_vertices,
     random_graph,
     save_graph,

@@ -187,7 +187,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     dist = degree_distribution(graph)
     print(f"vertices: {graph.num_vertices}")
     print(f"edges: {graph.num_edges}")
-    print(f"degree distribution: {dict(dist.sorted_items())}")
+    print(f"degree distribution: {dict(sorted(dist.counts.items()))}")
     print(f"wrote: {args.out}")
     return 0
 
@@ -284,11 +284,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             random_graph(int(rng.integers(2, max_vertices + 1)), rng, edge_prob)
             for _ in range(args.random_graphs)
         ]
-        print(f"graphs: {len(graphs)} random (<= {max_vertices} vertices)")
+        header = f"graphs: {len(graphs)} random (<= {max_vertices} vertices)"
     else:
         _refuse(args, ("max_vertices", "edge_prob"), "needs --random-graphs")
         graphs = [_graph_from_args(args)]
-        print(f"graphs: 1 ({graphs[0].num_vertices} vertices, {graphs[0].num_edges} edges)")
+        header = f"graphs: 1 ({graphs[0].num_vertices} vertices, {graphs[0].num_edges} edges)"
     report = verify.run_verification(
         graphs, args.samples, args.seed, args.tol, max_qubits=args.max_qubits
     )
@@ -298,6 +298,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         report.notes.append(f"ffnn degree-distribution form vs oracle: {_fmt(dev_degree)}")
         report.notes.append(f"ffnn output-self-exponent form vs oracle: {_fmt(dev_variant)}")
+    print(header)  # only once nothing can fail, so an error leaves stdout empty
     print(report.format_table())
     return 0 if report.passed else 1
 

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .graphs import DegreeDistribution, DirectedGraph, ffnn_layer_sizes
+from .graphs import DegreeDistribution, DirectedGraph, _checked_counts, ffnn_layer_sizes
 from .statevector import InitialQubit, InteractionParams, PureState, pauli_expectations
 
 __all__ = [
@@ -67,11 +67,11 @@ class EdReport:
         object.__setattr__(self, "total", total)
 
 
-def _degree_counts(dist: DistributionLike) -> dict[int, int]:
-    counts = dist.counts if isinstance(dist, DegreeDistribution) else dist
-    if not counts:
-        raise ValueError("degree distribution is empty")
-    return {int(k): int(n) for k, n in counts.items()}
+def _degree_counts(dist: DistributionLike) -> Mapping[int, int]:
+    """A distribution's counts; a raw mapping gets the entry checks but not
+    the graphicality checks, since some closed forms are evaluated on degree
+    counts that no graph has."""
+    return dist.counts if isinstance(dist, DegreeDistribution) else _checked_counts(dist)
 
 
 def ed_numeric(state: PureState) -> EdReport:

@@ -13,16 +13,13 @@ import json
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "DirectedGraph",
     "DegreeDistribution",
-    "from_edge_list",
-    "out_neighbors",
-    "in_neighbors",
     "degree_distribution",
     "gen_young_fibonacci",
     "ffnn_layer_sizes",
@@ -39,40 +36,58 @@ __all__ = [
 ]
 
 
-def _endpoint(x: object) -> int:
-    """An edge endpoint as a plain int: numpy integers pass, while floats and
-    bools are refused rather than truncated."""
+def _integer(x: object, what: str) -> int:
+    """x as a plain int: numpy integers pass, while floats and bools are
+    refused rather than truncated."""
     if not isinstance(x, bool):  # operator.index(True) is 1
         try:
             return operator.index(x)
         except TypeError:
             pass
-    raise ValueError(f"edge endpoint {x!r} is not an integer")
+    raise ValueError(f"{what} {x!r} is not an integer")
+
+
+def _checked_counts(counts: Mapping[int, int]) -> dict[int, int]:
+    """{degree: vertex count} as plain ints, each degree >= 0 and each count
+    >= 1, none truncated.  Whether some graph has these degrees is left to
+    the caller."""
+    checked = {}
+    for k, n in counts.items():
+        k, n = _integer(k, "degree"), _integer(n, "vertex count")
+        if k < 0 or n < 1:
+            raise ValueError(f"invalid entry degree {k} -> count {n}")
+        checked[k] = n
+    if not checked:
+        raise ValueError("degree distribution is empty")
+    return checked
 
 
 @dataclass(frozen=True)
 class DirectedGraph:
     """A directed simple graph: vertex count plus an ordered edge list.
 
-    `degrees[i]` is the total degree of vertex i, ignoring orientation; it is
-    counted once, while the edges are validated, and is derived data, so it
-    takes no part in equality, hashing or repr.
+    `out_degrees[i]` counts the edges leaving vertex i and `degrees[i]` its
+    total degree, ignoring orientation, so `degrees[i] - out_degrees[i]` is
+    its in-degree.  Both are counted once, while the edges are validated, and
+    are derived data, so they take no part in equality, hashing or repr.
     """
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
     degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    out_degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = self.num_vertices
         if m < 1:
             raise ValueError(f"num_vertices must be >= 1, got {m}")
         edges = []
-        degrees = [0] * m
+        out = [0] * m
+        into = [0] * m
         seen: set[int] = set()
         for a, b in self.edges:
             if type(a) is not int or type(b) is not int:
-                a, b = _endpoint(a), _endpoint(b)
+                a, b = _integer(a, "edge endpoint"), _integer(b, "edge endpoint")
             if not (0 <= a < m and 0 <= b < m):
                 raise ValueError(f"edge ({a},{b}) out of range for {m} vertices")
             if a == b:
@@ -81,11 +96,12 @@ class DirectedGraph:
             if key in seen:
                 raise ValueError(f"duplicate or anti-parallel edge on pair {divmod(key, m)}")
             seen.add(key)
-            degrees[a] += 1
-            degrees[b] += 1
+            out[a] += 1
+            into[b] += 1
             edges.append((a, b))
         object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "degrees", tuple(degrees))
+        object.__setattr__(self, "degrees", tuple(map(operator.add, out, into)))
+        object.__setattr__(self, "out_degrees", tuple(out))
 
     @property
     def num_edges(self) -> int:
@@ -123,14 +139,10 @@ class DegreeDistribution:
     counts: Mapping[int, int]
 
     def __post_init__(self) -> None:
-        counts = {int(k): int(n) for k, n in self.counts.items()}
+        counts = _checked_counts(self.counts)
         object.__setattr__(self, "counts", counts)
-        if not counts:
-            raise ValueError("degree distribution is empty")
         m = sum(counts.values())
-        for k, n in counts.items():
-            if k < 0 or n < 1:
-                raise ValueError(f"invalid entry degree {k} -> count {n}")
+        for k in counts:
             if k > m - 1:
                 raise ValueError(f"degree {k} impossible in a simple graph on {m} vertices")
         total = sum(k * n for k, n in counts.items())
@@ -145,31 +157,6 @@ class DegreeDistribution:
     @property
     def num_vertices(self) -> int:
         return sum(self.counts.values())
-
-    def sorted_items(self) -> list[tuple[int, int]]:
-        return sorted(self.counts.items())
-
-
-def from_edge_list(num_vertices: int, edges: Iterable[Sequence[int]]) -> DirectedGraph:
-    """Validate and build a graph from an ordered edge list."""
-    return DirectedGraph(num_vertices, tuple((e[0], e[1]) for e in edges))
-
-
-def _check_vertex(g: DirectedGraph, i: int) -> None:
-    if not (0 <= i < g.num_vertices):
-        raise ValueError(f"vertex {i} out of range for {g.num_vertices} vertices")
-
-
-def out_neighbors(g: DirectedGraph, i: int) -> set[int]:
-    """Vertices reached from i by an outgoing edge."""
-    _check_vertex(g, i)
-    return {b for a, b in g.edges if a == i}
-
-
-def in_neighbors(g: DirectedGraph, i: int) -> set[int]:
-    """Vertices pointing at i by an incoming edge."""
-    _check_vertex(g, i)
-    return {a for a, b in g.edges if b == i}
 
 
 def degree_distribution(g: DirectedGraph) -> DegreeDistribution:

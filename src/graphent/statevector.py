@@ -166,10 +166,8 @@ def build_graph_state(
                 f"{m} qubits need about {needed} bytes to build, "
                 f"but only {available} bytes of memory are available"
             )
-    out_degree = [0] * m
     lower = [0] * m  # bit mask of each vertex's lower-numbered neighbours
     for a, b in graph.edges:
-        out_degree[a] += 1
         lower[max(a, b)] |= 1 << min(a, b)
     a0, a1 = qubit.alpha0, qubit.alpha1
     step = 1j * (params.theta - params.psi)
@@ -180,7 +178,7 @@ def build_graph_state(
     for k in range(m):
         n = 1 << k
         high = amps[n : 2 * n]
-        np.multiply(amps[:n], a1 * cmath.exp(step * out_degree[k]), out=high)
+        np.multiply(amps[:n], a1 * cmath.exp(step * graph.out_degrees[k]), out=high)
         if lower[k]:
             high *= pair[np.bitwise_count(index[:n] & lower[k])]
         amps[:n] *= a0
@@ -192,10 +190,8 @@ def pauli_expectations(state: PureState, i: int) -> np.ndarray:
     m = state.num_qubits
     if not (0 <= i < m):
         raise ValueError(f"qubit {i} out of range for {m} qubits")
-    view = state.amplitudes.reshape((2,) * m)
-    axis = m - 1 - i
-    low = np.take(view, 0, axis=axis).ravel()
-    high = np.take(view, 1, axis=axis).ravel()
+    pairs = state.amplitudes.reshape(-1, 2, 1 << i)  # axis 1 is bit i
+    low, high = pairs[:, 0].ravel(), pairs[:, 1].ravel()
     cross = np.vdot(low, high)  # sum over x with bit_i=0 of conj(amp(x)) amp(x + 2^i)
     sz = float(np.vdot(low, low).real - np.vdot(high, high).real)
     return np.array([2.0 * cross.real, 2.0 * cross.imag, sz])

@@ -11,6 +11,7 @@ byte for byte.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -31,6 +32,17 @@ CHECK_ORDER = (
     "orientation flip",
     "vertex relabeling",
 )
+
+BALANCED = InitialQubit()
+FFNN_THETAS = tuple(i * math.pi / 8 for i in range(1, 8))
+FFNN_PSI = 0.4
+
+
+def _oracle(
+    graph: DirectedGraph, qubit: InitialQubit, params: InteractionParams, *, max_qubits: int
+) -> float:
+    """The simulation oracle's ED per qubit."""
+    return ed_numeric(build_graph_state(graph, qubit, params, max_qubits=max_qubits)).total
 
 
 @dataclass(frozen=True)
@@ -79,10 +91,7 @@ def run_verification(
     rng = np.random.default_rng(seed)
     worst = dict.fromkeys(CHECK_ORDER, 0.0)
     ran = dict.fromkeys(CHECK_ORDER, 0)
-    balanced = InitialQubit()
-
-    def oracle(graph: DirectedGraph, qubit: InitialQubit, params: InteractionParams) -> float:
-        return ed_numeric(build_graph_state(graph, qubit, params, max_qubits=max_qubits)).total
+    oracle = functools.partial(_oracle, max_qubits=max_qubits)
 
     def record(name: str, deviation: float) -> None:
         if deviation > worst[name] or math.isnan(deviation):  # a NaN stays and fails
@@ -95,7 +104,7 @@ def run_verification(
             theta = rng.uniform(0.0, math.pi)
             psi = rng.uniform(-math.pi, math.pi)
             params = InteractionParams(theta, psi)
-            base = oracle(g, balanced, params)
+            base = oracle(g, BALANCED, params)
 
             closed = entanglement.ed_closed_form(dist, theta)
             record("closed-form oracle", abs(base - closed))
@@ -111,41 +120,33 @@ def run_verification(
             psi_values = [base]
             for _ in range(3):
                 alt = InteractionParams(theta, rng.uniform(-math.pi, math.pi))
-                psi_values.append(oracle(g, balanced, alt))
+                psi_values.append(oracle(g, BALANCED, alt))
             record("psi independence", max(psi_values) - min(psi_values))
 
             if g.edges:
                 flipped = flip_edge(g, int(rng.integers(len(g.edges))))
-                flipped_ed = oracle(flipped, balanced, params)
+                flipped_ed = oracle(flipped, BALANCED, params)
                 record("orientation flip", abs(base - flipped_ed))
 
             perm = [int(x) for x in rng.permutation(g.num_vertices)]
-            relabeled_ed = oracle(permute_vertices(g, perm), balanced, params)
+            relabeled_ed = oracle(permute_vertices(g, perm), BALANCED, params)
             record("vertex relabeling", abs(base - relabeled_ed))
 
     return VerificationReport(tol, [CheckResult(name, worst[name], ran[name]) for name in CHECK_ORDER])
 
 
 def ffnn_variant_report(
-    layer_sizes: Sequence[int],
-    theta_values: Sequence[float] | None = None,
-    *,
-    psi: float = 0.4,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
+    layer_sizes: Sequence[int], *, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> tuple[float, float]:
     """Max deviation from the simulation oracle of the two layered-network
-    closed forms (degree-distribution form, output-self-exponent form) over a
-    theta grid.  Informational: shows which form the oracle backs."""
-    if theta_values is None:
-        theta_values = [i * math.pi / 8 for i in range(1, 8)]
+    closed forms (degree-distribution form, output-self-exponent form) over
+    FFNN_THETAS at psi = FFNN_PSI.  Informational: shows which form the
+    oracle backs."""
     g = gen_ffnn(layer_sizes)
-    balanced = InitialQubit()
     dev_degree = 0.0
     dev_variant = 0.0
-    for theta in theta_values:
-        oracle = ed_numeric(
-            build_graph_state(g, balanced, InteractionParams(theta, psi), max_qubits=max_qubits)
-        ).total
+    for theta in FFNN_THETAS:
+        oracle = _oracle(g, BALANCED, InteractionParams(theta, FFNN_PSI), max_qubits=max_qubits)
         dev_degree = max(dev_degree, abs(oracle - entanglement.ed_ffnn(theta, layer_sizes)))
         dev_variant = max(
             dev_variant,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from graphent.graphs import DirectedGraph, from_edge_list
+from graphent.graphs import DirectedGraph
 
 I2 = np.eye(2, dtype=complex)
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -76,7 +76,7 @@ def directed_graphs(draw, min_vertices: int = 1, max_vertices: int = 6) -> Direc
         chosen = []
     flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
     edges = [(b, a) if f else (a, b) for (a, b), f in zip(chosen, flips)]
-    return from_edge_list(m, edges)
+    return DirectedGraph(m, edges)
 
 
 angles = st.floats(min_value=-2 * np.pi, max_value=2 * np.pi, allow_nan=False)

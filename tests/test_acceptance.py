@@ -38,8 +38,8 @@ from graphent.entanglement import (
     two_qubit_ed_analytic,
 )
 from graphent.graphs import (
+    DirectedGraph,
     degree_distribution,
-    from_edge_list,
     gen_bridged_cycles,
     gen_ffnn,
     gen_full_binary_tree,
@@ -116,7 +116,7 @@ def test_criterion_2_general_p_equivalence():
 
 
 def test_criterion_3_two_qubit_analytics():
-    pair = from_edge_list(2, [(0, 1)])
+    pair = DirectedGraph(2, [(0, 1)])
     ps = grid(0.0, 1.0, 41)
     thetas = grid(0.0, math.pi, 41)
     center = (20, 20)  # (theta index of pi/2, p index of 1/2)

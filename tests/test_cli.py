@@ -10,7 +10,7 @@ import graphent.cli
 import graphent.entanglement
 import graphent.statevector
 from graphent.cli import TOPOLOGIES, main
-from graphent.graphs import from_edge_list, load_graph, save_graph
+from graphent.graphs import DirectedGraph, load_graph, save_graph
 
 
 def run(capsys, *argv):
@@ -233,7 +233,7 @@ def test_gen_invalid_params_exit_2(tmp_path, capsys):
 
 def test_ed_single_edge_both(tmp_path, capsys):
     path = str(tmp_path / "pair.json")
-    save_graph(from_edge_list(2, [(0, 1)]), path)
+    save_graph(DirectedGraph(2, [(0, 1)]), path)
     code, stdout, _ = run(
         capsys, "ed", "--graph", path, "--theta-pi-frac", "1/2", "--p", "0.5", "--method", "both"
     )
@@ -245,7 +245,7 @@ def test_ed_single_edge_both(tmp_path, capsys):
 
 def test_ed_empty_graph(tmp_path, capsys):
     path = str(tmp_path / "empty.json")
-    save_graph(from_edge_list(3, []), path)
+    save_graph(DirectedGraph(3, []), path)
     code, stdout, _ = run(capsys, "ed", "--graph", path, "--theta", "0.9")
     assert code == 0
     assert value_of(stdout, "closed") == pytest.approx(0.0, abs=1e-12)
@@ -507,7 +507,7 @@ def test_sweep_lf_line_endings(tmp_path, capsys):
 
 def test_verify_single_edge_passes(tmp_path, capsys):
     path = str(tmp_path / "pair.json")
-    save_graph(from_edge_list(2, [(0, 1)]), path)
+    save_graph(DirectedGraph(2, [(0, 1)]), path)
     code, stdout, _ = run(
         capsys, "verify", "--graph", path, "--samples", "5", "--seed", "42", "--tol", "1e-10"
     )
@@ -521,7 +521,7 @@ def test_verify_random_graphs(capsys):
         "--samples", "2", "--seed", "3",
     )
     assert code == 0
-    assert "graphs: 5 random" in stdout
+    assert stdout.startswith("graphs: 5 random (<= 6 vertices)\ncheck")
 
 
 def test_verify_ffnn_reports_variant_deviations(capsys):
@@ -541,6 +541,21 @@ def test_verify_corrupted_closed_form_exit_1(capsys, monkeypatch):
     )
     assert code == 1
     assert "result: FAIL" in stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--random-graphs", "5", "--max-vertices", "10", "--max-qubits", "4", "--seed", "3"),
+        ("--topology", "ffnn", "--layer-sizes", "3,4,4,2", "--max-qubits", "5"),
+    ],
+    ids=["random", "ffnn"],
+)
+def test_verify_error_leaves_stdout_empty(capsys, argv):
+    code, stdout, stderr = run(capsys, "verify", *argv, "--samples", "1")
+    assert code == 2
+    assert stdout == ""
+    assert "cap" in stderr
 
 
 VERIFY_ARGV = ("verify", "--random-graphs", "1", "--samples", "1")

@@ -23,11 +23,11 @@ from graphent.statevector import (
     build_graph_state,
     product_state,
 )
-from graphent.graphs import from_edge_list
+from graphent.graphs import DirectedGraph
 
 from helpers import angles, grid, probabilities
 
-PAIR = from_edge_list(2, [(0, 1)])
+PAIR = DirectedGraph(2, [(0, 1)])
 
 
 def pair_state(p, theta, psi=0.0):

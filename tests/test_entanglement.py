@@ -1,5 +1,6 @@
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,14 +25,13 @@ from graphent.entanglement import (
     two_qubit_ed_analytic,
 )
 from graphent.graphs import (
+    DegreeDistribution,
+    DirectedGraph,
     degree_distribution,
-    from_edge_list,
     gen_bridged_cycles,
     gen_ffnn,
     gen_full_binary_tree,
     gen_young_fibonacci,
-    in_neighbors,
-    out_neighbors,
 )
 from graphent.statevector import (
     InitialQubit,
@@ -63,12 +63,12 @@ def test_product_state_has_zero_ed(p, d0, d1):
 
 
 def test_single_edge_maximal():
-    g = from_edge_list(2, [(0, 1)])
+    g = DirectedGraph(2, [(0, 1)])
     assert ed_numeric(balanced_state(g, math.pi / 2)).total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_edge_half():
-    g = from_edge_list(2, [(0, 1)])
+    g = DirectedGraph(2, [(0, 1)])
     assert ed_numeric(balanced_state(g, math.pi / 4)).total == pytest.approx(0.5, abs=1e-12)
 
 
@@ -115,8 +115,27 @@ def test_closed_form_young_fibonacci_3():
 
 
 def test_closed_form_rejects_empty():
-    with pytest.raises(ValueError):
-        ed_closed_form({}, 1.0)
+    # and every other invalid entry: refused, never truncated or divided by a
+    # zero vertex count
+    for counts in ({}, {-1: 3}, {2: 0}, {1: -2}, {1: 2.5}, {1.9: 2}, {True: 2}):
+        with pytest.raises(ValueError):
+            ed_closed_form(counts, 0.7)
+        with pytest.raises(ValueError):
+            ed_closed_general(counts, 0.3, 0.7)
+        with pytest.raises(ValueError):
+            DegreeDistribution(counts)
+
+
+def test_closed_form_accepts_counts_no_graph_has():
+    # entry checks only: layer sizes (1, 2, 1) with the output layer's own
+    # width as its exponent give degrees {2: 3, 1: 1}, an odd degree sum
+    counts = Counter({2: 3, 1: 1})
+    with pytest.raises(ValueError, match="odd"):
+        DegreeDistribution(counts)
+    assert ed_closed_form(counts, 0.7) == pytest.approx(
+        ed_ffnn_output_self_exponent(0.7, (1, 2, 1)), abs=1e-15
+    )
+    assert ed_closed_form({np.int64(1): np.int32(2)}, 0.7) == ed_closed_form({1: 2}, 0.7)
 
 
 def test_general_reduces_to_balanced():
@@ -242,17 +261,17 @@ def test_pauli_vector_norm_matches_simulation(g, theta, psi, p, d0, d1):
     state = build_graph_state(g, qubit, params)
     for i in range(g.num_vertices):
         numeric = pauli_expectations(state, i)
-        closed = pauli_vector_closed(len(out_neighbors(g, i)), len(in_neighbors(g, i)), qubit, params)
+        closed = pauli_vector_closed(g.out_degrees[i], g.degrees[i] - g.out_degrees[i], qubit, params)
         assert float(numeric @ numeric) == pytest.approx(float(closed @ closed), abs=1e-10)
 
 
 def test_pauli_vector_components_match_simulation_at_zero_psi():
-    g = from_edge_list(4, [(0, 1), (2, 1), (1, 3)])
+    g = DirectedGraph(4, [(0, 1), (2, 1), (1, 3)])
     qubit = InitialQubit(0.3, 0.4, -0.7)
     params = InteractionParams(1.1, 0.0)
     state = build_graph_state(g, qubit, params)
     for i in range(4):
-        closed = pauli_vector_closed(len(out_neighbors(g, i)), len(in_neighbors(g, i)), qubit, params)
+        closed = pauli_vector_closed(g.out_degrees[i], g.degrees[i] - g.out_degrees[i], qubit, params)
         assert np.allclose(pauli_expectations(state, i), closed, atol=1e-12)
 
 
@@ -262,14 +281,14 @@ def test_pauli_vector_phase_convention_report():
     # e^{-i psi} factor stripped reproduces the simulation exactly; the
     # default arg(z) leaves a constant offset of d*psi in the angle.  This
     # test documents the convention rather than failing on it.
-    g = from_edge_list(4, [(0, 1), (2, 1), (1, 3)])
+    g = DirectedGraph(4, [(0, 1), (2, 1), (1, 3)])
     qubit = InitialQubit(0.3, 0.4, -0.7)
     params = InteractionParams(1.1, 0.9)
     state = build_graph_state(g, qubit, params)
     stripped = cmath.phase(interaction_expectation(qubit, params)) + params.psi
     offsets = []
     for i in range(4):
-        d_out, d_in = len(out_neighbors(g, i)), len(in_neighbors(g, i))
+        d_out, d_in = g.out_degrees[i], g.degrees[i] - g.out_degrees[i]
         numeric = pauli_expectations(state, i)
         exact = pauli_vector_closed(d_out, d_in, qubit, params, delta=stripped)
         assert np.allclose(numeric, exact, atol=1e-12)
@@ -305,7 +324,7 @@ def test_two_qubit_values(p, theta, expected):
 @given(probabilities, angles)
 @settings(max_examples=40, deadline=None)
 def test_two_qubit_matches_oracle(p, theta):
-    g = from_edge_list(2, [(0, 1)])
+    g = DirectedGraph(2, [(0, 1)])
     state = build_graph_state(g, InitialQubit(p), InteractionParams(theta, 0.0))
     assert abs(ed_numeric(state).total - two_qubit_ed_analytic(p, theta)) <= 1e-10
 

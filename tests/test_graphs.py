@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 
 from graphent.graphs import (
     DegreeDistribution,
+    DirectedGraph,
     degree_distribution,
     flip_edge,
-    from_edge_list,
     from_json,
     gen_bridged_cycles,
     gen_ffnn,
     gen_full_binary_tree,
     gen_young_fibonacci,
-    in_neighbors,
     load_graph,
-    out_neighbors,
     permute_vertices,
     random_graph,
     save_graph,
@@ -35,13 +33,14 @@ import numpy as np
 # ----------------------------------------------------------------------
 
 def test_minimal_edge():
-    g = from_edge_list(2, [(0, 1)])
+    g = DirectedGraph(2, [(0, 1)])
     assert g.num_vertices == 2
     assert g.edges == ((0, 1),)
     assert g.degrees == (1, 1)
-    # the degree vector is derived data: not part of repr, equality or hashing
+    assert g.out_degrees == (1, 0)
+    # the degree vectors are derived data: not part of repr, equality or hashing
     assert repr(g) == "DirectedGraph(num_vertices=2, edges=((0, 1),))"
-    assert hash(g) == hash(from_edge_list(2, [(np.int64(0), np.int64(1))]))
+    assert hash(g) == hash(DirectedGraph(2, [(np.int64(0), np.int64(1))]))
 
 
 @pytest.mark.parametrize(
@@ -52,38 +51,36 @@ def test_minimal_edge():
         (3, [(0, 1), (0, 1)]),  # duplicate
         (2, [(0, 2)]),  # index out of range
         (2, [(-1, 0)]),
+        (3, [(0, 1, 2)]),  # not a pair: refused, not cut to (0, 1)
     ],
 )
 def test_invalid_edges_rejected(num_vertices, edges):
     with pytest.raises(ValueError):
-        from_edge_list(num_vertices, edges)
+        DirectedGraph(num_vertices, edges)
 
 
 @pytest.mark.parametrize("endpoint", [1.7, 1.0, True, np.True_, "1", None])
 def test_non_integer_endpoints_rejected(endpoint):
     # refused, never truncated: int(1.7) and int(True) would both give vertex 1
     with pytest.raises(ValueError, match=f"edge endpoint {re.escape(repr(endpoint))} is not an integer"):
-        from_edge_list(3, [(0, endpoint)])
+        DirectedGraph(3, [(0, endpoint)])
 
 
 def test_numpy_integer_endpoints_accepted():
-    g = from_edge_list(3, [(np.int64(0), np.int32(2)), (np.uint8(1), 2)])
-    assert g == from_edge_list(3, [(0, 2), (1, 2)])
+    g = DirectedGraph(3, [(np.int64(0), np.int32(2)), (np.uint8(1), 2)])
+    assert g == DirectedGraph(3, [(0, 2), (1, 2)])
     assert all(type(v) is int for edge in g.edges for v in edge)
 
 
 def test_zero_vertices_rejected():
     with pytest.raises(ValueError):
-        from_edge_list(0, [])
+        DirectedGraph(0, [])
 
 
 def test_neighbors_and_degree():
-    g = from_edge_list(2, [(0, 1)])
-    assert out_neighbors(g, 0) == {1}
-    assert in_neighbors(g, 0) == set()
-    assert g.degrees == (1, 1)
-    with pytest.raises(ValueError):
-        out_neighbors(g, 2)
+    g = DirectedGraph(3, [(0, 1), (2, 1), (0, 2)])
+    assert g.out_degrees == (2, 0, 1)
+    assert g.degrees == (2, 2, 2)
 
 
 def test_binary_tree_depth2_degrees():
@@ -97,26 +94,21 @@ def test_young_fibonacci_3_degree_multiset():
     assert sorted(g.degrees) == [1, 1, 2, 2, 3, 3]
 
 
-def _scanned_degrees(g):
-    return tuple(sum(1 for a, b in g.edges if i in (a, b)) for i in range(g.num_vertices))
+def _assert_degrees_match_edge_scan(g):
+    vertices = range(g.num_vertices)
+    assert g.degrees == tuple(sum(1 for a, b in g.edges if i in (a, b)) for i in vertices)
+    assert g.out_degrees == tuple(sum(1 for a, _ in g.edges if a == i) for i in vertices)
 
 
 @given(directed_graphs(max_vertices=10), st.data())
 def test_degree_vector_matches_edge_scan(g, data):
-    assert g.degrees == _scanned_degrees(g)
+    _assert_degrees_match_edge_scan(g)
     if g.edges:
         flipped = flip_edge(g, data.draw(st.integers(0, len(g.edges) - 1)))
-        assert flipped.degrees == _scanned_degrees(flipped) == g.degrees
+        _assert_degrees_match_edge_scan(flipped)
+        assert flipped.degrees == g.degrees
     relabeled = permute_vertices(g, data.draw(st.permutations(range(g.num_vertices))))
-    assert relabeled.degrees == _scanned_degrees(relabeled)
-
-
-@given(directed_graphs())
-def test_neighbor_sets_disjoint_and_degree_consistent(g):
-    for i in range(g.num_vertices):
-        outs, ins = out_neighbors(g, i), in_neighbors(g, i)
-        assert outs.isdisjoint(ins)
-        assert g.degrees[i] == len(outs) + len(ins)
+    _assert_degrees_match_edge_scan(relabeled)
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +116,7 @@ def test_neighbor_sets_disjoint_and_degree_consistent(g):
 # ----------------------------------------------------------------------
 
 def test_distribution_empty_graph():
-    g = from_edge_list(3, [])
+    g = DirectedGraph(3, [])
     assert degree_distribution(g).counts == {0: 3}
 
 
@@ -306,7 +298,7 @@ def test_bridged_cycles_alternate_placement_same_distribution():
     # bridges leaving from local vertex 1 instead of 0, entering local 0
     edges.append((starts[0] + 1, starts[1]))
     edges.append((starts[1] + 1, starts[2]))
-    alt = from_edge_list(10, edges)
+    alt = DirectedGraph(10, edges)
     assert degree_distribution(alt).counts == degree_distribution(g).counts
 
 
@@ -325,7 +317,7 @@ def test_flip_twice_restores():
 
 
 def test_invalid_permutation_rejected():
-    g = from_edge_list(3, [(0, 1)])
+    g = DirectedGraph(3, [(0, 1)])
     with pytest.raises(ValueError):
         permute_vertices(g, [0, 0, 1])
     with pytest.raises(ValueError):
@@ -333,7 +325,7 @@ def test_invalid_permutation_rejected():
 
 
 def test_flip_bad_index_rejected():
-    g = from_edge_list(3, [(0, 1)])
+    g = DirectedGraph(3, [(0, 1)])
     with pytest.raises(ValueError):
         flip_edge(g, 1)
 
@@ -367,7 +359,7 @@ def test_json_round_trip(g):
 
 
 def test_json_format():
-    g = from_edge_list(3, [(0, 2), (2, 1)])
+    g = DirectedGraph(3, [(0, 2), (2, 1)])
     data = json.loads(to_json(g))
     assert data == {"num_vertices": 3, "edges": [[0, 2], [2, 1]]}
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphent import statevector
-from graphent.graphs import flip_edge, from_edge_list, gen_young_fibonacci, random_graph
+from graphent.graphs import DirectedGraph, flip_edge, gen_young_fibonacci, random_graph
 from graphent.statevector import (
     InitialQubit,
     InteractionParams,
@@ -148,14 +148,14 @@ def test_product_state_normalized(m, p, d0, d1):
 # ----------------------------------------------------------------------
 
 def test_empty_graph_is_product_state():
-    g = from_edge_list(3, [])
+    g = DirectedGraph(3, [])
     s = build_graph_state(g, BALANCED, InteractionParams(1.1, 0.3))
     assert np.array_equal(s.amplitudes, product_state(3).amplitudes)
 
 
 def test_single_edge_amplitudes():
     # edge (1, 0): control on bit 1, target on bit 0
-    g = from_edge_list(2, [(1, 0)])
+    g = DirectedGraph(2, [(1, 0)])
     product = product_state(2).amplitudes
     for theta, psi in [(math.pi / 2, 0.0), (1.2, 0.7)]:
         s = build_graph_state(g, BALANCED, InteractionParams(theta, psi))
@@ -168,8 +168,8 @@ def test_single_edge_amplitudes():
 
 def test_edge_order_irrelevant():
     edges = [(0, 1), (1, 2)]
-    g1 = from_edge_list(3, edges)
-    g2 = from_edge_list(3, edges[::-1])
+    g1 = DirectedGraph(3, edges)
+    g2 = DirectedGraph(3, edges[::-1])
     params = InteractionParams(0.9, -0.4)
     s1 = build_graph_state(g1, BALANCED, params)
     s2 = build_graph_state(g2, BALANCED, params)
@@ -181,7 +181,7 @@ def test_edge_order_irrelevant():
 @settings(max_examples=40, deadline=None)
 @given(directed_graphs(max_vertices=5), angles, angles, probabilities, angles, angles, st.randoms(use_true_random=False))
 @example(random_graph(7, np.random.default_rng(7), edge_prob=1.0), 1.3, -0.6, 0.35, 0.4, -2.1, random.Random(7))
-@example(from_edge_list(1, []), 1.3, -0.6, 0.35, 0.4, -2.1, random.Random(1))
+@example(DirectedGraph(1, []), 1.3, -0.6, 0.35, 0.4, -2.1, random.Random(1))
 def test_matches_dense_reference_and_order_stable(g, theta, psi, p, d0, d1, rnd):
     qubit = InitialQubit(p, d0, d1)
     params = InteractionParams(theta, psi)
@@ -191,7 +191,7 @@ def test_matches_dense_reference_and_order_stable(g, theta, psi, p, d0, d1, rnd)
     assert np.max(np.abs(state.amplitudes - reference)) <= 1e-12
     shuffled = list(g.edges)
     rnd.shuffle(shuffled)
-    again = build_graph_state(from_edge_list(g.num_vertices, shuffled), qubit, params)
+    again = build_graph_state(DirectedGraph(g.num_vertices, shuffled), qubit, params)
     assert np.max(np.abs(state.amplitudes - again.amplitudes)) <= 1e-12
 
 
@@ -239,7 +239,7 @@ def test_sigma_z_is_one_minus_two_p(g, theta, psi, p, d0, d1):
 
 
 def test_maximally_entangled_pair_has_zero_vector():
-    g = from_edge_list(2, [(0, 1)])
+    g = DirectedGraph(2, [(0, 1)])
     state = build_graph_state(g, BALANCED, InteractionParams(math.pi / 2))
     for i in range(2):
         assert np.linalg.norm(pauli_expectations(state, i)) <= 1e-12

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import graphent.entanglement
-from graphent.graphs import from_edge_list, gen_bridged_cycles, gen_full_binary_tree, random_graph
+from graphent.graphs import DirectedGraph, gen_bridged_cycles, gen_full_binary_tree, random_graph
 from graphent.verify import CHECK_ORDER, ffnn_variant_report, run_verification
 
 
 def small_graph_set():
     rng = np.random.default_rng(11)
     return [
-        from_edge_list(2, [(0, 1)]),
+        DirectedGraph(2, [(0, 1)]),
         gen_full_binary_tree(3),
         gen_bridged_cycles((3, 3)),
         random_graph(6, rng),
@@ -54,7 +54,7 @@ def test_nan_deviation_fails(monkeypatch):
 
 
 def test_table_format():
-    report = run_verification([from_edge_list(2, [(0, 1)])], samples=2, seed=0, tol=1e-10)
+    report = run_verification([DirectedGraph(2, [(0, 1)])], samples=2, seed=0, tol=1e-10)
     table = report.format_table()
     lines = table.splitlines()
     assert lines[0].startswith("check")
@@ -64,13 +64,13 @@ def test_table_format():
 
 def test_samples_validated():
     with pytest.raises(ValueError):
-        run_verification([from_edge_list(2, [(0, 1)])], samples=0, seed=0, tol=1e-10)
+        run_verification([DirectedGraph(2, [(0, 1)])], samples=0, seed=0, tol=1e-10)
     with pytest.raises(ValueError):
         run_verification([], samples=1, seed=0, tol=1e-10)
 
 
 def test_samples_counted_and_unsampled_check_skipped():
-    graphs = [from_edge_list(3, []), from_edge_list(2, [(0, 1)])]
+    graphs = [DirectedGraph(3, []), DirectedGraph(2, [(0, 1)])]
     report = run_verification(graphs, samples=3, seed=0, tol=1e-10)
     assert {c.name: c.samples for c in report.checks} == {
         "closed-form oracle": 6,
@@ -79,7 +79,7 @@ def test_samples_counted_and_unsampled_check_skipped():
         "orientation flip": 3,  # only the graph with an edge has one to flip
         "vertex relabeling": 6,
     }
-    report = run_verification([from_edge_list(3, [])], samples=2, seed=0, tol=1e-10)
+    report = run_verification([DirectedGraph(3, [])], samples=2, seed=0, tol=1e-10)
     flip = report.format_table().splitlines()[1 + CHECK_ORDER.index("orientation flip")]
     assert flip.startswith("orientation flip") and flip.endswith("  skipped")
     assert report.passed
