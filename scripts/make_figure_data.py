@@ -12,7 +12,9 @@ Produces:
   fig5_btree_N{2,4}.csv  full binary tree ED vs theta, plus the
   fig5_btree_limit.csv   infinite-depth curve
 
-Everything goes through the CLI, so the files are byte-reproducible.
+Everything goes through the CLI, so the files are byte-reproducible.  The
+script imports graphent from the src directory of its own checkout, so it
+runs from any working directory without an installed package.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import argparse
 import os
 import sys
 
-from graphent.cli import main as cli_main
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from graphent.cli import main as cli_main  # noqa: E402
 
 JOBS = {
     "fig1_hs2.csv": ["sweep", "--quantity", "hs2", "--theta-steps", "101", "--p-steps", "101"],

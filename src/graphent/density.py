@@ -4,14 +4,16 @@ Each quantity here comes in two routes: a numeric one via partial trace of a
 simulated state, and a closed form in (p, theta) for the two endpoints of a
 single interacting pair.  The test suite drives both and compares.
 
+Matrix arguments are `DensityMatrix` values, validated once on construction,
+which keep the spectrum that check computes; nothing here checks them again.
 Entropies use the natural logarithm throughout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -37,9 +39,11 @@ EIGENVALUE_FLOOR = -1e-10
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A small validated density matrix: Hermitian, unit trace, PSD within tolerance."""
+    """A small validated density matrix: Hermitian, unit trace, PSD within tolerance.
+    `eigenvalues`, ascending, is computed by that check; it is outside equality and repr."""
 
     matrix: np.ndarray
+    eigenvalues: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=np.complex128)
@@ -52,34 +56,19 @@ class DensityMatrix:
         tr = np.trace(mat)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr}")
-        lam_min = min(_eigenvalues(mat))
-        if lam_min < EIGENVALUE_FLOOR:
-            raise ValueError(f"matrix not positive semidefinite: min eigenvalue {lam_min:.3e}")
+        lams = eigenvalues_2x2(mat) if mat.shape == (2, 2) else tuple(np.linalg.eigvalsh(mat).tolist())
+        if lams[0] < EIGENVALUE_FLOOR:
+            raise ValueError(f"matrix not positive semidefinite: min eigenvalue {lams[0]:.3e}")
+        object.__setattr__(self, "eigenvalues", lams)
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
 
-MatrixLike = Union[DensityMatrix, np.ndarray]
-
-
-def _as_matrix(rho: MatrixLike) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    return np.asarray(rho, dtype=np.complex128)
-
-
-def _eigenvalues(mat: np.ndarray) -> list[float]:
-    if mat.shape == (2, 2):
-        return list(eigenvalues_2x2(mat))
-    return [float(v) for v in np.linalg.eigvalsh(mat)]
-
-
-def eigenvalues_2x2(rho: MatrixLike) -> tuple[float, float]:
+def eigenvalues_2x2(mat: np.ndarray) -> tuple[float, float]:
     """Eigenvalues of a 2x2 Hermitian matrix in closed form (ascending), from
     trace and determinant; no general eigensolver involved."""
-    mat = _as_matrix(rho)
     mean = 0.5 * (mat[0, 0] + mat[1, 1]).real
     det = (mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]).real
     spread = math.sqrt(max(mean * mean - det, 0.0))
@@ -108,9 +97,9 @@ def partial_trace(state: PureState, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(block @ block.conj().T)
 
 
-def hs_distance(rho1: MatrixLike, rho2: MatrixLike) -> float:
+def hs_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """Hilbert-Schmidt distance sqrt(0.5 * tr[(rho1-rho2)^dag (rho1-rho2)])."""
-    a, b = _as_matrix(rho1), _as_matrix(rho2)
+    a, b = rho1.matrix, rho2.matrix
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     diff = a - b
@@ -150,13 +139,10 @@ def _entropy_from_probs(probs: Sequence[float]) -> float:
     return -sum(v * math.log(v) for v in probs if v > 0.0)
 
 
-def von_neumann_entropy(rho: MatrixLike) -> float:
-    """-tr[rho ln rho], with 0*ln(0) := 0.  Rejects inputs whose spectrum dips
-    below -1e-8 (not a density matrix); smaller negative rounding is clipped."""
-    lams = _eigenvalues(_as_matrix(rho))
-    if min(lams) < -1e-8:
-        raise ValueError(f"not a density matrix: eigenvalue {min(lams):.3e}")
-    return _entropy_from_probs([min(max(v, 0.0), 1.0) for v in lams])
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """-tr[rho ln rho], with 0*ln(0) := 0, from rho's validated spectrum; the
+    rounding `DensityMatrix` lets through, below 0 or above 1, adds nothing."""
+    return _entropy_from_probs([min(v, 1.0) for v in rho.eigenvalues])
 
 
 def entropy_at_half_p(theta: float) -> float:

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .graphs import DegreeDistribution, DirectedGraph, _checked_counts, ffnn_layer_sizes
+from .graphs import DegreeDistribution, DirectedGraph, _checked_counts, _integer, ffnn_layer_sizes
 from .statevector import InitialQubit, InteractionParams, PureState, pauli_expectations
 
 __all__ = [
@@ -153,6 +153,7 @@ def pauli_vector_closed(
     the x/y components carry the phase convention, so an explicit `delta`
     lets callers probe alternatives.
     """
+    d_out, d_in = _integer(d_out, "d_out"), _integer(d_in, "d_in")
     if d_out < 0 or d_in < 0:
         raise ValueError(f"edge counts must be non-negative, got ({d_out}, {d_in})")
     p = qubit.p
@@ -180,9 +181,9 @@ def two_qubit_ed_analytic(p: float, theta: float) -> float:
 
 def ed_young_fibonacci(theta: float, num_layers: int) -> float:
     """ED per qubit of the triangular layered graph with `num_layers` layers."""
-    if num_layers < 2:
-        raise ValueError(f"need at least 2 layers, got {num_layers}")
-    n = num_layers
+    n = _integer(num_layers, "num_layers")
+    if n < 2:
+        raise ValueError(f"need at least 2 layers, got {n}")
     c2 = math.cos(theta) ** 2
     # (n-2)/(n-3) factors vanish on their own at n = 2, 3.
     poly = 4.0 + 2.0 * (n - 1) * c2 + 4.0 * (n - 2) * c2**2 + (n - 2) * (n - 3) * c2**3
@@ -226,6 +227,7 @@ def ed_ffnn_output_self_exponent(theta: float, layer_sizes: Sequence[int]) -> fl
 def ed_binary_tree(theta: float, depth: int) -> float:
     """ED per qubit of the full binary tree with `depth` layers; depth 1 is a
     single vertex with no entanglement."""
+    depth = _integer(depth, "depth")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if depth == 1:
@@ -245,6 +247,8 @@ def ed_binary_tree_limit(theta: float) -> float:
 def ed_bridged_cycles(theta: float, total_vertices: int, num_cycles: int) -> float:
     """ED per qubit of a chain of `num_cycles` cycles with `total_vertices`
     vertices overall: 1 - (cos^4(theta)/M)(M - 2(N-1) sin^2(theta))."""
+    total_vertices = _integer(total_vertices, "total_vertices")
+    num_cycles = _integer(num_cycles, "num_cycles")
     if num_cycles < 2:
         raise ValueError(f"need at least 2 cycles, got {num_cycles}")
     if total_vertices < 3 * num_cycles:

@@ -78,27 +78,35 @@ class DirectedGraph:
     out_degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = self.num_vertices
+        m = _integer(self.num_vertices, "num_vertices")
         if m < 1:
             raise ValueError(f"num_vertices must be >= 1, got {m}")
         edges = []
         out = [0] * m
         into = [0] * m
         seen: set[int] = set()
-        for a, b in self.edges:
-            if type(a) is not int or type(b) is not int:
-                a, b = _integer(a, "edge endpoint"), _integer(b, "edge endpoint")
-            if not (0 <= a < m and 0 <= b < m):
-                raise ValueError(f"edge ({a},{b}) out of range for {m} vertices")
-            if a == b:
-                raise ValueError(f"self-loop at vertex {a}")
-            key = a * m + b if a < b else b * m + a
-            if key in seen:
-                raise ValueError(f"duplicate or anti-parallel edge on pair {divmod(key, m)}")
+        for i, edge in enumerate(self.edges):
+            try:
+                try:
+                    a, b = edge
+                except (TypeError, ValueError):
+                    raise ValueError("must be a pair of integer vertices") from None
+                if type(a) is not int or type(b) is not int:
+                    a, b = _integer(a, "edge endpoint"), _integer(b, "edge endpoint")
+                if not (0 <= a < m and 0 <= b < m):
+                    raise ValueError(f"edge ({a},{b}) out of range for {m} vertices")
+                if a == b:
+                    raise ValueError(f"self-loop at vertex {a}")
+                key = a * m + b if a < b else b * m + a
+                if key in seen:
+                    raise ValueError(f"duplicate or anti-parallel edge on pair {divmod(key, m)}")
+            except ValueError as exc:
+                raise ValueError(f"edges[{i}] {edge!r}: {exc}") from None
             seen.add(key)
             out[a] += 1
             into[b] += 1
             edges.append((a, b))
+        object.__setattr__(self, "num_vertices", m)
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "degrees", tuple(map(operator.add, out, into)))
         object.__setattr__(self, "out_degrees", tuple(out))
@@ -173,6 +181,7 @@ def gen_young_fibonacci(num_layers: int) -> DirectedGraph:
 
     Total vertices: num_layers*(num_layers+1)/2.
     """
+    num_layers = _integer(num_layers, "num_layers")
     if num_layers < 2:
         raise ValueError(f"need at least 2 layers, got {num_layers}")
     layer_start = []
@@ -189,14 +198,19 @@ def gen_young_fibonacci(num_layers: int) -> DirectedGraph:
     return DirectedGraph(nid, tuple(edges))
 
 
+def _sizes(values: Sequence[int], minimum: int, what: str) -> tuple[int, ...]:
+    """Checked sizes of a chain of layers or cycles: at least 2, each an integer >= minimum."""
+    sizes = tuple(_integer(v, f"{what} size") for v in values)
+    if len(sizes) < 2:
+        raise ValueError(f"need at least 2 {what}s, got {len(sizes)}")
+    if any(s < minimum for s in sizes):
+        raise ValueError(f"all {what} sizes must be >= {minimum}, got {sizes}")
+    return sizes
+
+
 def ffnn_layer_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
     """Checked widths of a layered network: at least 2 layers, each >= 1."""
-    sizes = tuple(int(s) for s in layer_sizes)
-    if len(sizes) < 2:
-        raise ValueError(f"need at least 2 layers, got {len(sizes)}")
-    if any(s < 1 for s in sizes):
-        raise ValueError(f"all layer sizes must be >= 1, got {sizes}")
-    return sizes
+    return _sizes(layer_sizes, 1, "layer")
 
 
 def gen_ffnn(layer_sizes: Sequence[int]) -> DirectedGraph:
@@ -219,6 +233,7 @@ def gen_ffnn(layer_sizes: Sequence[int]) -> DirectedGraph:
 def gen_full_binary_tree(depth: int) -> DirectedGraph:
     """Full binary tree with `depth` layers (2^depth - 1 vertices), edges
     oriented parent-to-child, heap numbering."""
+    depth = _integer(depth, "depth")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     m = 2**depth - 1
@@ -236,11 +251,7 @@ def gen_bridged_cycles(cycle_sizes: Sequence[int]) -> DirectedGraph:
     cycle i+1 (local indices), so the two bridge endpoints inside a middle
     cycle are always distinct for cycle sizes >= 3.
     """
-    sizes = tuple(int(s) for s in cycle_sizes)
-    if len(sizes) < 2:
-        raise ValueError(f"need at least 2 cycles, got {len(sizes)}")
-    if any(s < 3 for s in sizes):
-        raise ValueError(f"all cycle sizes must be >= 3, got {sizes}")
+    sizes = _sizes(cycle_sizes, 3, "cycle")
     cycle_start = []
     nid = 0
     for s in sizes:
@@ -261,7 +272,7 @@ def gen_bridged_cycles(cycle_sizes: Sequence[int]) -> DirectedGraph:
 
 def permute_vertices(g: DirectedGraph, permutation: Sequence[int]) -> DirectedGraph:
     """Relabel vertices: old vertex i becomes permutation[i]."""
-    perm = [int(x) for x in permutation]
+    perm = [_integer(x, "permutation entry") for x in permutation]
     if sorted(perm) != list(range(g.num_vertices)):
         raise ValueError(f"not a permutation of 0..{g.num_vertices - 1}")
     return DirectedGraph(g.num_vertices, tuple((perm[a], perm[b]) for a, b in g.edges))
@@ -270,6 +281,7 @@ def permute_vertices(g: DirectedGraph, permutation: Sequence[int]) -> DirectedGr
 def flip_edge(g: DirectedGraph, edge_index: int) -> DirectedGraph:
     """Reverse the orientation of one edge.  Simplicity guarantees the flipped
     edge cannot collide with an existing one."""
+    edge_index = _integer(edge_index, "edge index")
     if not (0 <= edge_index < len(g.edges)):
         raise ValueError(f"edge index {edge_index} out of range")
     a, b = g.edges[edge_index]
@@ -281,8 +293,7 @@ def flip_edge(g: DirectedGraph, edge_index: int) -> DirectedGraph:
 def random_graph(num_vertices: int, rng: np.random.Generator, edge_prob: float = 0.4) -> DirectedGraph:
     """Erdos-Renyi style directed simple graph: each unordered pair is linked
     with probability edge_prob, then oriented by a fair coin flip."""
-    if num_vertices < 1:
-        raise ValueError(f"num_vertices must be >= 1, got {num_vertices}")
+    num_vertices = _integer(num_vertices, "num_vertices")
     edges = []
     for a in range(num_vertices):
         for b in range(a + 1, num_vertices):
@@ -300,9 +311,9 @@ def to_json(g: DirectedGraph) -> str:
 
 
 def from_json(text: str) -> DirectedGraph:
-    """Parse {"num_vertices": M, "edges": [[a, b], ...]}.  Vertex counts and
-    endpoints must be JSON integers (not booleans, floats or strings) and
-    every edge exactly two of them; anything else is a ValueError."""
+    """Parse {"num_vertices": M, "edges": [[a, b], ...]}.  Only the document's
+    shape is checked here: `DirectedGraph` checks the count and every edge.  Any
+    error is a ValueError "malformed graph JSON: <field> ...", e.g. "edges[3] [0, 0]: "."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError(
@@ -313,19 +324,12 @@ def from_json(text: str) -> DirectedGraph:
         edges = data["edges"]
     except KeyError as exc:
         raise ValueError(f"malformed graph JSON: missing {exc}") from exc
-    if type(num_vertices) is not int:
-        raise ValueError(
-            f"malformed graph JSON: num_vertices must be an integer, got {num_vertices!r}"
-        )
     if not isinstance(edges, list):
         raise ValueError(f"malformed graph JSON: edges must be a list, got {type(edges).__name__}")
-    for index, edge in enumerate(edges):
-        if not (type(edge) is list and len(edge) == 2 and type(edge[0]) is type(edge[1]) is int):
-            raise ValueError(
-                f"malformed graph JSON: edges[{index}] must be a pair of integer vertices, got {edge!r}"
-            )
-    # The constructor builds the edge tuples and the degrees in its own single pass.
-    return DirectedGraph(num_vertices, edges)
+    try:
+        return DirectedGraph(num_vertices, edges)
+    except ValueError as exc:
+        raise ValueError(f"malformed graph JSON: {exc}") from exc
 
 
 def save_graph(g: DirectedGraph, path: str) -> None:

@@ -132,9 +132,8 @@ def product_state(
 ) -> PureState:
     """Tensor power of the single-qubit input state: amplitude at index x is
     the product over qubits i of alpha_{bit_i(x)}.  It is the state of the
-    edgeless graph, whose appended halves take alpha1 * e^{0i} = alpha1."""
-    if num_qubits < 1:
-        raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
+    edgeless graph, whose appended halves take alpha1 * e^{0i} = alpha1;
+    `DirectedGraph` checks num_qubits."""
     return build_graph_state(
         DirectedGraph(num_qubits, ()), qubit, InteractionParams(0.0), max_qubits=max_qubits
     )

@@ -16,7 +16,6 @@ import numpy as np
 import graphent
 from graphent.cli import main as cli_main
 from graphent.density import (
-    eigenvalues_2x2,
     entropy_at_half_p,
     hs_distance,
     hs_distance_sq_analytic,
@@ -135,7 +134,7 @@ def test_criterion_3_two_qubit_analytics():
             hs2_values[ti, pi_] = hs_distance(rho, maximally_mixed()) ** 2
             dev_hs2 = max(dev_hs2, abs(hs2_values[ti, pi_] - hs_distance_sq_analytic(p, theta)))
 
-            numeric_eigs = eigenvalues_2x2(rho)
+            numeric_eigs = rho.eigenvalues
             analytic_eigs = reduced_eigenvalues_analytic(p, theta)
             dev_eig = max(dev_eig, max(abs(a - b) for a, b in zip(numeric_eigs, analytic_eigs)))
 

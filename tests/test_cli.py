@@ -1,6 +1,8 @@
 import hashlib
 import importlib.util
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -304,6 +306,10 @@ def test_ed_bad_graph_file_exit_2(tmp_path, capsys):
         ("[0, 1]", "top level"),
         ('{"num_vertices": 2.7, "edges": []}', "num_vertices"),
         ('{"num_vertices": 3, "edges": [[0, 1, 5]]}', "edges[0]"),
+        ('{"num_vertices": 3, "edges": [[0, 1], 5]}', "edges[1]"),
+        ('{"num_vertices": 3, "edges": [null]}', "edges[0]"),
+        ('{"num_vertices": 3, "edges": [[0, 1], [2, 2]]}', "edges[1]"),
+        ('{"num_vertices": 3, "edges": [[0, 3]]}', "edges[0]"),
     ],
 )
 def test_ed_malformed_graph_json_names_field(tmp_path, capsys, text, field):
@@ -637,6 +643,22 @@ FIGURE_SHA256 = {
     "fig5_btree_N4.csv": "a90651fe756a0ae1780c13b939bd5dbb295d2e27c0e401cd746a737b13f29e6c",
     "fig5_btree_limit.csv": "303254a9435c2784b379ee40f856ea88fd456ec6176cf6885b0137e76cb28097",
 }
+
+
+def test_figure_script_runs_from_a_checkout(tmp_path):
+    # No installed package and no PYTHONPATH: the script finds its own src.
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_figure_data.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(script), "--outdir", "out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (tmp_path / "out").iterdir()
+    }
+    assert written == FIGURE_SHA256
 
 
 def test_figure_data_golden_bytes(tmp_path, capsys, monkeypatch):

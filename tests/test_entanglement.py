@@ -307,6 +307,11 @@ def test_pauli_vector_phase_convention_report():
 def test_pauli_vector_rejects_negative_counts():
     with pytest.raises(ValueError):
         pauli_vector_closed(-1, 0, BALANCED, InteractionParams(1.0))
+    # edge counts are integers: refused, not used as 1.5 or 1 edges
+    with pytest.raises(ValueError, match="d_out 1.5 is not an integer"):
+        pauli_vector_closed(1.5, 0, BALANCED, InteractionParams(1.0))
+    with pytest.raises(ValueError, match="d_in True is not an integer"):
+        pauli_vector_closed(1, True, BALANCED, InteractionParams(1.0))
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +344,8 @@ def test_young_fibonacci_spot_values():
     assert ed_young_fibonacci_limit(math.pi / 4) == pytest.approx(15 / 16, abs=1e-15)
     with pytest.raises(ValueError):
         ed_young_fibonacci(1.0, 1)
+    with pytest.raises(ValueError, match="num_layers 3.5 is not an integer"):
+        ed_young_fibonacci(0.5, 3.5)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -356,6 +363,11 @@ def test_ffnn_two_layers_is_pair_formula():
 def test_ffnn_spot_value():
     assert ed_ffnn(math.pi / 4, (3, 4, 4, 2)) == pytest.approx(31 / 32, abs=1e-14)
     assert ed_ffnn(math.pi / 2, (2, 5, 3)) == pytest.approx(1.0, abs=1e-15)
+    # widths are integers: refused, not evaluated as (3, 2) or (1, 2)
+    with pytest.raises(ValueError, match="layer size 2.5 is not an integer"):
+        ed_ffnn(0.5, (3, 2.5))
+    with pytest.raises(ValueError, match="layer size True is not an integer"):
+        ed_ffnn(0.5, (True, 2))
 
 
 @pytest.mark.parametrize("sizes", [(1, 1), (1, 2, 2, 1), (3, 4, 4, 2), (2, 2), (4, 1, 4)])
@@ -384,6 +396,8 @@ def test_binary_tree_spot_values():
     assert ed_binary_tree_limit(math.pi / 4) == pytest.approx(11 / 16, abs=1e-15)
     with pytest.raises(ValueError):
         ed_binary_tree(1.0, 0)
+    with pytest.raises(ValueError, match="depth 2.5 is not an integer"):
+        ed_binary_tree(0.5, 2.5)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -400,6 +414,10 @@ def test_bridged_cycles_spot_values():
         ed_bridged_cycles(1.0, 9, 1)
     with pytest.raises(ValueError):
         ed_bridged_cycles(1.0, 5, 2)
+    with pytest.raises(ValueError, match="total_vertices 7.5 is not an integer"):
+        ed_bridged_cycles(0.5, 7.5, 2)
+    with pytest.raises(ValueError, match="num_cycles 3.0 is not an integer"):
+        ed_bridged_cycles(0.5, 9, 3.0)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -52,6 +52,8 @@ def test_minimal_edge():
         (2, [(0, 2)]),  # index out of range
         (2, [(-1, 0)]),
         (3, [(0, 1, 2)]),  # not a pair: refused, not cut to (0, 1)
+        (3, [5]),  # not a pair: a ValueError, not a TypeError from unpacking
+        (3, [None]),
     ],
 )
 def test_invalid_edges_rejected(num_vertices, edges):
@@ -66,15 +68,35 @@ def test_non_integer_endpoints_rejected(endpoint):
         DirectedGraph(3, [(0, endpoint)])
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1), (2, 2)], "edges[1] (2, 2): self-loop at vertex 2"),
+        ([(0, 1), (1, 0)], "edges[1] (1, 0): duplicate or anti-parallel edge on pair (0, 1)"),
+        ([(0, 3)], "edges[0] (0, 3): edge (0,3) out of range for 3 vertices"),
+        ([(0, 1), (0, 1.5)], "edges[1] (0, 1.5): edge endpoint 1.5 is not an integer"),
+        ([5], "edges[0] 5: must be a pair of integer vertices"),
+        ([(0, 1, 2)], "edges[0] (0, 1, 2): must be a pair of integer vertices"),
+    ],
+)
+def test_edge_errors_name_index_and_edge(edges, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DirectedGraph(3, edges)
+
+
 def test_numpy_integer_endpoints_accepted():
     g = DirectedGraph(3, [(np.int64(0), np.int32(2)), (np.uint8(1), 2)])
     assert g == DirectedGraph(3, [(0, 2), (1, 2)])
     assert all(type(v) is int for edge in g.edges for v in edge)
 
 
-def test_zero_vertices_rejected():
-    with pytest.raises(ValueError):
-        DirectedGraph(0, [])
+@pytest.mark.parametrize("num_vertices", [0, True, 2.0, "3"])
+def test_zero_vertices_rejected(num_vertices):
+    # True, 2.0 and "3" are refused, not read as 1, 2 or 3 vertices
+    with pytest.raises(ValueError, match="^num_vertices "):
+        DirectedGraph(num_vertices, [])
+    with pytest.raises(ValueError, match="^num_vertices "):
+        random_graph(num_vertices, np.random.default_rng(0))
 
 
 def test_neighbors_and_degree():
@@ -203,6 +225,8 @@ def test_young_fibonacci_4_distribution():
 def test_young_fibonacci_rejects_small():
     with pytest.raises(ValueError):
         gen_young_fibonacci(1)
+    with pytest.raises(ValueError, match="num_layers 3.5 is not an integer"):
+        gen_young_fibonacci(3.5)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -224,6 +248,8 @@ def test_binary_tree_4_distribution():
 def test_binary_tree_rejects_zero():
     with pytest.raises(ValueError):
         gen_full_binary_tree(0)
+    with pytest.raises(ValueError, match="depth 2.5 is not an integer"):
+        gen_full_binary_tree(2.5)
 
 
 @pytest.mark.parametrize(
@@ -257,7 +283,7 @@ def test_ffnn_22_all_degree_two():
     assert degree_distribution(g).counts == {2: 4}
 
 
-@pytest.mark.parametrize("sizes", [(3,), (), (2, 0, 2)])
+@pytest.mark.parametrize("sizes", [(3,), (), (2, 0, 2), (3, 2.5), (True, 2)])
 def test_ffnn_rejects_bad_layers(sizes):
     with pytest.raises(ValueError):
         gen_ffnn(sizes)
@@ -279,7 +305,7 @@ def test_bridged_cycles_examples():
     assert degree_distribution(gen_bridged_cycles((5, 5))).counts == {2: 8, 3: 2}
 
 
-@pytest.mark.parametrize("sizes", [(3,), (3, 2), (2, 3)])
+@pytest.mark.parametrize("sizes", [(3,), (3, 2), (2, 3), (3, 3.7)])
 def test_bridged_cycles_rejects_bad_sizes(sizes):
     with pytest.raises(ValueError):
         gen_bridged_cycles(sizes)
@@ -322,12 +348,16 @@ def test_invalid_permutation_rejected():
         permute_vertices(g, [0, 0, 1])
     with pytest.raises(ValueError):
         permute_vertices(g, [0, 1])
+    with pytest.raises(ValueError, match="permutation entry 0.2 is not an integer"):
+        permute_vertices(g, [0.2, 1.9, 2.0])  # not truncated to [0, 1, 2]
 
 
 def test_flip_bad_index_rejected():
     g = DirectedGraph(3, [(0, 1)])
     with pytest.raises(ValueError):
         flip_edge(g, 1)
+    with pytest.raises(ValueError, match="edge index 0.5 is not an integer"):
+        flip_edge(g, 0.5)
 
 
 @given(directed_graphs(), st.randoms(use_true_random=False))
@@ -389,6 +419,10 @@ def test_malformed_json_rejected():
         ('{"num_vertices": 3, "edges": [[0, true]]}', "edges[0]"),
         ('{"num_vertices": 3, "edges": [[0, 1.0]]}', "edges[0]"),
         ('{"num_vertices": 3, "edges": [["0", 1]]}', "edges[0]"),
+        ('{"num_vertices": 3, "edges": [[0, 1], 5]}', "edges[1]"),
+        ('{"num_vertices": 3, "edges": [null]}', "edges[0]"),
+        ('{"num_vertices": 3, "edges": [[0, 1], [2, 2]]}', "edges[1]"),
+        ('{"num_vertices": 3, "edges": [[0, 3]]}', "edges[0]"),
     ],
     ids=[
         "top-level-list",
@@ -401,6 +435,10 @@ def test_malformed_json_rejected():
         "endpoint-bool",
         "endpoint-float",
         "endpoint-string",
+        "edge-integer",
+        "edge-null",
+        "self-loop",
+        "endpoint-out-of-range",
     ],
 )
 def test_strict_json_rejected(text, field):

@@ -78,6 +78,12 @@ def test_product_state_bit_convention():
     assert np.allclose(s.amplitudes, [a0 * a0, a1 * a0, a0 * a1, a1 * a1])
 
 
+@pytest.mark.parametrize("num_qubits", [0, 2.0])
+def test_product_state_needs_an_integer_qubit_count(num_qubits):
+    with pytest.raises(ValueError, match="^num_vertices "):
+        product_state(num_qubits)
+
+
 def test_qubit_cap_enforced():
     with pytest.raises(ValueError):
         product_state(23)
