@@ -57,7 +57,7 @@ from .statevector import (
     InteractionParams,
     PureState,
     build_graph_state,
-    pauli_expectations,
+    pauli_vectors,
     product_state,
 )
 from .verify import VerificationReport, ffnn_variant_report, run_verification

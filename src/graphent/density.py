@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .graphs import _integer
 from .statevector import PureState
 
 __all__ = [
@@ -79,7 +80,7 @@ def partial_trace(state: PureState, keep: Sequence[int]) -> DensityMatrix:
     """Reduced density matrix of the qubits in `keep` (a set; the complement
     is traced out).  Row/column index r encodes the j-th smallest kept qubit
     as bit j of r, matching the global bit convention."""
-    keep_list = [int(q) for q in keep]
+    keep_list = [_integer(q, "qubit") for q in keep]
     if not keep_list:
         raise ValueError("keep set must be non-empty")
     kept = sorted(set(keep_list))

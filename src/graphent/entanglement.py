@@ -25,7 +25,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .graphs import DegreeDistribution, DirectedGraph, _checked_counts, _integer, ffnn_layer_sizes
-from .statevector import InitialQubit, InteractionParams, PureState, pauli_expectations
+from .statevector import InitialQubit, InteractionParams, PureState, pauli_vectors
 
 __all__ = [
     "EdReport",
@@ -78,11 +78,8 @@ def ed_numeric(state: PureState) -> EdReport:
     """Brute-force Entanglement Distance from a simulated state."""
     if not state.norm_error <= 1e-8:  # a NaN norm is refused too
         raise ValueError(f"state not normalized: norm error {state.norm_error:.3e}")
-    per_vertex = []
-    for i in range(state.num_qubits):
-        vec = pauli_expectations(state, i)
-        per_vertex.append(1.0 - float(vec @ vec))
-    return EdReport(per_vertex)
+    vectors = pauli_vectors(state)
+    return EdReport((1.0 - np.vecdot(vectors, vectors)).tolist())
 
 
 def ed_closed_form(dist: DistributionLike, theta: float) -> float:
@@ -135,11 +132,7 @@ def interaction_expectation(qubit: InitialQubit, params: InteractionParams) -> c
 
 
 def pauli_vector_closed(
-    d_out: int,
-    d_in: int,
-    qubit: InitialQubit,
-    params: InteractionParams,
-    delta: float | None = None,
+    d_out: int, d_in: int, qubit: InitialQubit, params: InteractionParams
 ) -> np.ndarray:
     """Closed-form Pauli expectation vector of a vertex with d_out outgoing
     and d_in incoming edges:
@@ -147,19 +140,18 @@ def pauli_vector_closed(
         ( 2 sqrt(p(1-p)) r^d cos(Phi), -2 sqrt(p(1-p)) r^d sin(Phi), 1-2p )
 
     with d = d_out + d_in, r = |z|, and
-    Phi = delta0 - delta1 - d*delta + d_out*psi + d_in*theta.  When `delta`
-    is omitted it is taken as arg(z) from :func:`interaction_expectation`.
-    The norm depends only on d, never on delta or the (d_out, d_in) split;
-    the x/y components carry the phase convention, so an explicit `delta`
-    lets callers probe alternatives.
+    Phi = delta0 - delta1 - d*delta + d_out*psi + d_in*theta, where
+    delta = arg(z) + psi is the phase of z from
+    :func:`interaction_expectation` without its global e^{-i psi}.  The
+    norm depends only on d, never on the (d_out, d_in) split; the x/y
+    components match the simulated state component by component.
     """
     d_out, d_in = _integer(d_out, "d_out"), _integer(d_in, "d_in")
     if d_out < 0 or d_in < 0:
         raise ValueError(f"edge counts must be non-negative, got ({d_out}, {d_in})")
     p = qubit.p
     z = interaction_expectation(qubit, params)
-    if delta is None:
-        delta = cmath.phase(z)
+    delta = cmath.phase(z) + params.psi
     d = d_out + d_in
     amplitude = 2.0 * math.sqrt(p * (1.0 - p)) * abs(z) ** d
     phi = qubit.delta0 - qubit.delta1 - d * delta + d_out * params.psi + d_in * params.theta

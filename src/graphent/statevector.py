@@ -1,5 +1,5 @@
 """Exact state-vector construction of directed-graph qubit states: one
-in-place doubling loop over the qubits, and Pauli expectations.
+in-place doubling loop over the qubits, and every qubit's Pauli vector.
 
 Basis convention (fixed everywhere): basis index x encodes qubit i as bit i
 of x, so qubit 0 is the least significant bit.  Every edge operator is
@@ -17,6 +17,17 @@ lower-numbered neighbour of k; the half where bit k is clear takes alpha0.
 This is the qubit-by-qubit form of the weighted graph state (Hein, Eisert
 and Briegel, PRA 69, 062311, 2004), still a direct simulation of the edge
 operators, not a degree closed form.
+
+Pauli vectors: `pauli_vectors` returns every qubit's (<sx>, <sy>, <sz>) in
+one call and copies no part of the state.  <sz> comes from one probability
+array folded M times, top qubit first: the upper half (bit k = 1) is added
+onto the lower half and left in place, so one segmented sum at the end gives
+every qubit's weight of bit 1, after about 2 * 2^M adds in all.  The cross
+term sum_x conj(amp(x)) amp(x + 2^i), over x with bit i clear, is one dot
+per contiguous block pair of the (-1, 2, 2^i) view of the amplitudes, read
+in place and written into the spent probability buffer; a second segmented
+sum adds them up.  Qubit 0, whose pairs are neighbours, is one strided dot.
+The probability buffer, half the state's bytes, is the largest allocation.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ __all__ = [
     "PureState",
     "product_state",
     "build_graph_state",
-    "pauli_expectations",
+    "pauli_vectors",
 ]
 
 # 2^22 complex amplitudes = 64 MiB; a hard guard, not a silent truncation.
@@ -184,13 +195,32 @@ def build_graph_state(
     return PureState(m, amps)
 
 
-def pauli_expectations(state: PureState, i: int) -> np.ndarray:
-    """Expectation values (<sx>, <sy>, <sz>) of the Pauli operators on qubit i."""
+def pauli_vectors(state: PureState) -> np.ndarray:
+    """Row i is (<sx>, <sy>, <sz>) of qubit i, read from the amplitudes in
+    place (see the module docstring)."""
     m = state.num_qubits
-    if not (0 <= i < m):
-        raise ValueError(f"qubit {i} out of range for {m} qubits")
-    pairs = state.amplitudes.reshape(-1, 2, 1 << i)  # axis 1 is bit i
-    low, high = pairs[:, 0].ravel(), pairs[:, 1].ravel()
-    cross = np.vdot(low, high)  # sum over x with bit_i=0 of conj(amp(x)) amp(x + 2^i)
-    sz = float(np.vdot(low, low).real - np.vdot(high, high).real)
-    return np.array([2.0 * cross.real, 2.0 * cross.imag, sz])
+    amps = state.amplitudes
+    vectors = np.empty((m, 3))
+    starts = 1 << np.arange(m)
+    prob = np.abs(amps)
+    np.square(prob, out=prob)
+    for k in range(m - 1, -1, -1):  # fold qubit k's upper half onto its lower half
+        np.add(prob[: 1 << k], prob[1 << k : 2 << k], out=prob[: 1 << k])
+    # prob[2^k : 2^(k+1)] still holds bit k's upper half; prob[0] is the norm.
+    np.add.reduceat(prob, starts, out=vectors[:, 2])
+    norm = prob[0]
+    # The spent buffer takes qubit i's block dots at blocks[2^(m-1-i) : 2^(m-i)]
+    # for i >= 1, so segment j of the second sum is qubit m-1-j.  xy views
+    # the first two columns as one complex column: each cross term lands
+    # there and is doubled into (<sx>, <sy>) below.
+    blocks = prob.view(np.complex128)
+    half = blocks.size
+    xy = vectors[:, :2].view(np.complex128)[:, 0]
+    xy[0] = np.vecdot(amps[0::2], amps[1::2])  # qubit 0 pairs neighbours
+    for i in range(1, m):
+        pairs = amps.reshape(-1, 2, 1 << i)  # axis 1 is bit i
+        np.vecdot(pairs[:, 0], pairs[:, 1], out=blocks[half >> i : half >> (i - 1)])
+    np.add.reduceat(blocks, starts[:-1], out=xy[:0:-1])
+    vectors *= (2.0, 2.0, -2.0)
+    vectors[:, 2] += norm  # <sz> = norm - 2 * weight of bit 1
+    return vectors

@@ -337,17 +337,17 @@ closed: 0.5332851785281153
   vertex 7: 0.48358465547782159
   vertex 8: 0.60783596310355581
   vertex 9: 0.48358465547782159
-simulate: 0.53328517852811541
-  vertex 0: 0.60783596310355592
-  vertex 1: 0.48358465547782181
-  vertex 2: 0.48358465547782181
-  vertex 3: 0.60783596310355592
-  vertex 4: 0.4835846554778217
+simulate: 0.53328517852811519
+  vertex 0: 0.6078359631035557
+  vertex 1: 0.48358465547782148
+  vertex 2: 0.48358465547782148
+  vertex 3: 0.6078359631035557
+  vertex 4: 0.48358465547782126
   vertex 5: 0.6078359631035557
   vertex 6: 0.48358465547782159
-  vertex 7: 0.48358465547782181
-  vertex 8: 0.60783596310355581
-  vertex 9: 0.48358465547782159
+  vertex 7: 0.48358465547782159
+  vertex 8: 0.6078359631035557
+  vertex 9: 0.48358465547782137
 diff: 1.1102230246251565e-16
 """
 

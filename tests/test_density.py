@@ -104,6 +104,11 @@ def test_partial_trace_errors():
         partial_trace(state, [0, 0])
     with pytest.raises(ValueError):
         partial_trace(state, [2])
+    # qubit indices are integers: refused, not truncated to qubit 0
+    with pytest.raises(ValueError, match="qubit 0.7 is not an integer"):
+        partial_trace(state, [0.7])
+    with pytest.raises(ValueError, match="qubit True is not an integer"):
+        partial_trace(state, [True])
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import cmath
 import math
 from collections import Counter
 
@@ -20,7 +19,6 @@ from graphent.entanglement import (
     ed_numeric,
     ed_young_fibonacci,
     ed_young_fibonacci_limit,
-    interaction_expectation,
     pauli_vector_closed,
     two_qubit_ed_analytic,
 )
@@ -32,13 +30,14 @@ from graphent.graphs import (
     gen_ffnn,
     gen_full_binary_tree,
     gen_young_fibonacci,
+    random_graph,
 )
 from graphent.statevector import (
     InitialQubit,
     InteractionParams,
     PureState,
     build_graph_state,
-    pauli_expectations,
+    pauli_vectors,
     product_state,
 )
 
@@ -259,8 +258,7 @@ def test_pauli_vector_norm_matches_simulation(g, theta, psi, p, d0, d1):
     qubit = InitialQubit(p, d0, d1)
     params = InteractionParams(theta, psi)
     state = build_graph_state(g, qubit, params)
-    for i in range(g.num_vertices):
-        numeric = pauli_expectations(state, i)
+    for i, numeric in enumerate(pauli_vectors(state)):
         closed = pauli_vector_closed(g.out_degrees[i], g.degrees[i] - g.out_degrees[i], qubit, params)
         assert float(numeric @ numeric) == pytest.approx(float(closed @ closed), abs=1e-10)
 
@@ -269,39 +267,25 @@ def test_pauli_vector_components_match_simulation_at_zero_psi():
     g = DirectedGraph(4, [(0, 1), (2, 1), (1, 3)])
     qubit = InitialQubit(0.3, 0.4, -0.7)
     params = InteractionParams(1.1, 0.0)
-    state = build_graph_state(g, qubit, params)
+    vectors = pauli_vectors(build_graph_state(g, qubit, params))
     for i in range(4):
         closed = pauli_vector_closed(g.out_degrees[i], g.degrees[i] - g.out_degrees[i], qubit, params)
-        assert np.allclose(pauli_expectations(state, i), closed, atol=1e-12)
+        assert np.allclose(vectors[i], closed, atol=1e-12)
 
 
 def test_pauli_vector_phase_convention_report():
-    # With psi != 0 the x/y components depend on which phase is fed in as
-    # delta.  The norm never does.  Passing the phase of z with the global
-    # e^{-i psi} factor stripped reproduces the simulation exactly; the
-    # default arg(z) leaves a constant offset of d*psi in the angle.  This
-    # test documents the convention rather than failing on it.
-    g = DirectedGraph(4, [(0, 1), (2, 1), (1, 3)])
-    qubit = InitialQubit(0.3, 0.4, -0.7)
-    params = InteractionParams(1.1, 0.9)
-    state = build_graph_state(g, qubit, params)
-    stripped = cmath.phase(interaction_expectation(qubit, params)) + params.psi
-    offsets = []
-    for i in range(4):
-        d_out, d_in = g.out_degrees[i], g.degrees[i] - g.out_degrees[i]
-        numeric = pauli_expectations(state, i)
-        exact = pauli_vector_closed(d_out, d_in, qubit, params, delta=stripped)
-        assert np.allclose(numeric, exact, atol=1e-12)
-        default = pauli_vector_closed(d_out, d_in, qubit, params)
-        assert float(default @ default) == pytest.approx(float(numeric @ numeric), abs=1e-12)
-        xy = complex(numeric[0], -numeric[1])
-        xy_default = complex(default[0], -default[1])
-        if abs(xy) > 1e-9:
-            offset = cmath.phase(xy_default / xy)
-            expected = ((d_out + d_in) * params.psi + math.pi) % (2 * math.pi) - math.pi
-            offsets.append((i, offset, expected))
-            assert offset == pytest.approx(expected, abs=1e-10)
-    print("x/y phase offsets with default delta (vertex, measured, d*psi):", offsets)
+    # delta = arg(z) + psi: every component of every vertex's closed vector
+    # matches the oracle, at general inputs and angles, not only its norm.
+    rng = np.random.default_rng(11)
+    for m in (2, 4, 6, 7):
+        g = random_graph(m, rng, edge_prob=0.6)
+        qubit = InitialQubit(rng.uniform(0, 1), rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi))
+        params = InteractionParams(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi))
+        vectors = pauli_vectors(build_graph_state(g, qubit, params))
+        for i in range(m):
+            d_out, d_in = g.out_degrees[i], g.degrees[i] - g.out_degrees[i]
+            closed = pauli_vector_closed(d_out, d_in, qubit, params)
+            assert np.allclose(vectors[i], closed, rtol=0, atol=1e-12), (g, i)
 
 
 def test_pauli_vector_rejects_negative_counts():

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from graphent.statevector import (
     InteractionParams,
     PureState,
     build_graph_state,
-    pauli_expectations,
+    pauli_vectors,
     product_state,
 )
 
@@ -228,9 +229,10 @@ def test_phase_kernel_matches_edge_definition_at_12_qubits(seed):
 # ----------------------------------------------------------------------
 
 def test_plus_state_points_along_x():
-    s = product_state(3)
-    for i in range(3):
-        assert np.allclose(pauli_expectations(s, i), [1.0, 0.0, 0.0], atol=1e-14)
+    for m in (1, 3):  # one qubit has no block pass, only its neighbour pairs
+        vectors = pauli_vectors(product_state(m))
+        assert vectors.shape == (m, 3)
+        assert np.allclose(vectors, [[1.0, 0.0, 0.0]] * m, atol=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -238,30 +240,28 @@ def test_plus_state_points_along_x():
 def test_sigma_z_is_one_minus_two_p(g, theta, psi, p, d0, d1):
     # holds whatever the graph, angles, and input phases
     state = build_graph_state(g, InitialQubit(p, d0, d1), InteractionParams(theta, psi))
-    for i in range(g.num_vertices):
-        vec = pauli_expectations(state, i)
-        assert vec[2] == pytest.approx(1 - 2 * p, abs=1e-10)
-        assert np.all(np.abs(vec) <= 1 + 1e-12)
+    vectors = pauli_vectors(state)
+    assert np.allclose(vectors[:, 2], 1 - 2 * p, rtol=0, atol=1e-10)
+    assert np.all(np.abs(vectors) <= 1 + 1e-12)
 
 
 def test_maximally_entangled_pair_has_zero_vector():
     g = DirectedGraph(2, [(0, 1)])
     state = build_graph_state(g, BALANCED, InteractionParams(math.pi / 2))
-    for i in range(2):
-        assert np.linalg.norm(pauli_expectations(state, i)) <= 1e-12
+    assert np.all(np.linalg.norm(pauli_vectors(state), axis=1) <= 1e-12)
 
 
 @settings(max_examples=30, deadline=None)
-@given(directed_graphs(min_vertices=2, max_vertices=5), angles, angles, st.data())
-def test_pauli_matches_dense_reference(g, theta, psi, data):
-    state = build_graph_state(g, BALANCED, InteractionParams(theta, psi))
-    reference = dense_graph_state(g, theta, psi)
-    i = data.draw(st.integers(0, g.num_vertices - 1))
-    assert np.allclose(
-        pauli_expectations(state, i),
-        dense_pauli_expectations(reference, i, g.num_vertices),
-        atol=1e-11,
-    )
+@given(directed_graphs(max_vertices=5), angles, angles, probabilities, angles, angles)
+@example(DirectedGraph(1, ()), 0.7, 0.2, 0.3, 0.4, -0.7)
+def test_pauli_matches_dense_reference(g, theta, psi, p, d0, d1):
+    state = build_graph_state(g, InitialQubit(p, d0, d1), InteractionParams(theta, psi))
+    reference = dense_graph_state(g, theta, psi, p, d0, d1)
+    vectors = pauli_vectors(state)
+    for i in range(g.num_vertices):
+        assert np.allclose(
+            vectors[i], dense_pauli_expectations(reference, i, g.num_vertices), atol=1e-11
+        )
 
 
 def test_flip_edge_preserves_vector_norms():
@@ -269,10 +269,24 @@ def test_flip_edge_preserves_vector_norms():
     # x/y components individually may move.
     g = gen_young_fibonacci(3)
     params = InteractionParams(0.8, 0.5)
-    base = build_graph_state(g, BALANCED, params)
-    norms = [np.linalg.norm(pauli_expectations(base, i)) ** 2 for i in range(g.num_vertices)]
+    norms = np.linalg.norm(pauli_vectors(build_graph_state(g, BALANCED, params)), axis=1)
     for edge_index in range(g.num_edges):
         flipped = build_graph_state(flip_edge(g, edge_index), BALANCED, params)
-        for i in range(g.num_vertices):
-            n_after = np.linalg.norm(pauli_expectations(flipped, i)) ** 2
-            assert n_after == pytest.approx(norms[i], abs=1e-10)
+        after = np.linalg.norm(pauli_vectors(flipped), axis=1)
+        assert np.allclose(after**2, norms**2, rtol=0, atol=1e-10)
+
+
+def test_pauli_vectors_copy_no_state_half():
+    # The amplitudes are read in place: the probability buffer (half the
+    # state's bytes) is the largest allocation, where copying both halves
+    # would reach the state's full size.
+    m = 16
+    g = random_graph(m, np.random.default_rng(7), edge_prob=0.3)
+    state = build_graph_state(g, BALANCED, InteractionParams(0.9, 0.4))
+    tracemalloc.start()
+    try:
+        pauli_vectors(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.8 * 16 * 2**m
