@@ -236,10 +236,10 @@ def run_sweep(
 
 
 def _write_csv(path: str, header: list[str], rows: list[tuple[float, ...]]) -> None:
+    line = ",".join(["%.17g"] * len(header)) + "\n"  # each field as _fmt writes it
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -254,15 +254,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             names = " or ".join(name for name, row in TOPOLOGIES.items() if row[2] is not None)
             raise ValueError(f"--limit needs --topology {names}")
     elif args.quantity in ("ed", "ed-general"):
-        form = entanglement.ed_closed_form if args.quantity == "ed" else entanglement.ed_closed_general
-        value = functools.partial(form, degree_distribution(_graph_from_args(args)))
+        dist = degree_distribution(_graph_from_args(args))
+        value = functools.partial(entanglement.ed_closed_general, dist)
     else:
         value = pair_entropy_analytic if args.quantity == "entropy" else hs_distance_sq_analytic
     ps = None
     if args.p_steps is not None:
         p_max = 1.0 if args.p_max is None else args.p_max
         ps = _grid(0.0 if args.p_min is None else args.p_min, p_max, args.p_steps, "p")
-    elif args.quantity != "ed":  # value(p, theta) at the fixed p
+    elif not args.limit:  # value(p, theta) at the fixed p; --quantity ed refuses --p
         value = functools.partial(value, 0.5 if args.p is None else args.p)
     thetas = _grid(args.theta_min, args.theta_max, args.theta_steps, "theta")
     header, rows = run_sweep(value, thetas, ps)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import _integer
+from .graphs import _check_p, _integer
 from .statevector import PureState
 
 __all__ = [
@@ -52,13 +52,13 @@ class DensityMatrix:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         object.__setattr__(self, "matrix", mat)
         herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > HERMITICITY_TOL:
+        if not herm <= HERMITICITY_TOL:  # each check fails on NaN
             raise ValueError(f"matrix not Hermitian: max asymmetry {herm:.3e}")
         tr = np.trace(mat)
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr}")
         lams = eigenvalues_2x2(mat) if mat.shape == (2, 2) else tuple(np.linalg.eigvalsh(mat).tolist())
-        if lams[0] < EIGENVALUE_FLOOR:
+        if not lams[0] >= EIGENVALUE_FLOOR:
             raise ValueError(f"matrix not positive semidefinite: min eigenvalue {lams[0]:.3e}")
         object.__setattr__(self, "eigenvalues", lams)
 
@@ -115,8 +115,7 @@ def hs_distance_sq_analytic(p: float, theta: float) -> float:
 
     Zero exactly at p = 1/2, theta = pi/2 (mod pi).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    _check_p(p)
     return (
         0.25
         - 2.0 * p**2
@@ -129,15 +128,14 @@ def hs_distance_sq_analytic(p: float, theta: float) -> float:
 def reduced_eigenvalues_analytic(p: float, theta: float) -> tuple[float, float]:
     """Eigenvalues of either endpoint's reduced state of an isolated pair:
     (1 -/+ sqrt(1 - 16 p^2 (1-p)^2 sin^2 theta)) / 2, ascending."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    _check_p(p)
     radicand = 1.0 - 16.0 * p**2 * (1.0 - p) ** 2 * math.sin(theta) ** 2
     s = math.sqrt(max(radicand, 0.0))
     return (0.5 * (1.0 - s), 0.5 * (1.0 + s))
 
 
 def _entropy_from_probs(probs: Sequence[float]) -> float:
-    return -sum(v * math.log(v) for v in probs if v > 0.0)
+    return -sum(v * math.log(v) for v in probs if not v <= 0.0)  # NaN stays NaN
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -24,7 +24,8 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .graphs import DegreeDistribution, DirectedGraph, _checked_counts, _integer, ffnn_layer_sizes
+from .graphs import DegreeDistribution, DirectedGraph, _check_p, _checked_counts, _integer
+from .graphs import _tree_depth, _yf_layers, ffnn_layer_sizes
 from .statevector import InitialQubit, InteractionParams, PureState, pauli_vectors
 
 __all__ = [
@@ -76,8 +77,6 @@ def _degree_counts(dist: DistributionLike) -> Mapping[int, int]:
 
 def ed_numeric(state: PureState) -> EdReport:
     """Brute-force Entanglement Distance from a simulated state."""
-    if not state.norm_error <= 1e-8:  # a NaN norm is refused too
-        raise ValueError(f"state not normalized: norm error {state.norm_error:.3e}")
     vectors = pauli_vectors(state)
     return EdReport((1.0 - np.vecdot(vectors, vectors)).tolist())
 
@@ -87,8 +86,10 @@ def ed_closed_form(dist: DistributionLike, theta: float) -> float:
     return ed_closed_general(dist, 0.5, theta)
 
 
-def _general_contribution(k: int, p: float, r2: float) -> float:
-    return 1.0 - (1.0 - 2.0 * p) ** 2 - 4.0 * p * (1.0 - p) * r2**k
+def _general_contribution(p: float, r2k: float) -> float:
+    """1 - (1-2p)^2 - 4p(1-p) r2k: one vertex's share with r2k = r^(2d), or
+    the mean share with r2k the mean of r^(2d)."""
+    return 1.0 - (1.0 - 2.0 * p) ** 2 - 4.0 * p * (1.0 - p) * r2k
 
 
 def _r_squared(p: float, theta: float) -> float:
@@ -102,13 +103,11 @@ def ed_closed_general(dist: DistributionLike, p: float, theta: float) -> float:
     At p = 1/2 this is exactly :func:`ed_closed_form`; at p in {0, 1} it is 0.
     Input phases never enter: only the moduli of the input amplitudes matter.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    _check_p(p)
     counts = _degree_counts(dist)
     r2 = _r_squared(p, theta)
     m = sum(counts.values())
-    mean_r2k = sum(n * r2**k for k, n in counts.items()) / m
-    return 1.0 - (1.0 - 2.0 * p) ** 2 - 4.0 * p * (1.0 - p) * mean_r2k
+    return _general_contribution(p, sum(n * r2**k for k, n in counts.items()) / m)
 
 
 def ed_general_report(graph: DirectedGraph, p: float, theta: float) -> EdReport:
@@ -116,10 +115,9 @@ def ed_general_report(graph: DirectedGraph, p: float, theta: float) -> EdReport:
     one formula per entry of the graph's degree vector, O(M) after the O(E)
     count the graph made when it was built.  At p = 1/2 each entry is exactly
     the balanced contribution 1 - cos(theta)^(2d)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    _check_p(p)
     r2 = _r_squared(p, theta)
-    return EdReport([_general_contribution(k, p, r2) for k in graph.degrees])
+    return EdReport([_general_contribution(p, r2**k) for k in graph.degrees])
 
 
 def interaction_expectation(qubit: InitialQubit, params: InteractionParams) -> complex:
@@ -160,8 +158,7 @@ def pauli_vector_closed(
 
 def two_qubit_ed_analytic(p: float, theta: float) -> float:
     """ED of an isolated interacting pair: 16 p^2 (1-p)^2 sin^2(theta)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    _check_p(p)
     return 16.0 * p**2 * (1.0 - p) ** 2 * math.sin(theta) ** 2
 
 
@@ -173,9 +170,7 @@ def two_qubit_ed_analytic(p: float, theta: float) -> float:
 
 def ed_young_fibonacci(theta: float, num_layers: int) -> float:
     """ED per qubit of the triangular layered graph with `num_layers` layers."""
-    n = _integer(num_layers, "num_layers")
-    if n < 2:
-        raise ValueError(f"need at least 2 layers, got {n}")
+    n = _yf_layers(num_layers)
     c2 = math.cos(theta) ** 2
     # (n-2)/(n-3) factors vanish on their own at n = 2, 3.
     poly = 4.0 + 2.0 * (n - 1) * c2 + 4.0 * (n - 2) * c2**2 + (n - 2) * (n - 3) * c2**3
@@ -219,9 +214,7 @@ def ed_ffnn_output_self_exponent(theta: float, layer_sizes: Sequence[int]) -> fl
 def ed_binary_tree(theta: float, depth: int) -> float:
     """ED per qubit of the full binary tree with `depth` layers; depth 1 is a
     single vertex with no entanglement."""
-    depth = _integer(depth, "depth")
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    depth = _tree_depth(depth)
     if depth == 1:
         return 0.0
     c2 = math.cos(theta) ** 2

@@ -13,6 +13,7 @@ import json
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, pairwise
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -45,6 +46,12 @@ def _integer(x: object, what: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{what} {x!r} is not an integer")
+
+
+def _check_p(p: float) -> None:
+    """Refuse an input amplitude split p outside [0, 1]; NaN fails the test too."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
 
 
 def _checked_counts(counts: Mapping[int, int]) -> dict[int, int]:
@@ -175,27 +182,32 @@ def degree_distribution(g: DirectedGraph) -> DegreeDistribution:
 # Topology generators
 # ----------------------------------------------------------------------
 
+def _blocks(sizes: Sequence[int]) -> list[range]:
+    """Vertex ranges of consecutive blocks (layers or cycles) of these sizes."""
+    return [range(a, b) for a, b in pairwise(accumulate(sizes, initial=0))]
+
+
+def _yf_layers(num_layers: int) -> int:
+    """Checked layer count of the triangular layered graph: an integer >= 2."""
+    n = _integer(num_layers, "num_layers")
+    if n < 2:
+        raise ValueError(f"need at least 2 layers, got {n}")
+    return n
+
+
 def gen_young_fibonacci(num_layers: int) -> DirectedGraph:
     """Triangular layered graph: layer i holds i vertices, and the vertex at
     position j of layer i feeds positions j and j+1 of layer i+1.
 
     Total vertices: num_layers*(num_layers+1)/2.
     """
-    num_layers = _integer(num_layers, "num_layers")
-    if num_layers < 2:
-        raise ValueError(f"need at least 2 layers, got {num_layers}")
-    layer_start = []
-    nid = 0
-    for i in range(1, num_layers + 1):
-        layer_start.append(nid)
-        nid += i
+    n = _yf_layers(num_layers)
     edges = []
-    for i in range(1, num_layers):  # layer i has i vertices (1-based)
-        for j in range(i):
-            v = layer_start[i - 1] + j
-            edges.append((v, layer_start[i] + j))
-            edges.append((v, layer_start[i] + j + 1))
-    return DirectedGraph(nid, tuple(edges))
+    for upper, lower in pairwise(_blocks(range(1, n + 1))):
+        for j, v in enumerate(upper):
+            edges.append((v, lower[j]))
+            edges.append((v, lower[j + 1]))
+    return DirectedGraph(n * (n + 1) // 2, edges)
 
 
 def _sizes(values: Sequence[int], minimum: int, what: str) -> tuple[int, ...]:
@@ -216,32 +228,28 @@ def ffnn_layer_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
 def gen_ffnn(layer_sizes: Sequence[int]) -> DirectedGraph:
     """Layered network with complete bipartite connections between consecutive
     layers, oriented input-to-output."""
-    sizes = ffnn_layer_sizes(layer_sizes)
-    layer_start = []
-    nid = 0
-    for s in sizes:
-        layer_start.append(nid)
-        nid += s
-    edges = []
-    for i in range(len(sizes) - 1):
-        for u in range(sizes[i]):
-            for v in range(sizes[i + 1]):
-                edges.append((layer_start[i] + u, layer_start[i + 1] + v))
-    return DirectedGraph(nid, tuple(edges))
+    layers = _blocks(ffnn_layer_sizes(layer_sizes))
+    edges = [(u, v) for upper, lower in pairwise(layers) for u in upper for v in lower]
+    return DirectedGraph(layers[-1].stop, edges)
+
+
+def _tree_depth(depth: int) -> int:
+    """Checked layer count of the full binary tree: an integer >= 1."""
+    depth = _integer(depth, "depth")
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    return depth
 
 
 def gen_full_binary_tree(depth: int) -> DirectedGraph:
     """Full binary tree with `depth` layers (2^depth - 1 vertices), edges
     oriented parent-to-child, heap numbering."""
-    depth = _integer(depth, "depth")
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    m = 2**depth - 1
+    m = 2 ** _tree_depth(depth) - 1
     edges = []
     for k in range((m - 1) // 2):
         edges.append((k, 2 * k + 1))
         edges.append((k, 2 * k + 2))
-    return DirectedGraph(m, tuple(edges))
+    return DirectedGraph(m, edges)
 
 
 def gen_bridged_cycles(cycle_sizes: Sequence[int]) -> DirectedGraph:
@@ -251,19 +259,10 @@ def gen_bridged_cycles(cycle_sizes: Sequence[int]) -> DirectedGraph:
     cycle i+1 (local indices), so the two bridge endpoints inside a middle
     cycle are always distinct for cycle sizes >= 3.
     """
-    sizes = _sizes(cycle_sizes, 3, "cycle")
-    cycle_start = []
-    nid = 0
-    for s in sizes:
-        cycle_start.append(nid)
-        nid += s
-    edges = []
-    for i, s in enumerate(sizes):
-        for t in range(s):
-            edges.append((cycle_start[i] + t, cycle_start[i] + (t + 1) % s))
-    for i in range(len(sizes) - 1):
-        edges.append((cycle_start[i], cycle_start[i + 1] + sizes[i + 1] // 2))
-    return DirectedGraph(nid, tuple(edges))
+    cycles = _blocks(_sizes(cycle_sizes, 3, "cycle"))
+    edges = [(c[t], c[(t + 1) % len(c)]) for c in cycles for t in range(len(c))]
+    edges += [(a[0], b[len(b) // 2]) for a, b in pairwise(cycles)]
+    return DirectedGraph(cycles[-1].stop, edges)
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +286,7 @@ def flip_edge(g: DirectedGraph, edge_index: int) -> DirectedGraph:
     a, b = g.edges[edge_index]
     edges = list(g.edges)
     edges[edge_index] = (b, a)
-    return DirectedGraph(g.num_vertices, tuple(edges))
+    return DirectedGraph(g.num_vertices, edges)
 
 
 def random_graph(num_vertices: int, rng: np.random.Generator, edge_prob: float = 0.4) -> DirectedGraph:
@@ -299,7 +298,7 @@ def random_graph(num_vertices: int, rng: np.random.Generator, edge_prob: float =
         for b in range(a + 1, num_vertices):
             if rng.random() < edge_prob:
                 edges.append((a, b) if rng.random() < 0.5 else (b, a))
-    return DirectedGraph(num_vertices, tuple(edges))
+    return DirectedGraph(num_vertices, edges)
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,8 @@ per contiguous block pair of the (-1, 2, 2^i) view of the amplitudes, read
 in place and written into the spent probability buffer; a second segmented
 sum adds them up.  Qubit 0, whose pairs are neighbours, is one strided dot.
 The probability buffer, half the state's bytes, is the largest allocation.
+The fold's total is the state's norm, so `pauli_vectors` refuses a state
+that is not normalized without a further pass over it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, _check_p
 
 __all__ = [
     "DEFAULT_MAX_QUBITS",
@@ -97,8 +99,7 @@ class InitialQubit:
     delta1: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
+        _check_p(self.p)
         if not (math.isfinite(self.delta0) and math.isfinite(self.delta1)):
             raise ValueError(
                 f"phases must be finite, got delta0={self.delta0}, delta1={self.delta1}"
@@ -197,7 +198,7 @@ def build_graph_state(
 
 def pauli_vectors(state: PureState) -> np.ndarray:
     """Row i is (<sx>, <sy>, <sz>) of qubit i, read from the amplitudes in
-    place (see the module docstring)."""
+    place (see the module docstring); a norm off by more than 1e-8 is refused."""
     m = state.num_qubits
     amps = state.amplitudes
     vectors = np.empty((m, 3))
@@ -207,8 +208,10 @@ def pauli_vectors(state: PureState) -> np.ndarray:
     for k in range(m - 1, -1, -1):  # fold qubit k's upper half onto its lower half
         np.add(prob[: 1 << k], prob[1 << k : 2 << k], out=prob[: 1 << k])
     # prob[2^k : 2^(k+1)] still holds bit k's upper half; prob[0] is the norm.
-    np.add.reduceat(prob, starts, out=vectors[:, 2])
     norm = prob[0]
+    if not abs(norm - 1.0) <= 1e-8:  # a NaN norm is refused too
+        raise ValueError(f"state not normalized: norm error {abs(norm - 1.0):.3e}")
+    np.add.reduceat(prob, starts, out=vectors[:, 2])
     # The spent buffer takes qubit i's block dots at blocks[2^(m-1-i) : 2^(m-i)]
     # for i >= 1, so segment j of the second sum is qubit m-1-j.  xy views
     # the first two columns as one complex column: each cross term lands

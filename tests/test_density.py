@@ -50,6 +50,8 @@ def test_density_matrix_accepts_valid():
         np.eye(2),  # trace 2
         np.array([[1.1, 0.0], [0.0, -0.1]]),  # negative eigenvalue
         np.ones((2, 3)),  # not square
+        np.array([[math.nan, 0.0], [0.0, math.nan]]),  # NaN fails every comparison
+        np.array([[math.inf, 0.0], [0.0, -math.inf]]),
     ],
 )
 def test_density_matrix_rejects_invalid(matrix):
@@ -219,3 +221,4 @@ def test_pair_entropy_analytic_consistent():
         for theta in grid(0.0, math.pi, 9):
             rho = partial_trace(pair_state(p, theta), [0])
             assert abs(pair_entropy_analytic(p, theta) - von_neumann_entropy(rho)) <= 1e-10
+    assert math.isnan(pair_entropy_analytic(0.3, math.nan))  # not dropped as a zero eigenvalue

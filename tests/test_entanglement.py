@@ -76,6 +76,10 @@ def test_ed_numeric_rejects_unnormalized():
         ed_numeric(PureState(1, np.array([1.0, 1.0])))
     with pytest.raises(ValueError, match="not normalized: norm error nan"):
         ed_numeric(PureState(1, np.array([math.nan, 0.0])))
+    with pytest.raises(ValueError, match="not normalized: norm error 1.000e"):
+        pauli_vectors(PureState(1, np.array([1.0, 1.0])))
+    with pytest.raises(ValueError, match="not normalized: norm error nan"):
+        pauli_vectors(PureState(1, np.array([math.nan, 0.0])))
 
 
 def test_report_mean_invariant():

@@ -2,7 +2,8 @@
 (statevector.py) and the reduced-density analytics (density.py) import no
 closed-form code, directly or through the graphent modules they import.  And
 no export outlives its definition: every name a module lists in `__all__`
-exists, and the package imports only names its modules export."""
+exists, and the package imports only names its modules export.  Each shared
+input guard raises its message from one line, so a fix cannot miss a copy."""
 
 import ast
 import importlib
@@ -46,6 +47,20 @@ def test_oracle_imports_no_closed_form_code(oracle_module):
         )
         todo += [t for t in tokens if (PACKAGE / f"{t}.py").is_file()]
     assert "graphs" in seen  # the walk followed the package-relative imports
+
+
+@pytest.mark.parametrize(
+    "message",
+    ["p must be in [0, 1]", "need at least 2 layers", "depth must be >= 1", "state not normalized"],
+)
+def test_each_guard_has_one_home(message):
+    lines = [
+        f"{path.name}:{n}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if message in line
+    ]
+    assert len(lines) == 1, f"{message!r} is raised from {lines}"
 
 
 def test_exports_exist_and_package_imports_only_exports():
