@@ -51,8 +51,10 @@ class DensityMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         object.__setattr__(self, "matrix", mat)
+        if not np.isfinite(mat).all():  # before any arithmetic: inf - inf warns
+            raise ValueError("density matrix entries must be finite")
         herm = np.max(np.abs(mat - mat.conj().T))
-        if not herm <= HERMITICITY_TOL:  # each check fails on NaN
+        if not herm <= HERMITICITY_TOL:
             raise ValueError(f"matrix not Hermitian: max asymmetry {herm:.3e}")
         tr = np.trace(mat)
         if not abs(tr - 1.0) <= TRACE_TOL:

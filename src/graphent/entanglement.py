@@ -26,11 +26,12 @@ import numpy as np
 
 from .graphs import DegreeDistribution, DirectedGraph, _check_p, _checked_counts, _integer
 from .graphs import _tree_depth, _yf_layers, ffnn_layer_sizes
-from .statevector import InitialQubit, InteractionParams, PureState, pauli_vectors
+from .statevector import InitialQubit, InteractionParams, PureState, pauli_vector_rows
 
 __all__ = [
     "EdReport",
     "ed_numeric",
+    "ed_numeric_rows",
     "ed_closed_form",
     "ed_closed_general",
     "ed_general_report",
@@ -76,9 +77,15 @@ def _degree_counts(dist: DistributionLike) -> Mapping[int, int]:
 
 
 def ed_numeric(state: PureState) -> EdReport:
-    """Brute-force Entanglement Distance from a simulated state."""
-    vectors = pauli_vectors(state)
-    return EdReport((1.0 - np.vecdot(vectors, vectors)).tolist())
+    """Brute-force Entanglement Distance from a simulated state: the one-row
+    call of `ed_numeric_rows`."""
+    return ed_numeric_rows(state.amplitudes[None])[0]
+
+
+def ed_numeric_rows(amplitudes: np.ndarray) -> list[EdReport]:
+    """One brute-force report per row of an (R, 2^M) array of amplitudes."""
+    vectors = pauli_vector_rows(amplitudes)
+    return [EdReport(row.tolist()) for row in 1.0 - np.vecdot(vectors, vectors)]
 
 
 def ed_closed_form(dist: DistributionLike, theta: float) -> float:

@@ -10,6 +10,7 @@ oriented downstream, so identical parameters always produce identical graphs.
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
@@ -49,9 +50,11 @@ def _integer(x: object, what: str) -> int:
 
 
 def _check_p(p: float) -> None:
-    """Refuse an input amplitude split p outside [0, 1]; NaN fails the test too."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    """Refuse an input amplitude split p that is not a real number in [0, 1]:
+    NaN fails the range test, and a bool, str or None is not a real number."""
+    real = type(p) is float or (isinstance(p, numbers.Real) and not isinstance(p, bool))
+    if not (real and 0.0 <= p <= 1.0):
+        raise ValueError(f"p must be in [0, 1], got {p!r}")
 
 
 def _checked_counts(counts: Mapping[int, int]) -> dict[int, int]:

@@ -18,18 +18,32 @@ This is the qubit-by-qubit form of the weighted graph state (Hein, Eisert
 and Briegel, PRA 69, 062311, 2004), still a direct simulation of the edge
 operators, not a degree closed form.
 
-Pauli vectors: `pauli_vectors` returns every qubit's (<sx>, <sy>, <sz>) in
-one call and copies no part of the state.  <sz> comes from one probability
-array folded M times, top qubit first: the upper half (bit k = 1) is added
-onto the lower half and left in place, so one segmented sum at the end gives
-every qubit's weight of bit 1, after about 2 * 2^M adds in all.  The cross
-term sum_x conj(amp(x)) amp(x + 2^i), over x with bit i clear, is one dot
-per contiguous block pair of the (-1, 2, 2^i) view of the amplitudes, read
-in place and written into the spent probability buffer; a second segmented
-sum adds them up.  Qubit 0, whose pairs are neighbours, is one strided dot.
-The probability buffer, half the state's bytes, is the largest allocation.
-The fold's total is the state's norm, so `pauli_vectors` refuses a state
-that is not normalized without a further pass over it.
+Rows: `build_graph_state_rows` runs that loop once for R states of one qubit
+count M, held as the rows of an (R, 2^M) array; each row has its own graph,
+input qubit and angles.  Per-row data are arrays: the lower-neighbour masks
+and the high-half factors alpha1 * exp(i*(theta - psi)*d_out(k)) are (M, R),
+and the pair factors exp(-2i*theta*c) are one flat (R*M) table read at
+c + r*M.  `pauli_vector_rows` reads such an array, and `build_graph_state`
+and `pauli_vectors` are the one-row calls of the same code.  Batching pays
+for small states, where each numpy call does little work: the verification
+harness evaluates its rows in batches of at most max(2^15, 2^M) amplitudes,
+so a state of more than 2^15 amplitudes is always built alone.
+
+Pauli vectors: `pauli_vector_rows` returns every qubit's (<sx>, <sy>, <sz>)
+in one call and copies no part of the states.  <sz> comes from one
+probability array folded M times, top qubit first: the upper half (bit k = 1)
+is added onto the lower half and left in place, so one segmented sum at the
+end gives every qubit's weight of bit 1, after about 2 * 2^M adds per row.
+The cross term sum_x conj(amp(x)) amp(x + 2^i), over x with bit i clear, is
+read in place from the (R, blocks, 2, 2^i) view of the amplitudes as one dot
+per contiguous block pair, except for qubits whose blocks hold at most 4
+amplitudes (64 bytes) and are fewer than their count: those take one strided
+dot per offset in the block, across all blocks, instead of one call per
+block (2^20 calls for qubit 1 at M = 22).  The partial dots go into the spent
+probability buffer and a second segmented sum adds them up.  The
+probability buffer, half the states' bytes, is the largest allocation.  The
+fold's total is each row's norm, so a row that is not normalized is refused
+without a further pass over it.
 """
 
 from __future__ import annotations
@@ -37,6 +51,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -49,11 +64,18 @@ __all__ = [
     "PureState",
     "product_state",
     "build_graph_state",
+    "build_graph_state_rows",
     "pauli_vectors",
+    "pauli_vector_rows",
 ]
 
 # 2^22 complex amplitudes = 64 MiB; a hard guard, not a silent truncation.
 DEFAULT_MAX_QUBITS = 22
+# A qubit whose blocks hold at most this many amplitudes (64 bytes, one cache
+# line) is summed across its blocks.  Longer blocks are read block by block:
+# a strided dot loads each cache line once per offset it holds, which made
+# the across form 3 to 8 times slower from 8 amplitudes up at M = 22.
+_ACROSS_BLOCKS = 4
 
 
 def _available_bytes(meminfo: str = "/proc/meminfo") -> int | None:
@@ -159,71 +181,122 @@ def build_graph_state(
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> PureState:
     """Product input state followed by one edge operator per graph edge,
-    built by in-place doubling (see the module docstring)."""
-    m = graph.num_vertices
+    built by in-place doubling (see the module docstring): the one-row call
+    of `build_graph_state_rows`."""
+    rows = build_graph_state_rows([graph], [qubit], [params], max_qubits=max_qubits)
+    return PureState(graph.num_vertices, rows[0])
+
+
+def build_graph_state_rows(
+    graphs: Sequence[DirectedGraph],
+    qubits: Sequence[InitialQubit],
+    params: Sequence[InteractionParams],
+    *,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
+) -> np.ndarray:
+    """Row r of the (R, 2^M) result holds the amplitudes of graphs[r] built
+    from qubits[r] under params[r]; one doubling loop serves every row.  The
+    graphs must share their vertex count M."""
+    rows = len(graphs)
+    if not rows or len(qubits) != rows or len(params) != rows:
+        raise ValueError(
+            f"need one graph, qubit and params per row, got {rows}, {len(qubits)}, {len(params)}"
+        )
+    m = graphs[0].num_vertices
+    if any(g.num_vertices != m for g in graphs):
+        sizes = sorted({g.num_vertices for g in graphs})
+        raise ValueError(f"rows must share one vertex count, got {sizes}")
     if m > max_qubits:
         raise ValueError(
             f"{m} qubits exceeds the configured cap of {max_qubits} "
             f"(2^{m} amplitudes); raise the cap explicitly to proceed"
         )
     if m > DEFAULT_MAX_QUBITS:
-        # The peak is about 28.5 bytes per amplitude: 16 for the state, 4 for
-        # the int64 index over half of it, and, in the last step, 8 for the
-        # gathered pair factors plus 0.5 for their uint8 counts; 40 bounds it.
-        needed = 40 * 2**m
+        # The peak is about 26 * R + 2 bytes per amplitude of one row: 16 per
+        # row for the states, 2 for the int32 index over half a row, shared by
+        # the rows, and, in the last step, 2 per row for the int32 pair
+        # indices plus 8 for the gathered pair factors; 40 * R bounds it.
+        needed = 40 * rows * 2**m
         available = _available_bytes()
         if available is not None and needed > available:
             raise ValueError(
                 f"{m} qubits need about {needed} bytes to build, "
                 f"but only {available} bytes of memory are available"
             )
-    lower = [0] * m  # bit mask of each vertex's lower-numbered neighbours
-    for a, b in graph.edges:
-        lower[max(a, b)] |= 1 << min(a, b)
-    a0, a1 = qubit.alpha0, qubit.alpha1
-    step = 1j * (params.theta - params.psi)
-    pair = np.exp(-2j * params.theta * np.arange(m))
-    amps = np.empty(1 << m, dtype=np.complex128)
-    amps[0] = 1.0
-    index = np.arange(1 << (m - 1))
+    # int32 holds every index, mask and pair offset up to 32 qubits.
+    itype = np.int32 if m <= 32 else np.int64
+    lower = [[0] * m for _ in graphs]  # bit mask of each vertex's lower-numbered neighbours
+    for masks, g in zip(lower, graphs):
+        for a, b in g.edges:
+            if a < b:
+                masks[b] |= 1 << a
+            else:
+                masks[a] |= 1 << b
+    lower = np.array(lower, dtype=itype).T[:, :, None]  # (M, R, 1)
+    theta = np.array([q.theta for q in params])
+    step = 1j * (theta - np.array([q.psi for q in params]))
+    out_degrees = np.array([g.out_degrees for g in graphs]).T  # (M, R)
+    high = np.array([q.alpha1 for q in qubits]) * np.exp(step * out_degrees)
+    a0 = np.array([q.alpha0 for q in qubits])[:, None]
+    pair = np.exp(-2j * theta[:, None] * np.arange(m)).ravel()  # row r at [r*M : (r+1)*M]
+    offsets = np.arange(0, rows * m, m, dtype=itype)[:, None]
+    amps = np.empty((rows, 1 << m), dtype=np.complex128)
+    amps[:, 0] = 1.0
+    index = np.arange(1 << (m - 1), dtype=itype)
     for k in range(m):
         n = 1 << k
-        high = amps[n : 2 * n]
-        np.multiply(amps[:n], a1 * cmath.exp(step * graph.out_degrees[k]), out=high)
-        if lower[k]:
-            high *= pair[np.bitwise_count(index[:n] & lower[k])]
-        amps[:n] *= a0
-    return PureState(m, amps)
+        half = amps[:, n : 2 * n]
+        np.multiply(amps[:, :n], high[k, :, None], out=half)
+        if lower[k].any():
+            gather = index[:n] & lower[k]
+            np.bitwise_count(gather, out=gather)
+            gather += offsets
+            half *= pair[gather]
+        amps[:, :n] *= a0
+    return amps
 
 
 def pauli_vectors(state: PureState) -> np.ndarray:
     """Row i is (<sx>, <sy>, <sz>) of qubit i, read from the amplitudes in
-    place (see the module docstring); a norm off by more than 1e-8 is refused."""
-    m = state.num_qubits
-    amps = state.amplitudes
-    vectors = np.empty((m, 3))
-    starts = 1 << np.arange(m)
-    prob = np.abs(amps)
+    place (see the module docstring); a norm off by more than 1e-8 is refused.
+    The one-row call of `pauli_vector_rows`."""
+    return pauli_vector_rows(state.amplitudes[None])[0]
+
+
+def pauli_vector_rows(amplitudes: np.ndarray) -> np.ndarray:
+    """Entry [r, i] is (<sx>, <sy>, <sz>) of qubit i in row r of an (R, 2^M)
+    array of amplitudes; a row whose norm is off by more than 1e-8 is refused."""
+    rows, size = amplitudes.shape
+    m = size.bit_length() - 1
+    if m < 1 or size != 1 << m:
+        raise ValueError(f"expected 2^M amplitudes per row with M >= 1, got {size}")
+    vectors = np.empty((rows, m, 3))
+    prob = np.abs(amplitudes)
     np.square(prob, out=prob)
     for k in range(m - 1, -1, -1):  # fold qubit k's upper half onto its lower half
-        np.add(prob[: 1 << k], prob[1 << k : 2 << k], out=prob[: 1 << k])
-    # prob[2^k : 2^(k+1)] still holds bit k's upper half; prob[0] is the norm.
-    norm = prob[0]
-    if not abs(norm - 1.0) <= 1e-8:  # a NaN norm is refused too
-        raise ValueError(f"state not normalized: norm error {abs(norm - 1.0):.3e}")
-    np.add.reduceat(prob, starts, out=vectors[:, 2])
-    # The spent buffer takes qubit i's block dots at blocks[2^(m-1-i) : 2^(m-i)]
-    # for i >= 1, so segment j of the second sum is qubit m-1-j.  xy views
-    # the first two columns as one complex column: each cross term lands
-    # there and is doubled into (<sx>, <sy>) below.
+        np.add(prob[:, : 1 << k], prob[:, 1 << k : 2 << k], out=prob[:, : 1 << k])
+    # prob[:, 2^k : 2^(k+1)] still holds bit k's upper half; prob[:, 0] is the norm.
+    norms = prob[:, 0].copy()
+    error = np.max(np.abs(norms - 1.0))
+    if not error <= 1e-8:  # a NaN norm is refused too
+        raise ValueError(f"state not normalized: norm error {error:.3e}")
+    np.add.reduceat(prob, 1 << np.arange(m), axis=1, out=vectors[:, :, 2])
+    # The spent buffer takes each qubit's partial dots in turn, qubit 0
+    # first; xy views the first two columns as one complex column: each
+    # cross term lands there and is doubled into (<sx>, <sy>) below.
     blocks = prob.view(np.complex128)
-    half = blocks.size
-    xy = vectors[:, :2].view(np.complex128)[:, 0]
-    xy[0] = np.vecdot(amps[0::2], amps[1::2])  # qubit 0 pairs neighbours
-    for i in range(1, m):
-        pairs = amps.reshape(-1, 2, 1 << i)  # axis 1 is bit i
-        np.vecdot(pairs[:, 0], pairs[:, 1], out=blocks[half >> i : half >> (i - 1)])
-    np.add.reduceat(blocks, starts[:-1], out=xy[:0:-1])
+    xy = vectors[:, :, :2].view(np.complex128)[:, :, 0]
+    starts = []
+    end = 0
+    for i in range(m):
+        # lo and hi are (R, blocks, 2^i): the block halves where bit i is clear and set.
+        lo, hi = amplitudes.reshape(rows, -1, 2, 1 << i).transpose(2, 0, 1, 3)
+        count, length = lo.shape[1:]
+        across = length <= _ACROSS_BLOCKS and length < count  # one dot per offset
+        starts.append(end)
+        end += length if across else count
+        np.vecdot(lo, hi, axis=1 if across else 2, out=blocks[:, starts[-1] : end])
+    np.add.reduceat(blocks[:, :end], starts, axis=1, out=xy)
     vectors *= (2.0, 2.0, -2.0)
-    vectors[:, 2] += norm  # <sz> = norm - 2 * weight of bit 1
+    vectors[:, :, 2] += norms[:, None]  # <sz> = norm - 2 * weight of bit 1
     return vectors

@@ -11,7 +11,6 @@ byte for byte.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -19,9 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from . import entanglement
-from .entanglement import ed_numeric
+from .entanglement import ed_numeric_rows
 from .graphs import DirectedGraph, degree_distribution, flip_edge, gen_ffnn, permute_vertices
-from .statevector import DEFAULT_MAX_QUBITS, InitialQubit, InteractionParams, build_graph_state
+from .statevector import DEFAULT_MAX_QUBITS, InitialQubit, InteractionParams
+from .statevector import build_graph_state_rows
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification", "ffnn_variant_report"]
 
@@ -36,13 +36,26 @@ CHECK_ORDER = (
 BALANCED = InitialQubit()
 FFNN_THETAS = tuple(i * math.pi / 8 for i in range(1, 8))
 FFNN_PSI = 0.4
+# Oracle rows are built and read in batches of at most max(2^15, 2^M)
+# amplitudes: one doubling loop and one Pauli pass per batch, not per state.
+BATCH_AMPLITUDES = 2**15
 
 
 def _oracle(
-    graph: DirectedGraph, qubit: InitialQubit, params: InteractionParams, *, max_qubits: int
-) -> float:
-    """The simulation oracle's ED per qubit."""
-    return ed_numeric(build_graph_state(graph, qubit, params, max_qubits=max_qubits)).total
+    rows: Sequence[tuple[DirectedGraph, InitialQubit, InteractionParams]], *, max_qubits: int
+) -> list[float]:
+    """The simulation oracle's ED per qubit of each (graph, qubit, params)
+    row; the graphs share their vertex count."""
+    per_batch = max(BATCH_AMPLITUDES >> rows[0][0].num_vertices, 1)
+    totals = []
+    for start in range(0, len(rows), per_batch):
+        graphs, qubits, params = zip(*rows[start : start + per_batch])
+        # Unnamed, each batch's states are freed before the next batch is built.
+        reports = ed_numeric_rows(
+            build_graph_state_rows(graphs, qubits, params, max_qubits=max_qubits)
+        )
+        totals += [report.total for report in reports]
+    return totals
 
 
 @dataclass(frozen=True)
@@ -91,7 +104,6 @@ def run_verification(
     rng = np.random.default_rng(seed)
     worst = dict.fromkeys(CHECK_ORDER, 0.0)
     ran = dict.fromkeys(CHECK_ORDER, 0)
-    oracle = functools.partial(_oracle, max_qubits=max_qubits)
 
     def record(name: str, deviation: float) -> None:
         if deviation > worst[name] or math.isnan(deviation):  # a NaN stays and fails
@@ -100,37 +112,38 @@ def run_verification(
 
     for g in graphs:
         dist = degree_distribution(g)
+        # Every draw of the graph's samples first, in the order of the checks;
+        # the oracle then evaluates all their rows together.
+        rows, closed, closed_general = [], [], []
         for _ in range(samples):
             theta = rng.uniform(0.0, math.pi)
             psi = rng.uniform(-math.pi, math.pi)
             params = InteractionParams(theta, psi)
-            base = oracle(g, BALANCED, params)
-
-            closed = entanglement.ed_closed_form(dist, theta)
-            record("closed-form oracle", abs(base - closed))
-
+            rows.append((g, BALANCED, params))
+            closed.append(entanglement.ed_closed_form(dist, theta))
             p = rng.uniform(0.0, 1.0)
             theta_g = rng.uniform(0.0, math.pi)
             psi_g = rng.uniform(-math.pi, math.pi)
             qubit = InitialQubit(p, rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
-            numeric_g = oracle(g, qubit, InteractionParams(theta_g, psi_g))
-            closed_g = entanglement.ed_closed_general(dist, p, theta_g)
-            record("general-closed oracle", abs(numeric_g - closed_g))
-
-            psi_values = [base]
+            rows.append((g, qubit, InteractionParams(theta_g, psi_g)))
+            closed_general.append(entanglement.ed_closed_general(dist, p, theta_g))
             for _ in range(3):
-                alt = InteractionParams(theta, rng.uniform(-math.pi, math.pi))
-                psi_values.append(oracle(g, BALANCED, alt))
-            record("psi independence", max(psi_values) - min(psi_values))
-
+                rows.append((g, BALANCED, InteractionParams(theta, rng.uniform(-math.pi, math.pi))))
             if g.edges:
                 flipped = flip_edge(g, int(rng.integers(len(g.edges))))
-                flipped_ed = oracle(flipped, BALANCED, params)
-                record("orientation flip", abs(base - flipped_ed))
-
+                rows.append((flipped, BALANCED, params))
             perm = [int(x) for x in rng.permutation(g.num_vertices)]
-            relabeled_ed = oracle(permute_vertices(g, perm), BALANCED, params)
-            record("vertex relabeling", abs(base - relabeled_ed))
+            rows.append((permute_vertices(g, perm), BALANCED, params))
+        eds = iter(_oracle(rows, max_qubits=max_qubits))
+        for closed_b, closed_g in zip(closed, closed_general):
+            base = next(eds)
+            record("closed-form oracle", abs(base - closed_b))
+            record("general-closed oracle", abs(next(eds) - closed_g))
+            psi_values = [base, next(eds), next(eds), next(eds)]
+            record("psi independence", max(psi_values) - min(psi_values))
+            if g.edges:
+                record("orientation flip", abs(base - next(eds)))
+            record("vertex relabeling", abs(base - next(eds)))
 
     return VerificationReport(tol, [CheckResult(name, worst[name], ran[name]) for name in CHECK_ORDER])
 
@@ -143,10 +156,10 @@ def ffnn_variant_report(
     FFNN_THETAS at psi = FFNN_PSI.  Informational: shows which form the
     oracle backs."""
     g = gen_ffnn(layer_sizes)
+    rows = [(g, BALANCED, InteractionParams(theta, FFNN_PSI)) for theta in FFNN_THETAS]
     dev_degree = 0.0
     dev_variant = 0.0
-    for theta in FFNN_THETAS:
-        oracle = _oracle(g, BALANCED, InteractionParams(theta, FFNN_PSI), max_qubits=max_qubits)
+    for theta, oracle in zip(FFNN_THETAS, _oracle(rows, max_qubits=max_qubits)):
         dev_degree = max(dev_degree, abs(oracle - entanglement.ed_ffnn(theta, layer_sizes)))
         dev_variant = max(
             dev_variant,

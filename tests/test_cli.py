@@ -339,8 +339,8 @@ closed: 0.5332851785281153
   vertex 9: 0.48358465547782159
 simulate: 0.53328517852811519
   vertex 0: 0.6078359631035557
-  vertex 1: 0.48358465547782148
-  vertex 2: 0.48358465547782148
+  vertex 1: 0.48358465547782115
+  vertex 2: 0.4835846554778217
   vertex 3: 0.6078359631035557
   vertex 4: 0.48358465547782126
   vertex 5: 0.6078359631035557

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,22 @@ def test_density_matrix_accepts_valid():
 def test_density_matrix_rejects_invalid(matrix):
     with pytest.raises(ValueError):
         DensityMatrix(matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.array([[math.inf, 0.0], [0.0, -math.inf]]),
+        np.array([[0.5, complex(0.0, math.inf)], [0.0, 0.5]]),
+        np.array([[math.nan, 0.0], [0.0, 1.0]]),
+    ],
+)
+def test_density_matrix_refuses_nonfinite_without_a_warning(matrix):
+    # The entries are checked before any arithmetic, so inf - inf never runs.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^density matrix entries must be finite$"):
+            DensityMatrix(matrix)
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,8 @@ from graphent.statevector import (
     InteractionParams,
     PureState,
     build_graph_state,
+    build_graph_state_rows,
+    pauli_vector_rows,
     pauli_vectors,
     product_state,
 )
@@ -43,6 +45,17 @@ def test_initial_qubit_rejects_bad_p():
 def test_initial_qubit_rejects_nonfinite_phases(d0, d1):
     with pytest.raises(ValueError, match="phases must be finite"):
         InitialQubit(0.5, d0, d1)
+
+
+@pytest.mark.parametrize("p", ["0.5", None, True, False, np.True_, 1j])
+def test_initial_qubit_rejects_non_real_p(p):
+    with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got "):
+        InitialQubit(p)
+
+
+@pytest.mark.parametrize("p", [np.float64(0.3), np.float32(0.25), np.int64(1), 0])
+def test_initial_qubit_accepts_real_numbers(p):
+    assert InitialQubit(p).alpha1 == pytest.approx(math.sqrt(p))
 
 
 def test_interaction_params_reject_nonfinite():
@@ -106,6 +119,12 @@ def test_memory_estimate_above_default_cap(monkeypatch):
     assert product_state(4, max_qubits=9).num_qubits == 4
     monkeypatch.setattr(statevector, "_available_bytes", lambda: None)  # unreadable: no check
     assert product_state(5, max_qubits=9).num_qubits == 5
+    # A batch needs the bytes of all its rows.
+    monkeypatch.setattr(statevector, "_available_bytes", lambda: 1279)
+    rows = ([DirectedGraph(4, [])] * 2, [BALANCED] * 2, [InteractionParams(0.0)] * 2)
+    with pytest.raises(ValueError, match="^4 qubits need about 1280 bytes to build"):
+        build_graph_state_rows(*rows, max_qubits=9)
+    assert build_graph_state_rows(*(r[:1] for r in rows), max_qubits=9).shape == (1, 16)
 
 
 @pytest.mark.parametrize(
@@ -290,3 +309,55 @@ def test_pauli_vectors_copy_no_state_half():
     finally:
         tracemalloc.stop()
     assert peak < 0.8 * 16 * 2**m
+
+
+# ----------------------------------------------------------------------
+# rows: many states of one qubit count in one call
+# ----------------------------------------------------------------------
+
+def _mixed_rows():
+    """Different graphs of 7 vertices, the edgeless one among them, with
+    p in {0, 1/2, 1} and random p, input phases and angles."""
+    m = 7
+    rng = np.random.default_rng(3)
+    graphs = [random_graph(m, rng, edge_prob=q) for q in (0.2, 0.5, 1.0, 0.7, 0.4)]
+    graphs.append(DirectedGraph(m, []))
+    graphs.append(flip_edge(graphs[1], 0))
+    ps = [0.0, 0.5, 1.0, *rng.uniform(0.0, 1.0, len(graphs) - 3)]
+    qubits = [InitialQubit(p, *rng.uniform(-math.pi, math.pi, 2)) for p in ps]
+    params = [InteractionParams(*rng.uniform(-math.pi, math.pi, 2)) for _ in graphs]
+    return graphs, qubits, params
+
+
+def test_rows_equal_their_one_row_calls_bit_for_bit():
+    graphs, qubits, params = _mixed_rows()
+    states = build_graph_state_rows(graphs, qubits, params)
+    vectors = pauli_vector_rows(states)
+    assert states.shape == (len(graphs), 2**7) and vectors.shape == (len(graphs), 7, 3)
+    for r, row in enumerate(zip(graphs, qubits, params)):
+        state = build_graph_state(*row)
+        assert np.array_equal(states[r], state.amplitudes)
+        assert np.array_equal(vectors[r], pauli_vectors(state))
+
+
+def test_rows_refuse_one_unnormalized_row():
+    states = build_graph_state_rows(*_mixed_rows())
+    states[4] *= 1.001
+    with pytest.raises(ValueError, match="^state not normalized: norm error 2.00"):
+        pauli_vector_rows(states)
+    states[4] /= 1.001
+    states[2, 5] = math.nan
+    with pytest.raises(ValueError, match="^state not normalized: norm error nan"):
+        pauli_vector_rows(states)
+
+
+def test_rows_share_one_vertex_count():
+    graphs, qubits, params = _mixed_rows()
+    with pytest.raises(ValueError, match=r"^rows must share one vertex count, got \[3, 7\]"):
+        build_graph_state_rows([*graphs[:2], DirectedGraph(3, [])], qubits[:3], params[:3])
+    with pytest.raises(ValueError, match="^need one graph, qubit and params per row"):
+        build_graph_state_rows(graphs, qubits[:-1], params)
+    with pytest.raises(ValueError, match="^need one graph, qubit and params per row"):
+        build_graph_state_rows([], [], [])
+    with pytest.raises(ValueError, match="^expected 2"):
+        pauli_vector_rows(np.ones((2, 6)))

@@ -4,7 +4,25 @@ import numpy as np
 import pytest
 
 import graphent.entanglement
-from graphent.graphs import DirectedGraph, gen_bridged_cycles, gen_full_binary_tree, random_graph
+from graphent import verify
+from graphent.entanglement import (
+    ed_closed_form,
+    ed_closed_general,
+    ed_ffnn,
+    ed_ffnn_output_self_exponent,
+    ed_numeric,
+)
+from graphent.graphs import (
+    DirectedGraph,
+    degree_distribution,
+    flip_edge,
+    gen_bridged_cycles,
+    gen_ffnn,
+    gen_full_binary_tree,
+    permute_vertices,
+    random_graph,
+)
+from graphent.statevector import InitialQubit, InteractionParams, build_graph_state
 from graphent.verify import CHECK_ORDER, ffnn_variant_report, run_verification
 
 
@@ -90,3 +108,72 @@ def test_ffnn_variant_report_separates_the_forms():
     dev_degree, dev_variant = ffnn_variant_report((3, 4, 4, 2))
     assert dev_degree <= 1e-10
     assert dev_variant > 1e-3
+
+
+def _one_state_at_a_time(graphs, samples, seed):
+    """The harness as one build per oracle call, each ED taken as soon as its
+    parameters are drawn: the reference for the draw order and the records."""
+    rng = np.random.default_rng(seed)
+    worst = dict.fromkeys(CHECK_ORDER, 0.0)
+    ran = dict.fromkeys(CHECK_ORDER, 0)
+
+    def record(name, deviation):
+        if deviation > worst[name] or math.isnan(deviation):
+            worst[name] = deviation
+        ran[name] += 1
+
+    def oracle(graph, qubit, params):
+        return ed_numeric(build_graph_state(graph, qubit, params)).total
+
+    balanced = InitialQubit()
+    for g in graphs:
+        dist = degree_distribution(g)
+        for _ in range(samples):
+            theta, psi = rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)
+            params = InteractionParams(theta, psi)
+            base = oracle(g, balanced, params)
+            record("closed-form oracle", abs(base - ed_closed_form(dist, theta)))
+            p, theta_g = rng.uniform(0.0, 1.0), rng.uniform(0.0, math.pi)
+            psi_g = rng.uniform(-math.pi, math.pi)
+            qubit = InitialQubit(p, rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
+            numeric_g = oracle(g, qubit, InteractionParams(theta_g, psi_g))
+            record("general-closed oracle", abs(numeric_g - ed_closed_general(dist, p, theta_g)))
+            values = [base]
+            for _ in range(3):
+                alt = InteractionParams(theta, rng.uniform(-math.pi, math.pi))
+                values.append(oracle(g, balanced, alt))
+            record("psi independence", max(values) - min(values))
+            if g.edges:
+                flipped = flip_edge(g, int(rng.integers(len(g.edges))))
+                record("orientation flip", abs(base - oracle(flipped, balanced, params)))
+            perm = [int(x) for x in rng.permutation(g.num_vertices)]
+            relabeled = permute_vertices(g, perm)
+            record("vertex relabeling", abs(base - oracle(relabeled, balanced, params)))
+    return worst, ran
+
+
+def test_batches_keep_draw_order_and_sample_counts():
+    # 2^15 amplitudes hold 8 rows of a 12-vertex graph, so its 3 samples of
+    # 7 rows each span three batches, one sample across a boundary.
+    rng = np.random.default_rng(5)
+    graphs = [random_graph(12, rng, 0.3), DirectedGraph(4, []), *small_graph_set()]
+    assert verify.BATCH_AMPLITUDES >> 12 == 8
+    report = run_verification(graphs, samples=3, seed=9, tol=1e-10)
+    worst, ran = _one_state_at_a_time(graphs, samples=3, seed=9)
+    assert {c.name: c.max_deviation for c in report.checks} == worst
+    assert {c.name: c.samples for c in report.checks} == ran
+    assert ran == {name: 18 for name in CHECK_ORDER} | {"orientation flip": 15}
+    assert report.passed
+
+
+def test_ffnn_variant_report_matches_one_build_per_theta():
+    sizes = (3, 4, 4, 2)
+    g = gen_ffnn(sizes)
+    thetas = verify.FFNN_THETAS
+    eds = [
+        ed_numeric(build_graph_state(g, InitialQubit(), InteractionParams(t, verify.FFNN_PSI))).total
+        for t in thetas
+    ]
+    dev_degree = max(abs(e - ed_ffnn(t, sizes)) for e, t in zip(eds, thetas))
+    dev_variant = max(abs(e - ed_ffnn_output_self_exponent(t, sizes)) for e, t in zip(eds, thetas))
+    assert ffnn_variant_report(sizes) == (dev_degree, dev_variant)
