@@ -307,6 +307,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # parser / entry point
 # ----------------------------------------------------------------------
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphent",

@@ -93,9 +93,9 @@ def ed_closed_form(dist: DistributionLike, theta: float) -> float:
     return ed_closed_general(dist, 0.5, theta)
 
 
-def _general_contribution(p: float, r2k: float) -> float:
+def _general_contribution(p: float, r2k: float | np.ndarray) -> float | np.ndarray:
     """1 - (1-2p)^2 - 4p(1-p) r2k: one vertex's share with r2k = r^(2d), or
-    the mean share with r2k the mean of r^(2d)."""
+    the mean share with r2k the mean of r^(2d); elementwise for an array."""
     return 1.0 - (1.0 - 2.0 * p) ** 2 - 4.0 * p * (1.0 - p) * r2k
 
 
@@ -124,7 +124,11 @@ def ed_general_report(graph: DirectedGraph, p: float, theta: float) -> EdReport:
     the balanced contribution 1 - cos(theta)^(2d)."""
     _check_p(p)
     r2 = _r_squared(p, theta)
-    return EdReport([_general_contribution(p, r2**k) for k in graph.degrees])
+    # Python's float power once per distinct degree: numpy's vectorised power
+    # can differ from it in the last bit, and the values must not move.
+    degrees, index = np.unique(graph.degrees, return_inverse=True)
+    r2k = np.array([r2**k for k in degrees.tolist()])[index]
+    return EdReport(_general_contribution(p, r2k).tolist())
 
 
 def interaction_expectation(qubit: InitialQubit, params: InteractionParams) -> complex:

@@ -2,20 +2,25 @@
 
 Vertices are 0-based.  Graphs are immutable after construction and simple in
 the undirected sense: no self-loops and at most one edge per unordered vertex
-pair, whichever way it points.  The generators number layers from the
-top/input side and vertices left-to-right within a layer, with all edges
-oriented downstream, so identical parameters always produce identical graphs.
+pair, whichever way it points.  A graph holds its edges once, as the
+read-only (E, 2) int64 array `edge_array`, validated in one vectorised pass
+that also counts the degrees; `flip_edge` and `permute_vertices` derive their
+array and degrees from a valid graph without a second check.  The generators
+number layers from the top/input side and vertices left-to-right within a
+layer, with all edges oriented downstream, so identical parameters always
+produce identical graphs.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import accumulate, pairwise
-from typing import Mapping, Sequence
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import accumulate, chain, pairwise
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -72,58 +77,151 @@ def _checked_counts(counts: Mapping[int, int]) -> dict[int, int]:
     return checked
 
 
-@dataclass(frozen=True)
+def _edge(edge: object, m: int) -> tuple[int, int] | str:
+    """One edge as a pair of vertices, or why it is refused, repeats of an
+    earlier pair aside."""
+    try:
+        a, b = edge
+    except (TypeError, ValueError):
+        return "must be a pair of integer vertices"
+    try:
+        a, b = _integer(a, "edge endpoint"), _integer(b, "edge endpoint")
+    except ValueError as exc:
+        return str(exc)
+    if not (0 <= a < m and 0 <= b < m):
+        return f"edge ({a},{b}) out of range for {m} vertices"
+    if a == b:
+        return f"self-loop at vertex {a}"
+    return a, b
+
+
+def _pairs(edges: Sequence, m: int) -> tuple[np.ndarray, int]:
+    """(array, n): the first n edges as an (n, 2) int64 array, where
+    edges[n], if there is one, is the first edge that is not a pair of
+    integers or, on the slow path, is refused by `_edge`.
+
+    Plain ints take one flat pass and an integer ndarray none; numpy
+    integers and anything refused fall back to a per-edge loop.  A uint64
+    endpoint of 2^63 or more wraps to a negative one, which is out of range
+    either way, and the error message is made from the input edge."""
+    if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
+        return edges.astype(np.int64), len(edges)
+    try:
+        pairs = set(map(len, edges)) <= {2}
+    except TypeError:  # an edge without a length, such as 5 or None
+        pairs = False
+    if pairs:
+        flat = list(chain.from_iterable(edges))
+        if len(flat) == 2 * len(edges) and set(map(type, flat)) <= {int}:
+            try:
+                return np.fromiter(flat, np.int64, len(flat)).reshape(-1, 2), len(edges)
+            except OverflowError:  # an endpoint beyond int64: out of range
+                pass
+    rows = []
+    for edge in edges:
+        pair = _edge(edge, m)
+        if isinstance(pair, str):
+            break
+        rows.append(pair)
+    return np.array(rows, dtype=np.int64).reshape(-1, 2), len(rows)
+
+
 class DirectedGraph:
     """A directed simple graph: vertex count plus an ordered edge list.
 
-    `out_degrees[i]` counts the edges leaving vertex i and `degrees[i]` its
-    total degree, ignoring orientation, so `degrees[i] - out_degrees[i]` is
-    its in-degree.  Both are counted once, while the edges are validated, and
-    are derived data, so they take no part in equality, hashing or repr.
+    The edges are held once, as the read-only (E, 2) int64 array
+    `edge_array`; `edges`, the same list as a tuple of (int, int) pairs, is
+    made from it on first use.  `out_degrees[i]` counts the edges leaving
+    vertex i and `degrees[i]` its total degree, ignoring orientation, so
+    `degrees[i] - out_degrees[i]` is its in-degree.  Both are tuples of
+    ints, counted once while the edges are validated, and are derived data,
+    so they take no part in equality, hashing or repr.  A graph is
+    immutable.
     """
 
-    num_vertices: int
-    edges: tuple[tuple[int, int], ...]
-    degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    out_degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    def __init__(self, num_vertices: int, edges: Iterable[Sequence[int]]) -> None:
+        # Validation runs in __post_init__: the benchmark's per-layer trace
+        # wraps that name on the class.
+        self.__post_init__(num_vertices, edges)
 
-    def __post_init__(self) -> None:
-        m = _integer(self.num_vertices, "num_vertices")
+    def __post_init__(self, num_vertices: int, edges: Iterable[Sequence[int]]) -> None:
+        """Validate the vertex count and every edge in one vectorised pass.
+
+        Only when a check fails is the first refused edge, in input order,
+        looked up, so its error names it: "edges[i] <edge>: <reason>"."""
+        m = _integer(num_vertices, "num_vertices")
         if m < 1:
             raise ValueError(f"num_vertices must be >= 1, got {m}")
-        edges = []
-        out = [0] * m
-        into = [0] * m
-        seen: set[int] = set()
-        for i, edge in enumerate(self.edges):
-            try:
-                try:
-                    a, b = edge
-                except (TypeError, ValueError):
-                    raise ValueError("must be a pair of integer vertices") from None
-                if type(a) is not int or type(b) is not int:
-                    a, b = _integer(a, "edge endpoint"), _integer(b, "edge endpoint")
-                if not (0 <= a < m and 0 <= b < m):
-                    raise ValueError(f"edge ({a},{b}) out of range for {m} vertices")
-                if a == b:
-                    raise ValueError(f"self-loop at vertex {a}")
-                key = a * m + b if a < b else b * m + a
-                if key in seen:
-                    raise ValueError(f"duplicate or anti-parallel edge on pair {divmod(key, m)}")
-            except ValueError as exc:
-                raise ValueError(f"edges[{i}] {edge!r}: {exc}") from None
-            seen.add(key)
-            out[a] += 1
-            into[b] += 1
-            edges.append((a, b))
-        object.__setattr__(self, "num_vertices", m)
-        object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "degrees", tuple(map(operator.add, out, into)))
-        object.__setattr__(self, "out_degrees", tuple(out))
+        if not isinstance(edges, (list, tuple, np.ndarray)):
+            edges = list(edges)
+        array, n = _pairs(edges, m)
+        a, b = array.T
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        bad = (lo < 0) | (hi >= m) | (lo == hi)  # out of range or a self-loop
+        if bad.any():
+            n = int(bad.argmax())  # the edges before it are still searched for repeats
+            a, b, lo, hi = a[:n], b[:n], lo[:n], hi[:n]
+        # The degree counts are allocated before the pair keys lo*m + hi are
+        # formed, so a vertex count whose keys would overflow int64 runs out
+        # of memory first.
+        out = np.bincount(a, minlength=m)
+        into = np.bincount(b, minlength=m)
+        keys = lo * m + hi
+        ordered = np.sort(keys)
+        if (ordered[1:] == ordered[:-1]).any():
+            order = np.argsort(keys, kind="stable")
+            i = int(order[1:][keys[order[1:]] == keys[order[:-1]]].min())
+            reason = f"duplicate or anti-parallel edge on pair {divmod(int(keys[i]), m)}"
+        elif n < len(edges):
+            i = n
+            reason = _edge(edges[i], m)
+        else:
+            self._set(m, array, tuple((out + into).tolist()), tuple(out.tolist()))
+            return
+        raise ValueError(f"edges[{i}] {edges[i]!r}: {reason}")
+
+    @classmethod
+    def _derived(
+        cls, m: int, edge_array: np.ndarray, degrees: tuple[int, ...], out_degrees: tuple[int, ...]
+    ) -> DirectedGraph:
+        """A graph whose edges and degrees were derived from a valid graph by
+        a transformation that keeps it simple: nothing is checked again."""
+        graph = cls.__new__(cls)
+        graph._set(m, edge_array, degrees, out_degrees)
+        return graph
+
+    def _set(self, m: int, edge_array: np.ndarray, degrees: tuple, out_degrees: tuple) -> None:
+        edge_array.flags.writeable = False
+        vars(self).update(
+            num_vertices=m, edge_array=edge_array, degrees=degrees, out_degrees=out_degrees
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.num_vertices == other.num_vertices and np.array_equal(
+            self.edge_array, other.edge_array
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.num_vertices, self.edge_array.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"DirectedGraph(num_vertices={self.num_vertices!r}, edges={self.edges!r})"
 
 
 def _erdos_gallai(counts: Mapping[int, int]) -> bool:
@@ -248,11 +346,8 @@ def gen_full_binary_tree(depth: int) -> DirectedGraph:
     """Full binary tree with `depth` layers (2^depth - 1 vertices), edges
     oriented parent-to-child, heap numbering."""
     m = 2 ** _tree_depth(depth) - 1
-    edges = []
-    for k in range((m - 1) // 2):
-        edges.append((k, 2 * k + 1))
-        edges.append((k, 2 * k + 2))
-    return DirectedGraph(m, edges)
+    child = np.arange(1, m)
+    return DirectedGraph(m, np.column_stack(((child - 1) // 2, child)))
 
 
 def gen_bridged_cycles(cycle_sizes: Sequence[int]) -> DirectedGraph:
@@ -277,19 +372,26 @@ def permute_vertices(g: DirectedGraph, permutation: Sequence[int]) -> DirectedGr
     perm = [_integer(x, "permutation entry") for x in permutation]
     if sorted(perm) != list(range(g.num_vertices)):
         raise ValueError(f"not a permutation of 0..{g.num_vertices - 1}")
-    return DirectedGraph(g.num_vertices, tuple((perm[a], perm[b]) for a, b in g.edges))
+    new = np.array(perm, dtype=np.int64)
+    degrees = np.empty((2, g.num_vertices), dtype=np.int64)
+    degrees[:, new] = g.degrees, g.out_degrees
+    total, out = degrees.tolist()
+    return DirectedGraph._derived(g.num_vertices, new[g.edge_array], tuple(total), tuple(out))
 
 
 def flip_edge(g: DirectedGraph, edge_index: int) -> DirectedGraph:
     """Reverse the orientation of one edge.  Simplicity guarantees the flipped
     edge cannot collide with an existing one."""
     edge_index = _integer(edge_index, "edge index")
-    if not (0 <= edge_index < len(g.edges)):
+    if not (0 <= edge_index < g.num_edges):
         raise ValueError(f"edge index {edge_index} out of range")
-    a, b = g.edges[edge_index]
-    edges = list(g.edges)
-    edges[edge_index] = (b, a)
-    return DirectedGraph(g.num_vertices, edges)
+    edges = g.edge_array.copy()
+    a, b = edges[edge_index].tolist()
+    edges[edge_index] = b, a
+    out = list(g.out_degrees)
+    out[a] -= 1
+    out[b] += 1
+    return DirectedGraph._derived(g.num_vertices, edges, g.degrees, tuple(out))
 
 
 def random_graph(num_vertices: int, rng: np.random.Generator, edge_prob: float = 0.4) -> DirectedGraph:
@@ -309,7 +411,7 @@ def random_graph(num_vertices: int, rng: np.random.Generator, edge_prob: float =
 # ----------------------------------------------------------------------
 
 def to_json(g: DirectedGraph) -> str:
-    return json.dumps({"num_vertices": g.num_vertices, "edges": [[a, b] for a, b in g.edges]})
+    return json.dumps({"num_vertices": g.num_vertices, "edges": g.edge_array.tolist()})
 
 
 def from_json(text: str) -> DirectedGraph:

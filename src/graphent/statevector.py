@@ -20,10 +20,11 @@ operators, not a degree closed form.
 
 Rows: `build_graph_state_rows` runs that loop once for R states of one qubit
 count M, held as the rows of an (R, 2^M) array; each row has its own graph,
-input qubit and angles.  Per-row data are arrays: the lower-neighbour masks
-and the high-half factors alpha1 * exp(i*(theta - psi)*d_out(k)) are (M, R),
-and the pair factors exp(-2i*theta*c) are one flat (R*M) table read at
-c + r*M.  `pauli_vector_rows` reads such an array, and `build_graph_state`
+input qubit and angles.  Per-row data are arrays: the lower-neighbour masks,
+built by one scatter over the rows' `edge_array`s, and the high-half factors
+alpha1 * exp(i*(theta - psi)*d_out(k)) are (M, R), and the pair factors
+exp(-2i*theta*c) are one flat (R*M) table read at c + r*M.
+`pauli_vector_rows` reads such an array, and `build_graph_state`
 and `pauli_vectors` are the one-row calls of the same code.  Batching pays
 for small states, where each numpy call does little work: the verification
 harness evaluates its rows in batches of at most max(2^15, 2^M) amplitudes,
@@ -225,14 +226,15 @@ def build_graph_state_rows(
             )
     # int32 holds every index, mask and pair offset up to 32 qubits.
     itype = np.int32 if m <= 32 else np.int64
-    lower = [[0] * m for _ in graphs]  # bit mask of each vertex's lower-numbered neighbours
-    for masks, g in zip(lower, graphs):
-        for a, b in g.edges:
-            if a < b:
-                masks[b] |= 1 << a
-            else:
-                masks[a] |= 1 << b
-    lower = np.array(lower, dtype=itype).T[:, :, None]  # (M, R, 1)
+    # Bit mask of each vertex's lower-numbered neighbours, row r's vertex k
+    # at r*M + k: one scatter over every row's edges.
+    a, b = np.concatenate([g.edge_array for g in graphs]).T
+    row_starts = np.repeat(np.arange(0, rows * m, m), [g.num_edges for g in graphs])
+    lower = np.zeros(rows * m, dtype=itype)
+    np.bitwise_or.at(
+        lower, np.maximum(a, b) + row_starts, np.left_shift(1, np.minimum(a, b), dtype=itype)
+    )
+    lower = lower.reshape(rows, m).T[:, :, None]  # (M, R, 1)
     theta = np.array([q.theta for q in params])
     step = 1j * (theta - np.array([q.psi for q in params]))
     out_degrees = np.array([g.out_degrees for g in graphs]).T  # (M, R)

@@ -129,8 +129,8 @@ def run_verification(
             closed_general.append(entanglement.ed_closed_general(dist, p, theta_g))
             for _ in range(3):
                 rows.append((g, BALANCED, InteractionParams(theta, rng.uniform(-math.pi, math.pi))))
-            if g.edges:
-                flipped = flip_edge(g, int(rng.integers(len(g.edges))))
+            if g.num_edges:
+                flipped = flip_edge(g, int(rng.integers(g.num_edges)))
                 rows.append((flipped, BALANCED, params))
             perm = [int(x) for x in rng.permutation(g.num_vertices)]
             rows.append((permute_vertices(g, perm), BALANCED, params))
@@ -141,7 +141,7 @@ def run_verification(
             record("general-closed oracle", abs(next(eds) - closed_g))
             psi_values = [base, next(eds), next(eds), next(eds)]
             record("psi independence", max(psi_values) - min(psi_values))
-            if g.edges:
+            if g.num_edges:
                 record("orientation flip", abs(base - next(eds)))
             record("vertex relabeling", abs(base - next(eds)))
 

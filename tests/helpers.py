@@ -1,5 +1,5 @@
-"""Shared test utilities: a dense-matrix reference implementation and
-hypothesis strategies.
+"""Shared test utilities: a dense-matrix reference implementation, the
+per-edge reference validator, and hypothesis strategies.
 
 The dense builder below constructs graph states with full 2^M x 2^M operator
 matrices via np.kron.  It shares no code path with the package's diagonal
@@ -9,10 +9,12 @@ Only practical for small M.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from hypothesis import strategies as st
 
-from graphent.graphs import DirectedGraph
+from graphent.graphs import DirectedGraph, _integer
 
 I2 = np.eye(2, dtype=complex)
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -62,6 +64,41 @@ def dense_graph_state(
 
 def dense_pauli_expectations(vec: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
     return np.array([(vec.conj() @ lift(s, qubit, num_qubits) @ vec).real for s in PAULIS])
+
+
+def reference_graph(num_vertices, edges):
+    """The per-edge loop that `DirectedGraph` validated with before it held
+    its edges as an array: (edges, degrees, out_degrees) of an accepted
+    graph, or the ValueError that names the first refused edge."""
+    m = _integer(num_vertices, "num_vertices")
+    if m < 1:
+        raise ValueError(f"num_vertices must be >= 1, got {m}")
+    pairs = []
+    out = [0] * m
+    into = [0] * m
+    seen = set()
+    for i, edge in enumerate(edges):
+        try:
+            try:
+                a, b = edge
+            except (TypeError, ValueError):
+                raise ValueError("must be a pair of integer vertices") from None
+            if type(a) is not int or type(b) is not int:
+                a, b = _integer(a, "edge endpoint"), _integer(b, "edge endpoint")
+            if not (0 <= a < m and 0 <= b < m):
+                raise ValueError(f"edge ({a},{b}) out of range for {m} vertices")
+            if a == b:
+                raise ValueError(f"self-loop at vertex {a}")
+            key = a * m + b if a < b else b * m + a
+            if key in seen:
+                raise ValueError(f"duplicate or anti-parallel edge on pair {divmod(key, m)}")
+        except ValueError as exc:
+            raise ValueError(f"edges[{i}] {edge!r}: {exc}") from None
+        seen.add(key)
+        out[a] += 1
+        into[b] += 1
+        pairs.append((a, b))
+    return tuple(pairs), tuple(map(operator.add, out, into)), tuple(out)
 
 
 @st.composite

@@ -3,8 +3,9 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from graphent.graphs import (
     DegreeDistribution,
@@ -23,7 +24,7 @@ from graphent.graphs import (
     to_json,
 )
 
-from helpers import directed_graphs
+from helpers import directed_graphs, reference_graph
 
 import numpy as np
 
@@ -88,6 +89,137 @@ def test_numpy_integer_endpoints_accepted():
     g = DirectedGraph(3, [(np.int64(0), np.int32(2)), (np.uint8(1), 2)])
     assert g == DirectedGraph(3, [(0, 2), (1, 2)])
     assert all(type(v) is int for edge in g.edges for v in edge)
+
+
+def _assert_matches_reference(num_vertices, edges):
+    """The constructor accepts exactly what the per-edge reference loop
+    accepts, with the same edges and degrees, and refuses the rest with the
+    same message."""
+    try:
+        expected = reference_graph(num_vertices, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            DirectedGraph(num_vertices, edges)
+        assert str(refused.value) == str(exc)
+    else:
+        g = DirectedGraph(num_vertices, edges)
+        assert (g.edges, g.degrees, g.out_degrees) == expected
+        assert g.edge_array.dtype == np.int64 and g.edge_array.shape == (g.num_edges, 2)
+        assert all(type(d) is int for d in g.degrees + g.out_degrees)
+
+
+@given(st.integers(1, 6), st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)), max_size=12))
+@example(1, [])  # the edgeless graph of one qubit, as product_state builds it
+@example(1, [(0, 0)])
+@example(3, [(0, 1), (2, 5), (1, 0)])  # a duplicate before an out-of-range edge wins
+@example(3, [(0, 1), (2, 2), (1, 0)])
+def test_int_pairs_match_reference(num_vertices, edges):
+    _assert_matches_reference(num_vertices, edges)
+
+
+@st.composite
+def _in_range_pairs(draw):
+    """A vertex count and pairs of its vertices, so that self-loops and
+    repeated pairs are common."""
+    m = draw(st.integers(1, 5))
+    vertex = st.integers(0, m - 1)
+    return m, draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+
+
+@given(_in_range_pairs())
+@example((3, [(0, 1), (1, 2), (1, 0), (2, 1)]))  # the first repeat is edges[2]
+def test_in_range_pairs_match_reference(case):
+    _assert_matches_reference(*case)
+
+
+def test_first_repeat_named_in_a_long_list():
+    # long enough that numpy's sort is no insertion sort: the repeat, not
+    # the edge it repeats, is named, and the earlier of two repeats wins
+    edges = [(i, i + 1) for i in range(300)] + [(151, 150), (6, 5)]
+    _assert_matches_reference(301, edges)
+    with pytest.raises(ValueError, match=re.escape("edges[300] (151, 150): duplicate")):
+        DirectedGraph(301, edges)
+
+
+_ENDPOINTS = st.one_of(
+    st.integers(-1, 4),
+    st.integers(-1, 4).map(np.int32),
+    st.integers(-1, 4).map(np.int64),
+    st.integers(0, 4).map(np.uint8),
+    st.sampled_from([True, np.True_, 1.0, np.float64(2.0), 1.5, None, "1", 2**70, -(2**70)]),
+)
+_EDGES = st.one_of(
+    st.tuples(st.integers(-1, 4), st.integers(-1, 4)),
+    st.tuples(_ENDPOINTS, _ENDPOINTS),
+    st.lists(_ENDPOINTS, min_size=1, max_size=3),  # ragged and non-pair lists
+    st.tuples(_ENDPOINTS, _ENDPOINTS, _ENDPOINTS),
+    st.sampled_from([None, 5, "ab", ()]),
+)
+
+
+@given(st.integers(1, 5), st.lists(_EDGES, max_size=8))
+def test_mixed_edges_match_reference(num_vertices, edges):
+    _assert_matches_reference(num_vertices, edges)
+
+
+@given(
+    st.integers(1, 6),
+    st.builds(
+        np.ndarray.astype,
+        hnp.arrays(
+            np.int64,
+            st.one_of(
+                st.tuples(st.integers(0, 8), st.just(2)),
+                st.tuples(st.integers(0, 3), st.integers(1, 3)),
+                st.tuples(st.integers(0, 3)),
+            ),
+            elements=st.integers(-1, 6),
+        ),
+        st.sampled_from([np.int32, np.uint8, np.int64, np.uint64, np.bool_, np.float64]),
+    ),
+)
+@example(3, np.array([[0, 2**63]], dtype=np.uint64))  # beyond int64: out of range, not wrapped
+@example(3, np.array([[0, -1]], dtype=np.int32))
+def test_ndarray_edges_match_reference(num_vertices, edges):
+    # integer arrays are accepted like lists of their entries; bool and
+    # float arrays are refused like bool and float endpoints
+    _assert_matches_reference(num_vertices, edges)
+
+
+def test_edges_from_an_iterator():
+    g = DirectedGraph(3, ((a, (a + 1) % 3) for a in range(3)))
+    assert g.edges == ((0, 1), (1, 2), (2, 0))
+    with pytest.raises(ValueError, match=re.escape("edges[1] (1, 1): self-loop at vertex 1")):
+        DirectedGraph(3, iter([(0, 1), (1, 1)]))
+
+
+def test_graph_is_immutable():
+    g = DirectedGraph(3, [(0, 1), (2, 1)])
+    with pytest.raises(AttributeError):
+        g.num_vertices = 4
+    with pytest.raises(ValueError):
+        g.edge_array[0, 0] = 2  # read-only
+    edges = np.array([[0, 1]])
+    h = DirectedGraph(2, edges)
+    edges[0] = (1, 0)  # the graph holds its own copy
+    assert h.edges == ((0, 1),)
+
+
+def test_benchmark_contract(monkeypatch):
+    # The benchmark's traced run wraps DirectedGraph.__post_init__ on the
+    # class, reads num_edges after it, and hashes tuple(graph.edges).
+    validated = []
+    original = DirectedGraph.__post_init__
+
+    def traced(self, *args):
+        original(self, *args)
+        validated.append(self.num_edges)
+
+    monkeypatch.setattr(DirectedGraph, "__post_init__", traced)
+    g = DirectedGraph(3, [(0, 1), (2, 1)])
+    assert validated == [2]
+    assert g.num_edges == 2
+    assert isinstance(hash(tuple(g.edges)), int)
 
 
 @pytest.mark.parametrize("num_vertices", [0, True, 2.0, "3"])
@@ -358,6 +490,28 @@ def test_flip_bad_index_rejected():
         flip_edge(g, 1)
     with pytest.raises(ValueError, match="edge index 0.5 is not an integer"):
         flip_edge(g, 0.5)
+
+
+@given(directed_graphs(max_vertices=10), st.data())
+def test_derived_graphs_equal_validated_ones(g, data):
+    # flip_edge and permute_vertices derive their graphs without validating
+    # them again: each must equal the graph validated from its edges.
+    derived = [permute_vertices(g, data.draw(st.permutations(range(g.num_vertices))))]
+    if g.num_edges:
+        derived.append(flip_edge(g, data.draw(st.integers(0, g.num_edges - 1))))
+    for h in derived:
+        rebuilt = DirectedGraph(h.num_vertices, h.edges)
+        assert h == rebuilt and hash(h) == hash(rebuilt)
+        assert (h.edges, h.degrees, h.out_degrees) == (
+            rebuilt.edges, rebuilt.degrees, rebuilt.out_degrees
+        )
+        assert all(type(d) is int for d in h.degrees + h.out_degrees)
+        assert not h.edge_array.flags.writeable
+
+
+def test_binary_tree_edge_order():
+    assert gen_full_binary_tree(3).edges == ((0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6))
+    assert gen_full_binary_tree(1).edges == ()
 
 
 @given(directed_graphs(), st.randoms(use_true_random=False))
