@@ -60,13 +60,19 @@ class EdReport:
 
     def __post_init__(self) -> None:
         values = tuple(float(v) for v in self.per_vertex)
-        if not values:
-            raise ValueError("report needs at least one vertex")
-        total = math.fsum(values) / len(values)
-        if not -1e-9 <= total <= 1.0 + 1e-9:
-            raise ValueError(f"total {total} outside [0, 1]")
         object.__setattr__(self, "per_vertex", values)
-        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "total", _mean(values))
+
+
+def _mean(values: Sequence[float]) -> float:
+    """The ED per qubit: the mean of the per-vertex contributions, which
+    must lie in [0, 1] give or take 1e-9 of rounding."""
+    if not values:
+        raise ValueError("report needs at least one vertex")
+    total = math.fsum(values) / len(values)
+    if not -1e-9 <= total <= 1.0 + 1e-9:
+        raise ValueError(f"total {total} outside [0, 1]")
+    return total
 
 
 def _degree_counts(dist: DistributionLike) -> Mapping[int, int]:
@@ -76,16 +82,23 @@ def _degree_counts(dist: DistributionLike) -> Mapping[int, int]:
     return dist.counts if isinstance(dist, DegreeDistribution) else _checked_counts(dist)
 
 
-def ed_numeric(state: PureState) -> EdReport:
-    """Brute-force Entanglement Distance from a simulated state: the one-row
-    call of `ed_numeric_rows`."""
-    return ed_numeric_rows(state.amplitudes[None])[0]
-
-
-def ed_numeric_rows(amplitudes: np.ndarray) -> list[EdReport]:
-    """One brute-force report per row of an (R, 2^M) array of amplitudes."""
+def _contribution_rows(amplitudes: np.ndarray) -> np.ndarray:
+    """Entry [r, i] is 1 - ||<sigma^(i)>||^2 of qubit i in row r."""
     vectors = pauli_vector_rows(amplitudes)
-    return [EdReport(row.tolist()) for row in 1.0 - np.vecdot(vectors, vectors)]
+    return 1.0 - np.vecdot(vectors, vectors)
+
+
+def ed_numeric(state: PureState) -> EdReport:
+    """Brute-force Entanglement Distance from a simulated state, with its
+    per-vertex contributions."""
+    return EdReport(_contribution_rows(state.amplitudes[None])[0].tolist())
+
+
+def ed_numeric_rows(amplitudes: np.ndarray) -> np.ndarray:
+    """The brute-force ED per qubit of each row of an (R, 2^M) array of
+    amplitudes, as an (R,) array: entry r is, bit for bit, the `total` that
+    `ed_numeric` reports for row r, with no report built."""
+    return np.array([_mean(row.tolist()) for row in _contribution_rows(amplitudes)])
 
 
 def ed_closed_form(dist: DistributionLike, theta: float) -> float:

@@ -54,6 +54,17 @@ def _integer(x: object, what: str) -> int:
     raise ValueError(f"{what} {x!r} is not an integer")
 
 
+def _vertex_count(m: object) -> int:
+    """A checked vertex count: an integer from 1 to 2^63 - 1, so that every
+    vertex index fits the int64 edge array."""
+    m = _integer(m, "num_vertices")
+    if m < 1:
+        raise ValueError(f"num_vertices must be >= 1, got {m}")
+    if m >= 2**63:
+        raise ValueError(f"num_vertices {m} is more than 2^63 - 1")
+    return m
+
+
 def _check_p(p: float) -> None:
     """Refuse an input amplitude split p that is not a real number in [0, 1]:
     NaN fails the range test, and a bool, str or None is not a real number."""
@@ -149,9 +160,7 @@ class DirectedGraph:
 
         Only when a check fails is the first refused edge, in input order,
         looked up, so its error names it: "edges[i] <edge>: <reason>"."""
-        m = _integer(num_vertices, "num_vertices")
-        if m < 1:
-            raise ValueError(f"num_vertices must be >= 1, got {m}")
+        m = _vertex_count(num_vertices)
         if not isinstance(edges, (list, tuple, np.ndarray)):
             edges = list(edges)
         array, n = _pairs(edges, m)
@@ -285,7 +294,9 @@ def degree_distribution(g: DirectedGraph) -> DegreeDistribution:
 
 def _blocks(sizes: Sequence[int]) -> list[range]:
     """Vertex ranges of consecutive blocks (layers or cycles) of these sizes."""
-    return [range(a, b) for a, b in pairwise(accumulate(sizes, initial=0))]
+    bounds = list(accumulate(sizes, initial=0))
+    _vertex_count(bounds[-1])
+    return [range(a, b) for a, b in pairwise(bounds)]
 
 
 def _yf_layers(num_layers: int) -> int:

@@ -1,8 +1,10 @@
 """Seeded verification harness: closed forms against the simulation oracle.
 
 Five checks run over every supplied graph with freshly drawn parameters per
-sample: the balanced and general closed forms against `ed_numeric`, and the
-three invariances (psi sweep, edge orientation flip, vertex relabeling).
+sample: the balanced and general closed forms against the oracle's ED, and
+the three invariances (psi sweep, edge orientation flip, vertex relabeling).
+The oracle's per-row totals are read as one table per graph, one row per
+sample, and each check is an array reduction over its columns.
 Each check counts the samples it evaluated; one that evaluated none (the
 orientation flip on edgeless graphs) is reported as skipped, not passed.
 All randomness comes from one seeded generator, so a report is reproducible
@@ -43,19 +45,15 @@ BATCH_AMPLITUDES = 2**15
 
 def _oracle(
     rows: Sequence[tuple[DirectedGraph, InitialQubit, InteractionParams]], *, max_qubits: int
-) -> list[float]:
+) -> np.ndarray:
     """The simulation oracle's ED per qubit of each (graph, qubit, params)
-    row; the graphs share their vertex count."""
+    row, as one array; the graphs share their vertex count."""
     per_batch = max(BATCH_AMPLITUDES >> rows[0][0].num_vertices, 1)
-    totals = []
-    for start in range(0, len(rows), per_batch):
-        graphs, qubits, params = zip(*rows[start : start + per_batch])
-        # Unnamed, each batch's states are freed before the next batch is built.
-        reports = ed_numeric_rows(
-            build_graph_state_rows(graphs, qubits, params, max_qubits=max_qubits)
-        )
-        totals += [report.total for report in reports]
-    return totals
+    batches = (zip(*rows[start : start + per_batch]) for start in range(0, len(rows), per_batch))
+    # Unnamed, each batch's states are freed before the next batch is built.
+    return np.concatenate(
+        [ed_numeric_rows(build_graph_state_rows(*b, max_qubits=max_qubits)) for b in batches]
+    )
 
 
 @dataclass(frozen=True)
@@ -102,50 +100,43 @@ def run_verification(
     if not graphs:
         raise ValueError("no graphs to verify")
     rng = np.random.default_rng(seed)
-    worst = dict.fromkeys(CHECK_ORDER, 0.0)
-    ran = dict.fromkeys(CHECK_ORDER, 0)
-
-    def record(name: str, deviation: float) -> None:
-        if deviation > worst[name] or math.isnan(deviation):  # a NaN stays and fails
-            worst[name] = deviation
-        ran[name] += 1
-
+    closed_form, closed_general = entanglement.ed_closed_form, entanglement.ed_closed_general
+    found = []  # per graph, one array of deviations per check, in CHECK_ORDER
     for g in graphs:
         dist = degree_distribution(g)
         # Every draw of the graph's samples first, in the order of the checks;
         # the oracle then evaluates all their rows together.
-        rows, closed, closed_general = [], [], []
+        rows, closed = [], []
         for _ in range(samples):
-            theta = rng.uniform(0.0, math.pi)
-            psi = rng.uniform(-math.pi, math.pi)
-            params = InteractionParams(theta, psi)
-            rows.append((g, BALANCED, params))
-            closed.append(entanglement.ed_closed_form(dist, theta))
+            params = InteractionParams(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
             p = rng.uniform(0.0, 1.0)
-            theta_g = rng.uniform(0.0, math.pi)
-            psi_g = rng.uniform(-math.pi, math.pi)
+            params_g = InteractionParams(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
             qubit = InitialQubit(p, rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
-            rows.append((g, qubit, InteractionParams(theta_g, psi_g)))
-            closed_general.append(entanglement.ed_closed_general(dist, p, theta_g))
-            for _ in range(3):
-                rows.append((g, BALANCED, InteractionParams(theta, rng.uniform(-math.pi, math.pi))))
+            rows += (g, BALANCED, params), (g, qubit, params_g)
+            closed += closed_form(dist, params.theta), closed_general(dist, p, params_g.theta)
+            for psi in rng.uniform(-math.pi, math.pi, 3):
+                rows.append((g, BALANCED, InteractionParams(params.theta, psi)))
             if g.num_edges:
-                flipped = flip_edge(g, int(rng.integers(g.num_edges)))
-                rows.append((flipped, BALANCED, params))
-            perm = [int(x) for x in rng.permutation(g.num_vertices)]
-            rows.append((permute_vertices(g, perm), BALANCED, params))
-        eds = iter(_oracle(rows, max_qubits=max_qubits))
-        for closed_b, closed_g in zip(closed, closed_general):
-            base = next(eds)
-            record("closed-form oracle", abs(base - closed_b))
-            record("general-closed oracle", abs(next(eds) - closed_g))
-            psi_values = [base, next(eds), next(eds), next(eds)]
-            record("psi independence", max(psi_values) - min(psi_values))
-            if g.num_edges:
-                record("orientation flip", abs(base - next(eds)))
-            record("vertex relabeling", abs(base - next(eds)))
-
-    return VerificationReport(tol, [CheckResult(name, worst[name], ran[name]) for name in CHECK_ORDER])
+                rows.append((flip_edge(g, rng.integers(g.num_edges)), BALANCED, params))
+            rows.append((permute_vertices(g, rng.permutation(g.num_vertices)), BALANCED, params))
+        # One row per sample; columns base, general, three psi draws, then the
+        # flip (only when the graph has an edge) and the relabeling.
+        table = _oracle(rows, max_qubits=max_qubits).reshape(samples, -1)
+        base = table[:, 0]
+        closed_b, closed_g = np.reshape(closed, (samples, 2)).T
+        found.append((
+            abs(base - closed_b),
+            abs(table[:, 1] - closed_g),
+            np.ptp(table[:, [0, 2, 3, 4]], axis=1),
+            abs(base - table[:, 5]) if g.num_edges else np.empty(0),
+            abs(base - table[:, -1]),
+        ))
+    checks = []
+    for name, per_graph in zip(CHECK_ORDER, zip(*found)):
+        values = np.concatenate(per_graph)
+        # np.max keeps a NaN, so it fails; a check with no samples reads 0.
+        checks.append(CheckResult(name, float(np.max(values, initial=0.0)), values.size))
+    return VerificationReport(tol, checks)
 
 
 def ffnn_variant_report(
@@ -157,12 +148,7 @@ def ffnn_variant_report(
     oracle backs."""
     g = gen_ffnn(layer_sizes)
     rows = [(g, BALANCED, InteractionParams(theta, FFNN_PSI)) for theta in FFNN_THETAS]
-    dev_degree = 0.0
-    dev_variant = 0.0
-    for theta, oracle in zip(FFNN_THETAS, _oracle(rows, max_qubits=max_qubits)):
-        dev_degree = max(dev_degree, abs(oracle - entanglement.ed_ffnn(theta, layer_sizes)))
-        dev_variant = max(
-            dev_variant,
-            abs(oracle - entanglement.ed_ffnn_output_self_exponent(theta, layer_sizes)),
-        )
-    return dev_degree, dev_variant
+    oracle = _oracle(rows, max_qubits=max_qubits)
+    degree = [entanglement.ed_ffnn(t, layer_sizes) for t in FFNN_THETAS]
+    variant = [entanglement.ed_ffnn_output_self_exponent(t, layer_sizes) for t in FFNN_THETAS]
+    return float(np.max(abs(oracle - degree))), float(np.max(abs(oracle - variant)))

@@ -227,6 +227,13 @@ def test_gen_invalid_params_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in stderr
+    # A vertex count beyond int64 is refused, not an overflow traceback.
+    code, stdout, stderr = run(
+        capsys, "ed", "--topology", "bridged", "--cycles", "99999999999999999999,3",
+        "--theta", "0.3", "--method", "closed",
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: num_vertices 100000000000000000002 is more than 2^63 - 1\n"
 
 
 # ----------------------------------------------------------------------
@@ -310,6 +317,7 @@ def test_ed_bad_graph_file_exit_2(tmp_path, capsys):
         ('{"num_vertices": 3, "edges": [null]}', "edges[0]"),
         ('{"num_vertices": 3, "edges": [[0, 1], [2, 2]]}', "edges[1]"),
         ('{"num_vertices": 3, "edges": [[0, 3]]}', "edges[0]"),
+        ('{"num_vertices": 1000000000000000000000000000000, "edges": []}', "num_vertices"),
     ],
 )
 def test_ed_malformed_graph_json_names_field(tmp_path, capsys, text, field):
@@ -318,7 +326,8 @@ def test_ed_malformed_graph_json_names_field(tmp_path, capsys, text, field):
     code, stdout, stderr = run(capsys, "ed", "--graph", str(path), "--theta", "1.0")
     assert code == 2
     assert stdout == ""
-    assert f"error: malformed graph JSON: {field} " in stderr
+    assert stderr.startswith(f"error: malformed graph JSON: {field} ")
+    assert stderr.count("\n") == 1
 
 
 # Exact stdout, 17 significant digits per value: the closed-form lines are a
@@ -350,6 +359,49 @@ simulate: 0.53328517852811519
   vertex 9: 0.48358465547782137
 diff: 1.1102230246251565e-16
 """
+
+
+# Exact verify stdout: the worst deviation of each check, 17 digits, depends on
+# the draw order of the seeded generator and on every oracle row.
+GOLDEN_VERIFY_RANDOM = """\
+graphs: 40 random (<= 12 vertices)
+check                                max deviation  status
+closed-form oracle          4.1217029789208937e-15  pass
+general-closed oracle       3.9960303946026676e-15  pass
+psi independence            2.0539125955565396e-15  pass
+orientation flip            6.1853733940298028e-16  pass
+vertex relabeling           5.2735593669694936e-16  pass
+result: PASS (tol 1e-10)
+"""
+
+GOLDEN_VERIFY_FFNN = """\
+graphs: 1 (13 vertices, 36 edges)
+check                                max deviation  status
+closed-form oracle          7.7715611723760958e-16  pass
+general-closed oracle       8.8817841970012523e-16  pass
+psi independence            5.5511151231257827e-16  pass
+orientation flip            2.2204460492503131e-16  pass
+vertex relabeling           3.3306690738754696e-16  pass
+ffnn degree-distribution form vs oracle: 1.6653345369377348e-15
+ffnn output-self-exponent form vs oracle: 0.030425130407432333
+result: PASS (tol 1e-10)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("--random-graphs", "40", "--max-vertices", "12", "--samples", "5", "--seed", "1"),
+         GOLDEN_VERIFY_RANDOM),
+        (("--topology", "ffnn", "--layer-sizes", "3,4,4,2", "--samples", "3", "--seed", "5"),
+         GOLDEN_VERIFY_FFNN),
+    ],
+    ids=["random", "ffnn"],
+)
+def test_verify_golden_stdout(capsys, argv, golden):
+    code, stdout, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert stdout == golden
 
 
 def test_ed_golden_stdout(capsys):

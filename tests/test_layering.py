@@ -51,7 +51,13 @@ def test_oracle_imports_no_closed_form_code(oracle_module):
 
 @pytest.mark.parametrize(
     "message",
-    ["p must be in [0, 1]", "need at least 2 layers", "depth must be >= 1", "state not normalized"],
+    [
+        "p must be in [0, 1]",
+        "need at least 2 layers",
+        "depth must be >= 1",
+        "state not normalized",
+        "outside [0, 1]",
+    ],
 )
 def test_each_guard_has_one_home(message):
     lines = [

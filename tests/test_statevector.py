@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphent import statevector
+from graphent.entanglement import ed_numeric, ed_numeric_rows
 from graphent.graphs import DirectedGraph, flip_edge, gen_young_fibonacci, random_graph
 from graphent.statevector import (
     InitialQubit,
@@ -333,11 +334,14 @@ def test_rows_equal_their_one_row_calls_bit_for_bit():
     graphs, qubits, params = _mixed_rows()
     states = build_graph_state_rows(graphs, qubits, params)
     vectors = pauli_vector_rows(states)
+    totals = ed_numeric_rows(states)
     assert states.shape == (len(graphs), 2**7) and vectors.shape == (len(graphs), 7, 3)
+    assert totals.shape == (len(graphs),)
     for r, row in enumerate(zip(graphs, qubits, params)):
         state = build_graph_state(*row)
         assert np.array_equal(states[r], state.amplitudes)
         assert np.array_equal(vectors[r], pauli_vectors(state))
+        assert totals[r] == ed_numeric(PureState(7, states[r])).total
 
 
 def test_rows_refuse_one_unnormalized_row():

@@ -69,6 +69,19 @@ def test_nan_deviation_fails(monkeypatch):
     assert not report.passed
     assert math.isnan(report.checks[0].max_deviation)
     assert report.format_table().splitlines()[1].endswith("nan  FAIL")
+    # A NaN on a later graph, after finite deviations, still sticks: Python's
+    # max or np.nanmax would drop it.
+    monkeypatch.setattr(
+        graphent.entanglement,
+        "ed_closed_form",
+        lambda dist, theta: math.nan if dist.num_vertices == 7 else ed_closed_form(dist, theta),
+    )
+    graphs = [gen_full_binary_tree(2), gen_full_binary_tree(3)]
+    report = run_verification(graphs, samples=2, seed=0, tol=1e-10)
+    assert not report.passed and report.checks[0].samples == 4
+    assert math.isnan(report.checks[0].max_deviation)
+    assert report.format_table().splitlines()[1].endswith("nan  FAIL")
+    assert all(c.max_deviation <= 1e-10 for c in report.checks[1:])
 
 
 def test_table_format():
