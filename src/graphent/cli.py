@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-vertices", type=_integer(2), help="random-graph size cap (default 10)")
     p_verify.add_argument("--edge-prob", type=_probability, help="random-graph edge probability (default 0.4)")
     p_verify.add_argument("--samples", type=_integer(1), default=25, help="parameter draws per graph (default 25)")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_integer(0), default=0)
     p_verify.add_argument("--tol", type=_tolerance, default=1e-10)
     p_verify.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS, help="simulation cap (default %(default)s)")
     p_verify.set_defaults(func=cmd_verify)

@@ -133,8 +133,8 @@ def ed_closed_general(dist: DistributionLike, p: float, theta: float) -> float:
 def ed_general_report(graph: DirectedGraph, p: float, theta: float) -> EdReport:
     """Per-vertex closed-form report for a general input amplitude split:
     one formula per entry of the graph's degree vector, O(M) after the O(E)
-    count the graph made when it was built.  At p = 1/2 each entry is exactly
-    the balanced contribution 1 - cos(theta)^(2d)."""
+    count that validation made (a derived graph counts on first use).  At
+    p = 1/2 each entry is exactly the balanced contribution 1 - cos(theta)^(2d)."""
     _check_p(p)
     r2 = _r_squared(p, theta)
     # Python's float power once per distinct degree: numpy's vectorised power

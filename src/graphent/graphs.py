@@ -3,12 +3,12 @@
 Vertices are 0-based.  Graphs are immutable after construction and simple in
 the undirected sense: no self-loops and at most one edge per unordered vertex
 pair, whichever way it points.  A graph holds its edges once, as the
-read-only (E, 2) int64 array `edge_array`, validated in one vectorised pass
-that also counts the degrees; `flip_edge` and `permute_vertices` derive their
-array and degrees from a valid graph without a second check.  The generators
-number layers from the top/input side and vertices left-to-right within a
-layer, with all edges oriented downstream, so identical parameters always
-produce identical graphs.
+read-only (E, 2) int64 array `edge_array`, validated in one vectorised pass;
+the degree vectors are counted from it on demand.  `flip_edge` and
+`permute_vertices` derive their array from a valid graph without a second
+check.  The generators number layers from the top/input side and vertices
+left-to-right within a layer, with all edges oriented downstream, so
+identical parameters always produce identical graphs.
 """
 
 from __future__ import annotations
@@ -137,6 +137,11 @@ def _pairs(edges: Sequence, m: int) -> tuple[np.ndarray, int]:
     return np.array(rows, dtype=np.int64).reshape(-1, 2), len(rows)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class DirectedGraph:
     """A directed simple graph: vertex count plus an ordered edge list.
 
@@ -144,8 +149,9 @@ class DirectedGraph:
     `edge_array`; `edges`, the same list as a tuple of (int, int) pairs, is
     made from it on first use.  `out_degrees[i]` counts the edges leaving
     vertex i and `degrees[i]` its total degree, ignoring orientation, so
-    `degrees[i] - out_degrees[i]` is its in-degree.  Both are tuples of
-    ints, counted once while the edges are validated, and are derived data,
+    `degrees[i] - out_degrees[i]` is its in-degree.  Both are read-only
+    int64 arrays, each counted from `edge_array` by one `np.bincount` on
+    first use (validation keeps the total it counts), and are derived data,
     so they take no part in equality, hashing or repr.  A graph is
     immutable.
     """
@@ -169,12 +175,11 @@ class DirectedGraph:
         bad = (lo < 0) | (hi >= m) | (lo == hi)  # out of range or a self-loop
         if bad.any():
             n = int(bad.argmax())  # the edges before it are still searched for repeats
-            a, b, lo, hi = a[:n], b[:n], lo[:n], hi[:n]
-        # The degree counts are allocated before the pair keys lo*m + hi are
-        # formed, so a vertex count whose keys would overflow int64 runs out
-        # of memory first.
-        out = np.bincount(a, minlength=m)
-        into = np.bincount(b, minlength=m)
+            lo, hi = lo[:n], hi[:n]
+        # The total-degree count is allocated before the pair keys lo*m + hi
+        # are formed, so a vertex count whose keys would overflow int64 runs
+        # out of memory first; a valid graph keeps it as `degrees`.
+        degrees = np.bincount(array[:n].ravel(), minlength=m)
         keys = lo * m + hi
         ordered = np.sort(keys)
         if (ordered[1:] == ordered[:-1]).any():
@@ -185,25 +190,20 @@ class DirectedGraph:
             i = n
             reason = _edge(edges[i], m)
         else:
-            self._set(m, array, tuple((out + into).tolist()), tuple(out.tolist()))
+            self._set(m, array, degrees=_read_only(degrees))
             return
         raise ValueError(f"edges[{i}] {edges[i]!r}: {reason}")
 
     @classmethod
-    def _derived(
-        cls, m: int, edge_array: np.ndarray, degrees: tuple[int, ...], out_degrees: tuple[int, ...]
-    ) -> DirectedGraph:
-        """A graph whose edges and degrees were derived from a valid graph by
-        a transformation that keeps it simple: nothing is checked again."""
+    def _derived(cls, m: int, edge_array: np.ndarray) -> DirectedGraph:
+        """A graph whose edges were derived from a valid graph by a
+        transformation that keeps it simple: nothing is checked again."""
         graph = cls.__new__(cls)
-        graph._set(m, edge_array, degrees, out_degrees)
+        graph._set(m, edge_array)
         return graph
 
-    def _set(self, m: int, edge_array: np.ndarray, degrees: tuple, out_degrees: tuple) -> None:
-        edge_array.flags.writeable = False
-        vars(self).update(
-            num_vertices=m, edge_array=edge_array, degrees=degrees, out_degrees=out_degrees
-        )
+    def _set(self, m: int, edge_array: np.ndarray, **cached: np.ndarray) -> None:
+        vars(self).update(num_vertices=m, edge_array=_read_only(edge_array), **cached)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -214,6 +214,14 @@ class DirectedGraph:
     @functools.cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(map(tuple, self.edge_array.tolist()))
+
+    @functools.cached_property
+    def degrees(self) -> np.ndarray:
+        return _read_only(np.bincount(self.edge_array.ravel(), minlength=self.num_vertices))
+
+    @functools.cached_property
+    def out_degrees(self) -> np.ndarray:
+        return _read_only(np.bincount(self.edge_array[:, 0], minlength=self.num_vertices))
 
     @property
     def num_edges(self) -> int:
@@ -285,7 +293,7 @@ class DegreeDistribution:
 
 
 def degree_distribution(g: DirectedGraph) -> DegreeDistribution:
-    return DegreeDistribution(dict(Counter(g.degrees)))
+    return DegreeDistribution(dict(Counter(g.degrees.tolist())))
 
 
 # ----------------------------------------------------------------------
@@ -384,10 +392,7 @@ def permute_vertices(g: DirectedGraph, permutation: Sequence[int]) -> DirectedGr
     if sorted(perm) != list(range(g.num_vertices)):
         raise ValueError(f"not a permutation of 0..{g.num_vertices - 1}")
     new = np.array(perm, dtype=np.int64)
-    degrees = np.empty((2, g.num_vertices), dtype=np.int64)
-    degrees[:, new] = g.degrees, g.out_degrees
-    total, out = degrees.tolist()
-    return DirectedGraph._derived(g.num_vertices, new[g.edge_array], tuple(total), tuple(out))
+    return DirectedGraph._derived(g.num_vertices, new[g.edge_array])
 
 
 def flip_edge(g: DirectedGraph, edge_index: int) -> DirectedGraph:
@@ -397,12 +402,8 @@ def flip_edge(g: DirectedGraph, edge_index: int) -> DirectedGraph:
     if not (0 <= edge_index < g.num_edges):
         raise ValueError(f"edge index {edge_index} out of range")
     edges = g.edge_array.copy()
-    a, b = edges[edge_index].tolist()
-    edges[edge_index] = b, a
-    out = list(g.out_degrees)
-    out[a] -= 1
-    out[b] += 1
-    return DirectedGraph._derived(g.num_vertices, edges, g.degrees, tuple(out))
+    edges[edge_index, ::-1] = g.edge_array[edge_index]
+    return DirectedGraph._derived(g.num_vertices, edges)
 
 
 def random_graph(num_vertices: int, rng: np.random.Generator, edge_prob: float = 0.4) -> DirectedGraph:

@@ -20,15 +20,17 @@ operators, not a degree closed form.
 
 Rows: `build_graph_state_rows` runs that loop once for R states of one qubit
 count M, held as the rows of an (R, 2^M) array; each row has its own graph,
-input qubit and angles.  Per-row data are arrays: the lower-neighbour masks,
-built by one scatter over the rows' `edge_array`s, and the high-half factors
-alpha1 * exp(i*(theta - psi)*d_out(k)) are (M, R), and the pair factors
-exp(-2i*theta*c) are one flat (R*M) table read at c + r*M.
-`pauli_vector_rows` reads such an array, and `build_graph_state`
-and `pauli_vectors` are the one-row calls of the same code.  Batching pays
-for small states, where each numpy call does little work: the verification
-harness evaluates its rows in batches of at most max(2^15, 2^M) amplitudes,
-so a state of more than 2^15 amplitudes is always built alone.
+input qubit and angles.  Per-row data are arrays made from the rows'
+`edge_array`s, concatenated: one scatter over those edges builds the
+lower-neighbour masks and one `bincount` counts the out-degrees d_out(k).
+The masks and the high-half factors alpha1 * exp(i*(theta - psi)*d_out(k))
+are (M, R), and the pair factors exp(-2i*theta*c) are one flat (R*M) table
+read at c + r*M.  `pauli_vector_rows` reads such an array, and
+`build_graph_state` and `pauli_vectors` are the one-row calls of the same
+code.  Batching pays for small states, where each numpy call does little
+work: the verification harness evaluates its rows in batches of at most
+max(2^15, 2^M) amplitudes, so a state of more than 2^15 amplitudes is always
+built alone.
 
 Pauli vectors: `pauli_vector_rows` returns every qubit's (<sx>, <sy>, <sz>)
 in one call and copies no part of the states.  <sz> comes from one
@@ -226,8 +228,8 @@ def build_graph_state_rows(
             )
     # int32 holds every index, mask and pair offset up to 32 qubits.
     itype = np.int32 if m <= 32 else np.int64
-    # Bit mask of each vertex's lower-numbered neighbours, row r's vertex k
-    # at r*M + k: one scatter over every row's edges.
+    # Each vertex's bit mask of lower-numbered neighbours and its out-degree,
+    # row r's vertex k at r*M + k: one pass each over every row's edges.
     a, b = np.concatenate([g.edge_array for g in graphs]).T
     row_starts = np.repeat(np.arange(0, rows * m, m), [g.num_edges for g in graphs])
     lower = np.zeros(rows * m, dtype=itype)
@@ -235,10 +237,10 @@ def build_graph_state_rows(
         lower, np.maximum(a, b) + row_starts, np.left_shift(1, np.minimum(a, b), dtype=itype)
     )
     lower = lower.reshape(rows, m).T[:, :, None]  # (M, R, 1)
+    d_out = np.bincount(a + row_starts, minlength=rows * m).reshape(rows, m).T  # (M, R)
     theta = np.array([q.theta for q in params])
     step = 1j * (theta - np.array([q.psi for q in params]))
-    out_degrees = np.array([g.out_degrees for g in graphs]).T  # (M, R)
-    high = np.array([q.alpha1 for q in qubits]) * np.exp(step * out_degrees)
+    high = np.array([q.alpha1 for q in qubits]) * np.exp(step * d_out)
     a0 = np.array([q.alpha0 for q in qubits])[:, None]
     pair = np.exp(-2j * theta[:, None] * np.arange(m)).ravel()  # row r at [r*M : (r+1)*M]
     offsets = np.arange(0, rows * m, m, dtype=itype)[:, None]

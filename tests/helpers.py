@@ -69,7 +69,8 @@ def dense_pauli_expectations(vec: np.ndarray, qubit: int, num_qubits: int) -> np
 def reference_graph(num_vertices, edges):
     """The per-edge loop that `DirectedGraph` validated with before it held
     its edges as an array: (edges, degrees, out_degrees) of an accepted
-    graph, or the ValueError that names the first refused edge."""
+    graph, the degree counts as lists, or the ValueError that names the
+    first refused edge."""
     m = _integer(num_vertices, "num_vertices")
     if m < 1:
         raise ValueError(f"num_vertices must be >= 1, got {m}")
@@ -98,7 +99,7 @@ def reference_graph(num_vertices, edges):
         out[a] += 1
         into[b] += 1
         pairs.append((a, b))
-    return tuple(pairs), tuple(map(operator.add, out, into)), tuple(out)
+    return tuple(pairs), list(map(operator.add, out, into)), out
 
 
 @st.composite

@@ -655,6 +655,7 @@ SWEEP_ARGV = ("sweep", "--quantity", "hs2", "--theta-steps", "3", "--out", "x.cs
         (("verify", "--random-graphs=0"), "argument --random-graphs: must be an integer >= 1, got '0'"),
         ((*VERIFY_ARGV, "--max-vertices=1"), "argument --max-vertices: must be an integer >= 2, got '1'"),
         ((*VERIFY_ARGV, "--samples=0"), "argument --samples: must be an integer >= 1, got '0'"),
+        ((*VERIFY_ARGV, "--seed=-1"), "argument --seed: must be an integer >= 0, got '-1'"),
         ((*SWEEP_ARGV, "--psi=1"), "unrecognized arguments: --psi=1"),
         ((*SWEEP_ARGV, "--quantity=nope"), "argument --quantity: invalid choice: 'nope'"),
         ((*SWEEP_ARGV, "--theta-steps=1"), "argument --theta-steps: must be an integer >= 2, got '1'"),

@@ -1,9 +1,10 @@
 """The two routes stay independent by construction: the state-vector oracle
 (statevector.py) and the reduced-density analytics (density.py) import no
-closed-form code, directly or through the graphent modules they import.  And
-no export outlives its definition: every name a module lists in `__all__`
-exists, and the package imports only names its modules export.  Each shared
-input guard raises its message from one line, so a fix cannot miss a copy."""
+closed-form code, directly or through the graphent modules they import, and
+read none of a graph's degree bookkeeping.  And no export outlives its
+definition: every name a module lists in `__all__` exists, and the package
+imports only names its modules export.  Each shared input guard raises its
+message from one line, so a fix cannot miss a copy."""
 
 import ast
 import importlib
@@ -47,6 +48,23 @@ def test_oracle_imports_no_closed_form_code(oracle_module):
         )
         todo += [t for t in tokens if (PACKAGE / f"{t}.py").is_file()]
     assert "graphs" in seen  # the walk followed the package-relative imports
+
+
+@pytest.mark.parametrize("oracle_module", ["statevector", "density"])
+def test_oracle_reads_no_degree_bookkeeping(oracle_module):
+    # Orientation reaches the oracle only through the edges it simulates: it
+    # counts what it needs from them, never the graph's degree vectors.
+    tree = ast.parse((PACKAGE / f"{oracle_module}.py").read_text(encoding="utf-8"))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    banned = {"degrees", "out_degrees", "degree_distribution", "DegreeDistribution"}
+    assert not used & banned, f"{oracle_module}.py reads {sorted(used & banned)}"
 
 
 @pytest.mark.parametrize(
