@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ed.add_argument("--p", type=_probability, default=0.5, help="input |1> weight (default 0.5)")
     p_ed.add_argument("--psi", type=_finite, help="global interaction phase (default 0)")
     p_ed.add_argument("--method", choices=("closed", "simulate", "both"), default="both")
-    p_ed.add_argument("--max-qubits", type=int, help=f"simulation cap (default {DEFAULT_MAX_QUBITS})")
+    p_ed.add_argument("--max-qubits", type=_integer(1), help=f"simulation cap (default {DEFAULT_MAX_QUBITS})")
     p_ed.add_argument("--verbose", action="store_true", help="also print per-vertex contributions")
     p_ed.set_defaults(func=cmd_ed)
 
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=_integer(1), default=25, help="parameter draws per graph (default 25)")
     p_verify.add_argument("--seed", type=_integer(0), default=0)
     p_verify.add_argument("--tol", type=_tolerance, default=1e-10)
-    p_verify.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS, help="simulation cap (default %(default)s)")
+    p_verify.add_argument("--max-qubits", type=_integer(1), default=DEFAULT_MAX_QUBITS, help="simulation cap (default %(default)s)")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

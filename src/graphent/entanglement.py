@@ -26,7 +26,8 @@ import numpy as np
 
 from .graphs import DegreeDistribution, DirectedGraph, _check_p, _checked_counts, _integer
 from .graphs import _tree_depth, _yf_layers, ffnn_layer_sizes
-from .statevector import InitialQubit, InteractionParams, PureState, pauli_vector_rows
+from .statevector import DEFAULT_MAX_QUBITS, InitialQubit, InteractionParams, PureState
+from .statevector import build_graph_state_rows, pauli_vector_rows
 
 __all__ = [
     "EdReport",
@@ -48,6 +49,9 @@ __all__ = [
 ]
 
 DistributionLike = Union[DegreeDistribution, Mapping[int, int]]
+# Oracle rows are built and read in batches of at most max(2^15, 2^M)
+# amplitudes: one doubling loop and one Pauli pass per batch, not per state.
+BATCH_AMPLITUDES = 2**15
 
 
 @dataclass(frozen=True)
@@ -94,11 +98,22 @@ def ed_numeric(state: PureState) -> EdReport:
     return EdReport(_contribution_rows(state.amplitudes[None])[0].tolist())
 
 
-def ed_numeric_rows(amplitudes: np.ndarray) -> np.ndarray:
-    """The brute-force ED per qubit of each row of an (R, 2^M) array of
-    amplitudes, as an (R,) array: entry r is, bit for bit, the `total` that
-    `ed_numeric` reports for row r, with no report built."""
-    return np.array([_mean(row.tolist()) for row in _contribution_rows(amplitudes)])
+def ed_numeric_rows(
+    rows: Sequence[tuple[DirectedGraph, InitialQubit, InteractionParams]],
+    *,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
+) -> np.ndarray:
+    """The brute-force ED per qubit of each (graph, input qubit, params) row,
+    as an (R,) array, bit for bit `ed_numeric(build_graph_state(*row)).total`
+    but with no report built.  The graphs share their vertex count M; rows are
+    built and read in batches of at most max(BATCH_AMPLITUDES, 2^M) amplitudes."""
+    per_batch = max(BATCH_AMPLITUDES >> rows[0][0].num_vertices, 1) if rows else 1
+    # Unnamed, each batch's states are freed before the next batch is built.
+    batches = (
+        _contribution_rows(build_graph_state_rows(rows[i : i + per_batch], max_qubits=max_qubits))
+        for i in range(0, len(rows), per_batch)
+    )
+    return np.array([_mean(row.tolist()) for batch in batches for row in batch])
 
 
 def ed_closed_form(dist: DistributionLike, theta: float) -> float:
@@ -106,9 +121,9 @@ def ed_closed_form(dist: DistributionLike, theta: float) -> float:
     return ed_closed_general(dist, 0.5, theta)
 
 
-def _general_contribution(p: float, r2k: float | np.ndarray) -> float | np.ndarray:
+def _general_contribution(p: float, r2k: float) -> float:
     """1 - (1-2p)^2 - 4p(1-p) r2k: one vertex's share with r2k = r^(2d), or
-    the mean share with r2k the mean of r^(2d); elementwise for an array."""
+    the mean share with r2k the mean of r^(2d)."""
     return 1.0 - (1.0 - 2.0 * p) ** 2 - 4.0 * p * (1.0 - p) * r2k
 
 
@@ -137,11 +152,9 @@ def ed_general_report(graph: DirectedGraph, p: float, theta: float) -> EdReport:
     p = 1/2 each entry is exactly the balanced contribution 1 - cos(theta)^(2d)."""
     _check_p(p)
     r2 = _r_squared(p, theta)
-    # Python's float power once per distinct degree: numpy's vectorised power
-    # can differ from it in the last bit, and the values must not move.
-    degrees, index = np.unique(graph.degrees, return_inverse=True)
-    r2k = np.array([r2**k for k in degrees.tolist()])[index]
-    return EdReport(_general_contribution(p, r2k).tolist())
+    degrees = graph.degrees.tolist()
+    share = {d: _general_contribution(p, r2**d) for d in set(degrees)}
+    return EdReport([share[d] for d in degrees])
 
 
 def interaction_expectation(qubit: InitialQubit, params: InteractionParams) -> complex:

@@ -18,19 +18,18 @@ This is the qubit-by-qubit form of the weighted graph state (Hein, Eisert
 and Briegel, PRA 69, 062311, 2004), still a direct simulation of the edge
 operators, not a degree closed form.
 
-Rows: `build_graph_state_rows` runs that loop once for R states of one qubit
-count M, held as the rows of an (R, 2^M) array; each row has its own graph,
-input qubit and angles.  Per-row data are arrays made from the rows'
-`edge_array`s, concatenated: one scatter over those edges builds the
-lower-neighbour masks and one `bincount` counts the out-degrees d_out(k).
-The masks and the high-half factors alpha1 * exp(i*(theta - psi)*d_out(k))
-are (M, R), and the pair factors exp(-2i*theta*c) are one flat (R*M) table
-read at c + r*M.  `pauli_vector_rows` reads such an array, and
-`build_graph_state` and `pauli_vectors` are the one-row calls of the same
-code.  Batching pays for small states, where each numpy call does little
-work: the verification harness evaluates its rows in batches of at most
-max(2^15, 2^M) amplitudes, so a state of more than 2^15 amplitudes is always
-built alone.
+Rows: a row is one (graph, input qubit, interaction params) triple, that
+is, one state.  `build_graph_state_rows` runs that loop once for R rows of
+one qubit count M, whose states are the rows of an (R, 2^M) array.  Per-row
+data are arrays made from the rows' `edge_array`s, concatenated: one scatter
+over those edges builds the lower-neighbour masks and one `bincount` counts
+the out-degrees d_out(k).  The masks and the high-half factors
+alpha1 * exp(i*(theta - psi)*d_out(k)) are (M, R), and the pair factors
+exp(-2i*theta*c) are one flat (R*M) table read at c + r*M.
+`pauli_vector_rows` reads such an array, and `build_graph_state` and
+`pauli_vectors` are the one-row calls of the same code.  How many rows go
+into one call is the caller's choice; `entanglement.ed_numeric_rows` holds
+the batch rule the oracle's callers use.
 
 Pauli vectors: `pauli_vector_rows` returns every qubit's (<sx>, <sy>, <sz>)
 in one call and copies no part of the states.  <sz> comes from one
@@ -186,25 +185,22 @@ def build_graph_state(
     """Product input state followed by one edge operator per graph edge,
     built by in-place doubling (see the module docstring): the one-row call
     of `build_graph_state_rows`."""
-    rows = build_graph_state_rows([graph], [qubit], [params], max_qubits=max_qubits)
-    return PureState(graph.num_vertices, rows[0])
+    states = build_graph_state_rows([(graph, qubit, params)], max_qubits=max_qubits)
+    return PureState(graph.num_vertices, states[0])
 
 
 def build_graph_state_rows(
-    graphs: Sequence[DirectedGraph],
-    qubits: Sequence[InitialQubit],
-    params: Sequence[InteractionParams],
+    rows: Sequence[tuple[DirectedGraph, InitialQubit, InteractionParams]],
     *,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> np.ndarray:
-    """Row r of the (R, 2^M) result holds the amplitudes of graphs[r] built
-    from qubits[r] under params[r]; one doubling loop serves every row.  The
-    graphs must share their vertex count M."""
-    rows = len(graphs)
-    if not rows or len(qubits) != rows or len(params) != rows:
-        raise ValueError(
-            f"need one graph, qubit and params per row, got {rows}, {len(qubits)}, {len(params)}"
-        )
+    """Row r of the (R, 2^M) result holds the amplitudes of the state of
+    rows[r], a (graph, input qubit, params) triple; one doubling loop serves
+    every row.  The graphs must share their vertex count M."""
+    if not rows:
+        raise ValueError("need at least one row")
+    graphs, qubits, params = zip(*rows)
+    count = len(rows)
     m = graphs[0].num_vertices
     if any(g.num_vertices != m for g in graphs):
         sizes = sorted({g.num_vertices for g in graphs})
@@ -219,7 +215,7 @@ def build_graph_state_rows(
         # row for the states, 2 for the int32 index over half a row, shared by
         # the rows, and, in the last step, 2 per row for the int32 pair
         # indices plus 8 for the gathered pair factors; 40 * R bounds it.
-        needed = 40 * rows * 2**m
+        needed = 40 * count * 2**m
         available = _available_bytes()
         if available is not None and needed > available:
             raise ValueError(
@@ -231,20 +227,20 @@ def build_graph_state_rows(
     # Each vertex's bit mask of lower-numbered neighbours and its out-degree,
     # row r's vertex k at r*M + k: one pass each over every row's edges.
     a, b = np.concatenate([g.edge_array for g in graphs]).T
-    row_starts = np.repeat(np.arange(0, rows * m, m), [g.num_edges for g in graphs])
-    lower = np.zeros(rows * m, dtype=itype)
+    row_starts = np.repeat(np.arange(0, count * m, m), [g.num_edges for g in graphs])
+    lower = np.zeros(count * m, dtype=itype)
     np.bitwise_or.at(
         lower, np.maximum(a, b) + row_starts, np.left_shift(1, np.minimum(a, b), dtype=itype)
     )
-    lower = lower.reshape(rows, m).T[:, :, None]  # (M, R, 1)
-    d_out = np.bincount(a + row_starts, minlength=rows * m).reshape(rows, m).T  # (M, R)
+    lower = lower.reshape(count, m).T[:, :, None]  # (M, R, 1)
+    d_out = np.bincount(a + row_starts, minlength=count * m).reshape(count, m).T  # (M, R)
     theta = np.array([q.theta for q in params])
     step = 1j * (theta - np.array([q.psi for q in params]))
     high = np.array([q.alpha1 for q in qubits]) * np.exp(step * d_out)
     a0 = np.array([q.alpha0 for q in qubits])[:, None]
     pair = np.exp(-2j * theta[:, None] * np.arange(m)).ravel()  # row r at [r*M : (r+1)*M]
-    offsets = np.arange(0, rows * m, m, dtype=itype)[:, None]
-    amps = np.empty((rows, 1 << m), dtype=np.complex128)
+    offsets = np.arange(0, count * m, m, dtype=itype)[:, None]
+    amps = np.empty((count, 1 << m), dtype=np.complex128)
     amps[:, 0] = 1.0
     index = np.arange(1 << (m - 1), dtype=itype)
     for k in range(m):

@@ -23,7 +23,6 @@ from . import entanglement
 from .entanglement import ed_numeric_rows
 from .graphs import DirectedGraph, degree_distribution, flip_edge, gen_ffnn, permute_vertices
 from .statevector import DEFAULT_MAX_QUBITS, InitialQubit, InteractionParams
-from .statevector import build_graph_state_rows
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification", "ffnn_variant_report"]
 
@@ -38,22 +37,6 @@ CHECK_ORDER = (
 BALANCED = InitialQubit()
 FFNN_THETAS = tuple(i * math.pi / 8 for i in range(1, 8))
 FFNN_PSI = 0.4
-# Oracle rows are built and read in batches of at most max(2^15, 2^M)
-# amplitudes: one doubling loop and one Pauli pass per batch, not per state.
-BATCH_AMPLITUDES = 2**15
-
-
-def _oracle(
-    rows: Sequence[tuple[DirectedGraph, InitialQubit, InteractionParams]], *, max_qubits: int
-) -> np.ndarray:
-    """The simulation oracle's ED per qubit of each (graph, qubit, params)
-    row, as one array; the graphs share their vertex count."""
-    per_batch = max(BATCH_AMPLITUDES >> rows[0][0].num_vertices, 1)
-    batches = (zip(*rows[start : start + per_batch]) for start in range(0, len(rows), per_batch))
-    # Unnamed, each batch's states are freed before the next batch is built.
-    return np.concatenate(
-        [ed_numeric_rows(build_graph_state_rows(*b, max_qubits=max_qubits)) for b in batches]
-    )
 
 
 @dataclass(frozen=True)
@@ -121,7 +104,7 @@ def run_verification(
             rows.append((permute_vertices(g, rng.permutation(g.num_vertices)), BALANCED, params))
         # One row per sample; columns base, general, three psi draws, then the
         # flip (only when the graph has an edge) and the relabeling.
-        table = _oracle(rows, max_qubits=max_qubits).reshape(samples, -1)
+        table = ed_numeric_rows(rows, max_qubits=max_qubits).reshape(samples, -1)
         base = table[:, 0]
         closed_b, closed_g = np.reshape(closed, (samples, 2)).T
         found.append((
@@ -148,7 +131,7 @@ def ffnn_variant_report(
     oracle backs."""
     g = gen_ffnn(layer_sizes)
     rows = [(g, BALANCED, InteractionParams(theta, FFNN_PSI)) for theta in FFNN_THETAS]
-    oracle = _oracle(rows, max_qubits=max_qubits)
+    oracle = ed_numeric_rows(rows, max_qubits=max_qubits)
     degree = [entanglement.ed_ffnn(t, layer_sizes) for t in FFNN_THETAS]
     variant = [entanglement.ed_ffnn_output_self_exponent(t, layer_sizes) for t in FFNN_THETAS]
     return float(np.max(abs(oracle - degree))), float(np.max(abs(oracle - variant)))

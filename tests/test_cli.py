@@ -656,6 +656,9 @@ SWEEP_ARGV = ("sweep", "--quantity", "hs2", "--theta-steps", "3", "--out", "x.cs
         ((*VERIFY_ARGV, "--max-vertices=1"), "argument --max-vertices: must be an integer >= 2, got '1'"),
         ((*VERIFY_ARGV, "--samples=0"), "argument --samples: must be an integer >= 1, got '0'"),
         ((*VERIFY_ARGV, "--seed=-1"), "argument --seed: must be an integer >= 0, got '-1'"),
+        ((*VERIFY_ARGV, "--max-qubits=0"), "argument --max-qubits: must be an integer >= 1, got '0'"),
+        (("ed", "--topology", "btree", "--depth", "2", "--theta", "0.3", "--max-qubits=-5"),
+         "argument --max-qubits: must be an integer >= 1, got '-5'"),
         ((*SWEEP_ARGV, "--psi=1"), "unrecognized arguments: --psi=1"),
         ((*SWEEP_ARGV, "--quantity=nope"), "argument --quantity: invalid choice: 'nope'"),
         ((*SWEEP_ARGV, "--theta-steps=1"), "argument --theta-steps: must be an integer >= 2, got '1'"),

@@ -500,8 +500,7 @@ def test_derived_graphs_equal_validated_ones(g, data):
     derived = [permute_vertices(g, data.draw(st.permutations(range(g.num_vertices))))]
     if g.num_edges:
         derived.append(flip_edge(g, data.draw(st.integers(0, g.num_edges - 1))))
-    rows = len(derived)
-    build_graph_state_rows(derived, [InitialQubit(0.3)] * rows, [InteractionParams(0.7)] * rows)
+    build_graph_state_rows([(h, InitialQubit(0.3), InteractionParams(0.7)) for h in derived])
     for h in derived:
         # the oracle counts the out-degrees it needs from the edges: building
         # a derived graph's state leaves its degree vectors uncounted

@@ -1,10 +1,11 @@
 """The two routes stay independent by construction: the state-vector oracle
 (statevector.py) and the reduced-density analytics (density.py) import no
 closed-form code, directly or through the graphent modules they import, and
-read none of a graph's degree bookkeeping.  And no export outlives its
-definition: every name a module lists in `__all__` exists, and the package
-imports only names its modules export.  Each shared input guard raises its
-message from one line, so a fix cannot miss a copy."""
+read none of a graph's degree bookkeeping.  The oracle's rows are split into
+batches in one place, `entanglement.ed_numeric_rows`.  And no export outlives
+its definition: every name a module lists in `__all__` exists, and the
+package imports only names its modules export.  Each shared input guard
+raises its message from one line, so a fix cannot miss a copy."""
 
 import ast
 import importlib
@@ -65,6 +66,16 @@ def test_oracle_reads_no_degree_bookkeeping(oracle_module):
             used.add(node.name)
     banned = {"degrees", "out_degrees", "degree_distribution", "DegreeDistribution"}
     assert not used & banned, f"{oracle_module}.py reads {sorted(used & banned)}"
+
+
+def test_batch_rule_has_one_home():
+    # Only the row builder and ed_numeric_rows, which batches it, name them.
+    homes = {"statevector.py", "entanglement.py"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name not in homes:
+            source = path.read_text(encoding="utf-8")
+            for name in ("build_graph_state_rows", "BATCH_AMPLITUDES"):
+                assert name not in source, f"{path.name} names {name}"
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphent import statevector
+from graphent import entanglement, statevector
 from graphent.entanglement import ed_numeric, ed_numeric_rows
 from graphent.graphs import DirectedGraph, flip_edge, gen_young_fibonacci, random_graph
 from graphent.statevector import (
@@ -122,10 +122,10 @@ def test_memory_estimate_above_default_cap(monkeypatch):
     assert product_state(5, max_qubits=9).num_qubits == 5
     # A batch needs the bytes of all its rows.
     monkeypatch.setattr(statevector, "_available_bytes", lambda: 1279)
-    rows = ([DirectedGraph(4, [])] * 2, [BALANCED] * 2, [InteractionParams(0.0)] * 2)
+    rows = [(DirectedGraph(4, []), BALANCED, InteractionParams(0.0))] * 2
     with pytest.raises(ValueError, match="^4 qubits need about 1280 bytes to build"):
-        build_graph_state_rows(*rows, max_qubits=9)
-    assert build_graph_state_rows(*(r[:1] for r in rows), max_qubits=9).shape == (1, 16)
+        build_graph_state_rows(rows, max_qubits=9)
+    assert build_graph_state_rows(rows[:1], max_qubits=9).shape == (1, 16)
 
 
 @pytest.mark.parametrize(
@@ -317,8 +317,9 @@ def test_pauli_vectors_copy_no_state_half():
 # ----------------------------------------------------------------------
 
 def _mixed_rows():
-    """Different graphs of 7 vertices, the edgeless one among them, with
-    p in {0, 1/2, 1} and random p, input phases and angles."""
+    """(graph, qubit, params) rows: different graphs of 7 vertices, the
+    edgeless one among them, with p in {0, 1/2, 1} and random p, input
+    phases and angles."""
     m = 7
     rng = np.random.default_rng(3)
     graphs = [random_graph(m, rng, edge_prob=q) for q in (0.2, 0.5, 1.0, 0.7, 0.4)]
@@ -327,25 +328,51 @@ def _mixed_rows():
     ps = [0.0, 0.5, 1.0, *rng.uniform(0.0, 1.0, len(graphs) - 3)]
     qubits = [InitialQubit(p, *rng.uniform(-math.pi, math.pi, 2)) for p in ps]
     params = [InteractionParams(*rng.uniform(-math.pi, math.pi, 2)) for _ in graphs]
-    return graphs, qubits, params
+    return list(zip(graphs, qubits, params))
 
 
 def test_rows_equal_their_one_row_calls_bit_for_bit():
-    graphs, qubits, params = _mixed_rows()
-    states = build_graph_state_rows(graphs, qubits, params)
+    rows = _mixed_rows()
+    states = build_graph_state_rows(rows)
     vectors = pauli_vector_rows(states)
-    totals = ed_numeric_rows(states)
-    assert states.shape == (len(graphs), 2**7) and vectors.shape == (len(graphs), 7, 3)
-    assert totals.shape == (len(graphs),)
-    for r, row in enumerate(zip(graphs, qubits, params)):
+    totals = ed_numeric_rows(rows)
+    assert states.shape == (len(rows), 2**7) and vectors.shape == (len(rows), 7, 3)
+    assert totals.shape == (len(rows),)
+    for r, row in enumerate(rows):
         state = build_graph_state(*row)
         assert np.array_equal(states[r], state.amplitudes)
         assert np.array_equal(vectors[r], pauli_vectors(state))
         assert totals[r] == ed_numeric(PureState(7, states[r])).total
 
 
+def test_oracle_rows_span_batches_bit_for_bit(monkeypatch):
+    # 2^15 amplitudes hold 8 states of 12 qubits, so 20 rows take three
+    # batches, the last one short; each total is its one-row call's.
+    m = 12
+    rng = np.random.default_rng(13)
+    rows = [
+        (
+            random_graph(m, rng, edge_prob=rng.uniform(0.0, 0.6)),
+            InitialQubit(p, *rng.uniform(-math.pi, math.pi, 2)),
+            InteractionParams(*rng.uniform(-math.pi, math.pi, 2)),
+        )
+        for p in [0.0, 0.5, 1.0, *rng.uniform(0.0, 1.0, 17)]
+    ]
+    batches = []
+
+    def build(batch, **kwargs):
+        batches.append(len(batch))
+        return build_graph_state_rows(batch, **kwargs)
+
+    monkeypatch.setattr(entanglement, "build_graph_state_rows", build)
+    totals = ed_numeric_rows(rows)
+    assert batches == [8, 8, 4]
+    assert totals.tolist() == [ed_numeric(build_graph_state(*row)).total for row in rows]
+    assert ed_numeric_rows([]).shape == (0,) and batches == [8, 8, 4]
+
+
 def test_rows_refuse_one_unnormalized_row():
-    states = build_graph_state_rows(*_mixed_rows())
+    states = build_graph_state_rows(_mixed_rows())
     states[4] *= 1.001
     with pytest.raises(ValueError, match="^state not normalized: norm error 2.00"):
         pauli_vector_rows(states)
@@ -356,12 +383,10 @@ def test_rows_refuse_one_unnormalized_row():
 
 
 def test_rows_share_one_vertex_count():
-    graphs, qubits, params = _mixed_rows()
+    rows = _mixed_rows()
     with pytest.raises(ValueError, match=r"^rows must share one vertex count, got \[3, 7\]"):
-        build_graph_state_rows([*graphs[:2], DirectedGraph(3, [])], qubits[:3], params[:3])
-    with pytest.raises(ValueError, match="^need one graph, qubit and params per row"):
-        build_graph_state_rows(graphs, qubits[:-1], params)
-    with pytest.raises(ValueError, match="^need one graph, qubit and params per row"):
-        build_graph_state_rows([], [], [])
+        build_graph_state_rows([*rows[:2], (DirectedGraph(3, []), *rows[2][1:])])
+    with pytest.raises(ValueError, match="^need at least one row"):
+        build_graph_state_rows([])
     with pytest.raises(ValueError, match="^expected 2"):
         pauli_vector_rows(np.ones((2, 6)))

@@ -170,7 +170,7 @@ def test_batches_keep_draw_order_and_sample_counts():
     # 7 rows each span three batches, one sample across a boundary.
     rng = np.random.default_rng(5)
     graphs = [random_graph(12, rng, 0.3), DirectedGraph(4, []), *small_graph_set()]
-    assert verify.BATCH_AMPLITUDES >> 12 == 8
+    assert graphent.entanglement.BATCH_AMPLITUDES >> 12 == 8
     report = run_verification(graphs, samples=3, seed=9, tol=1e-10)
     worst, ran = _one_state_at_a_time(graphs, samples=3, seed=9)
     assert {c.name: c.max_deviation for c in report.checks} == worst
