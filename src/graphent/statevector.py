@@ -31,21 +31,43 @@ exp(-2i*theta*c) are one flat (R*M) table read at c + r*M.
 into one call is the caller's choice; `entanglement.ed_numeric_rows` holds
 the batch rule the oracle's callers use.
 
+Build: the step that appends qubit k multiplies each place l of the new
+half by pair[popcount(l & lower_k)].  Up to 2^11 places (every step of a
+state of at most 12 qubits) that factor is gathered per place.  Past that,
+the place is split into its low 11 bits and the rest, pair[c + c'] =
+pair[c] * pair[c'], and the half is written through an (R, blocks, 2^11)
+view: once from the lower half times one factor per block (high_k folded
+in), then times one factor per place in a block.  No step allocates
+anything the size of a half, so the states themselves, 16 bytes per
+amplitude per row, are the build's peak.
+
 Pauli vectors: `pauli_vector_rows` returns every qubit's (<sx>, <sy>, <sz>)
-in one call and copies no part of the states.  <sz> comes from one
-probability array folded M times, top qubit first: the upper half (bit k = 1)
-is added onto the lower half and left in place, so one segmented sum at the
-end gives every qubit's weight of bit 1, after about 2 * 2^M adds per row.
-The cross term sum_x conj(amp(x)) amp(x + 2^i), over x with bit i clear, is
-read in place from the (R, blocks, 2, 2^i) view of the amplitudes as one dot
-per contiguous block pair, except for qubits whose blocks hold at most 4
-amplitudes (64 bytes) and are fewer than their count: those take one strided
-dot per offset in the block, across all blocks, instead of one call per
-block (2^20 calls for qubit 1 at M = 22).  The partial dots go into the spent
-probability buffer and a second segmented sum adds them up.  The
-probability buffer, half the states' bytes, is the largest allocation.  The
-fold's total is each row's norm, so a row that is not normalized is refused
-without a further pass over it.
+in one call and copies no part of the states.  The cross term
+sum_x conj(amp(x)) amp(x + 2^i), over x with bit i clear, is read in place
+from the (R, blocks, 2, 2^i) view of the amplitudes as one dot per
+contiguous block pair.  How the low qubits are read depends on the size of
+a row:
+
+- Below 2^18 amplitudes, <sz> comes from one probability array folded M
+  times, top qubit first: the upper half (bit k = 1) is added onto the lower
+  half and left in place, so one segmented sum at the end gives every
+  qubit's weight of bit 1, after about 2 * 2^M adds per row.  Qubits whose
+  blocks hold at most 4 amplitudes (64 bytes) and are fewer than their count
+  take one strided dot per offset in the block, across all blocks, instead
+  of one call per block (2^20 calls for qubit 1 at M = 22).  The partial dots
+  go into the spent probability buffer, half the states' bytes and the
+  largest allocation, and a second segmented sum adds them up.
+- From 2^18 amplitudes on, the float64 view V of a row, 2^(M-6) rows of 64
+  amplitudes' real and imaginary parts, gives one 128 x 128 Gram matrix
+  G = V^T V: every cross term and weight of qubits 0..5 is a sum of its
+  entries.  The weights of V's rows, folded like the probabilities, give the
+  norm and the other qubits' <sz>; qubits 6 and up take their block dots.
+  Nothing the size of a state is allocated: the Gram, the row weights and
+  the partial dots together take a few percent of the states' bytes.  On
+  smaller rows the Gram costs more than the passes it saves.
+
+Either way the weights' total is each row's norm, so a row that is not
+normalized is refused without a further pass over it.
 """
 
 from __future__ import annotations
@@ -78,6 +100,25 @@ DEFAULT_MAX_QUBITS = 22
 # a strided dot loads each cache line once per offset it holds, which made
 # the across form 3 to 8 times slower from 8 amplitudes up at M = 22.
 _ACROSS_BLOCKS = 4
+# Doubling steps past 2^_LOW_BITS amplitudes split each pair factor into a
+# low-bit and a high-bit table instead of gathering one factor per amplitude.
+_LOW_BITS = 11
+# A row of at least _GRAM_AMPLITUDES amplitudes reads its qubits below
+# _GRAM_QUBITS from one real Gram matrix instead of a probability buffer and
+# block dots.  Against the probability pass, median of alternating calls on
+# one row unless stated: 3.0x at 12 qubits with 8 rows, 1.10x at 16, 0.96x
+# at 17 (faster in 28 of 40), 0.86x at 18 (40 of 40), 0.82x at 20, 0.72x at 22.
+_GRAM_AMPLITUDES = 1 << 18
+_GRAM_QUBITS = 6
+# Row i holds l * 2^g + l + 2^i, with g = _GRAM_QUBITS, for every l whose
+# bit i is clear: the entries of a flat 2^g x 2^g table that qubit i's cross
+# term sums.
+_PAIRS = np.array(
+    [
+        [(l << _GRAM_QUBITS) + l + bit for l in range(1 << _GRAM_QUBITS) if not l & bit]
+        for bit in (1 << i for i in range(_GRAM_QUBITS))
+    ]
+)
 
 
 def _available_bytes(meminfo: str = "/proc/meminfo") -> int | None:
@@ -211,11 +252,12 @@ def build_graph_state_rows(
             f"(2^{m} amplitudes); raise the cap explicitly to proceed"
         )
     if m > DEFAULT_MAX_QUBITS:
-        # The peak is about 26 * R + 2 bytes per amplitude of one row: 16 per
-        # row for the states, 2 for the int32 index over half a row, shared by
-        # the rows, and, in the last step, 2 per row for the int32 pair
-        # indices plus 8 for the gathered pair factors; 40 * R bounds it.
-        needed = 40 * count * 2**m
+        # The states take 16 bytes per amplitude per row.  The build's pair
+        # tables and the Pauli pass's Gram, row weights and partial dots add
+        # under 1 (tracemalloc, one row of 18 to 22 qubits: the build peaks at
+        # 1.003-1.05x the state's bytes, the Pauli pass at 0.02-0.06x); 17 * R
+        # bounds it.
+        needed = 17 * count * 2**m
         available = _available_bytes()
         if available is not None and needed > available:
             raise ValueError(
@@ -242,16 +284,32 @@ def build_graph_state_rows(
     offsets = np.arange(0, count * m, m, dtype=itype)[:, None]
     amps = np.empty((count, 1 << m), dtype=np.complex128)
     amps[:, 0] = 1.0
-    index = np.arange(1 << (m - 1), dtype=itype)
+    width = 1 << _LOW_BITS
+    index = np.arange(min(1 << (m - 1), width), dtype=itype)
     for k in range(m):
         n = 1 << k
         half = amps[:, n : 2 * n]
-        np.multiply(amps[:, :n], high[k, :, None], out=half)
-        if lower[k].any():
-            gather = index[:n] & lower[k]
-            np.bitwise_count(gather, out=gather)
-            gather += offsets
-            half *= pair[gather]
+        if n > width and lower[k].any():
+            # pair[c + c'] = pair[c] * pair[c']: the high bits of a place in
+            # the half pick one factor per block of `width` places, the low
+            # bits one factor per place in a block.
+            high_bits = np.arange(0, n, width, dtype=itype) & lower[k]
+            np.bitwise_count(high_bits, out=high_bits)
+            high_bits += offsets
+            low_bits = index & lower[k]
+            np.bitwise_count(low_bits, out=low_bits)
+            low_bits += offsets
+            upper = half.reshape(count, -1, width)
+            per_block = high[k, :, None] * pair[high_bits]
+            np.multiply(amps[:, :n].reshape(count, -1, width), per_block[:, :, None], out=upper)
+            upper *= pair[low_bits][:, None, :]
+        else:
+            np.multiply(amps[:, :n], high[k, :, None], out=half)
+            if lower[k].any():
+                gather = index[:n] & lower[k]
+                np.bitwise_count(gather, out=gather)
+                gather += offsets
+                half *= pair[gather]
         amps[:, :n] *= a0
     return amps
 
@@ -271,24 +329,40 @@ def pauli_vector_rows(amplitudes: np.ndarray) -> np.ndarray:
     if m < 1 or size != 1 << m:
         raise ValueError(f"expected 2^M amplitudes per row with M >= 1, got {size}")
     vectors = np.empty((rows, m, 3))
-    prob = np.abs(amplitudes)
-    np.square(prob, out=prob)
-    for k in range(m - 1, -1, -1):  # fold qubit k's upper half onto its lower half
-        np.add(prob[:, : 1 << k], prob[:, 1 << k : 2 << k], out=prob[:, : 1 << k])
-    # prob[:, 2^k : 2^(k+1)] still holds bit k's upper half; prob[:, 0] is the norm.
-    norms = prob[:, 0].copy()
+    # xy views the first two columns as one complex column: each cross term
+    # lands there and is doubled into (<sx>, <sy>) below.
+    xy = vectors[:, :, :2].view(np.complex128)[:, :, 0]
+    if size < _GRAM_AMPLITUDES:
+        low = 0
+        prob = np.abs(amplitudes)
+        np.square(prob, out=prob)
+        norms = _fold_weights(prob, vectors[:, :, 2])
+        # The spent probability buffer takes the partial dots.
+        blocks = prob.view(np.complex128)
+    else:
+        low = _GRAM_QUBITS
+        # Row h of v holds the real and imaginary parts of amplitudes
+        # h*2^low .. (h+1)*2^low - 1; gram[r, l, s, k, t] sums part s of
+        # amplitude l times part t of amplitude k over every h.
+        v = np.ascontiguousarray(amplitudes).view(np.float64).reshape(rows, -1, 2 << low)
+        gram = np.matmul(v.transpose(0, 2, 1), v).reshape(rows, 1 << low, 2, 1 << low, 2)
+        # Entry l * 2^low + k: the real and imaginary parts of
+        # sum_h conj(amp l) amp k.  np.take keeps each row's sum in the same
+        # order however many rows there are.
+        re = (gram[:, :, 0, :, 0] + gram[:, :, 1, :, 1]).reshape(rows, -1)
+        im = (gram[:, :, 0, :, 1] - gram[:, :, 1, :, 0]).reshape(rows, -1)
+        vectors[:, :low, 0] = np.take(re, _PAIRS, axis=1).sum(axis=2)
+        vectors[:, :low, 1] = np.take(im, _PAIRS, axis=1).sum(axis=2)
+        # The diagonal of re holds each place's |amp l|^2 summed over h.
+        _fold_weights(re[:, :: (1 << low) + 1].copy(), vectors[:, :low, 2])
+        norms = _fold_weights(np.vecdot(v, v, axis=2), vectors[:, low:, 2])
+        blocks = np.empty((rows, 1 << (m - low)), dtype=np.complex128)
     error = np.max(np.abs(norms - 1.0))
     if not error <= 1e-8:  # a NaN norm is refused too
         raise ValueError(f"state not normalized: norm error {error:.3e}")
-    np.add.reduceat(prob, 1 << np.arange(m), axis=1, out=vectors[:, :, 2])
-    # The spent buffer takes each qubit's partial dots in turn, qubit 0
-    # first; xy views the first two columns as one complex column: each
-    # cross term lands there and is doubled into (<sx>, <sy>) below.
-    blocks = prob.view(np.complex128)
-    xy = vectors[:, :, :2].view(np.complex128)[:, :, 0]
     starts = []
     end = 0
-    for i in range(m):
+    for i in range(low, m):
         # lo and hi are (R, blocks, 2^i): the block halves where bit i is clear and set.
         lo, hi = amplitudes.reshape(rows, -1, 2, 1 << i).transpose(2, 0, 1, 3)
         count, length = lo.shape[1:]
@@ -296,7 +370,19 @@ def pauli_vector_rows(amplitudes: np.ndarray) -> np.ndarray:
         starts.append(end)
         end += length if across else count
         np.vecdot(lo, hi, axis=1 if across else 2, out=blocks[:, starts[-1] : end])
-    np.add.reduceat(blocks[:, :end], starts, axis=1, out=xy)
+    np.add.reduceat(blocks[:, :end], starts, axis=1, out=xy[:, low:])
     vectors *= (2.0, 2.0, -2.0)
     vectors[:, :, 2] += norms[:, None]  # <sz> = norm - 2 * weight of bit 1
     return vectors
+
+
+def _fold_weights(prob: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fold an (R, 2^n) array of weights n times, top bit first, adding each
+    upper half onto its lower half in place; out[r, j] becomes row r's weight
+    with bit j set.  Returns the (R,) totals."""
+    n = out.shape[1]
+    for k in range(n - 1, -1, -1):
+        np.add(prob[:, : 1 << k], prob[:, 1 << k : 2 << k], out=prob[:, : 1 << k])
+    # prob[:, 2^k : 2^(k+1)] still holds bit k's upper half; prob[:, 0] is the total.
+    np.add.reduceat(prob, 1 << np.arange(n), axis=1, out=out)
+    return prob[:, 0].copy()

@@ -447,7 +447,7 @@ def test_ed_memory_estimate_exit_2(capsys, monkeypatch):
     assert code == 2
     assert stdout == ""
     assert stderr == (
-        "error: 28 qubits need about 10737418240 bytes to build, "
+        "error: 28 qubits need about 4563402752 bytes to build, "
         "but only 1073741824 bytes of memory are available\n"
     )
 

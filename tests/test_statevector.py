@@ -111,19 +111,19 @@ def test_memory_estimate_above_default_cap(monkeypatch):
     # The default cap is lowered and the probe replaced, so no large state is allocated.
     probed = []
     monkeypatch.setattr(statevector, "DEFAULT_MAX_QUBITS", 3)
-    monkeypatch.setattr(statevector, "_available_bytes", lambda: probed.append(1) or 639)
+    monkeypatch.setattr(statevector, "_available_bytes", lambda: probed.append(1) or 271)
     assert product_state(3, max_qubits=9).num_qubits == 3
     assert probed == []  # at or below the default cap there is no probe
-    with pytest.raises(ValueError, match="^4 qubits need about 640 bytes to build, but only 639 bytes"):
+    with pytest.raises(ValueError, match="^4 qubits need about 272 bytes to build, but only 271 bytes"):
         product_state(4, max_qubits=9)
-    monkeypatch.setattr(statevector, "_available_bytes", lambda: 640)
+    monkeypatch.setattr(statevector, "_available_bytes", lambda: 272)
     assert product_state(4, max_qubits=9).num_qubits == 4
     monkeypatch.setattr(statevector, "_available_bytes", lambda: None)  # unreadable: no check
     assert product_state(5, max_qubits=9).num_qubits == 5
     # A batch needs the bytes of all its rows.
-    monkeypatch.setattr(statevector, "_available_bytes", lambda: 1279)
+    monkeypatch.setattr(statevector, "_available_bytes", lambda: 543)
     rows = [(DirectedGraph(4, []), BALANCED, InteractionParams(0.0))] * 2
-    with pytest.raises(ValueError, match="^4 qubits need about 1280 bytes to build"):
+    with pytest.raises(ValueError, match="^4 qubits need about 544 bytes to build"):
         build_graph_state_rows(rows, max_qubits=9)
     assert build_graph_state_rows(rows[:1], max_qubits=9).shape == (1, 16)
 
@@ -244,6 +244,28 @@ def test_phase_kernel_matches_edge_definition_at_12_qubits(seed):
     assert np.max(np.abs(state.amplitudes - expected)) <= 1e-14
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_phase_kernel_matches_edge_definition_at_14_qubits(seed):
+    # Steps past 2^11 amplitudes read the pair phases from a low-bit and a
+    # high-bit table; the edges (11, 13) and (12, 13) make the high bits of
+    # qubit 13's neighbour mask count.  Each edge's phase is added for every
+    # index at once, straight from the edge definition.
+    m = 14
+    rng = np.random.default_rng(100 + seed)
+    g = random_graph(m, rng, edge_prob=0.5)
+    edges = {tuple(sorted(e)) for e in g.edges}
+    g = DirectedGraph(m, [*g.edges, *((a, 13) for a in (11, 12) if (a, 13) not in edges)])
+    theta, psi, d0, d1 = rng.uniform(-2 * math.pi, 2 * math.pi, 4)
+    qubit = InitialQubit(0.5, d0, d1)
+    state = build_graph_state(g, qubit, InteractionParams(theta, psi))
+    x = np.arange(2**m)
+    phase = np.zeros(2**m)
+    for a, b in g.edges:
+        phase += (x >> a & 1) * (theta - psi - 2 * theta * (x >> b & 1))
+    expected = _input_product(m, qubit) * np.exp(1j * phase)
+    assert np.max(np.abs(state.amplitudes - expected)) <= 1e-14
+
+
 # ----------------------------------------------------------------------
 # Pauli expectations
 # ----------------------------------------------------------------------
@@ -310,6 +332,76 @@ def test_pauli_vectors_copy_no_state_half():
     finally:
         tracemalloc.stop()
     assert peak < 0.8 * 16 * 2**m
+
+
+def _pauli_reference(amps):
+    """Each qubit's (<sx>, <sy>, <sz>) from copies of the halves where its bit
+    is clear and set: one np.vdot and two sums of |a|^2."""
+    m = amps.size.bit_length() - 1
+    vectors = []
+    for i in range(m):
+        halves = amps.reshape(-1, 2, 1 << i)
+        lo, hi = halves[:, 0].copy(), halves[:, 1].copy()
+        cross = np.vdot(lo, hi)
+        vectors.append((2 * cross.real, 2 * cross.imag, np.sum(np.abs(lo) ** 2) - np.sum(np.abs(hi) ** 2)))
+    return np.array(vectors)
+
+
+def _large_rows(m, count):
+    rng = np.random.default_rng(m)
+    return build_graph_state_rows([
+        (
+            random_graph(m, rng, edge_prob=0.3),
+            InitialQubit(rng.uniform(0.0, 1.0), *rng.uniform(-math.pi, math.pi, 2)),
+            InteractionParams(*rng.uniform(-math.pi, math.pi, 2)),
+        )
+        for _ in range(count)
+    ])
+
+
+# 2^17 amplitudes per row take the probability fold, 2^18 the Gram read.
+@pytest.mark.parametrize("m", [17, 18])
+@pytest.mark.parametrize("count", [1, 2])
+def test_large_rows_match_copied_halves(m, count):
+    states = _large_rows(m, count)
+    vectors = pauli_vector_rows(states)
+    for r in range(count):
+        assert np.max(np.abs(vectors[r] - _pauli_reference(states[r]))) <= 1e-13
+    assert np.array_equal(vectors[0], pauli_vectors(PureState(m, states[0])))
+    strided = np.stack([states[0], states[0]], axis=1)[:, 0]  # not contiguous
+    assert np.max(np.abs(pauli_vectors(PureState(m, strided)) - vectors[0])) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [17, 18])
+def test_large_rows_refuse_one_unnormalized_row(m):
+    states = _large_rows(m, 2)
+    states[1] *= 1.01
+    with pytest.raises(ValueError, match="^state not normalized: norm error 2.01"):
+        pauli_vector_rows(states)
+    states[1] /= 1.01
+    states[0, 12345] = math.nan
+    with pytest.raises(ValueError, match="^state not normalized: norm error nan"):
+        pauli_vector_rows(states)
+
+
+def test_large_state_memory_peaks():
+    # From 2^18 amplitudes on neither pass allocates anything near the state's
+    # size: the build writes the state through views of itself, and the Pauli
+    # pass reads it through a Gram matrix and block dots.
+    m = 18
+    g = random_graph(m, np.random.default_rng(11), edge_prob=0.3)
+    state_bytes = 16 * 2**m
+    tracemalloc.start()
+    try:
+        state = build_graph_state(g, InitialQubit(0.3, 0.4, -1.2), InteractionParams(0.9, 0.4))
+        held, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        pauli_vectors(state)
+        pauli_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert build_peak < 1.1 * state_bytes
+    assert pauli_peak < 0.1 * state_bytes
 
 
 # ----------------------------------------------------------------------
