@@ -68,7 +68,7 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _number(text: str) -> float:

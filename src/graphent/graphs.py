@@ -3,12 +3,14 @@
 Vertices are 0-based.  Graphs are immutable after construction and simple in
 the undirected sense: no self-loops and at most one edge per unordered vertex
 pair, whichever way it points.  A graph holds its edges once, as the
-read-only (E, 2) int64 array `edge_array`, validated in one vectorised pass;
-the degree vectors are counted from it on demand.  `flip_edge` and
+read-only (E, 2) int64 array `edge_array`: a vectorised accept pass takes
+valid integer input, and an explain pass names the first refused edge.  The
+degree vectors are counted from it on demand.  `flip_edge` and
 `permute_vertices` derive their array from a valid graph without a second
-check.  The generators number layers from the top/input side and vertices
-left-to-right within a layer, with all edges oriented downstream, so
-identical parameters always produce identical graphs.
+check.  The generators bound their vertex count before they allocate, number
+layers from the top/input side and vertices left-to-right within a layer,
+and orient all edges downstream, so identical parameters always produce
+identical graphs.
 """
 
 from __future__ import annotations
@@ -88,53 +90,48 @@ def _checked_counts(counts: Mapping[int, int]) -> dict[int, int]:
     return checked
 
 
-def _edge(edge: object, m: int) -> tuple[int, int] | str:
-    """One edge as a pair of vertices, or why it is refused, repeats of an
-    earlier pair aside."""
-    try:
-        a, b = edge
-    except (TypeError, ValueError):
-        return "must be a pair of integer vertices"
-    try:
-        a, b = _integer(a, "edge endpoint"), _integer(b, "edge endpoint")
-    except ValueError as exc:
-        return str(exc)
-    if not (0 <= a < m and 0 <= b < m):
-        return f"edge ({a},{b}) out of range for {m} vertices"
-    if a == b:
-        return f"self-loop at vertex {a}"
-    return a, b
-
-
-def _pairs(edges: Sequence, m: int) -> tuple[np.ndarray, int]:
-    """(array, n): the first n edges as an (n, 2) int64 array, where
-    edges[n], if there is one, is the first edge that is not a pair of
-    integers or, on the slow path, is refused by `_edge`.
-
-    Plain ints take one flat pass and an integer ndarray none; numpy
-    integers and anything refused fall back to a per-edge loop.  A uint64
+def _int_pairs(edges: Sequence) -> np.ndarray | None:
+    """edges as an (E, 2) int64 array when they are an integer ndarray of
+    pairs or a sequence of pairs of plain ints, else None.  A uint64
     endpoint of 2^63 or more wraps to a negative one, which is out of range
-    either way, and the error message is made from the input edge."""
+    either way."""
     if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
-        return edges.astype(np.int64), len(edges)
-    try:
-        pairs = set(map(len, edges)) <= {2}
-    except TypeError:  # an edge without a length, such as 5 or None
-        pairs = False
-    if pairs:
-        flat = list(chain.from_iterable(edges))
-        if len(flat) == 2 * len(edges) and set(map(type, flat)) <= {int}:
+        return edges.astype(np.int64)
+    try:  # TypeError: an edge without a length, such as 5; OverflowError: beyond int64
+        if set(map(len, edges)) <= {2}:
+            flat = list(chain.from_iterable(edges))
+            if len(flat) == 2 * len(edges) and set(map(type, flat)) <= {int}:
+                return np.fromiter(flat, np.int64, len(flat)).reshape(-1, 2)
+    except (TypeError, OverflowError):
+        pass
+    return None
+
+
+def _explained(edges: Sequence, m: int) -> np.ndarray:
+    """The explain pass: walk the edges in input order and return them as
+    an (E, 2) int64 array, or raise "edges[i] <edge>: <reason>" for the
+    first one refused."""
+    pairs = []
+    seen = set()
+    for i, edge in enumerate(edges):
+        try:
             try:
-                return np.fromiter(flat, np.int64, len(flat)).reshape(-1, 2), len(edges)
-            except OverflowError:  # an endpoint beyond int64: out of range
-                pass
-    rows = []
-    for edge in edges:
-        pair = _edge(edge, m)
-        if isinstance(pair, str):
-            break
-        rows.append(pair)
-    return np.array(rows, dtype=np.int64).reshape(-1, 2), len(rows)
+                a, b = edge
+            except (TypeError, ValueError):
+                raise ValueError("must be a pair of integer vertices") from None
+            a, b = _integer(a, "edge endpoint"), _integer(b, "edge endpoint")
+            if not (0 <= a < m and 0 <= b < m):
+                raise ValueError(f"edge ({a},{b}) out of range for {m} vertices")
+            if a == b:
+                raise ValueError(f"self-loop at vertex {a}")
+            pair = (min(a, b), max(a, b))
+            if pair in seen:
+                raise ValueError(f"duplicate or anti-parallel edge on pair {pair}")
+        except ValueError as exc:
+            raise ValueError(f"edges[{i}] {edge!r}: {exc}") from None
+        seen.add(pair)
+        pairs.append((a, b))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -151,8 +148,8 @@ class DirectedGraph:
     vertex i and `degrees[i]` its total degree, ignoring orientation, so
     `degrees[i] - out_degrees[i]` is its in-degree.  Both are read-only
     int64 arrays, each counted from `edge_array` by one `np.bincount` on
-    first use (validation keeps the total it counts), and are derived data,
-    so they take no part in equality, hashing or repr.  A graph is
+    first use (the accept pass keeps the total it counts), and are derived
+    data, so they take no part in equality, hashing or repr.  A graph is
     immutable.
     """
 
@@ -162,37 +159,31 @@ class DirectedGraph:
         self.__post_init__(num_vertices, edges)
 
     def __post_init__(self, num_vertices: int, edges: Iterable[Sequence[int]]) -> None:
-        """Validate the vertex count and every edge in one vectorised pass.
+        """Validate the vertex count and every edge.
 
-        Only when a check fails is the first refused edge, in input order,
-        looked up, so its error names it: "edges[i] <edge>: <reason>"."""
+        The accept pass takes integer ndarrays and pairs of plain ints in
+        one vectorised check that answers only yes or no.  Everything it
+        does not accept goes to the explain pass, `_explained`, which
+        either accepts the edges one by one or names the first refused
+        edge, in input order: "edges[i] <edge>: <reason>"."""
         m = _vertex_count(num_vertices)
         if not isinstance(edges, (list, tuple, np.ndarray)):
             edges = list(edges)
-        array, n = _pairs(edges, m)
-        a, b = array.T
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        bad = (lo < 0) | (hi >= m) | (lo == hi)  # out of range or a self-loop
-        if bad.any():
-            n = int(bad.argmax())  # the edges before it are still searched for repeats
-            lo, hi = lo[:n], hi[:n]
-        # The total-degree count is allocated before the pair keys lo*m + hi
-        # are formed, so a vertex count whose keys would overflow int64 runs
-        # out of memory first; a valid graph keeps it as `degrees`.
-        degrees = np.bincount(array[:n].ravel(), minlength=m)
-        keys = lo * m + hi
-        ordered = np.sort(keys)
-        if (ordered[1:] == ordered[:-1]).any():
-            order = np.argsort(keys, kind="stable")
-            i = int(order[1:][keys[order[1:]] == keys[order[:-1]]].min())
-            reason = f"duplicate or anti-parallel edge on pair {divmod(int(keys[i]), m)}"
-        elif n < len(edges):
-            i = n
-            reason = _edge(edges[i], m)
-        else:
-            self._set(m, array, degrees=_read_only(degrees))
-            return
-        raise ValueError(f"edges[{i}] {edges[i]!r}: {reason}")
+        array = _int_pairs(edges)
+        if array is not None:
+            a, b = array.T
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            if not ((lo < 0) | (hi >= m) | (lo == hi)).any():
+                # The total-degree count is allocated before the pair keys
+                # lo*m + hi are formed, so a vertex count whose keys would
+                # overflow int64 runs out of memory first; an accepted
+                # graph keeps it as `degrees`.
+                degrees = np.bincount(array.ravel(), minlength=m)
+                keys = np.sort(lo * m + hi)
+                if not (keys[1:] == keys[:-1]).any():
+                    self._set(m, array, degrees=_read_only(degrees))
+                    return
+        self._set(m, _explained(edges, m))
 
     @classmethod
     def _derived(cls, m: int, edge_array: np.ndarray) -> DirectedGraph:
@@ -302,8 +293,8 @@ def degree_distribution(g: DirectedGraph) -> DegreeDistribution:
 
 def _blocks(sizes: Sequence[int]) -> list[range]:
     """Vertex ranges of consecutive blocks (layers or cycles) of these sizes."""
+    _vertex_count(sum(sizes))
     bounds = list(accumulate(sizes, initial=0))
-    _vertex_count(bounds[-1])
     return [range(a, b) for a, b in pairwise(bounds)]
 
 
@@ -322,12 +313,13 @@ def gen_young_fibonacci(num_layers: int) -> DirectedGraph:
     Total vertices: num_layers*(num_layers+1)/2.
     """
     n = _yf_layers(num_layers)
+    m = _vertex_count(n * (n + 1) // 2)
     edges = []
     for upper, lower in pairwise(_blocks(range(1, n + 1))):
         for j, v in enumerate(upper):
             edges.append((v, lower[j]))
             edges.append((v, lower[j + 1]))
-    return DirectedGraph(n * (n + 1) // 2, edges)
+    return DirectedGraph(m, edges)
 
 
 def _sizes(values: Sequence[int], minimum: int, what: str) -> tuple[int, ...]:
@@ -364,7 +356,7 @@ def _tree_depth(depth: int) -> int:
 def gen_full_binary_tree(depth: int) -> DirectedGraph:
     """Full binary tree with `depth` layers (2^depth - 1 vertices), edges
     oriented parent-to-child, heap numbering."""
-    m = 2 ** _tree_depth(depth) - 1
+    m = _vertex_count(2 ** _tree_depth(depth) - 1)
     child = np.arange(1, m)
     return DirectedGraph(m, np.column_stack(((child - 1) // 2, child)))
 

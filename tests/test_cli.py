@@ -234,6 +234,12 @@ def test_gen_invalid_params_exit_2(tmp_path, capsys):
     )
     assert (code, stdout) == (2, "")
     assert stderr == "error: num_vertices 100000000000000000002 is more than 2^63 - 1\n"
+    # The tree's vertex count is bounded before any array is allocated.
+    code, stdout, stderr = run(
+        capsys, "ed", "--topology", "btree", "--depth", "64", "--theta", "0.3", "--method", "closed"
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: num_vertices 18446744073709551615 is more than 2^63 - 1\n"
 
 
 # ----------------------------------------------------------------------
@@ -663,6 +669,10 @@ SWEEP_ARGV = ("sweep", "--quantity", "hs2", "--theta-steps", "3", "--out", "x.cs
         ((*SWEEP_ARGV, "--quantity=nope"), "argument --quantity: invalid choice: 'nope'"),
         ((*SWEEP_ARGV, "--theta-steps=1"), "argument --theta-steps: must be an integer >= 2, got '1'"),
         ((*SWEEP_ARGV, "--p-steps=1"), "argument --p-steps: must be an integer >= 2, got '1'"),
+        (("ed", "--topology", "ffnn", "--theta", "0.3", "--layer-sizes=3,,4"),
+         "argument --layer-sizes: expected comma-separated integers, got '3,,4'"),
+        (("verify", "--topology", "bridged", "--cycles=3,x"),
+         "argument --cycles: expected comma-separated integers, got '3,x'"),
     ],
     ids=lambda value: value[-1] if isinstance(value, tuple) else None,
 )

@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from graphent import graphs
 from graphent.graphs import (
     DegreeDistribution,
     DirectedGraph,
@@ -114,6 +115,7 @@ def _assert_matches_reference(num_vertices, edges):
 @example(1, [(0, 0)])
 @example(3, [(0, 1), (2, 5), (1, 0)])  # a duplicate before an out-of-range edge wins
 @example(3, [(0, 1), (2, 2), (1, 0)])
+@example(3, [(0, 1), (0, 5), (1, 0)])  # an out-of-range edge before a repeat wins
 def test_int_pairs_match_reference(num_vertices, edges):
     _assert_matches_reference(num_vertices, edges)
 
@@ -159,6 +161,9 @@ _EDGES = st.one_of(
 
 
 @given(st.integers(1, 5), st.lists(_EDGES, max_size=8))
+@example(3, [(0, 1), (1, 0), (0, 1.5)])  # a repeat before a float endpoint wins
+@example(3, [(0, 1), (1, 0), 5])  # a repeat before a non-pair wins
+@example(3, [(np.int64(0), np.int64(1)), (np.int32(2), 1), (np.uint8(1), np.int64(0))])
 def test_mixed_edges_match_reference(num_vertices, edges):
     _assert_matches_reference(num_vertices, edges)
 
@@ -360,6 +365,22 @@ def test_young_fibonacci_rejects_small():
         gen_young_fibonacci(1)
     with pytest.raises(ValueError, match="num_layers 3.5 is not an integer"):
         gen_young_fibonacci(3.5)
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("allocated before the vertex count was bounded")
+
+
+def test_generators_bound_their_size_before_they_allocate(monkeypatch):
+    # Each count is refused before a layer list is built, so these fail
+    # fast instead of filling memory.
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "_blocks", _unreachable)
+        with pytest.raises(ValueError, match=r"^num_vertices 50000000005000000000 is more than 2\^63 - 1$"):
+            gen_young_fibonacci(10**10)
+    monkeypatch.setattr(graphs, "accumulate", _unreachable)
+    with pytest.raises(ValueError, match=r"^num_vertices 9223372036854775811 is more than 2\^63 - 1$"):
+        gen_bridged_cycles((2**62, 2**62, 3))
 
 
 @pytest.mark.parametrize("n", range(1, 9))

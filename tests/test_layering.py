@@ -86,6 +86,9 @@ def test_batch_rule_has_one_home():
         "depth must be >= 1",
         "state not normalized",
         "outside [0, 1]",
+        "must be a pair of integer vertices",
+        "self-loop at vertex",
+        "duplicate or anti-parallel edge",
     ],
 )
 def test_each_guard_has_one_home(message):
