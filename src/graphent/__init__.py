@@ -8,7 +8,6 @@ every closed form can be checked against the brute-force oracle.
 
 from .density import (
     DensityMatrix,
-    eigenvalues_2x2,
     entropy_at_half_p,
     hs_distance,
     hs_distance_sq_analytic,

@@ -26,7 +26,6 @@ __all__ = [
     "hs_distance",
     "hs_distance_sq_analytic",
     "reduced_eigenvalues_analytic",
-    "eigenvalues_2x2",
     "von_neumann_entropy",
     "entropy_at_half_p",
     "pair_entropy_analytic",
@@ -41,7 +40,8 @@ EIGENVALUE_FLOOR = -1e-10
 @dataclass(frozen=True)
 class DensityMatrix:
     """A small validated density matrix: Hermitian, unit trace, PSD within tolerance.
-    `eigenvalues`, ascending, is computed by that check; it is outside equality and repr."""
+    `eigenvalues`, ascending, is computed by that check with a general eigensolver, sharing
+    no algebra with the closed forms below; it is outside equality and repr."""
 
     matrix: np.ndarray
     eigenvalues: tuple[float, ...] = field(init=False, repr=False, compare=False)
@@ -59,7 +59,7 @@ class DensityMatrix:
         tr = np.trace(mat)
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr}")
-        lams = eigenvalues_2x2(mat) if mat.shape == (2, 2) else tuple(np.linalg.eigvalsh(mat).tolist())
+        lams = tuple(np.linalg.eigvalsh(mat).tolist())
         if not lams[0] >= EIGENVALUE_FLOOR:
             raise ValueError(f"matrix not positive semidefinite: min eigenvalue {lams[0]:.3e}")
         object.__setattr__(self, "eigenvalues", lams)
@@ -67,15 +67,6 @@ class DensityMatrix:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-
-def eigenvalues_2x2(mat: np.ndarray) -> tuple[float, float]:
-    """Eigenvalues of a 2x2 Hermitian matrix in closed form (ascending), from
-    trace and determinant; no general eigensolver involved."""
-    mean = 0.5 * (mat[0, 0] + mat[1, 1]).real
-    det = (mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]).real
-    spread = math.sqrt(max(mean * mean - det, 0.0))
-    return (mean - spread, mean + spread)
 
 
 def partial_trace(state: PureState, keep: Sequence[int]) -> DensityMatrix:

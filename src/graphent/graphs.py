@@ -356,7 +356,10 @@ def _tree_depth(depth: int) -> int:
 def gen_full_binary_tree(depth: int) -> DirectedGraph:
     """Full binary tree with `depth` layers (2^depth - 1 vertices), edges
     oriented parent-to-child, heap numbering."""
-    m = _vertex_count(2 ** _tree_depth(depth) - 1)
+    depth = _tree_depth(depth)
+    if depth > 63:  # before 2^depth is formed: past 63 it exceeds int64
+        raise ValueError(f"depth {depth} is more than 63: 2^depth - 1 vertices exceed 2^63 - 1")
+    m = 2**depth - 1
     child = np.arange(1, m)
     return DirectedGraph(m, np.column_stack(((child - 1) // 2, child)))
 

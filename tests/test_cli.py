@@ -234,12 +234,16 @@ def test_gen_invalid_params_exit_2(tmp_path, capsys):
     )
     assert (code, stdout) == (2, "")
     assert stderr == "error: num_vertices 100000000000000000002 is more than 2^63 - 1\n"
-    # The tree's vertex count is bounded before any array is allocated.
-    code, stdout, stderr = run(
-        capsys, "ed", "--topology", "btree", "--depth", "64", "--theta", "0.3", "--method", "closed"
-    )
-    assert (code, stdout) == (2, "")
-    assert stderr == "error: num_vertices 18446744073709551615 is more than 2^63 - 1\n"
+    # The tree's depth is bounded before 2^depth or any array is formed.
+    for depth in ("64", "20000"):
+        code, stdout, stderr = run(
+            capsys, "ed", "--topology", "btree", "--depth", depth, "--theta", "0.3",
+            "--method", "closed",
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            f"error: depth {depth} is more than 63: 2^depth - 1 vertices exceed 2^63 - 1\n"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -469,6 +473,30 @@ def test_ed_memory_error_exit_2(capsys, monkeypatch):
     assert code == 2
     assert stdout == ""
     assert stderr == "error: out of memory: Unable to allocate 64. GiB\n"
+
+
+@pytest.mark.parametrize(
+    "argv, angles",
+    [
+        (("--layers", "2", "--theta", "1e308"), "theta=1e+308, psi=0.0"),
+        (("--layers", "3", "--theta", "0.3", "--psi", "1e308"), "theta=0.3, psi=1e+308"),
+    ],
+    ids=["theta", "psi"],
+)
+def test_ed_overflowing_phases_exit_2(capsys, argv, angles):
+    # Finite angles whose edge phases overflow are refused by name, with no
+    # RuntimeWarning on the way (the test run turns one into an error).
+    code, stdout, stderr = run(capsys, "ed", "--topology", "yf", *argv, "--method", "simulate")
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: edge phases overflow at {angles}; reduce the angles mod 2*pi\n"
+
+
+def test_ed_closed_at_huge_theta(capsys):
+    code, stdout, _ = run(
+        capsys, "ed", "--topology", "yf", "--layers", "2", "--theta", "1e308", "--method", "closed"
+    )
+    assert code == 0
+    assert math.isfinite(value_of(stdout, "closed"))
 
 
 # ----------------------------------------------------------------------

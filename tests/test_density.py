@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 from graphent.density import (
     DensityMatrix,
-    eigenvalues_2x2,
     entropy_at_half_p,
     hs_distance,
     hs_distance_sq_analytic,
@@ -199,9 +198,10 @@ def test_numeric_eigenvalues_match_analytic():
             assert abs(lo - alo) <= 1e-10 and abs(hi - ahi) <= 1e-10
 
 
-def test_eigenvalues_2x2_against_trace_det():
+def test_spectrum_2x2_against_trace_det():
     mat = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
-    lo, hi = eigenvalues_2x2(mat)
+    lo, hi = DensityMatrix(mat).eigenvalues
+    assert lo < hi  # ascending
     assert lo + hi == pytest.approx(1.0, abs=1e-14)
     assert lo * hi == pytest.approx(np.linalg.det(mat).real, abs=1e-14)
 

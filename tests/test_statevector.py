@@ -126,6 +126,11 @@ def test_memory_estimate_above_default_cap(monkeypatch):
     with pytest.raises(ValueError, match="^4 qubits need about 544 bytes to build"):
         build_graph_state_rows(rows, max_qubits=9)
     assert build_graph_state_rows(rows[:1], max_qubits=9).shape == (1, 16)
+    # So is a batch of rows at the default cap, once it holds more amplitudes than one such row.
+    monkeypatch.setattr(statevector, "_available_bytes", lambda: 271)
+    rows = [(DirectedGraph(3, []), BALANCED, InteractionParams(0.0))] * 2
+    with pytest.raises(ValueError, match="^3 qubits need about 272 bytes to build, but only 271 bytes"):
+        build_graph_state_rows(rows, max_qubits=9)
 
 
 @pytest.mark.parametrize(
