@@ -174,7 +174,10 @@ def _graph_from_args(args: argparse.Namespace) -> DirectedGraph:
     size = getattr(args, dest)
     if size is None:
         raise ValueError(f"--topology {args.topology} needs {_flag(dest)}")
-    return generate(size)
+    try:
+        return generate(size)
+    except ValueError as exc:  # every refusal of a size names its flag
+        raise ValueError(f"{_flag(dest)}: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -226,20 +229,29 @@ def cmd_ed(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def run_sweep(
-    value: Callable[..., float], thetas: Sequence[float], ps: Sequence[float] | None = None
-) -> tuple[list[str], list[tuple[float, ...]]]:
-    """CSV header and rows: value(theta) over thetas, or value(p, theta) over
-    thetas crossed with ps (theta outer, p inner)."""
+    value: Callable[..., np.ndarray], thetas: Sequence[float], ps: Sequence[float] | None = None
+) -> np.ndarray:
+    """value over thetas, or value(p, theta) over thetas crossed with ps, in
+    one call on the whole grid: theta as an array, or as a column with p as
+    a row.  Returns the (T,) or (T, P) values, theta outer and p inner."""
+    theta = np.array(thetas, dtype=np.float64)
     if ps is None:
-        return ["theta", "value"], [(th, value(th)) for th in thetas]
-    return ["theta", "p", "value"], [(th, p, value(p, th)) for th in thetas for p in ps]
+        return np.asarray(value(theta), dtype=np.float64)
+    return np.asarray(value(np.array([ps], dtype=np.float64), theta[:, None]), dtype=np.float64)
 
 
-def _write_csv(path: str, header: list[str], rows: list[tuple[float, ...]]) -> None:
-    line = ",".join(["%.17g"] * len(header)) + "\n"  # each field as _fmt writes it
+def _write_csv(
+    path: str, thetas: Sequence[float], ps: Sequence[float] | None, values: np.ndarray
+) -> None:
+    """The sweep as CSV rows theta,value or theta,p,value, theta outer and p
+    inner.  Every field is written as _fmt writes it; each theta and p is
+    formatted once, and each row of theta places its values into one template."""
+    cells = [",%.17g\n"] if ps is None else [f",{_fmt(p)},%.17g\n" for p in ps]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line % row for row in rows)
+        fh.write("theta,value\n" if ps is None else "theta,p,value\n")
+        for theta, row in zip(thetas, values.reshape(len(thetas), -1).tolist()):
+            head = _fmt(theta)
+            fh.write((head + head.join(cells)) % tuple(row))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -248,14 +260,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _refuse(args, ("p_min", "p_max"), "needs --p-steps")
     else:
         _refuse(args, ("p",), "does not apply with --p-steps")
+    # The closed forms take one point per call, as Python floats: np.frompyfunc
+    # gives them the grid.  The density forms take the grid whole.
     if args.limit:
-        value = TOPOLOGIES[args.topology][2] if args.topology is not None else None
-        if value is None:
+        curve = TOPOLOGIES[args.topology][2] if args.topology is not None else None
+        if curve is None:
             names = " or ".join(name for name, row in TOPOLOGIES.items() if row[2] is not None)
             raise ValueError(f"--limit needs --topology {names}")
+        value = np.frompyfunc(curve, 1, 1)
     elif args.quantity in ("ed", "ed-general"):
         dist = degree_distribution(_graph_from_args(args))
-        value = functools.partial(entanglement.ed_closed_general, dist)
+        value = np.frompyfunc(functools.partial(entanglement.ed_closed_general, dist), 2, 1)
     else:
         value = pair_entropy_analytic if args.quantity == "entropy" else hs_distance_sq_analytic
     ps = None
@@ -265,9 +280,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     elif not args.limit:  # value(p, theta) at the fixed p; --quantity ed refuses --p
         value = functools.partial(value, 0.5 if args.p is None else args.p)
     thetas = _grid(args.theta_min, args.theta_max, args.theta_steps, "theta")
-    header, rows = run_sweep(value, thetas, ps)
-    _write_csv(args.out, header, rows)
-    print(f"wrote: {args.out} ({len(rows)} rows)")
+    values = run_sweep(value, thetas, ps)
+    _write_csv(args.out, thetas, ps, values)
+    print(f"wrote: {args.out} ({values.size} rows)")
     return 0
 
 

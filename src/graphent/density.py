@@ -7,13 +7,22 @@ single interacting pair.  The test suite drives both and compares.
 Matrix arguments are `DensityMatrix` values, validated once on construction,
 which keep the spectrum that check computes; nothing here checks them again.
 Entropies use the natural logarithm throughout.
+
+The closed forms take floats or arrays that broadcast, so a (theta, p) sweep
+evaluates its grid in one call.  Each element has the bits of the scalar call
+(a float in gives a float out), on every machine: numpy's `np.log` and array
+`p**3` disagreed with libm and Python's `**` in the last bit on 667 and 10,819
+of 200,000 values.  So the factors in p alone and in theta alone, and each
+x ln x, are computed per element with Python's `**` and `math`, and numpy
+only combines them by + - * sqrt maximum, which round once, in the scalar
+expression's order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -100,7 +109,15 @@ def hs_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     return math.sqrt(0.5 * float(np.vdot(diff, diff).real))
 
 
-def hs_distance_sq_analytic(p: float, theta: float) -> float:
+def _each(fn: Callable[[float], float], x: float | np.ndarray) -> float | np.ndarray:
+    """fn(x) for a scalar; for an array, fn of each element as a Python
+    scalar, in an array of x's shape."""
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def hs_distance_sq_analytic(p: float | np.ndarray, theta: float | np.ndarray) -> float | np.ndarray:
     """Squared Hilbert-Schmidt distance between either endpoint's reduced state
     of an isolated interacting pair and the maximally mixed qubit:
 
@@ -109,32 +126,34 @@ def hs_distance_sq_analytic(p: float, theta: float) -> float:
     Zero exactly at p = 1/2, theta = pi/2 (mod pi).
     """
     _check_p(p)
-    return (
-        0.25
-        - 2.0 * p**2
-        + 4.0 * p**3
-        - 2.0 * p**4
-        + 2.0 * (1.0 - p) ** 2 * p**2 * math.cos(2.0 * theta)
-    )
+    head = _each(lambda p: 0.25 - 2.0 * p**2 + 4.0 * p**3 - 2.0 * p**4, p)
+    scale = _each(lambda p: 2.0 * (1.0 - p) ** 2 * p**2, p)
+    return head + scale * _each(lambda t: math.cos(2.0 * t), theta)
 
 
-def reduced_eigenvalues_analytic(p: float, theta: float) -> tuple[float, float]:
+def reduced_eigenvalues_analytic(
+    p: float | np.ndarray, theta: float | np.ndarray
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of either endpoint's reduced state of an isolated pair:
     (1 -/+ sqrt(1 - 16 p^2 (1-p)^2 sin^2 theta)) / 2, ascending."""
     _check_p(p)
-    radicand = 1.0 - 16.0 * p**2 * (1.0 - p) ** 2 * math.sin(theta) ** 2
-    s = math.sqrt(max(radicand, 0.0))
+    weight = _each(lambda p: 16.0 * p**2 * (1.0 - p) ** 2, p)
+    radicand = 1.0 - weight * _each(lambda t: math.sin(t) ** 2, theta)
+    if isinstance(radicand, np.ndarray):
+        s = np.sqrt(np.maximum(radicand, 0.0))
+    else:
+        s = math.sqrt(max(radicand, 0.0))
     return (0.5 * (1.0 - s), 0.5 * (1.0 + s))
 
 
-def _entropy_from_probs(probs: Sequence[float]) -> float:
-    return -sum(v * math.log(v) for v in probs if not v <= 0.0)  # NaN stays NaN
+def _xlogx(v: float) -> float:
+    return v * math.log(v) if not v <= 0.0 else 0.0  # NaN stays NaN
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-tr[rho ln rho], with 0*ln(0) := 0, from rho's validated spectrum; the
     rounding `DensityMatrix` lets through, below 0 or above 1, adds nothing."""
-    return _entropy_from_probs([min(v, 1.0) for v in rho.eigenvalues])
+    return -sum(_xlogx(min(v, 1.0)) for v in rho.eigenvalues)
 
 
 def entropy_at_half_p(theta: float) -> float:
@@ -151,10 +170,13 @@ def entropy_at_half_p(theta: float) -> float:
     return math.log(2.0 / s) + 0.5 * c * math.log((1.0 - c) / (1.0 + c))
 
 
-def pair_entropy_analytic(p: float, theta: float) -> float:
+def pair_entropy_analytic(p: float | np.ndarray, theta: float | np.ndarray) -> float | np.ndarray:
     """Reduced-state entropy of an isolated pair at general (p, theta), from
-    the closed-form eigenvalues."""
-    return _entropy_from_probs(reduced_eigenvalues_analytic(p, theta))
+    the closed-form eigenvalues: -(lo ln lo + hi ln hi), each term per
+    element, a zero eigenvalue adding nothing.  No term is -0.0, so where
+    both are 0.0 the total is -0.0, as the figure CSV writes it."""
+    lo, hi = (_each(_xlogx, v) for v in reduced_eigenvalues_analytic(p, theta))
+    return -(lo + hi)
 
 
 def maximally_mixed(dimension: int = 2) -> DensityMatrix:

@@ -7,10 +7,11 @@ read-only (E, 2) int64 array `edge_array`: a vectorised accept pass takes
 valid integer input, and an explain pass names the first refused edge.  The
 degree vectors are counted from it on demand.  `flip_edge` and
 `permute_vertices` derive their array from a valid graph without a second
-check.  The generators bound their vertex count before they allocate, number
-layers from the top/input side and vertices left-to-right within a layer,
-and orient all edges downstream, so identical parameters always produce
-identical graphs.
+check.  The generators count their vertices and edges from their sizes and
+refuse a family whose edge array would not fit in memory before they
+allocate.  They number layers from the top/input side and vertices
+left-to-right within a layer, and orient all edges downstream, so identical
+parameters always produce identical graphs.
 """
 
 from __future__ import annotations
@@ -67,9 +68,41 @@ def _vertex_count(m: object) -> int:
     return m
 
 
-def _check_p(p: float) -> None:
+def _available_bytes(meminfo: str = "/proc/meminfo") -> int | None:
+    """MemAvailable in bytes, or None where it cannot be read."""
+    try:
+        with open(meminfo, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # the value is in kB
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _family_size(num_vertices: int, num_edges: int, what: str) -> int:
+    """The checked vertex count of a generated family, refused before
+    anything is allocated when its edge array alone, 16 bytes per edge,
+    would not fit in the available memory."""
+    m = _vertex_count(num_vertices)
+    needed = 16 * num_edges
+    available = _available_bytes()
+    if available is not None and needed > available:
+        raise ValueError(
+            f"{what} has {num_edges} edges, which need {needed} bytes, "
+            f"but only {available} bytes of memory are available"
+        )
+    return m
+
+
+def _check_p(p: float | np.ndarray) -> None:
     """Refuse an input amplitude split p that is not a real number in [0, 1]:
-    NaN fails the range test, and a bool, str or None is not a real number."""
+    NaN fails the range test, and a bool, str or None is not a real number.
+    An array is checked element by element, as a Python scalar each."""
+    if isinstance(p, np.ndarray):
+        for v in p.ravel().tolist():
+            _check_p(v)
+        return
     real = type(p) is float or (isinstance(p, numbers.Real) and not isinstance(p, bool))
     if not (real and 0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1], got {p!r}")
@@ -293,7 +326,6 @@ def degree_distribution(g: DirectedGraph) -> DegreeDistribution:
 
 def _blocks(sizes: Sequence[int]) -> list[range]:
     """Vertex ranges of consecutive blocks (layers or cycles) of these sizes."""
-    _vertex_count(sum(sizes))
     bounds = list(accumulate(sizes, initial=0))
     return [range(a, b) for a, b in pairwise(bounds)]
 
@@ -313,7 +345,7 @@ def gen_young_fibonacci(num_layers: int) -> DirectedGraph:
     Total vertices: num_layers*(num_layers+1)/2.
     """
     n = _yf_layers(num_layers)
-    m = _vertex_count(n * (n + 1) // 2)
+    m = _family_size(n * (n + 1) // 2, n * (n - 1), f"a triangular graph of {n} layers")
     edges = []
     for upper, lower in pairwise(_blocks(range(1, n + 1))):
         for j, v in enumerate(upper):
@@ -340,9 +372,12 @@ def ffnn_layer_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
 def gen_ffnn(layer_sizes: Sequence[int]) -> DirectedGraph:
     """Layered network with complete bipartite connections between consecutive
     layers, oriented input-to-output."""
-    layers = _blocks(ffnn_layer_sizes(layer_sizes))
+    sizes = ffnn_layer_sizes(layer_sizes)
+    num_edges = sum(a * b for a, b in pairwise(sizes))
+    m = _family_size(sum(sizes), num_edges, f"a layered network of layer sizes {sizes}")
+    layers = _blocks(sizes)
     edges = [(u, v) for upper, lower in pairwise(layers) for u in upper for v in lower]
-    return DirectedGraph(layers[-1].stop, edges)
+    return DirectedGraph(m, edges)
 
 
 def _tree_depth(depth: int) -> int:
@@ -359,7 +394,7 @@ def gen_full_binary_tree(depth: int) -> DirectedGraph:
     depth = _tree_depth(depth)
     if depth > 63:  # before 2^depth is formed: past 63 it exceeds int64
         raise ValueError(f"depth {depth} is more than 63: 2^depth - 1 vertices exceed 2^63 - 1")
-    m = 2**depth - 1
+    m = _family_size(2**depth - 1, 2**depth - 2, f"a full binary tree of depth {depth}")
     child = np.arange(1, m)
     return DirectedGraph(m, np.column_stack(((child - 1) // 2, child)))
 
@@ -371,10 +406,12 @@ def gen_bridged_cycles(cycle_sizes: Sequence[int]) -> DirectedGraph:
     cycle i+1 (local indices), so the two bridge endpoints inside a middle
     cycle are always distinct for cycle sizes >= 3.
     """
-    cycles = _blocks(_sizes(cycle_sizes, 3, "cycle"))
+    sizes = _sizes(cycle_sizes, 3, "cycle")
+    m = _family_size(sum(sizes), sum(sizes) + len(sizes) - 1, f"a chain of cycles of sizes {sizes}")
+    cycles = _blocks(sizes)
     edges = [(c[t], c[(t + 1) % len(c)]) for c in cycles for t in range(len(c))]
     edges += [(a[0], b[len(b) // 2]) for a, b in pairwise(cycles)]
-    return DirectedGraph(cycles[-1].stop, edges)
+    return DirectedGraph(m, edges)
 
 
 # ----------------------------------------------------------------------

@@ -80,7 +80,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import DirectedGraph, _check_p
+from .graphs import DirectedGraph, _available_bytes, _check_p
 
 __all__ = [
     "DEFAULT_MAX_QUBITS",
@@ -122,18 +122,6 @@ _PAIRS = np.array(
         for bit in (1 << i for i in range(_GRAM_QUBITS))
     ]
 )
-
-
-def _available_bytes(meminfo: str = "/proc/meminfo") -> int | None:
-    """MemAvailable in bytes, or None where it cannot be read."""
-    try:
-        with open(meminfo, encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024  # the value is in kB
-    except (OSError, ValueError, IndexError):
-        pass
-    return None
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib.util
 import math
@@ -10,6 +11,7 @@ import pytest
 
 import graphent.cli
 import graphent.entanglement
+import graphent.graphs
 import graphent.statevector
 from graphent.cli import TOPOLOGIES, main
 from graphent.graphs import DirectedGraph, load_graph, save_graph
@@ -233,7 +235,7 @@ def test_gen_invalid_params_exit_2(tmp_path, capsys):
         "--theta", "0.3", "--method", "closed",
     )
     assert (code, stdout) == (2, "")
-    assert stderr == "error: num_vertices 100000000000000000002 is more than 2^63 - 1\n"
+    assert stderr == "error: --cycles: num_vertices 100000000000000000002 is more than 2^63 - 1\n"
     # The tree's depth is bounded before 2^depth or any array is formed.
     for depth in ("64", "20000"):
         code, stdout, stderr = run(
@@ -242,8 +244,45 @@ def test_gen_invalid_params_exit_2(tmp_path, capsys):
         )
         assert (code, stdout) == (2, "")
         assert stderr == (
-            f"error: depth {depth} is more than 63: 2^depth - 1 vertices exceed 2^63 - 1\n"
+            f"error: --depth: depth {depth} is more than 63: 2^depth - 1 vertices exceed 2^63 - 1\n"
         )
+
+
+def _unallocated(*args, **kwargs):
+    raise AssertionError("a refused family reached its layer list")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--topology", "btree", "--depth", "40"],
+            "--depth: a full binary tree of depth 40 has 1099511627774 edges, "
+            "which need 17592186044384 bytes, but only 1073741824 bytes of memory are available",
+        ),
+        (
+            ["--topology", "btree", "--depth", "63"],
+            "--depth: a full binary tree of depth 63 has 9223372036854775806 edges, "
+            "which need 147573952589676412896 bytes, but only 1073741824 bytes of memory are available",
+        ),
+        (
+            ["--topology", "ffnn", "--layer-sizes", "100000,100000"],
+            "--layer-sizes: a layered network of layer sizes (100000, 100000) has 10000000000 edges, "
+            "which need 160000000000 bytes, but only 1073741824 bytes of memory are available",
+        ),
+        (
+            ["--topology", "yf", "--layers", "10000000000"],
+            "--layers: num_vertices 50000000005000000000 is more than 2^63 - 1",
+        ),
+    ],
+)
+def test_oversized_family_exit_2_names_its_flag(capsys, monkeypatch, argv, message):
+    # The probe is replaced and the layer lists guarded, so nothing of this
+    # size is ever allocated, whatever the machine.
+    monkeypatch.setattr(graphent.graphs, "_available_bytes", lambda: 2**30)
+    monkeypatch.setattr(graphent.graphs, "_blocks", _unallocated)
+    code, stdout, stderr = run(capsys, "ed", *argv, "--theta", "0.3", "--method", "closed")
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
 
 
 # ----------------------------------------------------------------------
@@ -551,6 +590,43 @@ def test_sweep_values_round_trip(tmp_path, capsys):
         theta_s, p_s, value_s = line.split(",")
         # 17 significant digits: parsing back gives the exact double
         assert float(value_s) == hs_distance_sq_analytic(float(p_s), float(theta_s))
+
+
+@pytest.mark.parametrize("quantity", ["entropy", "ed-general", "hs2"])
+def test_sweep_lines_are_the_scalar_calls(tmp_path, capsys, quantity):
+    # The sweep evaluates its grid in one call; each line must still be
+    # _fmt(theta),_fmt(p),_fmt(value(p, theta)) of the scalar call there.
+    from graphent.cli import _fmt, _grid
+    from graphent.density import hs_distance_sq_analytic, pair_entropy_analytic
+    from graphent.graphs import degree_distribution
+
+    out = str(tmp_path / "s.csv")
+    thetas = _grid(-1.0, 4.0, 6, "theta")  # passes theta = 0, where lo = 0
+    if quantity == "entropy":
+        argv = ["--theta-min", "-1", "--theta-max", "4", "--theta-steps", "6",
+                "--p-min", "0.1", "--p-max", "0.9", "--p-steps", "5"]
+        ps, value = _grid(0.1, 0.9, 5, "p"), pair_entropy_analytic
+    elif quantity == "ed-general":
+        graph = DirectedGraph(5, [(0, 1), (1, 2), (0, 3), (3, 1), (4, 2)])
+        save_graph(graph, str(tmp_path / "g.json"))
+        argv = ["--graph", str(tmp_path / "g.json"), "--theta-min", "-1", "--theta-max", "4",
+                "--theta-steps", "6", "--p-steps", "4"]
+        dist = degree_distribution(graph)
+        ps = _grid(0.0, 1.0, 4, "p")
+        value = functools.partial(graphent.entanglement.ed_closed_general, dist)
+    else:  # a 1-D sweep at a fixed p
+        argv = ["--theta-min", "-1", "--theta-max", "4", "--theta-steps", "6", "--p", "0.3"]
+        ps, value = None, hs_distance_sq_analytic
+    code, stdout, _ = run(capsys, "sweep", "--quantity", quantity, *argv, "--out", out)
+    assert code == 0
+    if ps is None:
+        expected = ["theta,value"] + [f"{_fmt(t)},{_fmt(value(0.3, t))}" for t in thetas]
+    else:
+        expected = ["theta,p,value"] + [
+            f"{_fmt(t)},{_fmt(p)},{_fmt(value(p, t))}" for t in thetas for p in ps
+        ]
+    assert open(out, "rb").read() == ("\n".join(expected) + "\n").encode()
+    assert stdout == f"wrote: {out} ({len(expected) - 1} rows)\n"
 
 
 def test_sweep_limit_curves(tmp_path, capsys):

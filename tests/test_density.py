@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import graphent.density
 from graphent.density import (
     DensityMatrix,
     entropy_at_half_p,
@@ -239,3 +241,78 @@ def test_pair_entropy_analytic_consistent():
             rho = partial_trace(pair_state(p, theta), [0])
             assert abs(pair_entropy_analytic(p, theta) - von_neumann_entropy(rho)) <= 1e-10
     assert math.isnan(pair_entropy_analytic(0.3, math.nan))  # not dropped as a zero eigenvalue
+    # A separable pair: lo = 0 adds nothing and hi ln hi = 0.0, so the total
+    # is -0.0, which the figure CSV writes as "-0".
+    for value in (pair_entropy_analytic(0.0, 0.7), pair_entropy_analytic(np.array([0.0, 1.0]), 0.0)):
+        assert np.all(value == 0.0) and np.all(np.signbit(value))
+
+
+# ----------------------------------------------------------------------
+# grid evaluation: the bits of the scalar call at every point
+# ----------------------------------------------------------------------
+
+GRID_P = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), probabilities)
+GRID_THETA = st.one_of(
+    st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi, math.nan]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+)
+
+
+def same_bits(a, b):
+    """Equal with the same sign, or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and np.signbit(a) == np.signbit(b)
+
+
+def analytic_values(p, theta):
+    """The three closed forms at (p, theta), flattened into one tuple."""
+    return (
+        hs_distance_sq_analytic(p, theta),
+        *reduced_eigenvalues_analytic(p, theta),
+        pair_entropy_analytic(p, theta),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(GRID_P, min_size=1, max_size=7), st.lists(GRID_THETA, min_size=1, max_size=7))
+def test_grid_evaluation_has_the_scalar_bits(ps, thetas):
+    p_row, theta_col = np.array([ps]), np.array(thetas)[:, None]
+    grids = analytic_values(p_row, theta_col)
+    rows = analytic_values(np.array(ps), thetas[0])  # p as an array, theta a float
+    columns = analytic_values(ps[0], np.array(thetas))  # and the other way round
+    for i, theta in enumerate(thetas):
+        for j, p in enumerate(ps):
+            scalar = analytic_values(p, theta)
+            assert all(type(v) is float for v in scalar)  # a float in gives a float out
+            for k, v in enumerate(scalar):
+                assert grids[k].shape == (len(thetas), len(ps))
+                assert same_bits(grids[k][i, j], v), (k, p, theta)
+                if i == 0:
+                    assert same_bits(rows[k][j], v), (k, p, theta)
+                if j == 0:
+                    assert same_bits(columns[k][i], v), (k, p, theta)
+
+
+def test_grid_evaluation_calls_no_numpy_transcendental(monkeypatch):
+    # numpy's log, sin, cos and power can differ from libm in the last bit on
+    # one machine and agree on another, so a check of values alone would not
+    # see them everywhere: the closed forms must not reach them at all.
+    forbidden = {"log", "log1p", "exp", "sin", "cos", "power", "float_power", "square"}
+
+    class NumpyWithoutTranscendentals:
+        def __getattr__(self, name):
+            assert name not in forbidden, f"np.{name} in a closed form"
+            return getattr(np, name)
+
+    monkeypatch.setattr(graphent.density, "np", NumpyWithoutTranscendentals())
+    analytic_values(np.array([[0.0, 0.3, 1.0]]), np.array([[0.0], [2.0]]))
+
+
+@pytest.mark.parametrize(
+    "ps, bad", [([0.5, -0.1, 0.2], "-0.1"), ([1.5], "1.5"), ([0.2, math.nan], "nan"), ([True], "True")]
+)
+def test_grid_evaluation_refuses_each_bad_p(ps, bad):
+    for fn in (hs_distance_sq_analytic, reduced_eigenvalues_analytic, pair_entropy_analytic):
+        with pytest.raises(ValueError, match=rf"^p must be in \[0, 1\], got {bad}$"):
+            fn(np.array([ps]), np.array([[0.3]]))

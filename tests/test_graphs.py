@@ -383,6 +383,31 @@ def test_generators_bound_their_size_before_they_allocate(monkeypatch):
         gen_bridged_cycles((2**62, 2**62, 3))
 
 
+@pytest.mark.parametrize(
+    "generate, size, edges",
+    [
+        (gen_young_fibonacci, 4, 12),
+        (gen_ffnn, (3, 4, 2), 20),
+        (gen_full_binary_tree, 3, 6),
+        (gen_bridged_cycles, (3, 4, 5), 14),
+    ],
+)
+def test_generators_bound_their_edges_by_memory(monkeypatch, generate, size, edges):
+    # The edge count comes from the sizes alone; an edge array of 16 bytes
+    # per edge that exceeds the available memory is refused before any
+    # layer list or array is built.
+    assert generate(size).num_edges == edges
+    monkeypatch.setattr(graphs, "_available_bytes", lambda: 16 * edges)
+    assert generate(size).num_edges == edges
+    monkeypatch.setattr(graphs, "_available_bytes", lambda: None)  # unreadable: no check
+    assert generate(size).num_edges == edges
+    monkeypatch.setattr(graphs, "_available_bytes", lambda: 16 * edges - 1)
+    monkeypatch.setattr(graphs, "_blocks", _unreachable)
+    monkeypatch.setattr(graphs.np, "arange", _unreachable)
+    with pytest.raises(ValueError, match=rf" has {edges} edges, which need {16 * edges} bytes, "):
+        generate(size)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_binary_tree_counts(n):
     g = gen_full_binary_tree(n)
