@@ -37,9 +37,12 @@ from .entanglement import (
 from .graphs import (
     DegreeDistribution,
     DirectedGraph,
+    bridged_cycles_degree_counts,
     degree_distribution,
+    ffnn_degree_counts,
     flip_edge,
     from_json,
+    full_binary_tree_degree_counts,
     gen_bridged_cycles,
     gen_ffnn,
     gen_full_binary_tree,
@@ -49,6 +52,7 @@ from .graphs import (
     random_graph,
     save_graph,
     to_json,
+    young_fibonacci_degree_counts,
 )
 from .statevector import (
     DEFAULT_MAX_QUBITS,

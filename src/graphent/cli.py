@@ -21,8 +21,12 @@ import numpy as np
 from . import entanglement, verify
 from .density import hs_distance_sq_analytic, pair_entropy_analytic
 from .graphs import (
+    DegreeDistribution,
     DirectedGraph,
+    bridged_cycles_degree_counts,
     degree_distribution,
+    ffnn_degree_counts,
+    full_binary_tree_degree_counts,
     gen_bridged_cycles,
     gen_ffnn,
     gen_full_binary_tree,
@@ -30,6 +34,7 @@ from .graphs import (
     load_graph,
     random_graph,
     save_graph,
+    young_fibonacci_degree_counts,
 )
 from .statevector import DEFAULT_MAX_QUBITS, InitialQubit, InteractionParams, build_graph_state
 
@@ -43,13 +48,16 @@ SWEEP_IGNORES = {
     "hs2": ("graph", "topology", "limit"),
 }
 
-# --topology NAME -> (dest of the flag that sizes it, the generator that flag's
-# value is passed to, the infinite-size ED curve that sweep --limit draws).
-TOPOLOGIES: dict[str, tuple[str, Callable[..., DirectedGraph], Callable[[float], float] | None]] = {
-    "yf": ("layers", gen_young_fibonacci, entanglement.ed_young_fibonacci_limit),
-    "ffnn": ("layer_sizes", gen_ffnn, None),
-    "btree": ("depth", gen_full_binary_tree, entanglement.ed_binary_tree_limit),
-    "bridged": ("cycles", gen_bridged_cycles, None),
+# --topology NAME -> (dest of the flag that sizes it, the family's degree-count
+# rule and its generator, each passed that flag's value, the infinite-size ED
+# curve that sweep --limit draws).
+TOPOLOGIES: dict[
+    str, tuple[str, Callable[..., dict[int, int]], Callable[..., DirectedGraph], Callable[[float], float] | None]
+] = {
+    "yf": ("layers", young_fibonacci_degree_counts, gen_young_fibonacci, entanglement.ed_young_fibonacci_limit),
+    "ffnn": ("layer_sizes", ffnn_degree_counts, gen_ffnn, None),
+    "btree": ("depth", full_binary_tree_degree_counts, gen_full_binary_tree, entanglement.ed_binary_tree_limit),
+    "bridged": ("cycles", bridged_cycles_degree_counts, gen_bridged_cycles, None),
 }
 
 
@@ -152,7 +160,7 @@ def _refuse(args: argparse.Namespace, dests: Sequence[str], reason: str) -> None
 
 def _check_size_flags(args: argparse.Namespace) -> None:
     """Refuse a topology size flag that would be ignored."""
-    for name, (dest, _, _) in TOPOLOGIES.items():
+    for name, (dest, *_) in TOPOLOGIES.items():
         if getattr(args, dest) is None:
             continue
         if getattr(args, "graph", None) is not None:
@@ -165,17 +173,23 @@ def _check_size_flags(args: argparse.Namespace) -> None:
             raise ValueError(f"{_flag(dest)} does not apply to --topology {args.topology}")
 
 
-def _graph_from_args(args: argparse.Namespace) -> DirectedGraph:
+def _graph_from_args(
+    args: argparse.Namespace, degrees_only: bool = False
+) -> DirectedGraph | DegreeDistribution:
+    """The graph the source flags name or, with degrees_only, its degree
+    distribution: a --topology family's comes from its degree-count rule,
+    with no graph built."""
     if getattr(args, "graph", None) is not None:
-        return load_graph(args.graph)
+        graph = load_graph(args.graph)
+        return degree_distribution(graph) if degrees_only else graph
     if args.topology is None:
         raise ValueError("no graph source: pass --graph PATH or --topology plus its parameters")
-    dest, generate, _ = TOPOLOGIES[args.topology]
+    dest, count, generate, _ = TOPOLOGIES[args.topology]
     size = getattr(args, dest)
     if size is None:
         raise ValueError(f"--topology {args.topology} needs {_flag(dest)}")
     try:
-        return generate(size)
+        return DegreeDistribution(count(size)) if degrees_only else generate(size)
     except ValueError as exc:  # every refusal of a size names its flag
         raise ValueError(f"{_flag(dest)}: {exc}") from None
 
@@ -202,10 +216,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_ed(args: argparse.Namespace) -> int:
     if args.method == "closed":
         _refuse(args, ("psi", "max_qubits"), "does not apply to --method closed")
-    graph = _graph_from_args(args)
-    reports = {}
+    # The closed total reads only the degrees: a graph is built for the
+    # oracle and for the per-vertex lines.
+    graph = None if args.method == "closed" and not args.verbose else _graph_from_args(args)
+    results = {}  # name -> (total, per-vertex contributions), closed before simulate
     if args.method in ("closed", "both"):
-        reports["closed"] = entanglement.ed_general_report(graph, args.p, args.theta)
+        dist = _graph_from_args(args, degrees_only=True) if graph is None else degree_distribution(graph)
+        total = entanglement.ed_closed_general(dist, args.p, args.theta)
+        per_vertex = entanglement.ed_general_report(graph, args.p, args.theta).per_vertex if args.verbose else ()
+        results["closed"] = (total, per_vertex)
     if args.method in ("simulate", "both"):
         state = build_graph_state(
             graph,
@@ -213,14 +232,15 @@ def cmd_ed(args: argparse.Namespace) -> int:
             InteractionParams(args.theta, 0.0 if args.psi is None else args.psi),
             max_qubits=DEFAULT_MAX_QUBITS if args.max_qubits is None else args.max_qubits,
         )
-        reports["simulate"] = entanglement.ed_numeric(state)
-    for name, report in reports.items():  # closed before simulate
-        print(f"{name}: {_fmt(report.total)}")
+        report = entanglement.ed_numeric(state)
+        results["simulate"] = (report.total, report.per_vertex)
+    for name, (total, per_vertex) in results.items():
+        print(f"{name}: {_fmt(total)}")
         if args.verbose:
-            for i, value in enumerate(report.per_vertex):
+            for i, value in enumerate(per_vertex):
                 print(f"  vertex {i}: {_fmt(value)}")
     if args.method == "both":
-        print(f"diff: {_fmt(abs(reports['closed'].total - reports['simulate'].total))}")
+        print(f"diff: {_fmt(abs(results['closed'][0] - results['simulate'][0]))}")
     return 0
 
 
@@ -263,13 +283,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # The closed forms take one point per call, as Python floats: np.frompyfunc
     # gives them the grid.  The density forms take the grid whole.
     if args.limit:
-        curve = TOPOLOGIES[args.topology][2] if args.topology is not None else None
+        curve = TOPOLOGIES[args.topology][3] if args.topology is not None else None
         if curve is None:
-            names = " or ".join(name for name, row in TOPOLOGIES.items() if row[2] is not None)
+            names = " or ".join(name for name, row in TOPOLOGIES.items() if row[3] is not None)
             raise ValueError(f"--limit needs --topology {names}")
         value = np.frompyfunc(curve, 1, 1)
     elif args.quantity in ("ed", "ed-general"):
-        dist = degree_distribution(_graph_from_args(args))
+        dist = _graph_from_args(args, degrees_only=True)
         value = np.frompyfunc(functools.partial(entanglement.ed_closed_general, dist), 2, 1)
     else:
         value = pair_entropy_analytic if args.quantity == "entropy" else hs_distance_sq_analytic

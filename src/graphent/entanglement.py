@@ -25,7 +25,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .graphs import DegreeDistribution, DirectedGraph, _check_p, _checked_counts, _integer
-from .graphs import _tree_depth, _yf_layers, ffnn_layer_sizes
+from .graphs import _tree_depth, _vertex_count, _yf_layers, ffnn_degree_counts, ffnn_layer_sizes
 from .statevector import DEFAULT_MAX_QUBITS, InitialQubit, InteractionParams, PureState
 from .statevector import build_graph_state_rows, pauli_vector_rows
 
@@ -137,19 +137,25 @@ def ed_closed_general(dist: DistributionLike, p: float, theta: float) -> float:
 
     At p = 1/2 this is exactly :func:`ed_closed_form`; at p in {0, 1} it is 0.
     Input phases never enter: only the moduli of the input amplitudes matter.
+    The sum is `math.fsum`, rounded once, so it does not depend on the order
+    of the degrees: a relabelled graph, and a family's degree-count rule and
+    its built graph, give the same bits.
     """
     _check_p(p)
     counts = _degree_counts(dist)
     r2 = _r_squared(p, theta)
     m = sum(counts.values())
-    return _general_contribution(p, sum(n * r2**k for k, n in counts.items()) / m)
+    return _general_contribution(p, math.fsum(n * r2**k for k, n in counts.items()) / m)
 
 
 def ed_general_report(graph: DirectedGraph, p: float, theta: float) -> EdReport:
     """Per-vertex closed-form report for a general input amplitude split:
     one formula per entry of the graph's degree vector, O(M) after the O(E)
     count that validation made (a derived graph counts on first use).  At
-    p = 1/2 each entry is exactly the balanced contribution 1 - cos(theta)^(2d)."""
+    p = 1/2 each entry is exactly the balanced contribution 1 - cos(theta)^(2d).
+    Its `total` is the mean of the per-vertex shares, which is rounded
+    differently from the mean of r^(2d) that :func:`ed_closed_general` takes,
+    so the two may differ in the last bit; `ed` prints the latter."""
     _check_p(p)
     r2 = _r_squared(p, theta)
     degrees = graph.degrees.tolist()
@@ -219,17 +225,6 @@ def ed_young_fibonacci_limit(theta: float) -> float:
     return 1.0 - math.cos(theta) ** 8
 
 
-def _ffnn_degree_counts(layer_sizes: Sequence[int], output_self_exponent: bool) -> Counter:
-    sizes = ffnn_layer_sizes(layer_sizes)
-    last = len(sizes) - 1
-    counts: Counter = Counter()
-    counts[sizes[1]] += sizes[0]
-    for i in range(1, last):
-        counts[sizes[i - 1] + sizes[i + 1]] += sizes[i]
-    counts[sizes[last] if output_self_exponent else sizes[last - 1]] += sizes[last]
-    return counts
-
-
 def ed_ffnn(theta: float, layer_sizes: Sequence[int]) -> float:
     """ED per qubit of a layered feed-forward network.
 
@@ -237,7 +232,7 @@ def ed_ffnn(theta: float, layer_sizes: Sequence[int]) -> float:
     M_2, hidden layer i has degree M_{i-1} + M_{i+1}, the output layer has
     degree M_{N-1}.
     """
-    return ed_closed_form(_ffnn_degree_counts(layer_sizes, False), theta)
+    return ed_closed_form(ffnn_degree_counts(layer_sizes), theta)
 
 
 def ed_ffnn_output_self_exponent(theta: float, layer_sizes: Sequence[int]) -> float:
@@ -245,7 +240,11 @@ def ed_ffnn_output_self_exponent(theta: float, layer_sizes: Sequence[int]) -> fl
     own width rather than the preceding layer's width.  It disagrees with the
     state-vector oracle whenever the two widths differ; kept so the
     verification harness can demonstrate which form is consistent."""
-    return ed_closed_form(_ffnn_degree_counts(layer_sizes, True), theta)
+    sizes = ffnn_layer_sizes(layer_sizes)
+    counts = Counter(ffnn_degree_counts(sizes))
+    counts[sizes[-2]] -= sizes[-1]  # the output layer moves to degree sizes[-1]
+    counts[sizes[-1]] += sizes[-1]
+    return ed_closed_form(+counts, theta)  # unary + drops an emptied degree
 
 
 def ed_binary_tree(theta: float, depth: int) -> float:
@@ -278,6 +277,7 @@ def ed_bridged_cycles(theta: float, total_vertices: int, num_cycles: int) -> flo
             f"{num_cycles} cycles of size >= 3 need at least {3 * num_cycles} vertices, "
             f"got {total_vertices}"
         )
+    _vertex_count(total_vertices)
     c4 = math.cos(theta) ** 4
     s2 = math.sin(theta) ** 2
     return 1.0 - c4 * (total_vertices - 2.0 * (num_cycles - 1) * s2) / total_vertices

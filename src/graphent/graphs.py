@@ -1,4 +1,4 @@
-"""Directed simple graphs, degree bookkeeping, and layered topology generators.
+"""Directed simple graphs, degree bookkeeping, and layered topology families.
 
 Vertices are 0-based.  Graphs are immutable after construction and simple in
 the undirected sense: no self-loops and at most one edge per unordered vertex
@@ -7,11 +7,17 @@ read-only (E, 2) int64 array `edge_array`: a vectorised accept pass takes
 valid integer input, and an explain pass names the first refused edge.  The
 degree vectors are counted from it on demand.  `flip_edge` and
 `permute_vertices` derive their array from a valid graph without a second
-check.  The generators count their vertices and edges from their sizes and
-refuse a family whose edge array would not fit in memory before they
-allocate.  They number layers from the top/input side and vertices
-left-to-right within a layer, and orient all edges downstream, so identical
-parameters always produce identical graphs.
+check.
+
+Each topology family has a degree-count rule, `*_degree_counts(size)`, that
+returns its {degree: vertices} in O(layers) or O(cycles) with no graph
+built, so a closed form can total a family of any size up to 2^63 - 1
+vertices; the rule owns the family's size checks.  Its generator, `gen_*`,
+reads the vertex and edge counts from the rule and refuses a family whose
+build would not fit in memory, _EDGE_BYTES per edge, before it allocates;
+it then writes the edge array with numpy.  Generators number layers from the
+top/input side and vertices left-to-right within a layer, and orient all
+edges downstream, so identical parameters always produce identical graphs.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numbers
 import operator
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import accumulate, chain, pairwise
+from itertools import accumulate, chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -31,10 +37,14 @@ __all__ = [
     "DirectedGraph",
     "DegreeDistribution",
     "degree_distribution",
+    "young_fibonacci_degree_counts",
     "gen_young_fibonacci",
     "ffnn_layer_sizes",
+    "ffnn_degree_counts",
     "gen_ffnn",
+    "full_binary_tree_degree_counts",
     "gen_full_binary_tree",
+    "bridged_cycles_degree_counts",
     "gen_bridged_cycles",
     "permute_vertices",
     "flip_edge",
@@ -55,6 +65,13 @@ def _integer(x: object, what: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{what} {x!r} is not an integer")
+
+
+# Bytes per edge that generating and validating a family's graph peak at,
+# the edge array, its validated copy and the pair keys included: tracemalloc
+# read 64 (ffnn) to 76 (bridged 3-cycles) at about 2e5 edges, and the tests
+# hold every family to this bound.
+_EDGE_BYTES = 80
 
 
 def _vertex_count(m: object) -> int:
@@ -80,19 +97,21 @@ def _available_bytes(meminfo: str = "/proc/meminfo") -> int | None:
     return None
 
 
-def _family_size(num_vertices: int, num_edges: int, what: str) -> int:
-    """The checked vertex count of a generated family, refused before
-    anything is allocated when its edge array alone, 16 bytes per edge,
-    would not fit in the available memory."""
-    m = _vertex_count(num_vertices)
-    needed = 16 * num_edges
+def _family_size(counts: Mapping[int, int], what: str) -> tuple[int, int]:
+    """The vertex and edge counts of a generated family, read from its
+    degree counts, refused before anything is allocated when generating and
+    validating its edge array, _EDGE_BYTES per edge, would not fit in the
+    available memory."""
+    num_vertices = sum(counts.values())
+    num_edges = sum(k * n for k, n in counts.items()) // 2
+    needed = _EDGE_BYTES * num_edges
     available = _available_bytes()
     if available is not None and needed > available:
         raise ValueError(
             f"{what} has {num_edges} edges, which need {needed} bytes, "
             f"but only {available} bytes of memory are available"
         )
-    return m
+    return num_vertices, num_edges
 
 
 def _check_p(p: float | np.ndarray) -> None:
@@ -321,21 +340,27 @@ def degree_distribution(g: DirectedGraph) -> DegreeDistribution:
 
 
 # ----------------------------------------------------------------------
-# Topology generators
+# Topology families: a degree-count rule and a generator each
 # ----------------------------------------------------------------------
 
-def _blocks(sizes: Sequence[int]) -> list[range]:
-    """Vertex ranges of consecutive blocks (layers or cycles) of these sizes."""
-    bounds = list(accumulate(sizes, initial=0))
-    return [range(a, b) for a, b in pairwise(bounds)]
-
-
 def _yf_layers(num_layers: int) -> int:
-    """Checked layer count of the triangular layered graph: an integer >= 2."""
+    """Checked layer count of the triangular layered graph: an integer >= 2
+    whose n(n+1)/2 vertices fit the int64 edge array."""
     n = _integer(num_layers, "num_layers")
     if n < 2:
         raise ValueError(f"need at least 2 layers, got {n}")
+    _vertex_count(n * (n + 1) // 2)
     return n
+
+
+def young_fibonacci_degree_counts(num_layers: int) -> dict[int, int]:
+    """{degree: vertices} of the triangular layered graph: the bottom
+    layer's two end vertices have degree 1, its other n - 2 vertices and the
+    apex degree 2, the other layers' end vertices degree 3 and every other
+    vertex degree 4."""
+    n = _yf_layers(num_layers)
+    counts = {1: 2, 2: n - 1, 3: 2 * (n - 2), 4: (n - 2) * (n - 3) // 2}
+    return {k: c for k, c in counts.items() if c}
 
 
 def gen_young_fibonacci(num_layers: int) -> DirectedGraph:
@@ -345,22 +370,25 @@ def gen_young_fibonacci(num_layers: int) -> DirectedGraph:
     Total vertices: num_layers*(num_layers+1)/2.
     """
     n = _yf_layers(num_layers)
-    m = _family_size(n * (n + 1) // 2, n * (n - 1), f"a triangular graph of {n} layers")
-    edges = []
-    for upper, lower in pairwise(_blocks(range(1, n + 1))):
-        for j, v in enumerate(upper):
-            edges.append((v, lower[j]))
-            edges.append((v, lower[j + 1]))
-    return DirectedGraph(m, edges)
+    m, num_edges = _family_size(young_fibonacci_degree_counts(n), f"a triangular graph of {n} layers")
+    # Rows 2v and 2v + 1 are the two edges of vertex v, the v-th vertex above
+    # the bottom layer; in layer i its left child is v + i.
+    edges = np.empty((num_edges // 2, 2, 2), dtype=np.int64)
+    edges[:, :, 0] = np.arange(num_edges // 2)[:, None]
+    edges[:, 0, 1] = edges[:, 0, 0] + np.repeat(np.arange(1, n), np.arange(1, n))
+    edges[:, 1, 1] = edges[:, 0, 1] + 1
+    return DirectedGraph(m, edges.reshape(num_edges, 2))
 
 
 def _sizes(values: Sequence[int], minimum: int, what: str) -> tuple[int, ...]:
-    """Checked sizes of a chain of layers or cycles: at least 2, each an integer >= minimum."""
+    """Checked sizes of a chain of layers or cycles: at least 2, each an
+    integer >= minimum, with at most 2^63 - 1 vertices in all."""
     sizes = tuple(_integer(v, f"{what} size") for v in values)
     if len(sizes) < 2:
         raise ValueError(f"need at least 2 {what}s, got {len(sizes)}")
     if any(s < minimum for s in sizes):
         raise ValueError(f"all {what} sizes must be >= {minimum}, got {sizes}")
+    _vertex_count(sum(sizes))
     return sizes
 
 
@@ -369,34 +397,76 @@ def ffnn_layer_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
     return _sizes(layer_sizes, 1, "layer")
 
 
+def ffnn_degree_counts(layer_sizes: Sequence[int]) -> dict[int, int]:
+    """{degree: vertices} of the layered network: the input layer's vertices
+    have degree M_2, hidden layer i's M_(i-1) + M_(i+1) and the output
+    layer's M_(N-1)."""
+    sizes = ffnn_layer_sizes(layer_sizes)
+    counts = Counter({sizes[1]: sizes[0]})
+    for above, width, below in zip(sizes, sizes[1:], sizes[2:]):
+        counts[above + below] += width
+    counts[sizes[-2]] += sizes[-1]
+    return dict(counts)
+
+
 def gen_ffnn(layer_sizes: Sequence[int]) -> DirectedGraph:
     """Layered network with complete bipartite connections between consecutive
     layers, oriented input-to-output."""
     sizes = ffnn_layer_sizes(layer_sizes)
-    num_edges = sum(a * b for a, b in pairwise(sizes))
-    m = _family_size(sum(sizes), num_edges, f"a layered network of layer sizes {sizes}")
-    layers = _blocks(sizes)
-    edges = [(u, v) for upper, lower in pairwise(layers) for u in upper for v in lower]
+    m, num_edges = _family_size(ffnn_degree_counts(sizes), f"a layered network of layer sizes {sizes}")
+    edges = np.empty((num_edges, 2), dtype=np.int64)
+    row = 0
+    for end, width, below in zip(accumulate(sizes), sizes, sizes[1:]):
+        # Every vertex of the layer ending at `end`, in order, to every
+        # vertex of the next layer, in order.
+        block = edges[row : row + width * below].reshape(width, below, 2)
+        block[:, :, 0] = np.arange(end - width, end)[:, None]
+        block[:, :, 1] = np.arange(end, end + below)
+        row += width * below
     return DirectedGraph(m, edges)
 
 
 def _tree_depth(depth: int) -> int:
-    """Checked layer count of the full binary tree: an integer >= 1."""
+    """Checked layer count of the full binary tree: an integer from 1 to 63,
+    so that its 2^depth - 1 vertices fit the int64 edge array."""
     depth = _integer(depth, "depth")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    if depth > 63:
+        raise ValueError(f"depth {depth} is more than 63: 2^depth - 1 vertices exceed 2^63 - 1")
     return depth
+
+
+def full_binary_tree_degree_counts(depth: int) -> dict[int, int]:
+    """{degree: vertices} of the full binary tree: 2^(depth-1) leaves of
+    degree 1, the root of degree 2 and 2^(depth-1) - 2 inner vertices of
+    degree 3; a tree of depth 1 is one vertex of degree 0."""
+    depth = _tree_depth(depth)
+    if depth == 1:
+        return {0: 1}
+    leaves = 2 ** (depth - 1)
+    return {k: c for k, c in {1: leaves, 2: 1, 3: leaves - 2}.items() if c}
 
 
 def gen_full_binary_tree(depth: int) -> DirectedGraph:
     """Full binary tree with `depth` layers (2^depth - 1 vertices), edges
     oriented parent-to-child, heap numbering."""
     depth = _tree_depth(depth)
-    if depth > 63:  # before 2^depth is formed: past 63 it exceeds int64
-        raise ValueError(f"depth {depth} is more than 63: 2^depth - 1 vertices exceed 2^63 - 1")
-    m = _family_size(2**depth - 1, 2**depth - 2, f"a full binary tree of depth {depth}")
-    child = np.arange(1, m)
-    return DirectedGraph(m, np.column_stack(((child - 1) // 2, child)))
+    m, num_edges = _family_size(
+        full_binary_tree_degree_counts(depth), f"a full binary tree of depth {depth}"
+    )
+    edges = np.empty((num_edges, 2), dtype=np.int64)
+    edges[:, 1] = np.arange(1, m)
+    np.floor_divide(edges[:, 1] - 1, 2, out=edges[:, 0])
+    return DirectedGraph(m, edges)
+
+
+def bridged_cycles_degree_counts(cycle_sizes: Sequence[int]) -> dict[int, int]:
+    """{degree: vertices} of the chain of N cycles: the 2(N - 1) bridge
+    endpoints have degree 3, every other vertex degree 2."""
+    sizes = _sizes(cycle_sizes, 3, "cycle")
+    bridged = 2 * (len(sizes) - 1)
+    return {2: sum(sizes) - bridged, 3: bridged}
 
 
 def gen_bridged_cycles(cycle_sizes: Sequence[int]) -> DirectedGraph:
@@ -407,10 +477,17 @@ def gen_bridged_cycles(cycle_sizes: Sequence[int]) -> DirectedGraph:
     cycle are always distinct for cycle sizes >= 3.
     """
     sizes = _sizes(cycle_sizes, 3, "cycle")
-    m = _family_size(sum(sizes), sum(sizes) + len(sizes) - 1, f"a chain of cycles of sizes {sizes}")
-    cycles = _blocks(sizes)
-    edges = [(c[t], c[(t + 1) % len(c)]) for c in cycles for t in range(len(c))]
-    edges += [(a[0], b[len(b) // 2]) for a, b in pairwise(cycles)]
+    m, num_edges = _family_size(
+        bridged_cycles_degree_counts(sizes), f"a chain of cycles of sizes {sizes}"
+    )
+    width = np.array(sizes, dtype=np.int64)
+    first = np.cumsum(width) - width  # each cycle's first vertex
+    edges = np.empty((num_edges, 2), dtype=np.int64)
+    edges[:m, 0] = np.arange(m)
+    edges[:m, 1] = edges[:m, 0] + 1
+    edges[first + width - 1, 1] = first  # each cycle's last vertex closes it
+    edges[m:, 0] = first[:-1]
+    edges[m:, 1] = first[1:] + width[1:] // 2
     return DirectedGraph(m, edges)
 
 

@@ -80,7 +80,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import DirectedGraph, _available_bytes, _check_p
+from .graphs import DirectedGraph, _available_bytes, _check_p, _integer
 
 __all__ = [
     "DEFAULT_MAX_QUBITS",
@@ -178,12 +178,12 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        m = _integer(self.num_qubits, "num_qubits")
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2**self.num_qubits,):
-            raise ValueError(
-                f"expected {2**self.num_qubits} amplitudes for {self.num_qubits} qubits, "
-                f"got shape {amps.shape}"
-            )
+        # No array holds 2^63 amplitudes, so 2^M is formed only below that.
+        if not (0 <= m < 63 and amps.shape == (1 << m,)):
+            raise ValueError(f"expected 2^{m} amplitudes for {m} qubits, got shape {amps.shape}")
+        object.__setattr__(self, "num_qubits", m)
         object.__setattr__(self, "amplitudes", amps)
 
     @property

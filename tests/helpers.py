@@ -123,3 +123,12 @@ probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 def grid(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + (i * (hi - lo)) / (steps - 1) for i in range(steps)]
+
+
+class NoNumpy:
+    """Stands in for the numpy module of graphent.graphs: any use of it
+    fails, so a family refused by its size checks is shown to allocate
+    nothing."""
+
+    def __getattr__(self, name: str):
+        raise AssertionError(f"a refused family reached np.{name}")

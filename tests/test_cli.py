@@ -14,7 +14,8 @@ import graphent.entanglement
 import graphent.graphs
 import graphent.statevector
 from graphent.cli import TOPOLOGIES, main
-from graphent.graphs import DirectedGraph, load_graph, save_graph
+from graphent.graphs import DirectedGraph, degree_distribution, load_graph, save_graph
+from helpers import NoNumpy
 
 
 def run(capsys, *argv):
@@ -71,13 +72,14 @@ TOPOLOGY_SIZES = {
 
 @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
 def test_gen_topology_table(tmp_path, capsys, name):
-    dest, generate, _ = TOPOLOGIES[name]
+    dest, count, generate, _ = TOPOLOGIES[name]
     flag = "--" + dest.replace("_", "-")
     text, size = TOPOLOGY_SIZES[name]
     out = str(tmp_path / "g.json")
     code, _, _ = run(capsys, "gen", "--topology", name, flag, text, "--out", out)
     assert code == 0
     assert load_graph(out) == generate(size)
+    assert degree_distribution(load_graph(out)).counts == count(size)
     code, stdout, stderr = run(capsys, "gen", "--topology", name, "--out", str(tmp_path / "x.json"))
     assert code == 2
     assert stdout == ""
@@ -248,27 +250,23 @@ def test_gen_invalid_params_exit_2(tmp_path, capsys):
         )
 
 
-def _unallocated(*args, **kwargs):
-    raise AssertionError("a refused family reached its layer list")
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
         (
             ["--topology", "btree", "--depth", "40"],
             "--depth: a full binary tree of depth 40 has 1099511627774 edges, "
-            "which need 17592186044384 bytes, but only 1073741824 bytes of memory are available",
+            "which need 87960930221920 bytes, but only 1073741824 bytes of memory are available",
         ),
         (
             ["--topology", "btree", "--depth", "63"],
             "--depth: a full binary tree of depth 63 has 9223372036854775806 edges, "
-            "which need 147573952589676412896 bytes, but only 1073741824 bytes of memory are available",
+            "which need 737869762948382064480 bytes, but only 1073741824 bytes of memory are available",
         ),
         (
             ["--topology", "ffnn", "--layer-sizes", "100000,100000"],
             "--layer-sizes: a layered network of layer sizes (100000, 100000) has 10000000000 edges, "
-            "which need 160000000000 bytes, but only 1073741824 bytes of memory are available",
+            "which need 800000000000 bytes, but only 1073741824 bytes of memory are available",
         ),
         (
             ["--topology", "yf", "--layers", "10000000000"],
@@ -276,13 +274,72 @@ def _unallocated(*args, **kwargs):
         ),
     ],
 )
-def test_oversized_family_exit_2_names_its_flag(capsys, monkeypatch, argv, message):
-    # The probe is replaced and the layer lists guarded, so nothing of this
-    # size is ever allocated, whatever the machine.
+def test_oversized_family_exit_2_names_its_flag(tmp_path, capsys, monkeypatch, argv, message):
+    # Building the graph is what needs the memory.  The probe is replaced and
+    # numpy withheld from the generators, so nothing of this size is ever
+    # allocated, whatever the machine.
     monkeypatch.setattr(graphent.graphs, "_available_bytes", lambda: 2**30)
-    monkeypatch.setattr(graphent.graphs, "_blocks", _unallocated)
-    code, stdout, stderr = run(capsys, "ed", *argv, "--theta", "0.3", "--method", "closed")
+    monkeypatch.setattr(graphent.graphs, "np", NoNumpy())
+    out = tmp_path / "g.json"
+    code, stdout, stderr = run(capsys, "gen", *argv, "--out", str(out))
     assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("the closed route built a graph")
+
+
+@pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+def test_closed_route_builds_no_graph(tmp_path, capsys, monkeypatch, name):
+    # The closed total of a family is read from its degree-count rule: with
+    # every generator refusing, ed and sweep still answer, with the bits of
+    # the built graph's total.
+    built = degree_distribution(TOPOLOGIES[name][2](TOPOLOGY_SIZES[name][1]))
+    expected = graphent.entanglement.ed_closed_general(built, 0.3, 0.7)
+    for row in TOPOLOGIES:
+        dest, count, _, curve = TOPOLOGIES[row]
+        monkeypatch.setitem(TOPOLOGIES, row, (dest, count, _refused, curve))
+    source = ("--topology", name, "--" + TOPOLOGIES[name][0].replace("_", "-"), TOPOLOGY_SIZES[name][0])
+    code, stdout, _ = run(capsys, "ed", *source, "--theta", "0.7", "--p", "0.3", "--method", "closed")
+    assert (code, stdout) == (0, f"closed: {expected:.17g}\n")
+    out = tmp_path / "s.csv"
+    code, _, _ = run(
+        capsys, "sweep", "--quantity", "ed-general", *source, "--theta-min", "0.7",
+        "--theta-max", "0.8", "--theta-steps", "2", "--p", "0.3", "--out", str(out),
+    )
+    assert code == 0
+    assert out.read_text().splitlines()[1] == f"0.69999999999999996,{expected:.17g}"
+
+
+def test_closed_total_of_a_family_past_memory(capsys):
+    # 2^40 - 1 vertices: no graph could be built, and none is.
+    code, stdout, stderr = run(
+        capsys, "ed", "--topology", "btree", "--depth", "40", "--theta", "0.3", "--method", "closed"
+    )
+    assert (code, stdout, stderr) == (0, "closed: 0.16355705477538052\n", "")
+    code, stdout, _ = run(
+        capsys, "ed", "--topology", "btree", "--depth", "63", "--theta", "0.3", "--method", "closed"
+    )
+    assert code == 0
+    assert value_of(stdout, "closed") == graphent.entanglement.ed_binary_tree(0.3, 63)
+
+
+def test_ed_closed_matches_sweep_bit_for_bit(tmp_path, capsys):
+    # One closed total: ed's line and every sweep value are the same
+    # ed_closed_general on the family's counts.
+    out = tmp_path / "yf5.csv"
+    code, _, _ = run(
+        capsys, "sweep", "--quantity", "ed", "--topology", "yf", "--layers", "5",
+        "--theta-steps", "201", "--out", str(out),
+    )
+    assert code == 0
+    for line in out.read_text().splitlines()[1:]:
+        theta, value = line.split(",")
+        code, stdout, _ = run(
+            capsys, "ed", "--topology", "yf", "--layers", "5", "--theta", theta, "--method", "closed"
+        )
+        assert (code, stdout) == (0, f"closed: {value}\n"), theta
 
 
 # ----------------------------------------------------------------------
@@ -415,7 +472,7 @@ diff: 1.1102230246251565e-16
 GOLDEN_VERIFY_RANDOM = """\
 graphs: 40 random (<= 12 vertices)
 check                                max deviation  status
-closed-form oracle          4.1217029789208937e-15  pass
+closed-form oracle          3.8996583739958623e-15  pass
 general-closed oracle       3.9960303946026676e-15  pass
 psi independence            2.0539125955565396e-15  pass
 orientation flip            6.1853733940298028e-16  pass
@@ -805,12 +862,12 @@ def test_verify_deterministic_output(capsys):
 FIGURE_SHA256 = {
     "fig1_hs2.csv": "8d6bd71e652563ee8f9a4f5bcaea975a5153728c3276e1afa500ced2267c4f82",
     "fig2_entropy.csv": "d26e9c0cbf9470f5fee35ee63f6c2a63e9fc6fc5abd2b62c5763e963cd888469",
-    "fig3_yf_N3.csv": "f445414ba99d47f71818df83c8a1095182c0f843c2f8fc5e69e6e883da3deb84",
-    "fig3_yf_N5.csv": "99f11c99fc3bb5d490056c07b4e7e36d2f0a89604e3d58c5a143dd52b27d457e",
-    "fig3_yf_N10.csv": "79d84f3785429f2612b9b1e89deeb926775cc20bc75910ad24ca12fdd699d83d",
+    "fig3_yf_N3.csv": "b5093706265944cecd20b3e77c88f7d67883de0529ce06d7cf3351829946627a",
+    "fig3_yf_N5.csv": "1587db2581c9a0775bd9ce5d79f8c48e0717163d5dacb3365caffd856479dce7",
+    "fig3_yf_N10.csv": "004105fdf94c073ddbaaa79a4bb604fd47815306a4810de82d363f3ea3d86fe3",
     "fig3_yf_limit.csv": "6b4b85612f61210bc827d1bfaa9beb86bdd6fb81a5c41f5be6f58765836612b1",
     "fig5_btree_N2.csv": "044f402d0f86993f680d5cb0c1b5b7468de2793b5d130b883ecad39ea32b3066",
-    "fig5_btree_N4.csv": "a90651fe756a0ae1780c13b939bd5dbb295d2e27c0e401cd746a737b13f29e6c",
+    "fig5_btree_N4.csv": "f0b7ef519d9a3d2136e33523cf0dd6003ffb8dd34719f413963f7a4f0772b584",
     "fig5_btree_limit.csv": "303254a9435c2784b379ee40f856ea88fd456ec6176cf6885b0137e76cb28097",
 }
 

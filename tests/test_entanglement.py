@@ -25,12 +25,17 @@ from graphent.entanglement import (
 from graphent.graphs import (
     DegreeDistribution,
     DirectedGraph,
+    bridged_cycles_degree_counts,
     degree_distribution,
+    flip_edge,
+    full_binary_tree_degree_counts,
     gen_bridged_cycles,
     gen_ffnn,
     gen_full_binary_tree,
     gen_young_fibonacci,
+    permute_vertices,
     random_graph,
+    young_fibonacci_degree_counts,
 )
 from graphent.statevector import (
     InitialQubit,
@@ -417,6 +422,62 @@ def test_bridged_cycles_matches_generator(n):
     dist = degree_distribution(gen_bridged_cycles(sizes))
     for theta in grid(0.0, math.pi, 17):
         assert abs(ed_bridged_cycles(theta, 3 * n, n) - ed_closed_form(dist, theta)) <= 1e-12
+
+
+# Sizes no graph could reach: each explicit polynomial against the closed
+# total of its family's degree-count rule.  (ed_ffnn is that total itself.)
+PAST_ANY_GRAPH = {
+    "yf": (lambda t: ed_young_fibonacci(t, 4 * 10**9), young_fibonacci_degree_counts(4 * 10**9)),
+    "btree": (lambda t: ed_binary_tree(t, 60), full_binary_tree_degree_counts(60)),
+    "bridged": (
+        lambda t: ed_bridged_cycles(t, 4 * 10**17 + 5, 3),
+        bridged_cycles_degree_counts((10**17, 3 * 10**17, 5)),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PAST_ANY_GRAPH))
+def test_formulas_match_the_count_rules_past_any_graph(family):
+    formula, counts = PAST_ANY_GRAPH[family]
+    for theta in grid(0.0, math.pi, 33):
+        assert abs(formula(theta) - ed_closed_form(counts, theta)) <= 1e-15
+
+
+@pytest.mark.parametrize("depth", [40, 60, 63])
+def test_binary_tree_formula_is_its_rule_total(depth):
+    counts = full_binary_tree_degree_counts(depth)
+    assert ed_closed_form(counts, 0.3) == ed_binary_tree(0.3, depth)
+
+
+@pytest.mark.parametrize(
+    "formula, args, message",
+    [
+        (ed_binary_tree, (0.3, 2000), r"^depth 2000 is more than 63: "),
+        (ed_young_fibonacci, (0.3, 10**200), r"^num_vertices 5\d{399} is more than 2\^63 - 1$"),
+        (ed_bridged_cycles, (0.3, 10**400, 2), r"^num_vertices 10{400} is more than 2\^63 - 1$"),
+        (ed_ffnn, (0.3, (2**62, 2**62)), r"^num_vertices 9223372036854775808 is more than 2\^63 - 1$"),
+    ],
+    ids=["btree", "yf", "bridged", "ffnn"],
+)
+def test_formulas_refuse_oversized_families(formula, args, message):
+    # The count rules' size checks, not an OverflowError from a float.
+    with pytest.raises(ValueError, match=message):
+        formula(*args)
+
+
+def test_closed_total_ignores_labels_and_orientation():
+    # fsum rounds once, so the order in which a graph lists its degrees
+    # cannot move the closed total's bits.
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        g = random_graph(int(rng.integers(3, 13)), rng)
+        p, theta = rng.uniform(0.0, 1.0), rng.uniform(0.0, math.pi)
+        total = ed_closed_general(degree_distribution(g), p, theta)
+        relabelled = permute_vertices(g, rng.permutation(g.num_vertices))
+        assert ed_closed_general(degree_distribution(relabelled), p, theta) == total
+        if g.num_edges:
+            flipped = flip_edge(g, int(rng.integers(g.num_edges)))
+            assert ed_closed_general(degree_distribution(flipped), p, theta) == total
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -11,9 +12,12 @@ from graphent import graphs
 from graphent.graphs import (
     DegreeDistribution,
     DirectedGraph,
+    bridged_cycles_degree_counts,
     degree_distribution,
+    ffnn_degree_counts,
     flip_edge,
     from_json,
+    full_binary_tree_degree_counts,
     gen_bridged_cycles,
     gen_ffnn,
     gen_full_binary_tree,
@@ -23,10 +27,11 @@ from graphent.graphs import (
     random_graph,
     save_graph,
     to_json,
+    young_fibonacci_degree_counts,
 )
 from graphent.statevector import InitialQubit, InteractionParams, build_graph_state_rows
 
-from helpers import directed_graphs, reference_graph
+from helpers import NoNumpy, directed_graphs, reference_graph
 
 import numpy as np
 
@@ -367,18 +372,12 @@ def test_young_fibonacci_rejects_small():
         gen_young_fibonacci(3.5)
 
 
-def _unreachable(*args, **kwargs):
-    raise AssertionError("allocated before the vertex count was bounded")
-
-
 def test_generators_bound_their_size_before_they_allocate(monkeypatch):
-    # Each count is refused before a layer list is built, so these fail
-    # fast instead of filling memory.
-    with monkeypatch.context() as patch:
-        patch.setattr(graphs, "_blocks", _unreachable)
-        with pytest.raises(ValueError, match=r"^num_vertices 50000000005000000000 is more than 2\^63 - 1$"):
-            gen_young_fibonacci(10**10)
-    monkeypatch.setattr(graphs, "accumulate", _unreachable)
+    # Each count is refused before numpy is reached, so these fail fast
+    # instead of filling memory.
+    monkeypatch.setattr(graphs, "np", NoNumpy())
+    with pytest.raises(ValueError, match=r"^num_vertices 50000000005000000000 is more than 2\^63 - 1$"):
+        gen_young_fibonacci(10**10)
     with pytest.raises(ValueError, match=r"^num_vertices 9223372036854775811 is more than 2\^63 - 1$"):
         gen_bridged_cycles((2**62, 2**62, 3))
 
@@ -393,19 +392,67 @@ def test_generators_bound_their_size_before_they_allocate(monkeypatch):
     ],
 )
 def test_generators_bound_their_edges_by_memory(monkeypatch, generate, size, edges):
-    # The edge count comes from the sizes alone; an edge array of 16 bytes
-    # per edge that exceeds the available memory is refused before any
-    # layer list or array is built.
+    # The edge count comes from the family's degree counts; a build that
+    # needs more than the available memory, _EDGE_BYTES per edge, is
+    # refused before numpy allocates anything.
+    need = graphs._EDGE_BYTES * edges
     assert generate(size).num_edges == edges
-    monkeypatch.setattr(graphs, "_available_bytes", lambda: 16 * edges)
+    monkeypatch.setattr(graphs, "_available_bytes", lambda: need)
     assert generate(size).num_edges == edges
     monkeypatch.setattr(graphs, "_available_bytes", lambda: None)  # unreadable: no check
     assert generate(size).num_edges == edges
-    monkeypatch.setattr(graphs, "_available_bytes", lambda: 16 * edges - 1)
-    monkeypatch.setattr(graphs, "_blocks", _unreachable)
-    monkeypatch.setattr(graphs.np, "arange", _unreachable)
-    with pytest.raises(ValueError, match=rf" has {edges} edges, which need {16 * edges} bytes, "):
+    monkeypatch.setattr(graphs, "_available_bytes", lambda: need - 1)
+    monkeypatch.setattr(graphs, "np", NoNumpy())
+    with pytest.raises(ValueError, match=rf" has {edges} edges, which need {need} bytes, "):
         generate(size)
+
+
+@pytest.mark.parametrize(
+    "generate, size",
+    [
+        (gen_young_fibonacci, 450),
+        (gen_ffnn, (500, 400)),
+        (gen_ffnn, (50,) * 40),
+        (gen_full_binary_tree, 18),
+        (gen_bridged_cycles, (100000, 100000)),
+        (gen_bridged_cycles, (3,) * 60000),
+    ],
+    ids=["yf", "ffnn-2", "ffnn-40", "btree", "bridged-2", "bridged-60000"],
+)
+def test_generator_peak_fits_the_memory_bound(generate, size):
+    # About 2e5 edges each: generating and validating the graph, tracked by
+    # tracemalloc (numpy reports its buffers to it), stays within the
+    # _EDGE_BYTES per edge that the bound charges.
+    generate(size)  # first-call allocations are not the family's
+    tracemalloc.start()
+    try:
+        graph = generate(size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.num_edges > 90_000
+    assert peak <= graphs._EDGE_BYTES * graph.num_edges
+
+
+FAMILIES = st.one_of(
+    st.tuples(st.just("yf"), st.integers(2, 12)),
+    st.tuples(st.just("ffnn"), st.lists(st.integers(1, 6), min_size=2, max_size=6).map(tuple)),
+    st.tuples(st.just("btree"), st.integers(1, 9)),
+    st.tuples(st.just("bridged"), st.lists(st.integers(3, 9), min_size=2, max_size=6).map(tuple)),
+)
+RULES = {
+    "yf": (young_fibonacci_degree_counts, gen_young_fibonacci),
+    "ffnn": (ffnn_degree_counts, gen_ffnn),
+    "btree": (full_binary_tree_degree_counts, gen_full_binary_tree),
+    "bridged": (bridged_cycles_degree_counts, gen_bridged_cycles),
+}
+
+
+@given(FAMILIES)
+def test_degree_count_rule_is_the_built_graphs_distribution(family):
+    name, size = family
+    count, generate = RULES[name]
+    assert count(size) == degree_distribution(generate(size)).counts
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -26,7 +26,6 @@ CLOSED_FORM_FUNCTIONS = set(entanglement.__all__) - {"EdReport", *ORACLE_ED_STEP
     "_general_contribution",
     "_r_squared",
     "_degree_counts",
-    "_ffnn_degree_counts",
 }
 
 
@@ -74,7 +73,16 @@ def test_oracle_reads_no_degree_bookkeeping(oracle_module):
             used.add(node.id)
         elif isinstance(node, ast.alias):
             used.add(node.name)
-    banned = {"degrees", "out_degrees", "degree_distribution", "DegreeDistribution"}
+    banned = {
+        "degrees",
+        "out_degrees",
+        "degree_distribution",
+        "DegreeDistribution",
+        "young_fibonacci_degree_counts",
+        "ffnn_degree_counts",
+        "full_binary_tree_degree_counts",
+        "bridged_cycles_degree_counts",
+    }
     assert not used & banned, f"{oracle_module}.py reads {sorted(used & banned)}"
 
 

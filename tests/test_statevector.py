@@ -67,6 +67,20 @@ def test_interaction_params_reject_nonfinite():
 def test_pure_state_shape_checked():
     with pytest.raises(ValueError):
         PureState(2, np.ones(3))
+    assert PureState(np.int64(1), [1, 0]).num_qubits == 1
+
+
+@pytest.mark.parametrize("m", [1.0, True, "1"])
+def test_pure_state_refuses_a_qubit_count_that_is_no_integer(m):
+    with pytest.raises(ValueError, match=f"^num_qubits {m!r} is not an integer$"):
+        PureState(m, [1, 0])
+
+
+@pytest.mark.parametrize("m", [20000, 63, -1])
+def test_pure_state_refuses_a_count_past_its_amplitudes_without_forming_it(m):
+    # 2^20000 has 6021 digits, past Python's 4300-digit limit for str(int).
+    with pytest.raises(ValueError, match=rf"^expected 2\^{m} amplitudes for {m} qubits, got shape \(2,\)$"):
+        PureState(m, np.zeros(2))
 
 
 # ----------------------------------------------------------------------
