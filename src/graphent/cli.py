@@ -14,7 +14,7 @@ import functools
 import math
 import sys
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -173,25 +173,45 @@ def _check_size_flags(args: argparse.Namespace) -> None:
             raise ValueError(f"{_flag(dest)} does not apply to --topology {args.topology}")
 
 
+def _within_cap(num_qubits: int, cap: int | None) -> None:
+    """Refuse a state-vector build of more qubits than --max-qubits allows."""
+    if cap is not None and num_qubits > cap:
+        raise ValueError(
+            f"{num_qubits} qubits exceeds the configured cap of {cap} "
+            f"(2^{num_qubits} amplitudes); raise the cap explicitly to proceed"
+        )
+
+
+def _sized(flag: str, make: Callable[[Any], Any], value: object) -> Any:
+    """make(value), with every refusal of a size naming its flag."""
+    try:
+        return make(value)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _graph_from_args(
-    args: argparse.Namespace, degrees_only: bool = False
+    args: argparse.Namespace, degrees_only: bool = False, cap: int | None = None
 ) -> DirectedGraph | DegreeDistribution:
     """The graph the source flags name or, with degrees_only, its degree
     distribution: a --topology family's comes from its degree-count rule,
-    with no graph built."""
+    with no graph built.  A graph of more than `cap` vertices is refused, a
+    family's by its rule's vertex count before it is generated."""
     if getattr(args, "graph", None) is not None:
         graph = load_graph(args.graph)
+        _within_cap(graph.num_vertices, cap)
         return degree_distribution(graph) if degrees_only else graph
     if args.topology is None:
         raise ValueError("no graph source: pass --graph PATH or --topology plus its parameters")
     dest, count, generate, _ = TOPOLOGIES[args.topology]
-    size = getattr(args, dest)
+    flag, size = _flag(dest), getattr(args, dest)
     if size is None:
-        raise ValueError(f"--topology {args.topology} needs {_flag(dest)}")
-    try:
-        return DegreeDistribution(count(size)) if degrees_only else generate(size)
-    except ValueError as exc:  # every refusal of a size names its flag
-        raise ValueError(f"{_flag(dest)}: {exc}") from None
+        raise ValueError(f"--topology {args.topology} needs {flag}")
+    counts = _sized(flag, count, size)
+    if degrees_only:
+        return _sized(flag, DegreeDistribution, counts)
+    _within_cap(sum(counts.values()), cap)
+    return _sized(flag, generate, size)
 
 
 # ----------------------------------------------------------------------
@@ -217,8 +237,9 @@ def cmd_ed(args: argparse.Namespace) -> int:
     if args.method == "closed":
         _refuse(args, ("psi", "max_qubits"), "does not apply to --method closed")
     # The closed total reads only the degrees: a graph is built for the
-    # oracle and for the per-vertex lines.
-    graph = None if args.method == "closed" and not args.verbose else _graph_from_args(args)
+    # per-vertex lines and, within the qubit cap (at least 1), for the oracle.
+    cap = None if args.method == "closed" else args.max_qubits or DEFAULT_MAX_QUBITS
+    graph = None if cap is None and not args.verbose else _graph_from_args(args, cap=cap)
     results = {}  # name -> (total, per-vertex contributions), closed before simulate
     if args.method in ("closed", "both"):
         dist = _graph_from_args(args, degrees_only=True) if graph is None else degree_distribution(graph)
@@ -230,7 +251,6 @@ def cmd_ed(args: argparse.Namespace) -> int:
             graph,
             InitialQubit(args.p),
             InteractionParams(args.theta, 0.0 if args.psi is None else args.psi),
-            max_qubits=DEFAULT_MAX_QUBITS if args.max_qubits is None else args.max_qubits,
         )
         report = entanglement.ed_numeric(state)
         results["simulate"] = (report.total, report.per_vertex)
@@ -315,22 +335,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         max_vertices = 10 if args.max_vertices is None else args.max_vertices
         edge_prob = 0.4 if args.edge_prob is None else args.edge_prob
         rng = np.random.default_rng(args.seed)
-        graphs = [
-            random_graph(int(rng.integers(2, max_vertices + 1)), rng, edge_prob)
-            for _ in range(args.random_graphs)
-        ]
+        graphs = []
+        for _ in range(args.random_graphs):
+            graphs.append(random_graph(int(rng.integers(2, max_vertices + 1)), rng, edge_prob))
+            _within_cap(graphs[-1].num_vertices, args.max_qubits)
         header = f"graphs: {len(graphs)} random (<= {max_vertices} vertices)"
     else:
         _refuse(args, ("max_vertices", "edge_prob"), "needs --random-graphs")
-        graphs = [_graph_from_args(args)]
+        graphs = [_graph_from_args(args, cap=args.max_qubits)]
         header = f"graphs: 1 ({graphs[0].num_vertices} vertices, {graphs[0].num_edges} edges)"
-    report = verify.run_verification(
-        graphs, args.samples, args.seed, args.tol, max_qubits=args.max_qubits
-    )
+    report = verify.run_verification(graphs, args.samples, args.seed, args.tol)
     if args.layer_sizes is not None:  # only --topology ffnn accepts it
-        dev_degree, dev_variant = verify.ffnn_variant_report(
-            args.layer_sizes, max_qubits=args.max_qubits
-        )
+        dev_degree, dev_variant = verify.ffnn_variant_report(args.layer_sizes)
         report.notes.append(f"ffnn degree-distribution form vs oracle: {_fmt(dev_degree)}")
         report.notes.append(f"ffnn output-self-exponent form vs oracle: {_fmt(dev_variant)}")
     print(header)  # only once nothing can fail, so an error leaves stdout empty

@@ -26,7 +26,7 @@ import numpy as np
 
 from .graphs import DegreeDistribution, DirectedGraph, _check_p, _checked_counts, _integer
 from .graphs import _tree_depth, _vertex_count, _yf_layers, ffnn_degree_counts, ffnn_layer_sizes
-from .statevector import DEFAULT_MAX_QUBITS, InitialQubit, InteractionParams, PureState
+from .statevector import InitialQubit, InteractionParams, PureState
 from .statevector import build_graph_state_rows, pauli_vector_rows
 
 __all__ = [
@@ -98,11 +98,7 @@ def ed_numeric(state: PureState) -> EdReport:
     return EdReport(_contribution_rows(state.amplitudes[None])[0].tolist())
 
 
-def ed_numeric_rows(
-    rows: Sequence[tuple[DirectedGraph, InitialQubit, InteractionParams]],
-    *,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-) -> np.ndarray:
+def ed_numeric_rows(rows: Sequence[tuple[DirectedGraph, InitialQubit, InteractionParams]]) -> np.ndarray:
     """The brute-force ED per qubit of each (graph, input qubit, params) row,
     as an (R,) array, bit for bit `ed_numeric(build_graph_state(*row)).total`
     but with no report built.  The graphs share their vertex count M; rows are
@@ -110,7 +106,7 @@ def ed_numeric_rows(
     per_batch = max(BATCH_AMPLITUDES >> rows[0][0].num_vertices, 1) if rows else 1
     # Unnamed, each batch's states are freed before the next batch is built.
     batches = (
-        _contribution_rows(build_graph_state_rows(rows[i : i + per_batch], max_qubits=max_qubits))
+        _contribution_rows(build_graph_state_rows(rows[i : i + per_batch]))
         for i in range(0, len(rows), per_batch)
     )
     return np.array([_mean(row.tolist()) for batch in batches for row in batch])

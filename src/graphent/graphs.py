@@ -557,9 +557,20 @@ def from_json(text: str) -> DirectedGraph:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
 
 
+# Edges per write of `save_graph`: writing a chunk peaks at about 0.5 MB.
+_SAVE_EDGES = 4096
+
+
 def save_graph(g: DirectedGraph, path: str) -> None:
+    """Write the bytes of `to_json(g)` and a newline, _SAVE_EDGES edges at a
+    time, so no list or text of the whole edge set is held."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(to_json(g) + "\n")
+        fh.write(f'{{"num_vertices": {g.num_vertices}, "edges": [')
+        for start in range(0, g.num_edges, _SAVE_EDGES):
+            chunk = g.edge_array[start : start + _SAVE_EDGES]
+            text = ", ".join(["[%d, %d]"] * len(chunk)) % tuple(chunk.ravel().tolist())
+            fh.write((", " if start else "") + text)
+        fh.write("]}\n")
 
 
 def load_graph(path: str) -> DirectedGraph:

@@ -94,7 +94,8 @@ __all__ = [
     "pauli_vector_rows",
 ]
 
-# 2^22 complex amplitudes = 64 MiB; a hard guard, not a silent truncation.
+# 2^22 complex amplitudes = 64 MiB: the CLI's default --max-qubits, and the
+# state size past which a build first probes the available memory.
 DEFAULT_MAX_QUBITS = 22
 # A qubit whose blocks hold at most this many amplitudes (64 bytes, one cache
 # line) is summed across its blocks.  Longer blocks are read block by block:
@@ -192,43 +193,28 @@ class PureState:
         return abs(float(np.vdot(self.amplitudes, self.amplitudes).real) - 1.0)
 
 
-def product_state(
-    num_qubits: int,
-    qubit: InitialQubit = InitialQubit(),
-    *,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-) -> PureState:
+def product_state(num_qubits: int, qubit: InitialQubit = InitialQubit()) -> PureState:
     """Tensor power of the single-qubit input state: amplitude at index x is
     the product over qubits i of alpha_{bit_i(x)}.  It is the state of the
     edgeless graph, whose appended halves take alpha1 * e^{0i} = alpha1;
     `DirectedGraph` checks num_qubits."""
-    return build_graph_state(
-        DirectedGraph(num_qubits, ()), qubit, InteractionParams(0.0), max_qubits=max_qubits
-    )
+    return build_graph_state(DirectedGraph(num_qubits, ()), qubit, InteractionParams(0.0))
 
 
-def build_graph_state(
-    graph: DirectedGraph,
-    qubit: InitialQubit,
-    params: InteractionParams,
-    *,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-) -> PureState:
+def build_graph_state(graph: DirectedGraph, qubit: InitialQubit, params: InteractionParams) -> PureState:
     """Product input state followed by one edge operator per graph edge,
     built by in-place doubling (see the module docstring): the one-row call
     of `build_graph_state_rows`."""
-    states = build_graph_state_rows([(graph, qubit, params)], max_qubits=max_qubits)
+    states = build_graph_state_rows([(graph, qubit, params)])
     return PureState(graph.num_vertices, states[0])
 
 
 def build_graph_state_rows(
     rows: Sequence[tuple[DirectedGraph, InitialQubit, InteractionParams]],
-    *,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> np.ndarray:
     """Row r of the (R, 2^M) result holds the amplitudes of the state of
     rows[r], a (graph, input qubit, params) triple; one doubling loop serves
-    every row.  The graphs must share their vertex count M."""
+    every row.  The graphs must share their vertex count M, below 63."""
     if not rows:
         raise ValueError("need at least one row")
     graphs, qubits, params = zip(*rows)
@@ -237,11 +223,8 @@ def build_graph_state_rows(
     if any(g.num_vertices != m for g in graphs):
         sizes = sorted({g.num_vertices for g in graphs})
         raise ValueError(f"rows must share one vertex count, got {sizes}")
-    if m > max_qubits:
-        raise ValueError(
-            f"{m} qubits exceeds the configured cap of {max_qubits} "
-            f"(2^{m} amplitudes); raise the cap explicitly to proceed"
-        )
+    if m >= 63:  # as in PureState: no array holds 2^63 amplitudes
+        raise ValueError(f"{m} qubits need 2^{m} amplitudes, more than any array holds")
     if count << m > 1 << DEFAULT_MAX_QUBITS:
         # The states take 16 bytes per amplitude per row.  The build's pair
         # tables and the Pauli pass's Gram, row weights and partial dots add

@@ -22,7 +22,7 @@ import numpy as np
 from . import entanglement
 from .entanglement import ed_numeric_rows
 from .graphs import DirectedGraph, degree_distribution, flip_edge, gen_ffnn, permute_vertices
-from .statevector import DEFAULT_MAX_QUBITS, InitialQubit, InteractionParams
+from .statevector import InitialQubit, InteractionParams
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification", "ffnn_variant_report"]
 
@@ -71,12 +71,7 @@ class VerificationReport:
 
 
 def run_verification(
-    graphs: Sequence[DirectedGraph],
-    samples: int,
-    seed: int,
-    tol: float,
-    *,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
+    graphs: Sequence[DirectedGraph], samples: int, seed: int, tol: float
 ) -> VerificationReport:
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -104,7 +99,7 @@ def run_verification(
             rows.append((permute_vertices(g, rng.permutation(g.num_vertices)), BALANCED, params))
         # One row per sample; columns base, general, three psi draws, then the
         # flip (only when the graph has an edge) and the relabeling.
-        table = ed_numeric_rows(rows, max_qubits=max_qubits).reshape(samples, -1)
+        table = ed_numeric_rows(rows).reshape(samples, -1)
         base = table[:, 0]
         closed_b, closed_g = np.reshape(closed, (samples, 2)).T
         found.append((
@@ -122,16 +117,14 @@ def run_verification(
     return VerificationReport(tol, checks)
 
 
-def ffnn_variant_report(
-    layer_sizes: Sequence[int], *, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> tuple[float, float]:
+def ffnn_variant_report(layer_sizes: Sequence[int]) -> tuple[float, float]:
     """Max deviation from the simulation oracle of the two layered-network
     closed forms (degree-distribution form, output-self-exponent form) over
     FFNN_THETAS at psi = FFNN_PSI.  Informational: shows which form the
     oracle backs."""
     g = gen_ffnn(layer_sizes)
     rows = [(g, BALANCED, InteractionParams(theta, FFNN_PSI)) for theta in FFNN_THETAS]
-    oracle = ed_numeric_rows(rows, max_qubits=max_qubits)
+    oracle = ed_numeric_rows(rows)
     degree = [entanglement.ed_ffnn(t, layer_sizes) for t in FFNN_THETAS]
     variant = [entanglement.ed_ffnn_output_self_exponent(t, layer_sizes) for t in FFNN_THETAS]
     return float(np.max(abs(oracle - degree))), float(np.max(abs(oracle - variant)))

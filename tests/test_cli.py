@@ -13,6 +13,7 @@ import graphent.cli
 import graphent.entanglement
 import graphent.graphs
 import graphent.statevector
+import graphent.verify
 from graphent.cli import TOPOLOGIES, main
 from graphent.graphs import DirectedGraph, degree_distribution, load_graph, save_graph
 from helpers import NoNumpy
@@ -85,6 +86,17 @@ def test_gen_topology_table(tmp_path, capsys, name):
     assert stdout == ""
     assert f"error: --topology {name} needs {flag}" in stderr
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+@pytest.mark.parametrize("name", [*sorted(TOPOLOGIES), "edgeless"])
+def test_save_graph_writes_to_json_in_chunks(tmp_path, monkeypatch, name, chunk):
+    # Whatever the chunk size, the file holds the bytes of to_json and a newline.
+    graph = DirectedGraph(3, []) if name == "edgeless" else TOPOLOGIES[name][2](TOPOLOGY_SIZES[name][1])
+    monkeypatch.setattr(graphent.graphs, "_SAVE_EDGES", chunk)
+    path = tmp_path / "g.json"
+    save_graph(graph, str(path))
+    assert path.read_bytes() == (graphent.graphs.to_json(graph) + "\n").encode()
 
 
 @pytest.mark.parametrize(
@@ -530,6 +542,50 @@ def test_ed_cap_flag(capsys):
         "--method", "simulate", "--max-qubits", "10",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, qubits",
+    [
+        (("verify", "--topology", "ffnn", "--layer-sizes", "2000,2000"), 4000),
+        (("ed", "--topology", "btree", "--depth", "23", "--theta", "0.3", "--method", "simulate"), 2**23 - 1),
+        (("ed", "--topology", "btree", "--depth", "23", "--theta", "0.3", "--method", "both"), 2**23 - 1),
+    ],
+    ids=["verify-ffnn", "ed-simulate", "ed-both"],
+)
+def test_cap_refuses_a_family_before_it_is_generated(capsys, monkeypatch, argv, qubits):
+    # The vertex count comes from the family's degree-count rule: with every
+    # generator refusing, the command still exits 2 with the cap message.
+    def generated(*args):
+        raise AssertionError("a family over the cap was generated")
+
+    for row in TOPOLOGIES:
+        dest, count, _, curve = TOPOLOGIES[row]
+        monkeypatch.setitem(TOPOLOGIES, row, (dest, count, generated, curve))
+    monkeypatch.setattr(graphent.verify, "gen_ffnn", generated)
+    assert run(capsys, *argv) == (
+        2,
+        "",
+        f"error: {qubits} qubits exceeds the configured cap of 22 (2^{qubits} amplitudes); "
+        "raise the cap explicitly to proceed\n",
+    )
+
+
+def test_oracle_parses_its_graph_once(tmp_path, capsys, monkeypatch):
+    # The cap reads the loaded graph: a --graph file is parsed once, within
+    # the cap or past it.
+    path = str(tmp_path / "g.json")
+    save_graph(DirectedGraph(4, [(0, 1), (1, 2), (3, 2)]), path)
+    parse, parsed = graphent.graphs.from_json, []
+    monkeypatch.setattr(graphent.graphs, "from_json", lambda text: parsed.append(1) or parse(text))
+    for method, cap, code in [("simulate", "4", 0), ("both", "4", 0), ("simulate", "3", 2)]:
+        parsed.clear()
+        argv = ("ed", "--graph", path, "--theta", "0.3", "--method", method, "--max-qubits", cap)
+        assert run(capsys, *argv)[0] == code
+        assert parsed == [1]
+    parsed.clear()
+    assert run(capsys, "verify", "--graph", path, "--samples", "1", "--max-qubits", "3")[0] == 2
+    assert parsed == [1]
 
 
 def test_unknown_flag_exit_2(capsys):

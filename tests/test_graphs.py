@@ -434,6 +434,34 @@ def test_generator_peak_fits_the_memory_bound(generate, size):
     assert peak <= graphs._EDGE_BYTES * graph.num_edges
 
 
+@pytest.mark.parametrize(
+    "generate, size",
+    [
+        (gen_young_fibonacci, 450),
+        (gen_ffnn, (500, 400)),
+        (gen_ffnn, (50,) * 40),
+        (gen_full_binary_tree, 18),
+        (gen_bridged_cycles, (100000, 100000)),
+        (gen_bridged_cycles, (3,) * 60000),
+    ],
+    ids=["yf", "ffnn-2", "ffnn-40", "btree", "bridged-2", "bridged-60000"],
+)
+def test_generate_and_save_peak_fits_the_memory_bound(tmp_path, generate, size):
+    # Writing the graph in chunks holds no list or text of every edge, so
+    # generating and saving it stays within the generators' bound too.
+    path = str(tmp_path / "g.json")
+    save_graph(generate(size), path)  # first-call allocations are not the family's
+    tracemalloc.start()
+    try:
+        graph = generate(size)
+        save_graph(graph, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.num_edges > 90_000
+    assert peak <= graphs._EDGE_BYTES * graph.num_edges
+
+
 FAMILIES = st.one_of(
     st.tuples(st.just("yf"), st.integers(2, 12)),
     st.tuples(st.just("ffnn"), st.lists(st.integers(1, 6), min_size=2, max_size=6).map(tuple)),

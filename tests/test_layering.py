@@ -123,6 +123,7 @@ def test_batch_rule_has_one_home():
         "must be a pair of integer vertices",
         "self-loop at vertex",
         "duplicate or anti-parallel edge",
+        "exceeds the configured cap",
     ],
 )
 def test_each_guard_has_one_home(message):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphent import entanglement, statevector
+from graphent.cli import main
 from graphent.entanglement import ed_numeric, ed_numeric_rows
 from graphent.graphs import DirectedGraph, flip_edge, gen_young_fibonacci, random_graph
 from graphent.statevector import (
@@ -113,12 +114,17 @@ def test_product_state_needs_an_integer_qubit_count(num_qubits):
         product_state(num_qubits)
 
 
-def test_qubit_cap_enforced():
-    with pytest.raises(ValueError):
-        product_state(23)
-    with pytest.raises(ValueError):
-        product_state(6, max_qubits=5)
-    assert product_state(6, max_qubits=6).num_qubits == 6
+def test_qubit_cap_enforced(capsys):
+    # The cap is the CLI's --max-qubits: the library takes none, and the CLI
+    # refuses the first qubit count past it.
+    assert product_state(6).num_qubits == 6
+    argv = ["ed", "--topology", "yf", "--layers", "3", "--theta", "0.5", "--method", "simulate"]
+    assert main([*argv, "--max-qubits", "6"]) == 0
+    assert main([*argv, "--max-qubits", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: 6 qubits exceeds the configured cap of 5 (2^6 amplitudes); "
+        "raise the cap explicitly to proceed\n"
+    )
 
 
 def test_memory_estimate_above_default_cap(monkeypatch):
@@ -126,25 +132,40 @@ def test_memory_estimate_above_default_cap(monkeypatch):
     probed = []
     monkeypatch.setattr(statevector, "DEFAULT_MAX_QUBITS", 3)
     monkeypatch.setattr(statevector, "_available_bytes", lambda: probed.append(1) or 271)
-    assert product_state(3, max_qubits=9).num_qubits == 3
+    assert product_state(3).num_qubits == 3
     assert probed == []  # at or below the default cap there is no probe
     with pytest.raises(ValueError, match="^4 qubits need about 272 bytes to build, but only 271 bytes"):
-        product_state(4, max_qubits=9)
+        product_state(4)
     monkeypatch.setattr(statevector, "_available_bytes", lambda: 272)
-    assert product_state(4, max_qubits=9).num_qubits == 4
+    assert product_state(4).num_qubits == 4
     monkeypatch.setattr(statevector, "_available_bytes", lambda: None)  # unreadable: no check
-    assert product_state(5, max_qubits=9).num_qubits == 5
+    assert product_state(5).num_qubits == 5
     # A batch needs the bytes of all its rows.
     monkeypatch.setattr(statevector, "_available_bytes", lambda: 543)
     rows = [(DirectedGraph(4, []), BALANCED, InteractionParams(0.0))] * 2
     with pytest.raises(ValueError, match="^4 qubits need about 544 bytes to build"):
-        build_graph_state_rows(rows, max_qubits=9)
-    assert build_graph_state_rows(rows[:1], max_qubits=9).shape == (1, 16)
+        build_graph_state_rows(rows)
+    assert build_graph_state_rows(rows[:1]).shape == (1, 16)
     # So is a batch of rows at the default cap, once it holds more amplitudes than one such row.
     monkeypatch.setattr(statevector, "_available_bytes", lambda: 271)
     rows = [(DirectedGraph(3, []), BALANCED, InteractionParams(0.0))] * 2
     with pytest.raises(ValueError, match="^3 qubits need about 272 bytes to build, but only 271 bytes"):
-        build_graph_state_rows(rows, max_qubits=9)
+        build_graph_state_rows(rows)
+
+
+@pytest.mark.parametrize("available", [2**40, None], ids=["probed", "unreadable"])
+@pytest.mark.parametrize("m", [70, 20000])
+def test_build_refuses_63_qubits_or_more_before_the_probe(monkeypatch, m, available):
+    # 17 * 2^20000 bytes has more digits than str(int) writes, and with the
+    # probe unreadable nothing else would stand before np.empty.
+    probed = []
+    monkeypatch.setattr(statevector, "_available_bytes", lambda: probed.append(1) or available)
+    message = rf"^{m} qubits need 2\^{m} amplitudes, more than any array holds$"
+    with pytest.raises(ValueError, match=message):
+        product_state(m)
+    with pytest.raises(ValueError, match=message):
+        ed_numeric_rows([(DirectedGraph(m, [(0, 1)]), BALANCED, InteractionParams(0.3))] * 3)
+    assert probed == []
 
 
 @pytest.mark.parametrize(
