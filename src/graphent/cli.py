@@ -300,17 +300,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _refuse(args, ("p_min", "p_max"), "needs --p-steps")
     else:
         _refuse(args, ("p",), "does not apply with --p-steps")
-    # The closed forms take one point per call, as Python floats: np.frompyfunc
-    # gives them the grid.  The density forms take the grid whole.
+    # Every closed form takes the grid whole, as arrays that broadcast.
     if args.limit:
-        curve = TOPOLOGIES[args.topology][3] if args.topology is not None else None
-        if curve is None:
+        value = TOPOLOGIES[args.topology][3] if args.topology is not None else None
+        if value is None:
             names = " or ".join(name for name, row in TOPOLOGIES.items() if row[3] is not None)
             raise ValueError(f"--limit needs --topology {names}")
-        value = np.frompyfunc(curve, 1, 1)
     elif args.quantity in ("ed", "ed-general"):
-        dist = _graph_from_args(args, degrees_only=True)
-        value = np.frompyfunc(functools.partial(entanglement.ed_closed_general, dist), 2, 1)
+        value = functools.partial(entanglement.ed_closed_general, _graph_from_args(args, degrees_only=True))
     else:
         value = pair_entropy_analytic if args.quantity == "entropy" else hs_distance_sq_analytic
     ps = None
@@ -346,7 +343,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         header = f"graphs: 1 ({graphs[0].num_vertices} vertices, {graphs[0].num_edges} edges)"
     report = verify.run_verification(graphs, args.samples, args.seed, args.tol)
     if args.layer_sizes is not None:  # only --topology ffnn accepts it
-        dev_degree, dev_variant = verify.ffnn_variant_report(args.layer_sizes)
+        dev_degree, dev_variant = verify.ffnn_variant_report(args.layer_sizes, graphs[0])
         report.notes.append(f"ffnn degree-distribution form vs oracle: {_fmt(dev_degree)}")
         report.notes.append(f"ffnn output-self-exponent form vs oracle: {_fmt(dev_variant)}")
     print(header)  # only once nothing can fail, so an error leaves stdout empty

@@ -8,25 +8,27 @@ Matrix arguments are `DensityMatrix` values, validated once on construction,
 which keep the spectrum that check computes; nothing here checks them again.
 Entropies use the natural logarithm throughout.
 
-The closed forms take floats or arrays that broadcast, so a (theta, p) sweep
-evaluates its grid in one call.  Each element has the bits of the scalar call
-(a float in gives a float out), on every machine: numpy's `np.log` and array
-`p**3` disagreed with libm and Python's `**` in the last bit on 667 and 10,819
-of 200,000 values.  So the factors in p alone and in theta alone, and each
-x ln x, are computed per element with Python's `**` and `math`, and numpy
-only combines them by + - * sqrt maximum, which round once, in the scalar
-expression's order.
+The closed forms take floats or arrays that broadcast, through one code
+path, so a (theta, p) sweep evaluates its grid in one call.  Each element has
+the bits of the scalar call (a float in gives a float out), on every machine:
+numpy's `np.log` and array `p**3` disagreed with libm and Python's `**` in the
+last bit on 667 and 10,819 of 200,000 values.  So the factors in p alone and
+in theta alone are computed per element with Python's `**` and `math`
+(`graphs._each`), each log of x ln x is `math.log` mapped in C over the
+distinct positive elements, and numpy only combines them by + - * sqrt
+maximum, which round once, in the scalar expression's order.
+`entanglement`'s closed forms follow the same rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .graphs import _check_p, _integer
+from .graphs import _check_p, _each, _integer
 from .statevector import PureState
 
 __all__ = [
@@ -109,14 +111,6 @@ def hs_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     return math.sqrt(0.5 * float(np.vdot(diff, diff).real))
 
 
-def _each(fn: Callable[[float], float], x: float | np.ndarray) -> float | np.ndarray:
-    """fn(x) for a scalar; for an array, fn of each element as a Python
-    scalar, in an array of x's shape."""
-    if not isinstance(x, np.ndarray):
-        return fn(x)
-    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
-
-
 def hs_distance_sq_analytic(p: float | np.ndarray, theta: float | np.ndarray) -> float | np.ndarray:
     """Squared Hilbert-Schmidt distance between either endpoint's reduced state
     of an isolated interacting pair and the maximally mixed qubit:
@@ -146,8 +140,18 @@ def reduced_eigenvalues_analytic(
     return (0.5 * (1.0 - s), 0.5 * (1.0 + s))
 
 
-def _xlogx(v: float) -> float:
-    return v * math.log(v) if not v <= 0.0 else 0.0  # NaN stays NaN
+def _xlogx(v: float | np.ndarray) -> float | np.ndarray:
+    """v ln v per element, with 0 ln 0 := 0: NaN stays NaN, and v <= 0 adds
+    +0.0.  The logs are `math.log` mapped in C over the distinct elements
+    above zero (a grid's eigenvalues repeat about three times each), and numpy
+    only multiplies; a float in gives a float out."""
+    values = np.asarray(v, dtype=np.float64)
+    terms = np.zeros(values.shape)
+    above = ~(values <= 0.0)  # NaN included
+    kept = values[above]
+    distinct, where = np.unique(kept, return_inverse=True)
+    terms[above] = kept * _each(math.log, distinct)[where]
+    return terms if isinstance(v, np.ndarray) else float(terms)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -175,7 +179,7 @@ def pair_entropy_analytic(p: float | np.ndarray, theta: float | np.ndarray) -> f
     the closed-form eigenvalues: -(lo ln lo + hi ln hi), each term per
     element, a zero eigenvalue adding nothing.  No term is -0.0, so where
     both are 0.0 the total is -0.0, as the figure CSV writes it."""
-    lo, hi = (_each(_xlogx, v) for v in reduced_eigenvalues_analytic(p, theta))
+    lo, hi = (_xlogx(v) for v in reduced_eigenvalues_analytic(p, theta))
     return -(lo + hi)
 
 

@@ -12,20 +12,33 @@ r^2 = cos^2(theta) + sin^2(theta) (1-2p)^2.  Both closed forms therefore
 consume nothing but the degree distribution; the state-vector route in
 :mod:`graphent.statevector` is the brute-force oracle they are checked
 against.
+
+`ed_closed_general`, `ed_closed_form` and the two limit curves take a float
+or arrays of p and theta that broadcast, through one code path, as the
+density closed forms do: a float in gives a float out, and each array
+element has the scalar call's bits.  cos^2 and sin^2 are computed once per
+theta and (1-2p)^2 once per p, with `math` and Python's `**` per element
+(`graphs._each`); each point's n_k r^(2k) takes Python's `**` and its sum
+over the degrees `math.fsum`.  numpy only combines the pieces by + - *, in
+the scalar expression's order, so 4p(1-p) and r^2 are numpy's.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from itertools import repeat
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 from .graphs import DegreeDistribution, DirectedGraph, _check_p, _checked_counts, _integer
-from .graphs import _tree_depth, _vertex_count, _yf_layers, ffnn_degree_counts, ffnn_layer_sizes
+from .graphs import _each, _each_of, _tree_depth, _vertex_count, _yf_layers
+from .graphs import ffnn_degree_counts, ffnn_layer_sizes
 from .statevector import InitialQubit, InteractionParams, PureState
 from .statevector import build_graph_state_rows, pauli_vector_rows
 
@@ -49,6 +62,7 @@ __all__ = [
 ]
 
 DistributionLike = Union[DegreeDistribution, Mapping[int, int]]
+Real = Union[float, np.ndarray]  # a float, or an array of them that broadcasts
 # Oracle rows are built and read in batches of at most max(2^15, 2^M)
 # amplitudes: one doubling loop and one Pauli pass per batch, not per state.
 BATCH_AMPLITUDES = 2**15
@@ -112,22 +126,39 @@ def ed_numeric_rows(rows: Sequence[tuple[DirectedGraph, InitialQubit, Interactio
     return np.array([_mean(row.tolist()) for batch in batches for row in batch])
 
 
-def ed_closed_form(dist: DistributionLike, theta: float) -> float:
+def ed_closed_form(dist: DistributionLike, theta: Real) -> Real:
     """Closed-form ED per qubit for balanced inputs: 1 - (1/M) sum_k n_k cos^(2k)(theta)."""
     return ed_closed_general(dist, 0.5, theta)
 
 
-def _general_contribution(p: float, r2k: float) -> float:
-    """1 - (1-2p)^2 - 4p(1-p) r2k: one vertex's share with r2k = r^(2d), or
-    the mean share with r2k the mean of r^(2d)."""
-    return 1.0 - (1.0 - 2.0 * p) ** 2 - 4.0 * p * (1.0 - p) * r2k
+def _power(x: Real, k: int) -> Real:
+    """x**k per element, with Python's `**`."""
+    return _each_of(lambda xs: map(pow, xs, repeat(k)), x)
 
 
-def _r_squared(p: float, theta: float) -> float:
-    return math.cos(theta) ** 2 + math.sin(theta) ** 2 * (1.0 - 2.0 * p) ** 2
+def _cos2(theta: Real) -> Real:
+    return _power(_each(math.cos, theta), 2)
 
 
-def ed_closed_general(dist: DistributionLike, p: float, theta: float) -> float:
+def _p_factors(p: Real) -> tuple[Real, Real]:
+    """(1-2p)^2 and 4p(1-p): a vertex's share is 1 - (1-2p)^2 - 4p(1-p) r^(2d)."""
+    return _power(1.0 - 2.0 * p, 2), 4.0 * p * (1.0 - p)
+
+
+def _r_squared(q: Real, theta: Real) -> Real:
+    """r^2 = cos^2(theta) + sin^2(theta) q, with q = (1-2p)^2."""
+    return _cos2(theta) + _power(_each(math.sin, theta), 2) * q
+
+
+def _degree_means(counts: Mapping[int, int], r2s: list[float]) -> Iterable[float]:
+    """(1/M) sum_k n_k r2^k for each r2 in r2s: each term n_k * r2**k with
+    Python's `**` and each sum by `math.fsum`, all mapped in C."""
+    m = sum(counts.values())
+    terms = [map(operator.mul, repeat(n), map(pow, r2s, repeat(k))) for k, n in counts.items()]
+    return map(operator.truediv, map(math.fsum, zip(*terms)), repeat(m))
+
+
+def ed_closed_general(dist: DistributionLike, p: Real, theta: Real) -> Real:
     """Closed-form ED per qubit for an arbitrary input amplitude split p:
     1 - (1-2p)^2 - 4p(1-p) * (1/M) sum_k n_k r^(2k).
 
@@ -135,13 +166,13 @@ def ed_closed_general(dist: DistributionLike, p: float, theta: float) -> float:
     Input phases never enter: only the moduli of the input amplitudes matter.
     The sum is `math.fsum`, rounded once, so it does not depend on the order
     of the degrees: a relabelled graph, and a family's degree-count rule and
-    its built graph, give the same bits.
+    its built graph, give the same bits.  p and theta may be arrays that
+    broadcast (see the module docstring).
     """
     _check_p(p)
-    counts = _degree_counts(dist)
-    r2 = _r_squared(p, theta)
-    m = sum(counts.values())
-    return _general_contribution(p, math.fsum(n * r2**k for k, n in counts.items()) / m)
+    q, w = _p_factors(p)
+    mean = _each_of(functools.partial(_degree_means, _degree_counts(dist)), _r_squared(q, theta))
+    return 1.0 - q - w * mean
 
 
 def ed_general_report(graph: DirectedGraph, p: float, theta: float) -> EdReport:
@@ -153,9 +184,10 @@ def ed_general_report(graph: DirectedGraph, p: float, theta: float) -> EdReport:
     differently from the mean of r^(2d) that :func:`ed_closed_general` takes,
     so the two may differ in the last bit; `ed` prints the latter."""
     _check_p(p)
-    r2 = _r_squared(p, theta)
+    q, w = _p_factors(p)
+    r2 = _r_squared(q, theta)
     degrees = graph.degrees.tolist()
-    share = {d: _general_contribution(p, r2**d) for d in set(degrees)}
+    share = {d: 1.0 - q - w * r2**d for d in set(degrees)}
     return EdReport([share[d] for d in degrees])
 
 
@@ -216,9 +248,9 @@ def ed_young_fibonacci(theta: float, num_layers: int) -> float:
     return 1.0 - c2 * poly / (n * (n + 1))
 
 
-def ed_young_fibonacci_limit(theta: float) -> float:
+def ed_young_fibonacci_limit(theta: Real) -> Real:
     """Infinite-layer limit: 1 - cos^8(theta), set by the interior vertices."""
-    return 1.0 - math.cos(theta) ** 8
+    return 1.0 - _power(_each(math.cos, theta), 8)
 
 
 def ed_ffnn(theta: float, layer_sizes: Sequence[int]) -> float:
@@ -254,11 +286,11 @@ def ed_binary_tree(theta: float, depth: int) -> float:
     return 1.0 - c2 * (half + c2 + (half - 2.0) * c2**2) / (2.0**depth - 1.0)
 
 
-def ed_binary_tree_limit(theta: float) -> float:
+def ed_binary_tree_limit(theta: Real) -> Real:
     """Infinite-depth limit: 1 - (cos^2(theta)/2)(1 + cos^4(theta)); leaves and
     interior vertices each contribute half the weight."""
-    c2 = math.cos(theta) ** 2
-    return 1.0 - 0.5 * c2 * (1.0 + c2**2)
+    c2 = _cos2(theta)
+    return 1.0 - 0.5 * c2 * (1.0 + _power(c2, 2))
 
 
 def ed_bridged_cycles(theta: float, total_vertices: int, num_cycles: int) -> float:

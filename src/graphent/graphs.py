@@ -29,7 +29,7 @@ import operator
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import accumulate, chain
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -125,6 +125,24 @@ def _check_p(p: float | np.ndarray) -> None:
     real = type(p) is float or (isinstance(p, numbers.Real) and not isinstance(p, bool))
     if not (real and 0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1], got {p!r}")
+
+
+def _each(fn: Callable[[float], float], x: float | np.ndarray) -> float | np.ndarray:
+    """fn(x) for a scalar; for an array, fn of each element as a Python
+    scalar, mapped in C when fn is a builtin such as `math.log`, in a float64
+    array of x's shape.  The closed forms take every transcendental and power
+    factor through it, so each array element has the scalar call's bits."""
+    return _each_of(functools.partial(map, fn), x)
+
+
+def _each_of(fn: Callable[[list], Iterable[float]], x: float | np.ndarray) -> float | np.ndarray:
+    """fn maps a list of Python floats to one float each: fn([x]) for a
+    scalar, as a float, or fn of an array's elements, in a float64 array of
+    its shape."""
+    if not isinstance(x, np.ndarray):
+        (value,) = fn([x])
+        return value
+    return np.fromiter(fn(x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 def _checked_counts(counts: Mapping[int, int]) -> dict[int, int]:
@@ -330,13 +348,23 @@ class DegreeDistribution:
                 "no simple graph has them"
             )
 
+    @classmethod
+    def _of_graph(cls, counts: dict[int, int]) -> DegreeDistribution:
+        """The distribution of a valid graph's own degrees, which some simple
+        graph has by construction: nothing is checked."""
+        dist = cls.__new__(cls)
+        object.__setattr__(dist, "counts", counts)
+        return dist
+
     @property
     def num_vertices(self) -> int:
         return sum(self.counts.values())
 
 
 def degree_distribution(g: DirectedGraph) -> DegreeDistribution:
-    return DegreeDistribution(dict(Counter(g.degrees.tolist())))
+    """The graph's {total degree: vertex count}, taken as it is: a caller's
+    own counts go through `DegreeDistribution` and all its checks."""
+    return DegreeDistribution._of_graph(dict(Counter(g.degrees.tolist())))
 
 
 # ----------------------------------------------------------------------

@@ -21,9 +21,10 @@ operators, not a degree closed form.
 Rows: a row is one (graph, input qubit, interaction params) triple, that
 is, one state.  `build_graph_state_rows` runs that loop once for R rows of
 one qubit count M, whose states are the rows of an (R, 2^M) array.  Per-row
-data are arrays made from the rows' `edge_array`s, concatenated: one scatter
-over those edges builds the lower-neighbour masks and one `bincount` counts
-the out-degrees d_out(k).  The masks and the high-half factors
+data are arrays made from the rows' `edge_array`s, concatenated: one
+`bincount` over those edges, weighted by 2^min(a, b), builds the
+lower-neighbour masks and one more counts the out-degrees d_out(k).  The
+masks and the high-half factors
 alpha1 * exp(i*(theta - psi)*d_out(k)) are (M, R), and the pair factors
 exp(-2i*theta*c) are one flat (R*M) table read at c + r*M.
 `pauli_vector_rows` reads such an array, and `build_graph_state` and
@@ -74,6 +75,7 @@ normalized is refused without a further pass over it.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -162,11 +164,12 @@ class InitialQubit:
                 f"phases must be finite, got delta0={self.delta0}, delta1={self.delta1}"
             )
 
-    @property
+    # Computed once per instance: a batch reads them once per row.
+    @functools.cached_property
     def alpha0(self) -> complex:
         return math.sqrt(1.0 - self.p) * cmath.exp(1j * self.delta0)
 
-    @property
+    @functools.cached_property
     def alpha1(self) -> complex:
         return math.sqrt(self.p) * cmath.exp(1j * self.delta1)
 
@@ -241,13 +244,14 @@ def build_graph_state_rows(
     # int32 holds every index, mask and pair offset up to 32 qubits.
     itype = np.int32 if m <= 32 else np.int64
     # Each vertex's bit mask of lower-numbered neighbours and its out-degree,
-    # row r's vertex k at r*M + k: one pass each over every row's edges.
+    # row r's vertex k at r*M + k: one pass each over every row's edges.  A
+    # vertex's lower neighbours are distinct bits, so their sum is their OR;
+    # the float64 sum is exact below 2^53, and no state of 53 qubits fits.
     a, b = np.concatenate([g.edge_array for g in graphs]).T
     row_starts = np.repeat(np.arange(0, count * m, m), [g.num_edges for g in graphs])
-    lower = np.zeros(count * m, dtype=itype)
-    np.bitwise_or.at(
-        lower, np.maximum(a, b) + row_starts, np.left_shift(1, np.minimum(a, b), dtype=itype)
-    )
+    lower = np.bincount(
+        np.maximum(a, b) + row_starts, weights=np.left_shift(1, np.minimum(a, b)), minlength=count * m
+    ).astype(itype)
     lower = lower.reshape(count, m).T[:, :, None]  # (M, R, 1)
     d_out = np.bincount(a + row_starts, minlength=count * m).reshape(count, m).T  # (M, R)
     theta = np.array([q.theta for q in params])

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import entanglement
 from .entanglement import ed_numeric_rows
-from .graphs import DirectedGraph, degree_distribution, flip_edge, gen_ffnn, permute_vertices
+from .graphs import DirectedGraph, degree_distribution, flip_edge, permute_vertices
 from .statevector import InitialQubit, InteractionParams
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification", "ffnn_variant_report"]
@@ -78,20 +78,21 @@ def run_verification(
     if not graphs:
         raise ValueError("no graphs to verify")
     rng = np.random.default_rng(seed)
-    closed_form, closed_general = entanglement.ed_closed_form, entanglement.ed_closed_general
     found = []  # per graph, one array of deviations per check, in CHECK_ORDER
     for g in graphs:
-        dist = degree_distribution(g)
         # Every draw of the graph's samples first, in the order of the checks;
-        # the oracle then evaluates all their rows together.
-        rows, closed = [], []
+        # the oracle then evaluates all their rows together, and each closed
+        # form all its (p, theta) draws in one call on arrays.
+        rows, thetas, ps, thetas_g = [], [], [], []
         for _ in range(samples):
             params = InteractionParams(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
             p = rng.uniform(0.0, 1.0)
             params_g = InteractionParams(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
             qubit = InitialQubit(p, rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
             rows += (g, BALANCED, params), (g, qubit, params_g)
-            closed += closed_form(dist, params.theta), closed_general(dist, p, params_g.theta)
+            thetas.append(params.theta)
+            ps.append(p)
+            thetas_g.append(params_g.theta)
             for psi in rng.uniform(-math.pi, math.pi, 3):
                 rows.append((g, BALANCED, InteractionParams(params.theta, psi)))
             if g.num_edges:
@@ -101,7 +102,9 @@ def run_verification(
         # flip (only when the graph has an edge) and the relabeling.
         table = ed_numeric_rows(rows).reshape(samples, -1)
         base = table[:, 0]
-        closed_b, closed_g = np.reshape(closed, (samples, 2)).T
+        dist = degree_distribution(g)
+        closed_b = entanglement.ed_closed_form(dist, np.array(thetas))
+        closed_g = entanglement.ed_closed_general(dist, np.array(ps), np.array(thetas_g))
         found.append((
             abs(base - closed_b),
             abs(table[:, 1] - closed_g),
@@ -117,13 +120,12 @@ def run_verification(
     return VerificationReport(tol, checks)
 
 
-def ffnn_variant_report(layer_sizes: Sequence[int]) -> tuple[float, float]:
-    """Max deviation from the simulation oracle of the two layered-network
-    closed forms (degree-distribution form, output-self-exponent form) over
-    FFNN_THETAS at psi = FFNN_PSI.  Informational: shows which form the
-    oracle backs."""
-    g = gen_ffnn(layer_sizes)
-    rows = [(g, BALANCED, InteractionParams(theta, FFNN_PSI)) for theta in FFNN_THETAS]
+def ffnn_variant_report(layer_sizes: Sequence[int], graph: DirectedGraph) -> tuple[float, float]:
+    """Max deviation from the simulation oracle, on `graph`, the built
+    gen_ffnn(layer_sizes), of the two layered-network closed forms
+    (degree-distribution form, output-self-exponent form) over FFNN_THETAS
+    at psi = FFNN_PSI.  Informational: shows which form the oracle backs."""
+    rows = [(graph, BALANCED, InteractionParams(theta, FFNN_PSI)) for theta in FFNN_THETAS]
     oracle = ed_numeric_rows(rows)
     degree = [entanglement.ed_ffnn(t, layer_sizes) for t in FFNN_THETAS]
     variant = [entanglement.ed_ffnn_output_self_exponent(t, layer_sizes) for t in FFNN_THETAS]

@@ -261,7 +261,7 @@ def test_criterion_7_figure_data(tmp_path):
     )
     # the layered-network closed form: the degree-distribution variant tracks
     # the oracle, the output-self-exponent variant does not
-    dev_degree, dev_variant = ffnn_variant_report((3, 4, 4, 2))
+    dev_degree, dev_variant = ffnn_variant_report((3, 4, 4, 2), gen_ffnn((3, 4, 4, 2)))
     print(
         f"ffnn (3,4,4,2) vs oracle: degree-distribution form {dev_degree:.3e}, "
         f"output-self-exponent form {dev_variant:.3e}"

@@ -562,13 +562,32 @@ def test_cap_refuses_a_family_before_it_is_generated(capsys, monkeypatch, argv, 
     for row in TOPOLOGIES:
         dest, count, _, curve = TOPOLOGIES[row]
         monkeypatch.setitem(TOPOLOGIES, row, (dest, count, generated, curve))
-    monkeypatch.setattr(graphent.verify, "gen_ffnn", generated)
     assert run(capsys, *argv) == (
         2,
         "",
         f"error: {qubits} qubits exceeds the configured cap of 22 (2^{qubits} amplitudes); "
         "raise the cap explicitly to proceed\n",
     )
+
+
+def test_verify_ffnn_generates_the_family_once(capsys, monkeypatch):
+    # The variant report reads the graph the source flags built.  Every name
+    # bound to the generator, in any graphent module, counts its calls.
+    dest, count, generate, curve = TOPOLOGIES["ffnn"]
+    calls = []
+
+    def counted(sizes):
+        calls.append(sizes)
+        return generate(sizes)
+
+    monkeypatch.setitem(TOPOLOGIES, "ffnn", (dest, count, counted, curve))
+    for module in (graphent.cli, graphent.entanglement, graphent.graphs, graphent.verify):
+        for name, value in list(vars(module).items()):
+            if value is generate:
+                monkeypatch.setattr(module, name, counted)
+    argv = ("--topology", "ffnn", "--layer-sizes", "3,4,4,2", "--samples", "3", "--seed", "5")
+    assert run(capsys, "verify", *argv) == (0, GOLDEN_VERIFY_FFNN, "")
+    assert calls == [(3, 4, 4, 2)]
 
 
 def test_oracle_parses_its_graph_once(tmp_path, capsys, monkeypatch):
@@ -705,17 +724,26 @@ def test_sweep_values_round_trip(tmp_path, capsys):
         assert float(value_s) == hs_distance_sq_analytic(float(p_s), float(theta_s))
 
 
-@pytest.mark.parametrize("quantity", ["entropy", "ed-general", "hs2"])
+@pytest.mark.parametrize("quantity", ["entropy", "ed-general", "hs2", "ed", "ed-limit"])
 def test_sweep_lines_are_the_scalar_calls(tmp_path, capsys, quantity):
     # The sweep evaluates its grid in one call; each line must still be
     # _fmt(theta),_fmt(p),_fmt(value(p, theta)) of the scalar call there.
     from graphent.cli import _fmt, _grid
     from graphent.density import hs_distance_sq_analytic, pair_entropy_analytic
-    from graphent.graphs import degree_distribution
+    from graphent.entanglement import ed_binary_tree_limit, ed_closed_general
+    from graphent.graphs import young_fibonacci_degree_counts
 
     out = str(tmp_path / "s.csv")
     thetas = _grid(-1.0, 4.0, 6, "theta")  # passes theta = 0, where lo = 0
-    if quantity == "entropy":
+    if quantity in ("ed", "ed-limit"):  # 1-D sweeps at p = 1/2
+        if quantity == "ed":
+            argv = ["--topology", "yf", "--layers", "4"]
+            value = functools.partial(ed_closed_general, young_fibonacci_degree_counts(4))
+        else:
+            argv, value = ["--topology", "btree", "--limit"], lambda p, theta: ed_binary_tree_limit(theta)
+        argv += ["--theta-min", "-1", "--theta-max", "4", "--theta-steps", "6"]
+        ps, fixed_p, quantity = None, 0.5, "ed"
+    elif quantity == "entropy":
         argv = ["--theta-min", "-1", "--theta-max", "4", "--theta-steps", "6",
                 "--p-min", "0.1", "--p-max", "0.9", "--p-steps", "5"]
         ps, value = _grid(0.1, 0.9, 5, "p"), pair_entropy_analytic
@@ -729,11 +757,11 @@ def test_sweep_lines_are_the_scalar_calls(tmp_path, capsys, quantity):
         value = functools.partial(graphent.entanglement.ed_closed_general, dist)
     else:  # a 1-D sweep at a fixed p
         argv = ["--theta-min", "-1", "--theta-max", "4", "--theta-steps", "6", "--p", "0.3"]
-        ps, value = None, hs_distance_sq_analytic
+        ps, fixed_p, value = None, 0.3, hs_distance_sq_analytic
     code, stdout, _ = run(capsys, "sweep", "--quantity", quantity, *argv, "--out", out)
     assert code == 0
     if ps is None:
-        expected = ["theta,value"] + [f"{_fmt(t)},{_fmt(value(0.3, t))}" for t in thetas]
+        expected = ["theta,value"] + [f"{_fmt(t)},{_fmt(value(fixed_p, t))}" for t in thetas]
     else:
         expected = ["theta,p,value"] + [
             f"{_fmt(t)},{_fmt(p)},{_fmt(value(p, t))}" for t in thetas for p in ps

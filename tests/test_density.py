@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphent.density
+import graphent.entanglement
+import graphent.graphs
 from graphent.density import (
     DensityMatrix,
     entropy_at_half_p,
@@ -305,8 +307,15 @@ def test_grid_evaluation_calls_no_numpy_transcendental(monkeypatch):
             assert name not in forbidden, f"np.{name} in a closed form"
             return getattr(np, name)
 
-    monkeypatch.setattr(graphent.density, "np", NumpyWithoutTranscendentals())
-    analytic_values(np.array([[0.0, 0.3, 1.0]]), np.array([[0.0], [2.0]]))
+    for module in (graphent.density, graphent.entanglement, graphent.graphs):
+        monkeypatch.setattr(module, "np", NumpyWithoutTranscendentals())
+    p, theta = np.array([[0.0, 0.3, 1.0]]), np.array([[0.0], [2.0]])
+    analytic_values(p, theta)
+    counts = {1: 2, 2: 9, 3: 16, 4: 28}
+    graphent.entanglement.ed_closed_general(counts, p, theta)
+    graphent.entanglement.ed_closed_form(counts, theta)
+    graphent.entanglement.ed_young_fibonacci_limit(theta)
+    graphent.entanglement.ed_binary_tree_limit(theta)
 
 
 @pytest.mark.parametrize(

@@ -47,6 +47,7 @@ from graphent.statevector import (
 )
 
 from helpers import angles, directed_graphs, grid, probabilities
+from test_density import GRID_P, GRID_THETA, same_bits
 
 BALANCED = InitialQubit()
 
@@ -167,6 +168,44 @@ def test_general_spot_value():
 def test_general_rejects_bad_p():
     with pytest.raises(ValueError):
         ed_closed_general({1: 2}, 1.2, 0.5)
+
+
+# The closed forms a sweep or verify reads, as value(counts, p, theta).
+ARRAY_FORMS = {
+    "ed_closed_general": ed_closed_general,
+    "ed_closed_form": lambda counts, p, theta: ed_closed_form(counts, theta),
+    "ed_young_fibonacci_limit": lambda counts, p, theta: ed_young_fibonacci_limit(theta),
+    "ed_binary_tree_limit": lambda counts, p, theta: ed_binary_tree_limit(theta),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 40), st.integers(1, 10**6), min_size=1, max_size=6),
+    st.lists(GRID_P, min_size=1, max_size=7),
+    st.lists(GRID_THETA, min_size=1, max_size=7),
+)
+# The figure sweeps' grids, where numpy's array power disagrees with Python's
+# `**` in the last bit on some points.
+@example(young_fibonacci_degree_counts(10), grid(0.0, 1.0, 11), grid(0.0, math.pi, 201))
+def test_closed_forms_on_arrays_have_the_scalar_bits(counts, ps, thetas):
+    # Three shapes: theta columns x p rows (a 2-D sweep), a theta array at a
+    # fixed p (a 1-D sweep), and same-shape (p, theta) pairs (verify's draws).
+    pairs = min(len(ps), len(thetas))
+    for name, form in ARRAY_FORMS.items():
+        table = np.broadcast_to(form(counts, np.array([ps]), np.array(thetas)[:, None]), (len(thetas), len(ps)))
+        column = form(counts, ps[0], np.array(thetas))
+        paired = form(counts, np.array(ps[:pairs]), np.array(thetas[:pairs]))
+        assert column.shape == (len(thetas),) and paired.shape == (pairs,)
+        for i, theta in enumerate(thetas):
+            for j, p in enumerate(ps):
+                scalar = form(counts, p, theta)
+                assert type(scalar) is float, name  # a float in gives a float out
+                assert same_bits(table[i, j], scalar), (name, p, theta)
+                if j == 0:
+                    assert same_bits(column[i], scalar), (name, p, theta)
+                if i == j:
+                    assert same_bits(paired[i], scalar), (name, p, theta)
 
 
 def test_reports_match_distribution_forms():

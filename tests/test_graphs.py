@@ -313,6 +313,26 @@ def test_distribution_validation():
         DegreeDistribution({3: 2, 1: 2})  # two hubs on 4 vertices leave no degree-1 vertex
 
 
+def test_a_graphs_distribution_skips_the_checks_a_callers_counts_get(monkeypatch):
+    # A graph's own degrees are graphical by construction; counts a caller
+    # hands in still get every check, Erdos-Gallai included.
+    checked = []
+    erdos_gallai = graphs._erdos_gallai
+    monkeypatch.setattr(graphs, "_erdos_gallai", lambda counts: checked.append(1) or erdos_gallai(counts))
+    rng = np.random.default_rng(3)
+    for g in [gen_young_fibonacci(5), gen_ffnn((3, 4, 2)), random_graph(30, rng, 0.3), DirectedGraph(1, [])]:
+        dist = degree_distribution(g)
+        assert dist == DegreeDistribution(Counter(g.degrees.tolist()))
+        assert all(type(k) is int and type(n) is int for k, n in dist.counts.items())
+    assert len(checked) == 4  # one per DegreeDistribution above, none for the graphs
+    with pytest.raises(
+        ValueError,
+        match=r"^degrees \{1: 2, 3: 2\} fail the Erdos-Gallai inequalities: no simple graph has them$",
+    ):
+        DegreeDistribution({3: 2, 1: 2})
+    assert len(checked) == 5
+
+
 def _havel_hakimi(degrees):
     """Reference graphicality test: repeatedly join the largest-degree vertex
     to the next largest ones."""

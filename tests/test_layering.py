@@ -23,9 +23,12 @@ CLOSED_FORM_NAMES = {"entanglement", *entanglement.__all__}
 ORACLE_ED_STEP = ("ed_numeric", "ed_numeric_rows", "_contribution_rows")
 # Every other function in entanglement.py is a closed form or one of its helpers.
 CLOSED_FORM_FUNCTIONS = set(entanglement.__all__) - {"EdReport", *ORACLE_ED_STEP} | {
-    "_general_contribution",
+    "_power",
+    "_cos2",
+    "_p_factors",
     "_r_squared",
     "_degree_counts",
+    "_degree_means",
 }
 
 

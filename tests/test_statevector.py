@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -36,6 +37,19 @@ def test_initial_qubit_amplitudes():
     q = InitialQubit(p=0.25, delta0=0.0, delta1=math.pi / 2)
     assert q.alpha0 == pytest.approx(math.sqrt(0.75))
     assert q.alpha1 == pytest.approx(0.5j)
+
+
+def test_initial_qubit_amplitudes_are_computed_once():
+    # A batch reads each row's amplitudes; they are kept on the instance,
+    # outside equality, hashing and repr.
+    q = InitialQubit(0.3, 0.1, -0.2)
+    a0, a1 = q.alpha0, q.alpha1
+    assert q.alpha0 is a0 and q.alpha1 is a1
+    assert a0 == math.sqrt(1.0 - 0.3) * cmath.exp(0.1j) and a1 == math.sqrt(0.3) * cmath.exp(-0.2j)
+    fresh = InitialQubit(0.3, 0.1, -0.2)
+    assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.p = 0.5
 
 
 def test_initial_qubit_rejects_bad_p():

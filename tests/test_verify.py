@@ -118,7 +118,7 @@ def test_samples_counted_and_unsampled_check_skipped():
 
 
 def test_ffnn_variant_report_separates_the_forms():
-    dev_degree, dev_variant = ffnn_variant_report((3, 4, 4, 2))
+    dev_degree, dev_variant = ffnn_variant_report((3, 4, 4, 2), gen_ffnn((3, 4, 4, 2)))
     assert dev_degree <= 1e-10
     assert dev_variant > 1e-3
 
@@ -189,4 +189,4 @@ def test_ffnn_variant_report_matches_one_build_per_theta():
     ]
     dev_degree = max(abs(e - ed_ffnn(t, sizes)) for e, t in zip(eds, thetas))
     dev_variant = max(abs(e - ed_ffnn_output_self_exponent(t, sizes)) for e, t in zip(eds, thetas))
-    assert ffnn_variant_report(sizes) == (dev_degree, dev_variant)
+    assert ffnn_variant_report(sizes, g) == (dev_degree, dev_variant)
