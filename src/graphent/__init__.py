@@ -18,7 +18,6 @@ from .density import (
     von_neumann_entropy,
 )
 from .entanglement import (
-    EdReport,
     ed_binary_tree,
     ed_binary_tree_limit,
     ed_bridged_cycles,
@@ -26,8 +25,6 @@ from .entanglement import (
     ed_closed_general,
     ed_ffnn,
     ed_ffnn_output_self_exponent,
-    ed_general_report,
-    ed_numeric,
     ed_young_fibonacci,
     ed_young_fibonacci_limit,
     interaction_expectation,
@@ -56,10 +53,12 @@ from .graphs import (
 )
 from .statevector import (
     DEFAULT_MAX_QUBITS,
+    EdReport,
     InitialQubit,
     InteractionParams,
     PureState,
     build_graph_state,
+    ed_numeric,
     pauli_vectors,
     product_state,
 )

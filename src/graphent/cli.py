@@ -36,7 +36,7 @@ from .graphs import (
     save_graph,
     young_fibonacci_degree_counts,
 )
-from .statevector import DEFAULT_MAX_QUBITS, InitialQubit, InteractionParams, build_graph_state
+from .statevector import DEFAULT_MAX_QUBITS, InitialQubit, InteractionParams, build_graph_state, ed_numeric
 
 __all__ = ["TOPOLOGIES", "run_sweep", "main"]
 
@@ -233,6 +233,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ed
 # ----------------------------------------------------------------------
 
+def _closed_shares(graph: DirectedGraph, p: float, theta: float) -> list[float]:
+    """Each vertex's closed-form share, `ed_closed_general` of its degree
+    alone, evaluated once per distinct degree."""
+    degrees = graph.degrees.tolist()
+    share = {d: entanglement.ed_closed_general({d: 1}, p, theta) for d in set(degrees)}
+    return [share[d] for d in degrees]
+
+
 def cmd_ed(args: argparse.Namespace) -> int:
     if args.method == "closed":
         _refuse(args, ("psi", "max_qubits"), "does not apply to --method closed")
@@ -244,15 +252,14 @@ def cmd_ed(args: argparse.Namespace) -> int:
     if args.method in ("closed", "both"):
         dist = _graph_from_args(args, degrees_only=True) if graph is None else degree_distribution(graph)
         total = entanglement.ed_closed_general(dist, args.p, args.theta)
-        per_vertex = entanglement.ed_general_report(graph, args.p, args.theta).per_vertex if args.verbose else ()
-        results["closed"] = (total, per_vertex)
+        results["closed"] = (total, _closed_shares(graph, args.p, args.theta) if args.verbose else ())
     if args.method in ("simulate", "both"):
         state = build_graph_state(
             graph,
             InitialQubit(args.p),
             InteractionParams(args.theta, 0.0 if args.psi is None else args.psi),
         )
-        report = entanglement.ed_numeric(state)
+        report = ed_numeric(state)
         results["simulate"] = (report.total, report.per_vertex)
     for name, (total, per_vertex) in results.items():
         print(f"{name}: {_fmt(total)}")

@@ -1,4 +1,4 @@
-"""Entanglement Distance of directed-graph states, numeric and closed form.
+"""Entanglement Distance of directed-graph states in closed form.
 
 The per-qubit Entanglement Distance of a pure M-qubit state is
 
@@ -9,9 +9,9 @@ states built from balanced inputs (p = 1/2) the contribution of a vertex
 depends only on its total degree d:  1 - cos(theta)^(2d).  For a general
 input (p, delta0, delta1) it is  1 - (1-2p)^2 - 4p(1-p) r^(2d)  with
 r^2 = cos^2(theta) + sin^2(theta) (1-2p)^2.  Both closed forms therefore
-consume nothing but the degree distribution; the state-vector route in
-:mod:`graphent.statevector` is the brute-force oracle they are checked
-against.
+consume nothing but the degree distribution; `statevector.ed_numeric` is
+the brute-force oracle they are checked against, and this module holds no
+part of it.
 
 `ed_closed_general`, `ed_closed_form` and the two limit curves take a float
 or arrays of p and theta that broadcast, through one code path, as the
@@ -30,25 +30,19 @@ import functools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .graphs import DegreeDistribution, DirectedGraph, _check_p, _checked_counts, _integer
+from .graphs import DegreeDistribution, _check_p, _checked_counts, _integer
 from .graphs import _each, _each_of, _tree_depth, _vertex_count, _yf_layers
 from .graphs import ffnn_degree_counts, ffnn_layer_sizes
-from .statevector import InitialQubit, InteractionParams, PureState
-from .statevector import build_graph_state_rows, pauli_vector_rows
+from .statevector import InitialQubit, InteractionParams
 
 __all__ = [
-    "EdReport",
-    "ed_numeric",
-    "ed_numeric_rows",
     "ed_closed_form",
     "ed_closed_general",
-    "ed_general_report",
     "pauli_vector_closed",
     "interaction_expectation",
     "two_qubit_ed_analytic",
@@ -63,34 +57,6 @@ __all__ = [
 
 DistributionLike = Union[DegreeDistribution, Mapping[int, int]]
 Real = Union[float, np.ndarray]  # a float, or an array of them that broadcasts
-# Oracle rows are built and read in batches of at most max(2^15, 2^M)
-# amplitudes: one doubling loop and one Pauli pass per batch, not per state.
-BATCH_AMPLITUDES = 2**15
-
-
-@dataclass(frozen=True)
-class EdReport:
-    """Per-vertex contributions 1 - ||<sigma^(i)>||^2; `total`, their mean, is
-    derived from them."""
-
-    per_vertex: tuple[float, ...]
-    total: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.per_vertex)
-        object.__setattr__(self, "per_vertex", values)
-        object.__setattr__(self, "total", _mean(values))
-
-
-def _mean(values: Sequence[float]) -> float:
-    """The ED per qubit: the mean of the per-vertex contributions, which
-    must lie in [0, 1] give or take 1e-9 of rounding."""
-    if not values:
-        raise ValueError("report needs at least one vertex")
-    total = math.fsum(values) / len(values)
-    if not -1e-9 <= total <= 1.0 + 1e-9:
-        raise ValueError(f"total {total} outside [0, 1]")
-    return total
 
 
 def _degree_counts(dist: DistributionLike) -> Mapping[int, int]:
@@ -98,32 +64,6 @@ def _degree_counts(dist: DistributionLike) -> Mapping[int, int]:
     the graphicality checks, since some closed forms are evaluated on degree
     counts that no graph has."""
     return dist.counts if isinstance(dist, DegreeDistribution) else _checked_counts(dist)
-
-
-def _contribution_rows(amplitudes: np.ndarray) -> np.ndarray:
-    """Entry [r, i] is 1 - ||<sigma^(i)>||^2 of qubit i in row r."""
-    vectors = pauli_vector_rows(amplitudes)
-    return 1.0 - np.vecdot(vectors, vectors)
-
-
-def ed_numeric(state: PureState) -> EdReport:
-    """Brute-force Entanglement Distance from a simulated state, with its
-    per-vertex contributions."""
-    return EdReport(_contribution_rows(state.amplitudes[None])[0].tolist())
-
-
-def ed_numeric_rows(rows: Sequence[tuple[DirectedGraph, InitialQubit, InteractionParams]]) -> np.ndarray:
-    """The brute-force ED per qubit of each (graph, input qubit, params) row,
-    as an (R,) array, bit for bit `ed_numeric(build_graph_state(*row)).total`
-    but with no report built.  The graphs share their vertex count M; rows are
-    built and read in batches of at most max(BATCH_AMPLITUDES, 2^M) amplitudes."""
-    per_batch = max(BATCH_AMPLITUDES >> rows[0][0].num_vertices, 1) if rows else 1
-    # Unnamed, each batch's states are freed before the next batch is built.
-    batches = (
-        _contribution_rows(build_graph_state_rows(rows[i : i + per_batch]))
-        for i in range(0, len(rows), per_batch)
-    )
-    return np.array([_mean(row.tolist()) for batch in batches for row in batch])
 
 
 def ed_closed_form(dist: DistributionLike, theta: Real) -> Real:
@@ -173,22 +113,6 @@ def ed_closed_general(dist: DistributionLike, p: Real, theta: Real) -> Real:
     q, w = _p_factors(p)
     mean = _each_of(functools.partial(_degree_means, _degree_counts(dist)), _r_squared(q, theta))
     return 1.0 - q - w * mean
-
-
-def ed_general_report(graph: DirectedGraph, p: float, theta: float) -> EdReport:
-    """Per-vertex closed-form report for a general input amplitude split:
-    one formula per entry of the graph's degree vector, O(M) after the O(E)
-    count that validation made (a derived graph counts on first use).  At
-    p = 1/2 each entry is exactly the balanced contribution 1 - cos(theta)^(2d).
-    Its `total` is the mean of the per-vertex shares, which is rounded
-    differently from the mean of r^(2d) that :func:`ed_closed_general` takes,
-    so the two may differ in the last bit; `ed` prints the latter."""
-    _check_p(p)
-    q, w = _p_factors(p)
-    r2 = _r_squared(q, theta)
-    degrees = graph.degrees.tolist()
-    share = {d: 1.0 - q - w * r2**d for d in set(degrees)}
-    return EdReport([share[d] for d in degrees])
 
 
 def interaction_expectation(qubit: InitialQubit, params: InteractionParams) -> complex:

@@ -1,5 +1,6 @@
-"""Exact state-vector construction of directed-graph qubit states: one
-in-place doubling loop over the qubits, and every qubit's Pauli vector.
+"""Exact state-vector oracle for directed-graph qubit states: one in-place
+doubling loop over the qubits, every qubit's Pauli vector, and the ED per
+qubit read from them.
 
 Basis convention (fixed everywhere): basis index x encodes qubit i as bit i
 of x, so qubit 0 is the least significant bit.  Every edge operator is
@@ -29,8 +30,8 @@ alpha1 * exp(i*(theta - psi)*d_out(k)) are (M, R), and the pair factors
 exp(-2i*theta*c) are one flat (R*M) table read at c + r*M.
 `pauli_vector_rows` reads such an array, and `build_graph_state` and
 `pauli_vectors` are the one-row calls of the same code.  How many rows go
-into one call is the caller's choice; `entanglement.ed_numeric_rows` holds
-the batch rule the oracle's callers use.
+into one call is the caller's choice; `ed_numeric_rows` holds the batch
+rule the oracle's callers use.
 
 Build: the step that appends qubit k multiplies each place l of the new
 half by pair[popcount(l & lower_k)].  Up to 2^11 places (every step of a
@@ -70,6 +71,11 @@ a row:
 
 Either way the weights' total is each row's norm, so a row that is not
 normalized is refused without a further pass over it.
+
+ED step: `ed_numeric` and `ed_numeric_rows` turn the Pauli vectors into the
+per-vertex contributions 1 - ||<sigma^(i)>||^2 and their mean, the ED per
+qubit, from the simulated state alone; the closed forms they are checked
+against live in `entanglement`, which this module never imports.
 """
 
 from __future__ import annotations
@@ -77,7 +83,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -94,6 +100,9 @@ __all__ = [
     "build_graph_state_rows",
     "pauli_vectors",
     "pauli_vector_rows",
+    "EdReport",
+    "ed_numeric",
+    "ed_numeric_rows",
 ]
 
 # 2^22 complex amplitudes = 64 MiB: the CLI's default --max-qubits, and the
@@ -125,6 +134,9 @@ _PAIRS = np.array(
         for bit in (1 << i for i in range(_GRAM_QUBITS))
     ]
 )
+# Oracle rows are built and read in batches of at most max(2^15, 2^M)
+# amplitudes: one doubling loop and one Pauli pass per batch, not per state.
+BATCH_AMPLITUDES = 2**15
 
 
 @dataclass(frozen=True)
@@ -374,3 +386,54 @@ def _fold_weights(prob: np.ndarray, out: np.ndarray) -> np.ndarray:
     # prob[:, 2^k : 2^(k+1)] still holds bit k's upper half; prob[:, 0] is the total.
     np.add.reduceat(prob, 1 << np.arange(n), axis=1, out=out)
     return prob[:, 0].copy()
+
+
+@dataclass(frozen=True)
+class EdReport:
+    """Per-vertex contributions 1 - ||<sigma^(i)>||^2; `total`, their mean, is
+    derived from them."""
+
+    per_vertex: tuple[float, ...]
+    total: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        values = tuple(float(v) for v in self.per_vertex)
+        object.__setattr__(self, "per_vertex", values)
+        object.__setattr__(self, "total", _mean(values))
+
+
+def _mean(values: Sequence[float]) -> float:
+    """The ED per qubit: the mean of the per-vertex contributions, which
+    must lie in [0, 1] give or take 1e-9 of rounding."""
+    if not values:
+        raise ValueError("report needs at least one vertex")
+    total = math.fsum(values) / len(values)
+    if not -1e-9 <= total <= 1.0 + 1e-9:
+        raise ValueError(f"total {total} outside [0, 1]")
+    return total
+
+
+def _contribution_rows(amplitudes: np.ndarray) -> np.ndarray:
+    """Entry [r, i] is 1 - ||<sigma^(i)>||^2 of qubit i in row r."""
+    vectors = pauli_vector_rows(amplitudes)
+    return 1.0 - np.vecdot(vectors, vectors)
+
+
+def ed_numeric(state: PureState) -> EdReport:
+    """Brute-force Entanglement Distance from a simulated state, with its
+    per-vertex contributions."""
+    return EdReport(_contribution_rows(state.amplitudes[None])[0].tolist())
+
+
+def ed_numeric_rows(rows: Sequence[tuple[DirectedGraph, InitialQubit, InteractionParams]]) -> np.ndarray:
+    """The brute-force ED per qubit of each (graph, input qubit, params) row,
+    as an (R,) array, bit for bit `ed_numeric(build_graph_state(*row)).total`
+    but with no report built.  The graphs share their vertex count M; rows are
+    built and read in batches of at most max(BATCH_AMPLITUDES, 2^M) amplitudes."""
+    per_batch = max(BATCH_AMPLITUDES >> rows[0][0].num_vertices, 1) if rows else 1
+    # Unnamed, each batch's states are freed before the next batch is built.
+    batches = (
+        _contribution_rows(build_graph_state_rows(rows[i : i + per_batch]))
+        for i in range(0, len(rows), per_batch)
+    )
+    return np.array([_mean(row.tolist()) for batch in batches for row in batch])

@@ -20,9 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from . import entanglement
-from .entanglement import ed_numeric_rows
 from .graphs import DirectedGraph, degree_distribution, flip_edge, permute_vertices
-from .statevector import InitialQubit, InteractionParams
+from .statevector import InitialQubit, InteractionParams, ed_numeric_rows
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification", "ffnn_variant_report"]
 

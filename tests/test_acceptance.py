@@ -31,7 +31,6 @@ from graphent.entanglement import (
     ed_closed_form,
     ed_closed_general,
     ed_ffnn,
-    ed_numeric,
     ed_young_fibonacci,
     ed_young_fibonacci_limit,
     two_qubit_ed_analytic,
@@ -45,7 +44,7 @@ from graphent.graphs import (
     gen_young_fibonacci,
     random_graph,
 )
-from graphent.statevector import InitialQubit, InteractionParams, build_graph_state
+from graphent.statevector import InitialQubit, InteractionParams, build_graph_state, ed_numeric
 from graphent.verify import ffnn_variant_report, run_verification
 
 from helpers import grid

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphent.cli import _closed_shares
 from graphent.entanglement import (
-    EdReport,
     ed_binary_tree,
     ed_binary_tree_limit,
     ed_bridged_cycles,
@@ -15,8 +15,6 @@ from graphent.entanglement import (
     ed_closed_general,
     ed_ffnn,
     ed_ffnn_output_self_exponent,
-    ed_general_report,
-    ed_numeric,
     ed_young_fibonacci,
     ed_young_fibonacci_limit,
     pauli_vector_closed,
@@ -38,10 +36,12 @@ from graphent.graphs import (
     young_fibonacci_degree_counts,
 )
 from graphent.statevector import (
+    EdReport,
     InitialQubit,
     InteractionParams,
     PureState,
     build_graph_state,
+    ed_numeric,
     pauli_vectors,
     product_state,
 )
@@ -211,9 +211,10 @@ def test_closed_forms_on_arrays_have_the_scalar_bits(counts, ps, thetas):
 def test_reports_match_distribution_forms():
     g = gen_bridged_cycles((3, 4, 3))
     dist = degree_distribution(g)
-    balanced = ed_general_report(g, 0.5, 0.7)
+    # The mean of the per-vertex shares `ed --verbose` prints.
+    balanced = EdReport(_closed_shares(g, 0.5, 0.7))
     assert balanced.total == pytest.approx(ed_closed_form(dist, 0.7), abs=1e-14)
-    general = ed_general_report(g, 0.3, 0.7)
+    general = EdReport(_closed_shares(g, 0.3, 0.7))
     assert general.total == pytest.approx(ed_closed_general(dist, 0.3, 0.7), abs=1e-14)
 
 
@@ -225,14 +226,13 @@ def test_closed_report_is_general_report_at_half(g, theta):
     # Python's float power (numpy's power on the int64 degrees may differ in
     # the last bit)
     balanced = tuple(1.0 - (math.cos(theta) ** 2) ** d for d in g.degrees.tolist())
-    assert ed_general_report(g, 0.5, theta).per_vertex == balanced
+    assert tuple(_closed_shares(g, 0.5, theta)) == balanced
 
 
 def test_per_vertex_contribution_depends_only_on_degree():
     g = gen_young_fibonacci(4)
-    report = ed_general_report(g, 0.5, 1.07)
     by_degree = {}
-    for i, value in enumerate(report.per_vertex):
+    for i, value in enumerate(_closed_shares(g, 0.5, 1.07)):
         by_degree.setdefault(g.degrees[i], set()).add(round(value, 14))
     assert all(len(vals) == 1 for vals in by_degree.values())
 

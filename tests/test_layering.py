@@ -1,13 +1,12 @@
 """The two routes stay independent by construction: the state-vector oracle
-(statevector.py) and the reduced-density analytics (density.py) import no
-closed-form code, directly or through the graphent modules they import, and
-read none of a graph's degree bookkeeping; the oracle's ED step, which
-lives in entanglement.py beside the closed forms, calls none of them.  The
-oracle's rows are split into batches in one place,
-`entanglement.ed_numeric_rows`.  And no export outlives
-its definition: every name a module lists in `__all__` exists, and the
-package imports only names its modules export.  Each shared input guard
-raises its message from one line, so a fix cannot miss a copy."""
+(statevector.py, which holds the oracle's ED step too) and the
+reduced-density analytics (density.py) import no closed-form code, directly
+or through the graphent modules they import, and read none of a graph's
+degree bookkeeping.  The oracle's rows are split into batches in one place,
+`statevector.ed_numeric_rows`.  And no export outlives its definition: every
+name a module lists in `__all__` exists, and the package imports only names
+its modules export.  Each shared input guard raises its message from one
+line, so a fix cannot miss a copy."""
 
 import ast
 import importlib
@@ -20,16 +19,6 @@ from graphent import entanglement
 
 PACKAGE = Path(graphent.__file__).resolve().parent
 CLOSED_FORM_NAMES = {"entanglement", *entanglement.__all__}
-ORACLE_ED_STEP = ("ed_numeric", "ed_numeric_rows", "_contribution_rows")
-# Every other function in entanglement.py is a closed form or one of its helpers.
-CLOSED_FORM_FUNCTIONS = set(entanglement.__all__) - {"EdReport", *ORACLE_ED_STEP} | {
-    "_power",
-    "_cos2",
-    "_p_factors",
-    "_r_squared",
-    "_degree_counts",
-    "_degree_means",
-}
 
 
 def _import_tokens(module: str) -> set[str]:
@@ -89,27 +78,11 @@ def test_oracle_reads_no_degree_bookkeeping(oracle_module):
     assert not used & banned, f"{oracle_module}.py reads {sorted(used & banned)}"
 
 
-@pytest.mark.parametrize("function", ORACLE_ED_STEP)
-def test_oracle_ed_step_calls_no_closed_form(function):
-    tree = ast.parse((PACKAGE / "entanglement.py").read_text(encoding="utf-8"))
-    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert CLOSED_FORM_FUNCTIONS <= defs.keys()  # the banned names are still defined here
-    named = set()
-    for node in ast.walk(defs[function]):
-        if isinstance(node, ast.Name):
-            named.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            named.add(node.attr)
-    assert not named & CLOSED_FORM_FUNCTIONS, (
-        f"entanglement.{function} names {sorted(named & CLOSED_FORM_FUNCTIONS)}"
-    )
-
-
 def test_batch_rule_has_one_home():
-    # Only the row builder and ed_numeric_rows, which batches it, name them.
-    homes = {"statevector.py", "entanglement.py"}
+    # Only statevector.py, home of the row builder and of ed_numeric_rows,
+    # which batches it, names them.
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name not in homes:
+        if path.name != "statevector.py":
             source = path.read_text(encoding="utf-8")
             for name in ("build_graph_state_rows", "BATCH_AMPLITUDES"):
                 assert name not in source, f"{path.name} names {name}"

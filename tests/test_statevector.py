@@ -9,9 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphent import entanglement, statevector
+from graphent import statevector
 from graphent.cli import main
-from graphent.entanglement import ed_numeric, ed_numeric_rows
 from graphent.graphs import DirectedGraph, flip_edge, gen_young_fibonacci, random_graph
 from graphent.statevector import (
     InitialQubit,
@@ -19,6 +18,8 @@ from graphent.statevector import (
     PureState,
     build_graph_state,
     build_graph_state_rows,
+    ed_numeric,
+    ed_numeric_rows,
     pauli_vector_rows,
     pauli_vectors,
     product_state,
@@ -504,16 +505,18 @@ def test_oracle_rows_span_batches_bit_for_bit(monkeypatch):
         )
         for p in [0.0, 0.5, 1.0, *rng.uniform(0.0, 1.0, 17)]
     ]
+    # Computed before the patch: the one-row builder calls the patched name too.
+    expected = [ed_numeric(build_graph_state(*row)).total for row in rows]
     batches = []
 
     def build(batch, **kwargs):
         batches.append(len(batch))
         return build_graph_state_rows(batch, **kwargs)
 
-    monkeypatch.setattr(entanglement, "build_graph_state_rows", build)
+    monkeypatch.setattr(statevector, "build_graph_state_rows", build)
     totals = ed_numeric_rows(rows)
     assert batches == [8, 8, 4]
-    assert totals.tolist() == [ed_numeric(build_graph_state(*row)).total for row in rows]
+    assert totals.tolist() == expected
     assert ed_numeric_rows([]).shape == (0,) and batches == [8, 8, 4]
 
 

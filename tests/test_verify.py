@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import graphent.entanglement
+import graphent.statevector
 from graphent import verify
 from graphent.entanglement import (
     ed_closed_form,
     ed_closed_general,
     ed_ffnn,
     ed_ffnn_output_self_exponent,
-    ed_numeric,
 )
 from graphent.graphs import (
     DirectedGraph,
@@ -22,7 +22,7 @@ from graphent.graphs import (
     permute_vertices,
     random_graph,
 )
-from graphent.statevector import InitialQubit, InteractionParams, build_graph_state
+from graphent.statevector import InitialQubit, InteractionParams, build_graph_state, ed_numeric
 from graphent.verify import CHECK_ORDER, ffnn_variant_report, run_verification
 
 
@@ -170,7 +170,7 @@ def test_batches_keep_draw_order_and_sample_counts():
     # 7 rows each span three batches, one sample across a boundary.
     rng = np.random.default_rng(5)
     graphs = [random_graph(12, rng, 0.3), DirectedGraph(4, []), *small_graph_set()]
-    assert graphent.entanglement.BATCH_AMPLITUDES >> 12 == 8
+    assert graphent.statevector.BATCH_AMPLITUDES >> 12 == 8
     report = run_verification(graphs, samples=3, seed=9, tol=1e-10)
     worst, ran = _one_state_at_a_time(graphs, samples=3, seed=9)
     assert {c.name: c.max_deviation for c in report.checks} == worst
