@@ -341,8 +341,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(args.seed)
         graphs = []
         for _ in range(args.random_graphs):
-            graphs.append(random_graph(int(rng.integers(2, max_vertices + 1)), rng, edge_prob))
-            _within_cap(graphs[-1].num_vertices, args.max_qubits)
+            m = int(rng.integers(2, max_vertices + 1))
+            _within_cap(m, args.max_qubits)  # before the O(M^2) draw of the edges
+            graphs.append(random_graph(m, rng, edge_prob))
         header = f"graphs: {len(graphs)} random (<= {max_vertices} vertices)"
     else:
         _refuse(args, ("max_vertices", "edge_prob"), "needs --random-graphs")

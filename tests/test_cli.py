@@ -550,18 +550,21 @@ def test_ed_cap_flag(capsys):
         (("verify", "--topology", "ffnn", "--layer-sizes", "2000,2000"), 4000),
         (("ed", "--topology", "btree", "--depth", "23", "--theta", "0.3", "--method", "simulate"), 2**23 - 1),
         (("ed", "--topology", "btree", "--depth", "23", "--theta", "0.3", "--method", "both"), 2**23 - 1),
+        (("verify", "--random-graphs", "1", "--max-vertices", "300", "--seed", "0"), 256),
     ],
-    ids=["verify-ffnn", "ed-simulate", "ed-both"],
+    ids=["verify-ffnn", "ed-simulate", "ed-both", "verify-random"],
 )
 def test_cap_refuses_a_family_before_it_is_generated(capsys, monkeypatch, argv, qubits):
-    # The vertex count comes from the family's degree-count rule: with every
-    # generator refusing, the command still exits 2 with the cap message.
+    # The vertex count comes from the family's degree-count rule, or from the
+    # random draw of it: with every generator refusing, the command still
+    # exits 2 with the cap message.
     def generated(*args):
-        raise AssertionError("a family over the cap was generated")
+        raise AssertionError("a graph over the cap was generated")
 
     for row in TOPOLOGIES:
         dest, count, _, curve = TOPOLOGIES[row]
         monkeypatch.setitem(TOPOLOGIES, row, (dest, count, generated, curve))
+    monkeypatch.setattr(graphent.cli, "random_graph", generated)
     assert run(capsys, *argv) == (
         2,
         "",
