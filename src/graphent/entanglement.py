@@ -7,11 +7,11 @@ The per-qubit Entanglement Distance of a pure M-qubit state is
 with <sigma^(i)> the vector of Pauli expectations on qubit i.  For graph
 states built from balanced inputs (p = 1/2) the contribution of a vertex
 depends only on its total degree d:  1 - cos(theta)^(2d).  For a general
-input (p, delta0, delta1) it is  1 - (1-2p)^2 - 4p(1-p) r^(2d)  with
-r^2 = cos^2(theta) + sin^2(theta) (1-2p)^2.  Both closed forms therefore
-consume nothing but the degree distribution; `statevector.ed_numeric` is
-the brute-force oracle they are checked against, and this module holds no
-part of it.
+input (p, delta0, delta1) it is  4p(1-p) (1 - r^(2d))  with
+r^2 = cos^2(theta) + sin^2(theta) (1-2p)^2, since 1 - (1-2p)^2 = 4p(1-p).
+Both closed forms therefore consume nothing but the degree distribution;
+`statevector.ed_numeric` is the brute-force oracle they are checked
+against, and this module holds no part of it.
 
 `ed_closed_general`, `ed_closed_form` and the two limit curves take a float
 or arrays of p and theta that broadcast, through one code path, as the
@@ -81,7 +81,9 @@ def _cos2(theta: Real) -> Real:
 
 
 def _p_factors(p: Real) -> tuple[Real, Real]:
-    """(1-2p)^2 and 4p(1-p): a vertex's share is 1 - (1-2p)^2 - 4p(1-p) r^(2d)."""
+    """(1-2p)^2, which r^2 reads, and 4p(1-p): a vertex's share is
+    4p(1-p) (1 - r^(2d)), in factored form so that it is exactly 0 where
+    r^(2d) is 1 (degree 0, or theta = 0)."""
     return _power(1.0 - 2.0 * p, 2), 4.0 * p * (1.0 - p)
 
 
@@ -100,9 +102,10 @@ def _degree_means(counts: Mapping[int, int], r2s: list[float]) -> Iterable[float
 
 def ed_closed_general(dist: DistributionLike, p: Real, theta: Real) -> Real:
     """Closed-form ED per qubit for an arbitrary input amplitude split p:
-    1 - (1-2p)^2 - 4p(1-p) * (1/M) sum_k n_k r^(2k).
+    4p(1-p) * (1 - (1/M) sum_k n_k r^(2k)).
 
-    At p = 1/2 this is exactly :func:`ed_closed_form`; at p in {0, 1} it is 0.
+    At p = 1/2 this is exactly :func:`ed_closed_form`; at p in {0, 1}, on
+    edgeless degree counts and at theta = 0 it is exactly 0.
     Input phases never enter: only the moduli of the input amplitudes matter.
     The sum is `math.fsum`, rounded once, so it does not depend on the order
     of the degrees: a relabelled graph, and a family's degree-count rule and
@@ -112,7 +115,7 @@ def ed_closed_general(dist: DistributionLike, p: Real, theta: Real) -> Real:
     _check_p(p)
     q, w = _p_factors(p)
     mean = _each_of(functools.partial(_degree_means, _degree_counts(dist)), _r_squared(q, theta))
-    return 1.0 - q - w * mean
+    return w * (1.0 - mean)
 
 
 def interaction_expectation(qubit: InitialQubit, params: InteractionParams) -> complex:

@@ -160,6 +160,17 @@ def test_general_classical_inputs_give_zero(p):
     assert ed_closed_general({1: 2, 3: 4}, p, 1.1) == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("p", [0.1, 0.2, 0.9])
+def test_general_is_exactly_zero_without_entanglement(p):
+    # r^(2d) is exactly 1 for degree 0 and at theta = 0, so the share
+    # 4p(1-p) (1 - r^(2d)) is exactly 0; 1 - (1-2p)^2 - 4p(1-p) was not.
+    thetas = grid(0.0, math.pi, 9)
+    assert ed_closed_general({0: 5}, p, np.array(thetas)).tolist() == [0.0] * len(thetas)
+    for counts in ({0: 1}, {0: 5}, {1: 2, 3: 4}, {2: 7, 0: 1}):
+        assert ed_closed_general(counts, p, 0.0) == 0.0
+    assert ed_closed_general({0: 1}, p, 0.7) == 0.0
+
+
 def test_general_spot_value():
     # r^2 = 1/4 at (p=1/4, theta=pi/2); 1 - 1/4 - 3/4 * 1/4 = 9/16
     assert ed_closed_general({1: 2}, 0.25, math.pi / 2) == pytest.approx(9 / 16, abs=1e-15)
