@@ -10,8 +10,9 @@ depends only on its total degree d:  1 - cos(theta)^(2d).  For a general
 input (p, delta0, delta1) it is  4p(1-p) (1 - r^(2d))  with
 r^2 = cos^2(theta) + sin^2(theta) (1-2p)^2, since 1 - (1-2p)^2 = 4p(1-p).
 Both closed forms therefore consume nothing but the degree distribution;
-`statevector.ed_numeric` is the brute-force oracle they are checked
-against, and this module holds no part of it.
+the state-vector oracle in :mod:`graphent.statevector`, ED step included,
+is the brute-force route they are checked against, and this module holds
+no part of it.
 
 `ed_closed_general`, `ed_closed_form` and the two limit curves take a float
 or arrays of p and theta that broadcast, through one code path, as the

@@ -162,8 +162,9 @@ def test_general_classical_inputs_give_zero(p):
 
 @pytest.mark.parametrize("p", [0.1, 0.2, 0.9])
 def test_general_is_exactly_zero_without_entanglement(p):
-    # r^(2d) is exactly 1 for degree 0 and at theta = 0, so the share
-    # 4p(1-p) (1 - r^(2d)) is exactly 0; 1 - (1-2p)^2 - 4p(1-p) was not.
+    # r^(2d) is exactly 1 for degree 0 and at theta = 0, so the factored
+    # share 4p(1-p) (1 - r^(2d)) is exactly 0, where 1 - (1-2p)^2 - 4p(1-p)
+    # rounds to about -1.7e-16 at p = 0.1.
     thetas = grid(0.0, math.pi, 9)
     assert ed_closed_general({0: 5}, p, np.array(thetas)).tolist() == [0.0] * len(thetas)
     for counts in ({0: 1}, {0: 5}, {1: 2, 3: 4}, {2: 7, 0: 1}):
