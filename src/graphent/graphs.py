@@ -117,8 +117,11 @@ def _family_size(counts: Mapping[int, int], what: str) -> tuple[int, int]:
 def _check_p(p: float | np.ndarray) -> None:
     """Refuse an input amplitude split p that is not a real number in [0, 1]:
     NaN fails the range test, and a bool, str or None is not a real number.
-    An array is checked element by element, as a Python scalar each."""
+    A float array is checked in one vectorised pass; any other array, or one
+    that fails it, element by element, as a Python scalar each."""
     if isinstance(p, np.ndarray):
+        if p.dtype.kind == "f" and ((p >= 0.0) & (p <= 1.0)).all():
+            return
         for v in p.ravel().tolist():
             _check_p(v)
         return
@@ -177,6 +180,12 @@ def _int_pairs(edges: Sequence) -> np.ndarray | None:
     return None
 
 
+def _check_endpoints(a: int, b: int, m: int) -> None:
+    """Refuse an edge (a, b) with an endpoint outside 0..m-1."""
+    if not (0 <= a < m and 0 <= b < m):
+        raise ValueError(f"edge ({a},{b}) out of range for {m} vertices")
+
+
 def _explained(edges: Sequence, m: int) -> np.ndarray:
     """The explain pass: walk the edges in input order and return them as
     an (E, 2) int64 array, or raise "edges[i] <edge>: <reason>" for the
@@ -190,8 +199,7 @@ def _explained(edges: Sequence, m: int) -> np.ndarray:
             except (TypeError, ValueError):
                 raise ValueError("must be a pair of integer vertices") from None
             a, b = _integer(a, "edge endpoint"), _integer(b, "edge endpoint")
-            if not (0 <= a < m and 0 <= b < m):
-                raise ValueError(f"edge ({a},{b}) out of range for {m} vertices")
+            _check_endpoints(a, b, m)
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             pair = (min(a, b), max(a, b))

@@ -19,13 +19,17 @@ This is the qubit-by-qubit form of the weighted graph state (Hein, Eisert
 and Briegel, PRA 69, 062311, 2004), still a direct simulation of the edge
 operators, not a degree closed form.
 
-Rows: a row is one (graph, input qubit, interaction params) triple, that
-is, one state.  `build_graph_state_rows` runs that loop once for R rows of
-one qubit count M, whose states are the rows of an (R, 2^M) array.  Per-row
-data are arrays made from the rows' `edge_array`s, concatenated: one
-`bincount` over those edges, weighted by 2^min(a, b), builds the
-lower-neighbour masks and one more counts the out-degrees d_out(k).  The
-masks and the high-half factors
+Rows: a row is one state, that is, a graph, an input qubit and interaction
+params.  The oracle takes its rows as arrays, `StateRows`: for R rows of one
+qubit count M, one (E, 2) edge array holding each row's edges in turn, the
+per-row edge counts, and per-row theta, psi and input qubit (p, delta0,
+delta1), from which the per-row alpha0 and alpha1 are formed.  Sequences of
+(graph, InitialQubit, InteractionParams) triples are turned into such arrays,
+so triples, one-row calls and arrays all run the one kernel,
+`build_graph_state_rows`, which runs that loop once for the R rows, whose
+states are the rows of an (R, 2^M) array.  One `bincount` over the edges,
+weighted by 2^min(a, b), builds the lower-neighbour masks and one more counts
+the out-degrees d_out(k).  The masks and the high-half factors
 alpha1 * exp(i*(theta - psi)*d_out(k)) are (M, R), and the pair factors
 exp(-2i*theta*c) are one flat (R*M) table read at c + r*M.
 `pauli_vector_rows` reads such an array, and `build_graph_state` and
@@ -33,15 +37,28 @@ exp(-2i*theta*c) are one flat (R*M) table read at c + r*M.
 into one call is the caller's choice; `ed_numeric_rows` holds the batch
 rule the oracle's callers use.
 
+Buffers: `ed_numeric_rows` allocates one state buffer, one batch in size,
+per call and builds every batch into it.  Below 2^18 amplitudes per row one
+scratch buffer, half the states' bytes, takes the build's gathered pair
+factors and then the Pauli pass's probabilities, so no batch allocates an
+array of its size.  A batch array freed after each batch was returned to the
+system by glibc (unmapped, or trimmed off the heap top) and faulted back in
+by the next: a `verify` op of 120 graphs of at most 12 vertices, 5 samples,
+took 18,621 minor page faults in a bare process with new arrays per batch
+and 1,920 with the buffers of one call per qubit count (16 ops).  Rows of
+2^18 amplitudes or more are built one per batch and read through the Gram,
+which needs no probability buffer, so they take no scratch.
+
 Build: the step that appends qubit k multiplies each place l of the new
 half by pair[popcount(l & lower_k)].  Up to 2^11 places (every step of a
-state of at most 12 qubits) that factor is gathered per place.  Past that,
+state of at most 12 qubits) that factor is gathered per place, into the
+scratch buffer.  Past that,
 the place is split into its low 11 bits and the rest, pair[c + c'] =
 pair[c] * pair[c'], and the half is written through an (R, blocks, 2^11)
 view: once from the lower half times one factor per block (high_k folded
-in), then times one factor per place in a block.  No step allocates
-anything the size of a half, so the states themselves, 16 bytes per
-amplitude per row, are the build's peak.
+in), then times one factor per place in a block.  No step past the gather
+steps allocates anything the size of a half, so for large states the states
+themselves, 16 bytes per amplitude per row, are the build's peak.
 
 Pauli vectors: `pauli_vector_rows` returns every qubit's (<sx>, <sy>, <sz>)
 in one call and copies no part of the states.  The cross term
@@ -59,7 +76,7 @@ a row:
   of one dot per block, which halves the dot loop (median, 2-core Xeon:
   174 vs 361 us on 35 rows of 9 qubits, 298 vs 610 us on 8 rows of 12).
   The partial dots go into the spent probability buffer, half the states'
-  bytes and the largest allocation, and a second segmented sum adds them up.
+  bytes, and a second segmented sum adds them up.
 - From 2^18 amplitudes on, the float64 view V of a row, 2^(M-6) rows of 64
   amplitudes' real and imaginary parts, gives one 128 x 128 Gram matrix
   G = V^T V: every cross term and weight of qubits 0..5 is a sum of its
@@ -88,13 +105,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import DirectedGraph, _available_bytes, _check_p, _integer
+from .graphs import DirectedGraph, _available_bytes, _check_endpoints, _check_p, _integer, _vertex_count
 
 __all__ = [
     "DEFAULT_MAX_QUBITS",
     "InteractionParams",
     "InitialQubit",
     "PureState",
+    "StateRows",
     "product_state",
     "build_graph_state",
     "build_graph_state_rows",
@@ -153,8 +171,17 @@ class InteractionParams:
     psi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and math.isfinite(self.psi)):
-            raise ValueError(f"angles must be finite, got theta={self.theta}, psi={self.psi}")
+        _check_angles(self.theta, self.psi)
+
+
+def _check_angles(theta: float, psi: float) -> None:
+    if not (math.isfinite(theta) and math.isfinite(psi)):
+        raise ValueError(f"angles must be finite, got theta={theta}, psi={psi}")
+
+
+def _check_phases(delta0: float, delta1: float) -> None:
+    if not (math.isfinite(delta0) and math.isfinite(delta1)):
+        raise ValueError(f"phases must be finite, got delta0={delta0}, delta1={delta1}")
 
 
 @dataclass(frozen=True)
@@ -171,12 +198,9 @@ class InitialQubit:
 
     def __post_init__(self) -> None:
         _check_p(self.p)
-        if not (math.isfinite(self.delta0) and math.isfinite(self.delta1)):
-            raise ValueError(
-                f"phases must be finite, got delta0={self.delta0}, delta1={self.delta1}"
-            )
+        _check_phases(self.delta0, self.delta1)
 
-    # Computed once per instance: a batch reads them once per row.
+    # Computed once per instance.
     @functools.cached_property
     def alpha0(self) -> complex:
         return math.sqrt(1.0 - self.p) * cmath.exp(1j * self.delta0)
@@ -208,6 +232,122 @@ class PureState:
         return abs(float(np.vdot(self.amplitudes, self.amplitudes).real) - 1.0)
 
 
+@dataclass(frozen=True, eq=False)
+class StateRows:
+    """R oracle rows of one qubit count M as arrays, the array form of R
+    (graph, InitialQubit, InteractionParams) triples.  Row r's graph has M
+    vertices and the next edge_counts[r] rows of the (E, 2) `edges` as its
+    edges; its input qubit is (p, delta0, delta1)[r] and its angles are
+    (theta, psi)[r].  The per-row fields take anything that broadcasts to
+    (R,); p, delta0 and delta1 default to the balanced input.
+
+    The rows are checked once, vectorised, by the guards of the classes they
+    stand for: finite angles and phases, p in [0, 1], and every endpoint in
+    range.  Each row's edges are taken as simple, as `DirectedGraph._derived`
+    takes a transformed graph's: rows derived from valid graphs, such as an
+    edge reversed or the vertices relabelled, are not checked again."""
+
+    num_qubits: int
+    edges: np.ndarray
+    edge_counts: np.ndarray
+    theta: np.ndarray
+    psi: np.ndarray
+    p: np.ndarray = 0.5
+    delta0: np.ndarray = 0.0
+    delta1: np.ndarray = 0.0
+
+    _PER_ROW = ("theta", "psi", "p", "delta0", "delta1")
+
+    def __post_init__(self) -> None:
+        m = _vertex_count(self.num_qubits)
+        edges, counts = np.asarray(self.edges), np.asarray(self.edge_counts)
+        if edges.dtype.kind not in "iu" or edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edges must be an (E, 2) integer array, got {edges.dtype} {edges.shape}")
+        if counts.dtype.kind not in "iu" or counts.ndim != 1 or (counts < 0).any() or counts.sum() != len(edges):
+            raise ValueError(f"edge_counts must be one count >= 0 per row, summing to the {len(edges)} edges")
+        edges = edges.astype(np.int64, copy=False)
+        out_of_range = ((edges < 0) | (edges >= m)).any(axis=1)
+        if out_of_range.any():
+            _check_endpoints(*edges[out_of_range.argmax()].tolist(), m)
+        p = np.asarray(self.p)
+        _check_p(p)
+        rows = len(counts)
+        theta, psi, p, delta0, delta1 = (
+            np.broadcast_to(np.asarray(x, dtype=np.float64), (rows,))
+            for x in (self.theta, self.psi, p, self.delta0, self.delta1)
+        )
+        for check, x, y in ((_check_angles, theta, psi), (_check_phases, delta0, delta1)):
+            finite = np.isfinite(x) & np.isfinite(y)
+            if not finite.all():
+                r = int(np.argmin(finite))
+                check(float(x[r]), float(y[r]))
+        vars(self).update(
+            num_qubits=m, edges=edges, edge_counts=counts.astype(np.int64, copy=False),
+            theta=theta, psi=psi, p=p, delta0=delta0, delta1=delta1,
+        )
+
+    @classmethod
+    def _unchecked(cls, **fields: object) -> StateRows:
+        """Rows whose fields are already arrays of checked values."""
+        rows = cls.__new__(cls)
+        vars(rows).update(fields)
+        return rows
+
+    @classmethod
+    def _of_triples(
+        cls, rows: Sequence[tuple[DirectedGraph, InitialQubit, InteractionParams]]
+    ) -> StateRows:
+        """The rows of (graph, input qubit, params) triples, whose parts were
+        checked when they were made."""
+        if not rows:
+            raise ValueError("need at least one row")
+        graphs, qubits, params = zip(*rows)
+        m = graphs[0].num_vertices
+        if any(g.num_vertices != m for g in graphs):
+            sizes = sorted({g.num_vertices for g in graphs})
+            raise ValueError(f"rows must share one vertex count, got {sizes}")
+        return cls._unchecked(
+            num_qubits=m,
+            edges=np.concatenate([g.edge_array for g in graphs]),
+            edge_counts=np.array([g.num_edges for g in graphs], dtype=np.int64),
+            theta=np.array([x.theta for x in params], dtype=np.float64),
+            psi=np.array([x.psi for x in params], dtype=np.float64),
+            p=np.array([q.p for q in qubits], dtype=np.float64),
+            delta0=np.array([q.delta0 for q in qubits], dtype=np.float64),
+            delta1=np.array([q.delta1 for q in qubits], dtype=np.float64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.edge_counts)
+
+    def __getitem__(self, rows: slice) -> StateRows:
+        """The rows of a step-1 slice, with nothing checked again."""
+        start, stop, step = rows.indices(len(self))
+        if step != 1:
+            raise ValueError(f"row slices take step 1, got {step}")
+        stop = max(start, stop)
+        first, last = self._edge_ends[[start, stop]]
+        return self._unchecked(
+            num_qubits=self.num_qubits,
+            edges=self.edges[first:last],
+            edge_counts=self.edge_counts[start:stop],
+            **{name: getattr(self, name)[start:stop] for name in self._PER_ROW},
+        )
+
+    @functools.cached_property
+    def _edge_ends(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(self.edge_counts)))
+
+    # The input amplitudes per row, as InitialQubit.alpha0 and alpha1 form them.
+    @property
+    def alpha0(self) -> np.ndarray:
+        return np.sqrt(1.0 - self.p) * np.exp(1j * self.delta0)
+
+    @property
+    def alpha1(self) -> np.ndarray:
+        return np.sqrt(self.p) * np.exp(1j * self.delta1)
+
+
 def product_state(num_qubits: int, qubit: InitialQubit = InitialQubit()) -> PureState:
     """Tensor power of the single-qubit input state: amplitude at index x is
     the product over qubits i of alpha_{bit_i(x)}.  It is the state of the
@@ -224,20 +364,10 @@ def build_graph_state(graph: DirectedGraph, qubit: InitialQubit, params: Interac
     return PureState(graph.num_vertices, states[0])
 
 
-def build_graph_state_rows(
-    rows: Sequence[tuple[DirectedGraph, InitialQubit, InteractionParams]],
-) -> np.ndarray:
-    """Row r of the (R, 2^M) result holds the amplitudes of the state of
-    rows[r], a (graph, input qubit, params) triple; one doubling loop serves
-    every row.  The graphs must share their vertex count M, below 63."""
-    if not rows:
-        raise ValueError("need at least one row")
-    graphs, qubits, params = zip(*rows)
-    count = len(rows)
-    m = graphs[0].num_vertices
-    if any(g.num_vertices != m for g in graphs):
-        sizes = sorted({g.num_vertices for g in graphs})
-        raise ValueError(f"rows must share one vertex count, got {sizes}")
+def _state_buffer(count: int, m: int) -> np.ndarray:
+    """An empty (count, 2^m) complex array for the states of `count` rows,
+    refused when no array holds 2^m amplitudes or, past the default cap,
+    when building them would not fit in the available memory."""
     if m >= 63:  # as in PureState: no array holds 2^63 amplitudes
         raise ValueError(f"{m} qubits need 2^{m} amplitudes, more than any array holds")
     if count << m > 1 << DEFAULT_MAX_QUBITS:
@@ -253,36 +383,64 @@ def build_graph_state_rows(
                 f"{m} qubits need about {needed} bytes to build, "
                 f"but only {available} bytes of memory are available"
             )
+    return np.empty((count, 1 << m), dtype=np.complex128)
+
+
+def build_graph_state_rows(
+    rows: StateRows | Sequence[tuple[DirectedGraph, InitialQubit, InteractionParams]],
+    *,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Row r of the (R, 2^M) result holds the amplitudes of the state of row
+    r of `rows`, a `StateRows` or a sequence of (graph, input qubit, params)
+    triples whose graphs share their vertex count M, below 63; one doubling
+    loop serves every row.  The states are written into the first R rows of
+    `out`, an (R', 2^M) complex array with R' >= R, and the gathered pair
+    factors into `scratch`, a flat float64 array of at least R * 2^M
+    entries; each is allocated when not given."""
+    if not isinstance(rows, StateRows):
+        rows = StateRows._of_triples(rows)
+    count, m = len(rows), rows.num_qubits
+    if out is None:
+        out = _state_buffer(count, m)
+    elif out.dtype != np.complex128 or out.shape[1:] != (1 << m,) or len(out) < count:
+        raise ValueError(f"out must be a complex array of at least {count} rows of 2^{m}, got {out.shape}")
+    amps = out[:count]
+    if not count:
+        return amps
+    # The gather steps' pair factors fill at most R * 2^min(M, 12) floats.
+    if scratch is None:
+        scratch = np.empty(count << min(m, _LOW_BITS + 1))
     # int32 holds every index, mask and pair offset up to 32 qubits.
     itype = np.int32 if m <= 32 else np.int64
     # Each vertex's bit mask of lower-numbered neighbours and its out-degree,
     # row r's vertex k at r*M + k: one pass each over every row's edges.  A
     # vertex's lower neighbours are distinct bits, so their sum is their OR;
     # the float64 sum is exact below 2^53, and no state of 53 qubits fits.
-    a, b = np.concatenate([g.edge_array for g in graphs]).T
-    row_starts = np.repeat(np.arange(0, count * m, m), [g.num_edges for g in graphs])
+    a, b = rows.edges.T
+    row_starts = np.repeat(np.arange(0, count * m, m), rows.edge_counts)
     lower = np.bincount(
         np.maximum(a, b) + row_starts, weights=np.left_shift(1, np.minimum(a, b)), minlength=count * m
     ).astype(itype)
     lower = lower.reshape(count, m).T[:, :, None]  # (M, R, 1)
     d_out = np.bincount(a + row_starts, minlength=count * m).reshape(count, m).T  # (M, R)
-    theta = np.array([q.theta for q in params])
+    theta = rows.theta
     # Finite angles can still overflow a phase, (theta - psi) * d_out or
     # 2 * theta * c; that row's table entries come out inf or NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        step = 1j * (theta - np.array([q.psi for q in params]))
-        high = np.array([q.alpha1 for q in qubits]) * np.exp(step * d_out)
+        step = 1j * (theta - rows.psi)
+        high = rows.alpha1 * np.exp(step * d_out)
         pair = np.exp(-2j * theta[:, None] * np.arange(m)).ravel()  # row r at [r*M : (r+1)*M]
     finite = np.isfinite(high).all(axis=0) & np.isfinite(pair).reshape(count, m).all(axis=1)
     if not finite.all():
-        bad = params[int(np.argmin(finite))]
+        r = int(np.argmin(finite))
         raise ValueError(
-            f"edge phases overflow at theta={bad.theta}, psi={bad.psi}; "
+            f"edge phases overflow at theta={float(theta[r])}, psi={float(rows.psi[r])}; "
             "reduce the angles mod 2*pi"
         )
-    a0 = np.array([q.alpha0 for q in qubits])[:, None]
+    a0 = rows.alpha0[:, None]
     offsets = np.arange(0, count * m, m, dtype=itype)[:, None]
-    amps = np.empty((count, 1 << m), dtype=np.complex128)
     amps[:, 0] = 1.0
     width = 1 << _LOW_BITS
     index = np.arange(min(1 << (m - 1), width), dtype=itype)
@@ -300,16 +458,19 @@ def build_graph_state_rows(
             np.bitwise_count(low_bits, out=low_bits)
             low_bits += offsets
             upper = half.reshape(count, -1, width)
-            per_block = high[k, :, None] * pair[high_bits]
+            per_block = high[k, :, None] * np.take(pair, high_bits)
             np.multiply(amps[:, :n].reshape(count, -1, width), per_block[:, :, None], out=upper)
-            upper *= pair[low_bits][:, None, :]
+            upper *= np.take(pair, low_bits)[:, None, :]
         else:
             np.multiply(amps[:, :n], high[k, :, None], out=half)
             if lower[k].any():
                 gather = index[:n] & lower[k]
                 np.bitwise_count(gather, out=gather)
                 gather += offsets
-                half *= pair[gather]
+                # mode="clip" (the indices are in range) writes straight into
+                # the scratch; the default mode would buffer the output.
+                factors = scratch[: 2 * count * n].view(np.complex128).reshape(count, n)
+                half *= np.take(pair, gather, out=factors, mode="clip")
         amps[:, :n] *= a0
     return amps
 
@@ -321,9 +482,11 @@ def pauli_vectors(state: PureState) -> np.ndarray:
     return pauli_vector_rows(state.amplitudes[None])[0]
 
 
-def pauli_vector_rows(amplitudes: np.ndarray) -> np.ndarray:
+def pauli_vector_rows(amplitudes: np.ndarray, *, scratch: np.ndarray | None = None) -> np.ndarray:
     """Entry [r, i] is (<sx>, <sy>, <sz>) of qubit i in row r of an (R, 2^M)
-    array of amplitudes; a row whose norm is off by more than 1e-8 is refused."""
+    array of amplitudes; a row whose norm is off by more than 1e-8 is refused.
+    Below 2^18 amplitudes per row the probabilities go into `scratch`, a flat
+    float64 array of at least R * 2^M entries, allocated when not given."""
     rows, size = amplitudes.shape
     m = size.bit_length() - 1
     if m < 1 or size != 1 << m:
@@ -334,7 +497,9 @@ def pauli_vector_rows(amplitudes: np.ndarray) -> np.ndarray:
     xy = vectors[:, :, :2].view(np.complex128)[:, :, 0]
     if size < _GRAM_AMPLITUDES:
         low = 0
-        prob = np.abs(amplitudes)
+        if scratch is None:
+            scratch = np.empty(rows * size)
+        prob = np.abs(amplitudes, out=scratch[: rows * size].reshape(rows, size))
         np.square(prob, out=prob)
         norms = _fold_weights(prob, vectors[:, :, 2])
         # The spent probability buffer takes the partial dots.
@@ -344,27 +509,27 @@ def pauli_vector_rows(amplitudes: np.ndarray) -> np.ndarray:
         # Row h of v holds the real and imaginary parts of amplitudes
         # h*2^low .. (h+1)*2^low - 1; gram[r, l, s, k, t] sums part s of
         # amplitude l times part t of amplitude k over every h.
-        v = np.ascontiguousarray(amplitudes).view(np.float64).reshape(rows, -1, 2 << low)
+        v = np.ascontiguousarray(amplitudes).view(np.float64).reshape(rows, size >> low, 2 << low)
         gram = np.matmul(v.transpose(0, 2, 1), v).reshape(rows, 1 << low, 2, 1 << low, 2)
         # Entry l * 2^low + k: the real and imaginary parts of
         # sum_h conj(amp l) amp k.  np.take keeps each row's sum in the same
         # order however many rows there are.
-        re = (gram[:, :, 0, :, 0] + gram[:, :, 1, :, 1]).reshape(rows, -1)
-        im = (gram[:, :, 0, :, 1] - gram[:, :, 1, :, 0]).reshape(rows, -1)
+        re = (gram[:, :, 0, :, 0] + gram[:, :, 1, :, 1]).reshape(rows, 1 << 2 * low)
+        im = (gram[:, :, 0, :, 1] - gram[:, :, 1, :, 0]).reshape(rows, 1 << 2 * low)
         vectors[:, :low, 0] = np.take(re, _PAIRS, axis=1).sum(axis=2)
         vectors[:, :low, 1] = np.take(im, _PAIRS, axis=1).sum(axis=2)
         # The diagonal of re holds each place's |amp l|^2 summed over h.
         _fold_weights(re[:, :: (1 << low) + 1].copy(), vectors[:, :low, 2])
         norms = _fold_weights(np.vecdot(v, v, axis=2), vectors[:, low:, 2])
         blocks = np.empty((rows, 1 << (m - low)), dtype=np.complex128)
-    error = np.max(np.abs(norms - 1.0))
+    error = np.max(np.abs(norms - 1.0), initial=0.0)
     if not error <= 1e-8:  # a NaN norm is refused too
         raise ValueError(f"state not normalized: norm error {error:.3e}")
     starts = []
     end = 0
     for i in range(low, m):
         # lo and hi are (R, blocks, 2^i): the block halves where bit i is clear and set.
-        lo, hi = amplitudes.reshape(rows, -1, 2, 1 << i).transpose(2, 0, 1, 3)
+        lo, hi = amplitudes.reshape(rows, size >> (i + 1), 2, 1 << i).transpose(2, 0, 1, 3)
         count, length = lo.shape[1:]
         across = length <= _ACROSS_BLOCKS and length < count  # one dot per offset
         starts.append(end)
@@ -413,9 +578,9 @@ def _mean(values: Sequence[float]) -> float:
     return total
 
 
-def _contribution_rows(amplitudes: np.ndarray) -> np.ndarray:
+def _contribution_rows(amplitudes: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Entry [r, i] is 1 - ||<sigma^(i)>||^2 of qubit i in row r."""
-    vectors = pauli_vector_rows(amplitudes)
+    vectors = pauli_vector_rows(amplitudes, scratch=scratch)
     return 1.0 - np.vecdot(vectors, vectors)
 
 
@@ -425,15 +590,31 @@ def ed_numeric(state: PureState) -> EdReport:
     return EdReport(_contribution_rows(state.amplitudes[None])[0].tolist())
 
 
-def ed_numeric_rows(rows: Sequence[tuple[DirectedGraph, InitialQubit, InteractionParams]]) -> np.ndarray:
-    """The brute-force ED per qubit of each (graph, input qubit, params) row,
-    as an (R,) array, bit for bit `ed_numeric(build_graph_state(*row)).total`
-    but with no report built.  The graphs share their vertex count M; rows are
-    built and read in batches of at most max(BATCH_AMPLITUDES, 2^M) amplitudes."""
-    per_batch = max(BATCH_AMPLITUDES >> rows[0][0].num_vertices, 1) if rows else 1
-    # Unnamed, each batch's states are freed before the next batch is built.
-    batches = (
-        _contribution_rows(build_graph_state_rows(rows[i : i + per_batch]))
-        for i in range(0, len(rows), per_batch)
-    )
-    return np.array([_mean(row.tolist()) for batch in batches for row in batch])
+def ed_numeric_rows(
+    rows: StateRows | Sequence[tuple[DirectedGraph, InitialQubit, InteractionParams]],
+) -> np.ndarray:
+    """The brute-force ED per qubit of each row, a `StateRows` or (graph,
+    input qubit, params) triples, as an (R,) array, bit for bit
+    `ed_numeric(build_graph_state(*row)).total` but with no report built.
+    The rows share their vertex count M; they are built and read in batches
+    of at most max(BATCH_AMPLITUDES, 2^M) amplitudes, every batch in the
+    same state buffer and, below 2^18 amplitudes per row, the same scratch
+    buffer."""
+    if not isinstance(rows, StateRows):
+        if not rows:
+            return np.empty(0)
+        rows = StateRows._of_triples(rows)
+    count, m = len(rows), rows.num_qubits
+    if not count:
+        return np.empty(0)
+    per_batch = min(max(BATCH_AMPLITUDES >> m, 1), count)
+    states = _state_buffer(per_batch, m)
+    # Rows of 2^18 amplitudes or more take the Pauli pass's Gram read, which
+    # needs no probability buffer, and the build's own small pair buffer.
+    scratch = np.empty(per_batch << m) if 1 << m < _GRAM_AMPLITUDES else None
+    totals = np.empty(count)
+    for start in range(0, count, per_batch):
+        batch = build_graph_state_rows(rows[start : start + per_batch], out=states, scratch=scratch)
+        for r, contributions in enumerate(_contribution_rows(batch, scratch).tolist(), start):
+            totals[r] = _mean(contributions)
+    return totals

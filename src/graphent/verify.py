@@ -3,8 +3,11 @@
 Five checks run over every supplied graph with freshly drawn parameters per
 sample: the balanced and general closed forms against the oracle's ED, and
 the three invariances (psi sweep, edge orientation flip, vertex relabeling).
-The oracle's per-row totals are read as one table per graph, one row per
-sample, and each check is an array reduction over its columns.
+Every graph's draws are made first, in a fixed order; the oracle then runs
+once per qubit count, on the rows of every graph of that count as one
+`StateRows`, with each flipped or relabelled copy written straight into its
+edge array.  Its per-row totals are split into one table per graph, one row
+per sample, and each check is an array reduction over its columns.
 Each check counts the samples it evaluated; one that evaluated none (the
 orientation flip on edgeless graphs) is reported as skipped, not passed.
 All randomness comes from one seeded generator, so a report is reproducible
@@ -14,14 +17,15 @@ byte for byte.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import entanglement
-from .graphs import DirectedGraph, degree_distribution, flip_edge, permute_vertices
-from .statevector import InitialQubit, InteractionParams, ed_numeric_rows
+from .graphs import DirectedGraph, degree_distribution
+from .statevector import InitialQubit, StateRows, ed_numeric_rows
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification", "ffnn_variant_report"]
 
@@ -77,33 +81,50 @@ def run_verification(
     if not graphs:
         raise ValueError("no graphs to verify")
     rng = np.random.default_rng(seed)
-    found = []  # per graph, one array of deviations per check, in CHECK_ORDER
-    for g in graphs:
-        # Every draw of the graph's samples first, in the order of the checks;
-        # the oracle then evaluates all their rows together, and each closed
-        # form all its (p, theta) draws in one call on arrays.
-        rows, thetas, ps, thetas_g = [], [], [], []
-        for _ in range(samples):
-            params = InteractionParams(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
-            p = rng.uniform(0.0, 1.0)
-            params_g = InteractionParams(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
-            qubit = InitialQubit(p, rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
-            rows += (g, BALANCED, params), (g, qubit, params_g)
-            thetas.append(params.theta)
-            ps.append(p)
-            thetas_g.append(params_g.theta)
-            for psi in rng.uniform(-math.pi, math.pi, 3):
-                rows.append((g, BALANCED, InteractionParams(params.theta, psi)))
+    # Every graph's draws, graph by graph and sample by sample in the order
+    # of the checks: per sample theta, psi, p, theta_g, psi_g, delta0,
+    # delta1 and three more psi, the flipped edge and the relabelling.
+    values = np.empty((len(graphs), samples, 10))
+    flips = np.zeros((len(graphs), samples), dtype=np.int64)
+    perms = []
+    for g, draws, flipped in zip(graphs, values, flips):
+        perm = np.empty((samples, g.num_vertices), dtype=np.int64)
+        for s in range(samples):
+            draws[s, :7] = [
+                rng.uniform(0.0, math.pi),
+                rng.uniform(-math.pi, math.pi),
+                rng.uniform(0.0, 1.0),
+                rng.uniform(0.0, math.pi),
+                rng.uniform(-math.pi, math.pi),
+                rng.uniform(-math.pi, math.pi),
+                rng.uniform(-math.pi, math.pi),
+            ]
+            draws[s, 7:] = rng.uniform(-math.pi, math.pi, 3)
             if g.num_edges:
-                rows.append((flip_edge(g, rng.integers(g.num_edges)), BALANCED, params))
-            rows.append((permute_vertices(g, rng.permutation(g.num_vertices)), BALANCED, params))
-        # One row per sample; columns base, general, three psi draws, then the
-        # flip (only when the graph has an edge) and the relabeling.
-        table = ed_numeric_rows(rows).reshape(samples, -1)
+                flipped[s] = rng.integers(g.num_edges)
+            perm[s] = rng.permutation(g.num_vertices)
+        perms.append(perm)
+    # One oracle call per qubit count, its rows graph by graph.  A table has
+    # one row per sample; columns base, general, three psi draws, then the
+    # flip (only when the graph has an edge) and the relabelling.
+    tables = [None] * len(graphs)
+    members = defaultdict(list)
+    for i, g in enumerate(graphs):
+        members[g.num_vertices].append(i)
+    for m, indices in members.items():
+        parts = [_sample_rows(graphs[i], values[i], flips[i], perms[i]) for i in indices]
+        ends = np.cumsum([len(part[1]) for part in parts])
+        rows = StateRows(m, *map(np.concatenate, zip(*parts)))
+        del parts  # the rows hold a copy; freed before the oracle's buffers are allocated
+        totals = ed_numeric_rows(rows)
+        for i, table in zip(indices, np.split(totals, ends[:-1])):
+            tables[i] = table.reshape(samples, -1)
+    found = []  # per graph, one array of deviations per check, in CHECK_ORDER
+    for g, table, draws in zip(graphs, tables, values):
         base = table[:, 0]
         dist = degree_distribution(g)
-        closed_b = entanglement.ed_closed_form(dist, np.array(thetas))
-        closed_g = entanglement.ed_closed_general(dist, np.array(ps), np.array(thetas_g))
+        closed_b = entanglement.ed_closed_form(dist, draws[:, 0])
+        closed_g = entanglement.ed_closed_general(dist, draws[:, 2], draws[:, 3])
         found.append((
             abs(base - closed_b),
             abs(table[:, 1] - closed_g),
@@ -113,10 +134,44 @@ def run_verification(
         ))
     checks = []
     for name, per_graph in zip(CHECK_ORDER, zip(*found)):
-        values = np.concatenate(per_graph)
+        deviations = np.concatenate(per_graph)
         # np.max keeps a NaN, so it fails; a check with no samples reads 0.
-        checks.append(CheckResult(name, float(np.max(values, initial=0.0)), values.size))
+        checks.append(CheckResult(name, float(np.max(deviations, initial=0.0)), deviations.size))
     return VerificationReport(tol, checks)
+
+
+# The draws' columns of theta and psi in a sample's oracle rows: base,
+# general, three psi draws, then the flip and the relabelling, or the
+# relabelling alone, with the base angles.
+_THETA_COLUMNS = [0, 3, 0, 0, 0, 0, 0]
+_PSI_COLUMNS = [1, 4, 7, 8, 9, 1, 1]
+
+
+def _sample_rows(
+    g: DirectedGraph, values: np.ndarray, flips: np.ndarray, perms: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The oracle rows of a graph's samples as the fields of `StateRows`
+    after the qubit count: edges, edge counts, theta, psi, p, delta0 and
+    delta1.  The flip is the graph's edges with one row reversed and the
+    relabelling perm[edges], with no graph built for either."""
+    samples, e = len(values), g.num_edges
+    width = 7 if e else 6  # no flip row on an edgeless graph
+    edges = np.empty((samples, width, e, 2), dtype=np.int64)
+    edges[:, :-1] = g.edge_array
+    if e:
+        edges[np.arange(samples), 5, flips] = g.edge_array[flips, ::-1]
+    edges[:, -1] = perms[:, g.edge_array]
+    # (p, delta0, delta1) per row: the general row's draws, else the balanced input.
+    inputs = np.empty((3, samples, width))
+    inputs[:] = np.array([BALANCED.p, BALANCED.delta0, BALANCED.delta1])[:, None, None]
+    inputs[:, :, 1] = values[:, [2, 5, 6]].T
+    return (
+        edges.reshape(-1, 2),
+        np.full(samples * width, e),
+        values[:, _THETA_COLUMNS[:width]].ravel(),
+        values[:, _PSI_COLUMNS[:width]].ravel(),
+        *inputs.reshape(3, -1),
+    )
 
 
 def ffnn_variant_report(layer_sizes: Sequence[int], graph: DirectedGraph) -> tuple[float, float]:
@@ -124,7 +179,14 @@ def ffnn_variant_report(layer_sizes: Sequence[int], graph: DirectedGraph) -> tup
     gen_ffnn(layer_sizes), of the two layered-network closed forms
     (degree-distribution form, output-self-exponent form) over FFNN_THETAS
     at psi = FFNN_PSI.  Informational: shows which form the oracle backs."""
-    rows = [(graph, BALANCED, InteractionParams(theta, FFNN_PSI)) for theta in FFNN_THETAS]
+    count = len(FFNN_THETAS)
+    rows = StateRows(
+        graph.num_vertices,
+        np.tile(graph.edge_array, (count, 1)),
+        np.full(count, graph.num_edges),
+        FFNN_THETAS,
+        FFNN_PSI,
+    )
     oracle = ed_numeric_rows(rows)
     degree = [entanglement.ed_ffnn(t, layer_sizes) for t in FFNN_THETAS]
     variant = [entanglement.ed_ffnn_output_self_exponent(t, layer_sizes) for t in FFNN_THETAS]

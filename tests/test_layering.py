@@ -100,6 +100,9 @@ def test_batch_rule_has_one_home():
         "self-loop at vertex",
         "duplicate or anti-parallel edge",
         "exceeds the configured cap",
+        "angles must be finite",
+        "phases must be finite",
+        "out of range for {m} vertices",
     ],
 )
 def test_each_guard_has_one_home(message):

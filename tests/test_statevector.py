@@ -16,6 +16,7 @@ from graphent.statevector import (
     InitialQubit,
     InteractionParams,
     PureState,
+    StateRows,
     build_graph_state,
     build_graph_state_rows,
     ed_numeric,
@@ -539,3 +540,107 @@ def test_rows_share_one_vertex_count():
         build_graph_state_rows([])
     with pytest.raises(ValueError, match="^expected 2"):
         pauli_vector_rows(np.ones((2, 6)))
+
+
+# ----------------------------------------------------------------------
+# array rows: the oracle's one row format
+# ----------------------------------------------------------------------
+
+def _arrays_of(rows):
+    """The rows of (graph, qubit, params) triples as `StateRows`, made
+    through its checked constructor."""
+    graphs, qubits, params = zip(*rows)
+    return StateRows(
+        graphs[0].num_vertices,
+        np.concatenate([g.edge_array for g in graphs]),
+        [g.num_edges for g in graphs],
+        [q.theta for q in params],
+        [q.psi for q in params],
+        [q.p for q in qubits],
+        [q.delta0 for q in qubits],
+        [q.delta1 for q in qubits],
+    )
+
+
+def test_array_rows_equal_their_triples_bit_for_bit():
+    rows = _mixed_rows()
+    arrays = _arrays_of(rows)
+    assert len(arrays) == len(rows)
+    assert arrays.alpha0.tolist() == [q.alpha0 for _, q, _ in rows]
+    assert arrays.alpha1.tolist() == [q.alpha1 for _, q, _ in rows]
+    states = build_graph_state_rows(arrays)
+    assert np.array_equal(states, build_graph_state_rows(rows))
+    assert np.array_equal(ed_numeric_rows(arrays), ed_numeric_rows(rows))
+    # A slice holds the rows it names, each with its own edges.
+    assert np.array_equal(build_graph_state_rows(arrays[2:5]), states[2:5])
+    assert len(arrays[5:2]) == 0
+    with pytest.raises(ValueError, match="^row slices take step 1"):
+        arrays[::2]
+
+
+def test_zero_rows_give_empty_results():
+    assert pauli_vector_rows(np.empty((0, 8), complex)).shape == (0, 3, 3)
+    assert pauli_vector_rows(np.empty((0, 2**18), complex)).shape == (0, 18, 3)
+    empty = StateRows(3, np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64), [], [])
+    assert len(empty) == 0
+    assert build_graph_state_rows(empty).shape == (0, 8)
+    assert ed_numeric_rows(empty).shape == (0,)
+
+
+@pytest.mark.parametrize("m, count, batches", [(9, 150, [64, 64, 22]), (18, 2, [1, 1])])
+def test_batches_of_one_call_share_their_buffers(monkeypatch, m, count, batches):
+    # Every batch is built into the same state buffer: the states stay alive
+    # here, so one data pointer means one buffer.  Rows of 2^18 amplitudes
+    # or more take no scratch buffer.
+    rng = np.random.default_rng(17)
+    g = random_graph(m, rng, edge_prob=0.4)
+    rows = StateRows(
+        m,
+        np.tile(g.edge_array, (count, 1)),
+        np.full(count, g.num_edges),
+        rng.uniform(-math.pi, math.pi, count),
+        rng.uniform(-math.pi, math.pi, count),
+        rng.uniform(0.0, 1.0, count),
+    )
+    states, scratches = [], []
+
+    def build(batch, **kwargs):
+        states.append(build_graph_state_rows(batch, **kwargs))
+        scratches.append(kwargs["scratch"])
+        return states[-1]
+
+    monkeypatch.setattr(statevector, "build_graph_state_rows", build)
+    totals = ed_numeric_rows(rows)
+    assert [len(s) for s in states] == batches
+    assert len({s.__array_interface__["data"][0] for s in states}) == 1
+    if m < 18:
+        assert scratches[0].size == batches[0] << m
+        assert all(s is scratches[0] for s in scratches)
+    else:
+        assert scratches == [None] * len(batches)
+    monkeypatch.undo()
+    assert np.array_equal(totals, np.concatenate([ed_numeric_rows(rows[r : r + 1]) for r in range(count)]))
+
+
+def test_array_rows_are_checked_by_the_guards_of_their_parts():
+    good = dict(num_qubits=3, edges=np.array([[0, 1], [1, 2], [2, 0]]), edge_counts=[1, 2], theta=[0.1, 0.2])
+    rows = StateRows(**good, psi=0.3)
+    assert rows.psi.tolist() == [0.3, 0.3] and rows.p.tolist() == [0.5, 0.5]
+    with pytest.raises(ValueError, match=r"^angles must be finite, got theta=0.2, psi=nan$"):
+        StateRows(**good, psi=[0.3, math.nan])
+    with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got 1.5$"):
+        StateRows(**good, psi=0.0, p=[0.5, 1.5])
+    with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got nan$"):
+        StateRows(**good, psi=0.0, p=math.nan)
+    with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got True$"):
+        StateRows(**good, psi=0.0, p=[True, False])
+    with pytest.raises(ValueError, match=r"^phases must be finite, got delta0=0.0, delta1=-inf$"):
+        StateRows(**good, psi=0.0, delta1=[0.0, -math.inf])
+    with pytest.raises(ValueError, match=r"^edge \(2,3\) out of range for 3 vertices$"):
+        StateRows(**good | {"edges": np.array([[0, 1], [2, 3], [-1, 0]])}, psi=0.0)
+    with pytest.raises(ValueError, match="^edge_counts must be one count >= 0 per row"):
+        StateRows(**good | {"edge_counts": [2, 2]}, psi=0.0)
+    with pytest.raises(ValueError, match=r"^edges must be an \(E, 2\) integer array"):
+        StateRows(**good | {"edges": np.zeros((3, 2))}, psi=0.0)
+    with pytest.raises(ValueError, match="^num_vertices must be >= 1"):
+        StateRows(**good | {"num_qubits": 0}, psi=0.0)

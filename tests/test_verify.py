@@ -165,17 +165,25 @@ def _one_state_at_a_time(graphs, samples, seed):
     return worst, ran
 
 
-def test_batches_keep_draw_order_and_sample_counts():
-    # 2^15 amplitudes hold 8 rows of a 12-vertex graph, so its 3 samples of
-    # 7 rows each span three batches, one sample across a boundary.
+def test_batches_keep_draw_order_and_sample_counts(monkeypatch):
+    # The oracle runs once per qubit count, on the rows of every graph of
+    # that count.  2^15 amplitudes hold 8 rows of 12 vertices, so the two
+    # 12-vertex graphs' 6 samples of 7 rows each span six batches, samples
+    # and the second graph starting inside one; the two 6-vertex graphs of
+    # small_graph_set() share one batch.
     rng = np.random.default_rng(5)
     graphs = [random_graph(12, rng, 0.3), DirectedGraph(4, []), *small_graph_set()]
+    graphs.append(random_graph(12, rng, 0.5))
     assert graphent.statevector.BATCH_AMPLITUDES >> 12 == 8
+    calls = []
+    real = verify.ed_numeric_rows
+    monkeypatch.setattr(verify, "ed_numeric_rows", lambda rows: calls.append(rows.num_qubits) or real(rows))
     report = run_verification(graphs, samples=3, seed=9, tol=1e-10)
+    assert sorted(calls) == [2, 4, 6, 7, 12]
     worst, ran = _one_state_at_a_time(graphs, samples=3, seed=9)
     assert {c.name: c.max_deviation for c in report.checks} == worst
     assert {c.name: c.samples for c in report.checks} == ran
-    assert ran == {name: 18 for name in CHECK_ORDER} | {"orientation flip": 15}
+    assert ran == {name: 21 for name in CHECK_ORDER} | {"orientation flip": 18}
     assert report.passed
 
 
