@@ -6,17 +6,7 @@ on nothing but the graph's degree distribution.  The package keeps both so
 every closed form can be checked against the brute-force oracle.
 """
 
-from .density import (
-    DensityMatrix,
-    entropy_at_half_p,
-    hs_distance,
-    hs_distance_sq_analytic,
-    maximally_mixed,
-    pair_entropy_analytic,
-    partial_trace,
-    reduced_eigenvalues_analytic,
-    von_neumann_entropy,
-)
+from .density import vertex_eigenvalues, vertex_entropy, vertex_hs2
 from .entanglement import (
     ed_binary_tree,
     ed_binary_tree_limit,
@@ -29,7 +19,7 @@ from .entanglement import (
     ed_young_fibonacci_limit,
     interaction_expectation,
     pauli_vector_closed,
-    two_qubit_ed_analytic,
+    vertex_share,
 )
 from .graphs import (
     DegreeDistribution,

@@ -19,7 +19,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import entanglement, verify
-from .density import hs_distance_sq_analytic, pair_entropy_analytic
+from .density import vertex_entropy, vertex_hs2
 from .graphs import (
     DegreeDistribution,
     DirectedGraph,
@@ -234,10 +234,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def _closed_shares(graph: DirectedGraph, p: float, theta: float) -> list[float]:
-    """Each vertex's closed-form share, `ed_closed_general` of its degree
-    alone, evaluated once per distinct degree."""
+    """Each vertex's closed-form share, `vertex_share` of its degree,
+    evaluated once per distinct degree."""
     degrees = graph.degrees.tolist()
-    share = {d: entanglement.ed_closed_general({d: 1}, p, theta) for d in set(degrees)}
+    share = {d: entanglement.vertex_share(d, p, theta) for d in set(degrees)}
     return [share[d] for d in degrees]
 
 
@@ -316,7 +316,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     elif args.quantity in ("ed", "ed-general"):
         value = functools.partial(entanglement.ed_closed_general, _graph_from_args(args, degrees_only=True))
     else:
-        value = pair_entropy_analytic if args.quantity == "entropy" else hs_distance_sq_analytic
+        # The isolated pair: each endpoint is a vertex of degree 1.
+        value = functools.partial(vertex_entropy if args.quantity == "entropy" else vertex_hs2, 1)
     ps = None
     if args.p_steps is not None:
         p_max = 1.0 if args.p_max is None else args.p_max

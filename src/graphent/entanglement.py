@@ -14,14 +14,16 @@ the state-vector oracle in :mod:`graphent.statevector`, ED step included,
 is the brute-force route they are checked against, and this module holds
 no part of it.
 
-`ed_closed_general`, `ed_closed_form` and the two limit curves take a float
-or arrays of p and theta that broadcast, through one code path, as the
-density closed forms do: a float in gives a float out, and each array
-element has the scalar call's bits.  cos^2 and sin^2 are computed once per
-theta and (1-2p)^2 once per p, with `math` and Python's `**` per element
-(`graphs._each`); each point's n_k r^(2k) takes Python's `**` and its sum
-over the degrees `math.fsum`.  numpy only combines the pieces by + - *, in
-the scalar expression's order, so 4p(1-p) and r^2 are numpy's.
+`vertex_share` is one vertex's term, 4p(1-p) (1 - r^(2d)); the reduced-state
+quantities in :mod:`graphent.density` read it.  It, `ed_closed_general`,
+`ed_closed_form` and the two limit curves take a float or arrays of p and
+theta that broadcast, through one code path: a float in gives a float out,
+and each array element has the scalar call's bits.  cos^2 and sin^2 are
+computed once per theta and (1-2p)^2 once per p, with `math` and Python's
+`**` per element (`graphs._each`); each point's n_k r^(2k) takes Python's
+`**` and its sum over the degrees `math.fsum`.  numpy only combines the
+pieces by + - *, in the scalar expression's order, so 4p(1-p) and r^2 are
+numpy's.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ from .statevector import InitialQubit, InteractionParams
 __all__ = [
     "ed_closed_form",
     "ed_closed_general",
+    "vertex_share",
     "pauli_vector_closed",
     "interaction_expectation",
-    "two_qubit_ed_analytic",
     "ed_young_fibonacci",
     "ed_young_fibonacci_limit",
     "ed_ffnn",
@@ -119,6 +121,20 @@ def ed_closed_general(dist: DistributionLike, p: Real, theta: Real) -> Real:
     return w * (1.0 - mean)
 
 
+def vertex_share(degree: int, p: Real, theta: Real) -> Real:
+    """One vertex's ED share, 4p(1-p) (1 - r^(2d)) for total degree d: the
+    term that :func:`ed_closed_general` averages, with the bits of
+    ``ed_closed_general({d: 1}, p, theta)``.  It is 1 - |<sigma>|^2, so a
+    vertex's reduced state depends on its degree alone; an isolated pair's
+    ED is the share at d = 1, 16 p^2 (1-p)^2 sin^2(theta)."""
+    d = _integer(degree, "degree")
+    if d < 0:
+        raise ValueError(f"degree must be >= 0, got {d}")
+    _check_p(p)
+    q, w = _p_factors(p)
+    return w * (1.0 - _power(_r_squared(q, theta), d))
+
+
 def interaction_expectation(qubit: InitialQubit, params: InteractionParams) -> complex:
     """z = <phi| Ubar |phi> for the single-qubit edge operator Ubar: the
     modulus r drives every closed form, the phase feeds the x/y components."""
@@ -153,12 +169,6 @@ def pauli_vector_closed(
     amplitude = 2.0 * math.sqrt(p * (1.0 - p)) * abs(z) ** d
     phi = qubit.delta0 - qubit.delta1 - d * delta + d_out * params.psi + d_in * params.theta
     return np.array([amplitude * math.cos(phi), -amplitude * math.sin(phi), 1.0 - 2.0 * p])
-
-
-def two_qubit_ed_analytic(p: float, theta: float) -> float:
-    """ED of an isolated interacting pair: 16 p^2 (1-p)^2 sin^2(theta)."""
-    _check_p(p)
-    return 16.0 * p**2 * (1.0 - p) ** 2 * math.sin(theta) ** 2
 
 
 # ----------------------------------------------------------------------

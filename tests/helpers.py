@@ -1,20 +1,28 @@
-"""Shared test utilities: a dense-matrix reference implementation, the
-per-edge reference validator, and hypothesis strategies.
+"""Shared test utilities: a dense-matrix reference implementation, reduced
+density matrices, the per-edge reference validator, and hypothesis
+strategies.
 
 The dense builder below constructs graph states with full 2^M x 2^M operator
 matrices via np.kron.  It shares no code path with the package's diagonal
 fast kernel, so agreement between the two is a genuine dual-route check.
-Only practical for small M.
+Only practical for small M.  The reduced density matrices are the numeric
+route for the single-vertex closed forms of `graphent.density`: a partial
+trace of a simulated state, its spectrum from a general eigensolver, and
+no closed-form code (tests/test_layering.py walks this module's imports).
 """
 
 from __future__ import annotations
 
+import math
 import operator
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
 from graphent.graphs import DirectedGraph, _integer
+from graphent.statevector import PureState
 
 I2 = np.eye(2, dtype=complex)
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -64,6 +72,98 @@ def dense_graph_state(
 
 def dense_pauli_expectations(vec: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
     return np.array([(vec.conj() @ lift(s, qubit, num_qubits) @ vec).real for s in PAULIS])
+
+
+HERMITICITY_TOL = 1e-12
+TRACE_TOL = 1e-12
+EIGENVALUE_FLOOR = -1e-10
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """A small validated density matrix: Hermitian, unit trace, PSD within tolerance.
+    `eigenvalues`, ascending, is computed by that check with a general eigensolver, sharing
+    no algebra with the closed forms; it is outside equality and repr."""
+
+    matrix: np.ndarray
+    eigenvalues: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        mat = np.asarray(self.matrix, dtype=np.complex128)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"density matrix must be square, got shape {mat.shape}")
+        object.__setattr__(self, "matrix", mat)
+        if not np.isfinite(mat).all():  # before any arithmetic: inf - inf warns
+            raise ValueError("density matrix entries must be finite")
+        herm = np.max(np.abs(mat - mat.conj().T))
+        if not herm <= HERMITICITY_TOL:
+            raise ValueError(f"matrix not Hermitian: max asymmetry {herm:.3e}")
+        tr = np.trace(mat)
+        if not abs(tr - 1.0) <= TRACE_TOL:
+            raise ValueError(f"trace must be 1, got {tr}")
+        lams = tuple(np.linalg.eigvalsh(mat).tolist())
+        if not lams[0] >= EIGENVALUE_FLOOR:
+            raise ValueError(f"matrix not positive semidefinite: min eigenvalue {lams[0]:.3e}")
+        object.__setattr__(self, "eigenvalues", lams)
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[0]
+
+
+def partial_trace(state: PureState, keep: Sequence[int]) -> DensityMatrix:
+    """Reduced density matrix of the qubits in `keep` (a set; the complement
+    is traced out).  Row/column index r encodes the j-th smallest kept qubit
+    as bit j of r, matching the global bit convention."""
+    keep_list = [_integer(q, "qubit") for q in keep]
+    if not keep_list:
+        raise ValueError("keep set must be non-empty")
+    kept = sorted(set(keep_list))
+    if len(kept) != len(keep_list):
+        raise ValueError(f"duplicate vertices in keep set {keep_list}")
+    m = state.num_qubits
+    for q in kept:
+        if not (0 <= q < m):
+            raise ValueError(f"qubit {q} out of range for {m} qubits")
+    k = len(kept)
+    view = state.amplitudes.reshape((2,) * m)
+    # Move kept-qubit axes to the front, most significant kept qubit first.
+    src = [m - 1 - q for q in reversed(kept)]
+    block = np.ascontiguousarray(np.moveaxis(view, src, range(k))).reshape(2**k, -1)
+    return DensityMatrix(block @ block.conj().T)
+
+
+def maximally_mixed(dimension: int = 2) -> DensityMatrix:
+    return DensityMatrix(np.eye(dimension) / dimension)
+
+
+def hs_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
+    """Hilbert-Schmidt distance sqrt(0.5 * tr[(rho1-rho2)^dag (rho1-rho2)])."""
+    a, b = rho1.matrix, rho2.matrix
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    diff = a - b
+    return math.sqrt(0.5 * float(np.vdot(diff, diff).real))
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """-tr[rho ln rho], with 0*ln(0) := 0, from rho's validated spectrum; the
+    rounding `DensityMatrix` lets through, below 0 or above 1, adds nothing."""
+    return -math.fsum(v * math.log(v) for v in (min(v, 1.0) for v in rho.eigenvalues) if v > 0.0)
+
+
+def entropy_at_half_p(theta: float) -> float:
+    """The paper's reduced-state entropy of an isolated pair along p = 1/2:
+
+        ln(2/|sin theta|) + (|cos theta|/2) ln[(1-|cos theta|)/(1+|cos theta|)]
+
+    returning the separable limit 0 when sin(theta) vanishes.
+    """
+    s = abs(math.sin(theta))
+    if s < 1e-12:
+        return 0.0
+    c = abs(math.cos(theta))
+    return math.log(2.0 / s) + 0.5 * c * math.log((1.0 - c) / (1.0 + c))
 
 
 def reference_graph(num_vertices, edges):

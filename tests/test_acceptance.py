@@ -15,15 +15,7 @@ import numpy as np
 
 import graphent
 from graphent.cli import main as cli_main
-from graphent.density import (
-    entropy_at_half_p,
-    hs_distance,
-    hs_distance_sq_analytic,
-    maximally_mixed,
-    partial_trace,
-    reduced_eigenvalues_analytic,
-    von_neumann_entropy,
-)
+from graphent.density import vertex_eigenvalues, vertex_hs2
 from graphent.entanglement import (
     ed_binary_tree,
     ed_binary_tree_limit,
@@ -33,7 +25,7 @@ from graphent.entanglement import (
     ed_ffnn,
     ed_young_fibonacci,
     ed_young_fibonacci_limit,
-    two_qubit_ed_analytic,
+    vertex_share,
 )
 from graphent.graphs import (
     DirectedGraph,
@@ -47,7 +39,14 @@ from graphent.graphs import (
 from graphent.statevector import InitialQubit, InteractionParams, build_graph_state, ed_numeric
 from graphent.verify import ffnn_variant_report, run_verification
 
-from helpers import grid
+from helpers import (
+    entropy_at_half_p,
+    grid,
+    hs_distance,
+    maximally_mixed,
+    partial_trace,
+    von_neumann_entropy,
+)
 
 BALANCED = InitialQubit()
 THETAS = grid(0.0, math.pi, 33)
@@ -128,13 +127,13 @@ def test_criterion_3_two_qubit_analytics():
             rho = partial_trace(state, [0])
 
             ed_values[ti, pi_] = ed_numeric(state).total
-            dev_ed = max(dev_ed, abs(ed_values[ti, pi_] - two_qubit_ed_analytic(p, theta)))
+            dev_ed = max(dev_ed, abs(ed_values[ti, pi_] - vertex_share(1, p, theta)))
 
             hs2_values[ti, pi_] = hs_distance(rho, maximally_mixed()) ** 2
-            dev_hs2 = max(dev_hs2, abs(hs2_values[ti, pi_] - hs_distance_sq_analytic(p, theta)))
+            dev_hs2 = max(dev_hs2, abs(hs2_values[ti, pi_] - vertex_hs2(1, p, theta)))
 
             numeric_eigs = rho.eigenvalues
-            analytic_eigs = reduced_eigenvalues_analytic(p, theta)
+            analytic_eigs = vertex_eigenvalues(1, p, theta)
             dev_eig = max(dev_eig, max(abs(a - b) for a, b in zip(numeric_eigs, analytic_eigs)))
 
             entropy_values[ti, pi_] = von_neumann_entropy(rho)

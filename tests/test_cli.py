@@ -719,12 +719,12 @@ def test_sweep_entropy_value(tmp_path, capsys):
 def test_sweep_values_round_trip(tmp_path, capsys):
     out = str(tmp_path / "rt.csv")
     run(capsys, "sweep", "--quantity", "hs2", "--theta-steps", "7", "--p-steps", "5", "--out", out)
-    from graphent.density import hs_distance_sq_analytic
+    from graphent.density import vertex_hs2
 
     for line in open(out, encoding="utf-8").read().splitlines()[1:]:
         theta_s, p_s, value_s = line.split(",")
         # 17 significant digits: parsing back gives the exact double
-        assert float(value_s) == hs_distance_sq_analytic(float(p_s), float(theta_s))
+        assert float(value_s) == vertex_hs2(1, float(p_s), float(theta_s))
 
 
 @pytest.mark.parametrize("quantity", ["entropy", "ed-general", "hs2", "ed", "ed-limit"])
@@ -732,7 +732,7 @@ def test_sweep_lines_are_the_scalar_calls(tmp_path, capsys, quantity):
     # The sweep evaluates its grid in one call; each line must still be
     # _fmt(theta),_fmt(p),_fmt(value(p, theta)) of the scalar call there.
     from graphent.cli import _fmt, _grid
-    from graphent.density import hs_distance_sq_analytic, pair_entropy_analytic
+    from graphent.density import vertex_entropy, vertex_hs2
     from graphent.entanglement import ed_binary_tree_limit, ed_closed_general
     from graphent.graphs import young_fibonacci_degree_counts
 
@@ -749,7 +749,7 @@ def test_sweep_lines_are_the_scalar_calls(tmp_path, capsys, quantity):
     elif quantity == "entropy":
         argv = ["--theta-min", "-1", "--theta-max", "4", "--theta-steps", "6",
                 "--p-min", "0.1", "--p-max", "0.9", "--p-steps", "5"]
-        ps, value = _grid(0.1, 0.9, 5, "p"), pair_entropy_analytic
+        ps, value = _grid(0.1, 0.9, 5, "p"), functools.partial(vertex_entropy, 1)
     elif quantity == "ed-general":
         graph = DirectedGraph(5, [(0, 1), (1, 2), (0, 3), (3, 1), (4, 2)])
         save_graph(graph, str(tmp_path / "g.json"))
@@ -760,7 +760,7 @@ def test_sweep_lines_are_the_scalar_calls(tmp_path, capsys, quantity):
         value = functools.partial(graphent.entanglement.ed_closed_general, dist)
     else:  # a 1-D sweep at a fixed p
         argv = ["--theta-min", "-1", "--theta-max", "4", "--theta-steps", "6", "--p", "0.3"]
-        ps, fixed_p, value = None, 0.3, hs_distance_sq_analytic
+        ps, fixed_p, value = None, 0.3, functools.partial(vertex_hs2, 1)
     code, stdout, _ = run(capsys, "sweep", "--quantity", quantity, *argv, "--out", out)
     assert code == 0
     if ps is None:
@@ -947,8 +947,8 @@ def test_verify_deterministic_output(capsys):
 # sha256 of each CSV written by scripts/make_figure_data.py; the bytes are a
 # contract (17-digit values, LF endings), so any change to them must be deliberate.
 FIGURE_SHA256 = {
-    "fig1_hs2.csv": "8d6bd71e652563ee8f9a4f5bcaea975a5153728c3276e1afa500ced2267c4f82",
-    "fig2_entropy.csv": "d26e9c0cbf9470f5fee35ee63f6c2a63e9fc6fc5abd2b62c5763e963cd888469",
+    "fig1_hs2.csv": "bcae2fcda468b8d6ed4094f72633dc2d4952bed9b08d8cb0557dd088ab6745f3",
+    "fig2_entropy.csv": "afa74fa479ae43d8f6bd9e741976e6b2da382ef8e5c44cd8de41a86fe5f182bd",
     "fig3_yf_N3.csv": "b5093706265944cecd20b3e77c88f7d67883de0529ce06d7cf3351829946627a",
     "fig3_yf_N5.csv": "1587db2581c9a0775bd9ce5d79f8c48e0717163d5dacb3365caffd856479dce7",
     "fig3_yf_N10.csv": "004105fdf94c073ddbaaa79a4bb604fd47815306a4810de82d363f3ea3d86fe3",

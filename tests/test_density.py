@@ -9,17 +9,9 @@ from hypothesis import strategies as st
 import graphent.density
 import graphent.entanglement
 import graphent.graphs
-from graphent.density import (
-    DensityMatrix,
-    entropy_at_half_p,
-    hs_distance,
-    hs_distance_sq_analytic,
-    maximally_mixed,
-    pair_entropy_analytic,
-    partial_trace,
-    reduced_eigenvalues_analytic,
-    von_neumann_entropy,
-)
+from graphent.cli import main as cli_main
+from graphent.density import vertex_eigenvalues, vertex_entropy, vertex_hs2
+from graphent.entanglement import ed_closed_general, vertex_share
 from graphent.statevector import (
     InitialQubit,
     InteractionParams,
@@ -27,9 +19,19 @@ from graphent.statevector import (
     build_graph_state,
     product_state,
 )
-from graphent.graphs import DirectedGraph
+from graphent.graphs import DirectedGraph, random_graph
 
-from helpers import angles, grid, probabilities
+from helpers import (
+    DensityMatrix,
+    angles,
+    entropy_at_half_p,
+    grid,
+    hs_distance,
+    maximally_mixed,
+    partial_trace,
+    probabilities,
+    von_neumann_entropy,
+)
 
 PAIR = DirectedGraph(2, [(0, 1)])
 
@@ -160,12 +162,12 @@ def test_distance_symmetric_and_dim_checked():
     [(0.5, math.pi / 2, 0.0), (0.5, 0.0, 0.25), (0.0, 1.234, 0.25), (1.0, 0.3, 0.25)],
 )
 def test_hs_sq_analytic_values(p, theta, expected):
-    assert hs_distance_sq_analytic(p, theta) == pytest.approx(expected, abs=1e-15)
+    assert vertex_hs2(1, p, theta) == pytest.approx(expected, abs=1e-15)
 
 
 def test_hs_sq_analytic_rejects_bad_p():
     with pytest.raises(ValueError):
-        hs_distance_sq_analytic(-0.1, 1.0)
+        vertex_hs2(1, -0.1, 1.0)
 
 
 def test_hs_numeric_matches_analytic_on_grid():
@@ -173,7 +175,7 @@ def test_hs_numeric_matches_analytic_on_grid():
         for theta in grid(0.0, math.pi, 21):
             rho = partial_trace(pair_state(p, theta), [0])
             numeric = hs_distance(rho, maximally_mixed()) ** 2
-            assert abs(numeric - hs_distance_sq_analytic(p, theta)) <= 1e-12
+            assert abs(numeric - vertex_hs2(1, p, theta)) <= 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -181,16 +183,18 @@ def test_hs_numeric_matches_analytic_on_grid():
 # ----------------------------------------------------------------------
 
 def test_reduced_eigenvalues_analytic_values():
-    assert reduced_eigenvalues_analytic(0.5, math.pi / 2) == pytest.approx((0.5, 0.5))
-    assert reduced_eigenvalues_analytic(0.3, 0.0) == pytest.approx((0.0, 1.0))
+    assert vertex_eigenvalues(1, 0.5, math.pi / 2) == pytest.approx((0.5, 0.5))
+    assert vertex_eigenvalues(1, 0.3, 0.0) == pytest.approx((0.0, 1.0))
+    assert vertex_eigenvalues(0, 0.5, math.pi / 2) == (0.0, 1.0)  # no edge, a pure state
 
 
 def test_reduced_eigenvalues_sum_to_one():
-    for p in grid(0.0, 1.0, 11):
-        for theta in grid(0.0, math.pi, 11):
-            lo, hi = reduced_eigenvalues_analytic(p, theta)
-            assert lo + hi == pytest.approx(1.0, abs=1e-14)
-            assert 0.0 <= lo <= hi <= 1.0
+    for d in range(4):
+        for p in grid(0.0, 1.0, 11):
+            for theta in grid(0.0, math.pi, 11):
+                lo, hi = vertex_eigenvalues(d, p, theta)
+                assert lo + hi == pytest.approx(1.0, abs=1e-14)
+                assert 0.0 <= lo <= hi <= 1.0
 
 
 def test_numeric_eigenvalues_match_analytic():
@@ -198,7 +202,7 @@ def test_numeric_eigenvalues_match_analytic():
         for theta in grid(0.0, math.pi, 21):
             rho = partial_trace(pair_state(p, theta), [1])
             lo, hi = rho.eigenvalues
-            alo, ahi = reduced_eigenvalues_analytic(p, theta)
+            alo, ahi = vertex_eigenvalues(1, p, theta)
             assert abs(lo - alo) <= 1e-10 and abs(hi - ahi) <= 1e-10
 
 
@@ -241,12 +245,46 @@ def test_pair_entropy_analytic_consistent():
     for p in grid(0.0, 1.0, 9):
         for theta in grid(0.0, math.pi, 9):
             rho = partial_trace(pair_state(p, theta), [0])
-            assert abs(pair_entropy_analytic(p, theta) - von_neumann_entropy(rho)) <= 1e-10
-    assert math.isnan(pair_entropy_analytic(0.3, math.nan))  # not dropped as a zero eigenvalue
+            assert abs(vertex_entropy(1, p, theta) - von_neumann_entropy(rho)) <= 1e-10
+    assert math.isnan(vertex_entropy(1, 0.3, math.nan))  # not dropped as a zero eigenvalue
     # A separable pair: lo = 0 adds nothing and hi ln hi = 0.0, so the total
     # is -0.0, which the figure CSV writes as "-0".
-    for value in (pair_entropy_analytic(0.0, 0.7), pair_entropy_analytic(np.array([0.0, 1.0]), 0.0)):
+    for value in (vertex_entropy(1, 0.0, 0.7), vertex_entropy(1, np.array([0.0, 1.0]), 0.0)):
         assert np.all(value == 0.0) and np.all(np.signbit(value))
+
+
+def test_every_degree_matches_the_reduced_state():
+    # Each vertex's reduced state, by partial trace of the simulated state,
+    # at general inputs and phases, against the closed forms of its degree.
+    rng = np.random.default_rng(2708)
+    worst = 0.0
+    for _ in range(40):
+        graph = random_graph(int(rng.integers(2, 10)), rng, float(rng.uniform(0.2, 0.8)))
+        p, theta = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, math.pi))
+        qubit = InitialQubit(p, float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(-math.pi, math.pi)))
+        state = build_graph_state(graph, qubit, InteractionParams(theta, float(rng.uniform(-math.pi, math.pi))))
+        for i, d in enumerate(graph.degrees.tolist()):
+            rho = partial_trace(state, [i])
+            worst = max(
+                worst,
+                *(abs(a - b) for a, b in zip(rho.eigenvalues, vertex_eigenvalues(d, p, theta))),
+                abs(von_neumann_entropy(rho) - vertex_entropy(d, p, theta)),
+                abs(hs_distance(rho, maximally_mixed()) ** 2 - vertex_hs2(d, p, theta)),
+            )
+    assert worst <= 1e-10
+
+
+def test_figure_grids_stay_within_the_physical_range(tmp_path, capsys):
+    # A qubit's squared HS distance to I/2 is at most 1/4 and its entropy at
+    # most ln 2; Figures 1 and 2 are read on the 101 x 101 grid.
+    for quantity, top in (("hs2", 0.25), ("entropy", math.log(2))):
+        out = tmp_path / f"{quantity}.csv"
+        argv = ["sweep", "--quantity", quantity, "--theta-steps", "101", "--p-steps", "101"]
+        assert cli_main(argv + ["--out", str(out)]) == 0
+        values = np.loadtxt(out, delimiter=",", skiprows=1, usecols=2)
+        assert values.size == 101 * 101
+        assert values.min() >= 0.0 and values.max() <= top, quantity
+    capsys.readouterr()
 
 
 # ----------------------------------------------------------------------
@@ -267,25 +305,28 @@ def same_bits(a, b):
     return a == b and np.signbit(a) == np.signbit(b)
 
 
-def analytic_values(p, theta):
-    """The three closed forms at (p, theta), flattened into one tuple."""
+DEGREES = st.integers(0, 12)
+
+
+def analytic_values(p, theta, degree=1):
+    """The three single-vertex closed forms at (p, theta), flattened into one tuple."""
     return (
-        hs_distance_sq_analytic(p, theta),
-        *reduced_eigenvalues_analytic(p, theta),
-        pair_entropy_analytic(p, theta),
+        vertex_hs2(degree, p, theta),
+        *vertex_eigenvalues(degree, p, theta),
+        vertex_entropy(degree, p, theta),
     )
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(GRID_P, min_size=1, max_size=7), st.lists(GRID_THETA, min_size=1, max_size=7))
-def test_grid_evaluation_has_the_scalar_bits(ps, thetas):
+@given(DEGREES, st.lists(GRID_P, min_size=1, max_size=7), st.lists(GRID_THETA, min_size=1, max_size=7))
+def test_grid_evaluation_has_the_scalar_bits(d, ps, thetas):
     p_row, theta_col = np.array([ps]), np.array(thetas)[:, None]
-    grids = analytic_values(p_row, theta_col)
-    rows = analytic_values(np.array(ps), thetas[0])  # p as an array, theta a float
-    columns = analytic_values(ps[0], np.array(thetas))  # and the other way round
+    grids = analytic_values(p_row, theta_col, d)
+    rows = analytic_values(np.array(ps), thetas[0], d)  # p as an array, theta a float
+    columns = analytic_values(ps[0], np.array(thetas), d)  # and the other way round
     for i, theta in enumerate(thetas):
         for j, p in enumerate(ps):
-            scalar = analytic_values(p, theta)
+            scalar = analytic_values(p, theta, d)
             assert all(type(v) is float for v in scalar)  # a float in gives a float out
             for k, v in enumerate(scalar):
                 assert grids[k].shape == (len(thetas), len(ps))
@@ -294,6 +335,29 @@ def test_grid_evaluation_has_the_scalar_bits(ps, thetas):
                     assert same_bits(rows[k][j], v), (k, p, theta)
                 if j == 0:
                     assert same_bits(columns[k][i], v), (k, p, theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(DEGREES, st.lists(GRID_P, min_size=1, max_size=7), st.lists(GRID_THETA, min_size=1, max_size=7))
+def test_vertex_share_has_the_bits_of_the_general_form(d, ps, thetas):
+    # An fsum of one term is that term, so the share is the one-vertex
+    # distribution's ED bit for bit, on scalars and on grids alike.
+    p_row, theta_col = np.array([ps]), np.array(thetas)[:, None]
+    share, general = vertex_share(d, p_row, theta_col), ed_closed_general({d: 1}, p_row, theta_col)
+    assert share.shape == general.shape == (len(thetas), len(ps))
+    for i, theta in enumerate(thetas):
+        for j, p in enumerate(ps):
+            scalar = vertex_share(d, p, theta)
+            assert type(scalar) is float
+            assert same_bits(scalar, ed_closed_general({d: 1}, p, theta)), (d, p, theta)
+            assert same_bits(share[i, j], scalar) and same_bits(general[i, j], scalar), (d, p, theta)
+
+
+@pytest.mark.parametrize("degree", [-1, True, 1.0, 1.5])
+def test_vertex_share_refuses_a_degree_that_is_no_count(degree):
+    for fn in (vertex_share, vertex_hs2, vertex_eigenvalues, vertex_entropy):
+        with pytest.raises(ValueError, match="degree"):
+            fn(degree, 0.3, 1.0)
 
 
 def test_grid_evaluation_calls_no_numpy_transcendental(monkeypatch):
@@ -322,6 +386,6 @@ def test_grid_evaluation_calls_no_numpy_transcendental(monkeypatch):
     "ps, bad", [([0.5, -0.1, 0.2], "-0.1"), ([1.5], "1.5"), ([0.2, math.nan], "nan"), ([True], "True")]
 )
 def test_grid_evaluation_refuses_each_bad_p(ps, bad):
-    for fn in (hs_distance_sq_analytic, reduced_eigenvalues_analytic, pair_entropy_analytic):
+    for fn in (vertex_hs2, vertex_eigenvalues, vertex_entropy):
         with pytest.raises(ValueError, match=rf"^p must be in \[0, 1\], got {bad}$"):
-            fn(np.array([ps]), np.array([[0.3]]))
+            fn(1, np.array([ps]), np.array([[0.3]]))

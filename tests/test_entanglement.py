@@ -18,7 +18,7 @@ from graphent.entanglement import (
     ed_young_fibonacci,
     ed_young_fibonacci_limit,
     pauli_vector_closed,
-    two_qubit_ed_analytic,
+    vertex_share,
 )
 from graphent.graphs import (
     DegreeDistribution,
@@ -362,7 +362,7 @@ def test_pauli_vector_rejects_negative_counts():
 
 
 # ----------------------------------------------------------------------
-# two-qubit analytic
+# two-qubit analytic: an isolated pair's ED is the share of degree 1
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -370,7 +370,8 @@ def test_pauli_vector_rejects_negative_counts():
     [(0.5, math.pi / 2, 1.0), (0.0, 1.3, 0.0), (1.0, 1.3, 0.0), (0.5, math.pi / 4, 0.5)],
 )
 def test_two_qubit_values(p, theta, expected):
-    assert two_qubit_ed_analytic(p, theta) == pytest.approx(expected, abs=1e-15)
+    assert vertex_share(1, p, theta) == pytest.approx(expected, abs=1e-15)
+    assert vertex_share(1, p, theta) == pytest.approx(16 * p**2 * (1 - p) ** 2 * math.sin(theta) ** 2, abs=1e-15)
 
 
 @given(probabilities, angles)
@@ -378,7 +379,7 @@ def test_two_qubit_values(p, theta, expected):
 def test_two_qubit_matches_oracle(p, theta):
     g = DirectedGraph(2, [(0, 1)])
     state = build_graph_state(g, InitialQubit(p), InteractionParams(theta, 0.0))
-    assert abs(ed_numeric(state).total - two_qubit_ed_analytic(p, theta)) <= 1e-10
+    assert abs(ed_numeric(state).total - vertex_share(1, p, theta)) <= 1e-10
 
 
 # ----------------------------------------------------------------------

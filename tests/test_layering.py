@@ -1,8 +1,9 @@
 """The two routes stay independent by construction: the state-vector oracle
-(statevector.py, which holds the oracle's ED step too) and the
-reduced-density analytics (density.py) import no closed-form code, directly
-or through the graphent modules they import, and read none of a graph's
-degree bookkeeping.  The oracle's rows are split into batches in one place,
+(statevector.py, which holds the oracle's ED step too) and the tests'
+reduced-density reference (tests/helpers.py) import no closed-form code,
+directly or through the graphent modules they import, and read none of a
+graph's degree bookkeeping.  The closed forms are entanglement.py and the
+single-vertex forms built on its share, density.py.  The oracle's rows are split into batches in one place,
 `statevector.ed_numeric_rows`.  And no export outlives its definition: every
 name a module lists in `__all__` exists, and the package imports only names
 its modules export.  Each shared input guard raises its message from one
@@ -15,15 +16,20 @@ from pathlib import Path
 import pytest
 
 import graphent
-from graphent import entanglement
+from graphent import density, entanglement
 
 PACKAGE = Path(graphent.__file__).resolve().parent
-CLOSED_FORM_NAMES = {"entanglement", *entanglement.__all__}
+CLOSED_FORM_NAMES = {"entanglement", *entanglement.__all__, "density", *density.__all__}
+# The oracle's modules: graphent/<name>.py, or a test module beside this file.
+ORACLE_MODULES = {
+    "statevector": PACKAGE / "statevector.py",
+    "helpers": Path(__file__).resolve().parent / "helpers.py",
+}
 
 
-def _import_tokens(module: str) -> set[str]:
-    """Every module-path part and imported name in graphent/<module>.py."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+def _import_tokens(path: Path) -> set[str]:
+    """Every module-path part and imported name in the file at path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     tokens = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -35,28 +41,28 @@ def _import_tokens(module: str) -> set[str]:
     return tokens
 
 
-@pytest.mark.parametrize("oracle_module", ["statevector", "density"])
+@pytest.mark.parametrize("oracle_module", sorted(ORACLE_MODULES))
 def test_oracle_imports_no_closed_form_code(oracle_module):
-    todo, seen = [oracle_module], set()
+    todo, seen = [ORACLE_MODULES[oracle_module]], set()
     while todo:
-        module = todo.pop()
-        if module in seen:
+        path = todo.pop()
+        if path in seen:
             continue
-        seen.add(module)
-        tokens = _import_tokens(module)
+        seen.add(path)
+        tokens = _import_tokens(path)
         assert not tokens & CLOSED_FORM_NAMES, (
-            f"{module}.py (reached from {oracle_module}.py) imports "
+            f"{path.name} (reached from {oracle_module}.py) imports "
             f"{sorted(tokens & CLOSED_FORM_NAMES)}"
         )
-        todo += [t for t in tokens if (PACKAGE / f"{t}.py").is_file()]
-    assert "graphs" in seen  # the walk followed the package-relative imports
+        todo += [PACKAGE / f"{t}.py" for t in tokens if (PACKAGE / f"{t}.py").is_file()]
+    assert PACKAGE / "graphs.py" in seen  # the walk followed the package imports
 
 
-@pytest.mark.parametrize("oracle_module", ["statevector", "density"])
+@pytest.mark.parametrize("oracle_module", sorted(ORACLE_MODULES))
 def test_oracle_reads_no_degree_bookkeeping(oracle_module):
     # Orientation reaches the oracle only through the edges it simulates: it
     # counts what it needs from them, never the graph's degree vectors.
-    tree = ast.parse((PACKAGE / f"{oracle_module}.py").read_text(encoding="utf-8"))
+    tree = ast.parse(ORACLE_MODULES[oracle_module].read_text(encoding="utf-8"))
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
