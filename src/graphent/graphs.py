@@ -180,12 +180,6 @@ def _int_pairs(edges: Sequence) -> np.ndarray | None:
     return None
 
 
-def _check_endpoints(a: int, b: int, m: int) -> None:
-    """Refuse an edge (a, b) with an endpoint outside 0..m-1."""
-    if not (0 <= a < m and 0 <= b < m):
-        raise ValueError(f"edge ({a},{b}) out of range for {m} vertices")
-
-
 def _explained(edges: Sequence, m: int) -> np.ndarray:
     """The explain pass: walk the edges in input order and return them as
     an (E, 2) int64 array, or raise "edges[i] <edge>: <reason>" for the
@@ -199,7 +193,8 @@ def _explained(edges: Sequence, m: int) -> np.ndarray:
             except (TypeError, ValueError):
                 raise ValueError("must be a pair of integer vertices") from None
             a, b = _integer(a, "edge endpoint"), _integer(b, "edge endpoint")
-            _check_endpoints(a, b, m)
+            if not (0 <= a < m and 0 <= b < m):
+                raise ValueError(f"edge ({a},{b}) out of range for {m} vertices")
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             pair = (min(a, b), max(a, b))

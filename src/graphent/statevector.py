@@ -20,12 +20,13 @@ and Briegel, PRA 69, 062311, 2004), still a direct simulation of the edge
 operators, not a degree closed form.
 
 Rows: a row is one state, that is, a graph, an input qubit and interaction
-params.  The oracle takes its rows as arrays, `StateRows`: for R rows of one
-qubit count M, one (E, 2) edge array holding each row's edges in turn, the
-per-row edge counts, and per-row theta, psi and input qubit (p, delta0,
-delta1), from which the per-row alpha0 and alpha1 are formed.  Sequences of
-(graph, InitialQubit, InteractionParams) triples are turned into such arrays,
-so triples, one-row calls and arrays all run the one kernel,
+params.  The oracle takes its rows in one form, `StateRows`: for R rows of
+one qubit count M, one (E, 2) edge array holding each row's edges in turn,
+the per-row edge counts, and per-row theta, psi and input qubit (p, delta0,
+delta1), from which `StateRows.alpha0` and `alpha1`, the only formula for
+the input amplitudes, form them.  Each row's edges are checked as a graph's
+are.  `build_graph_state` makes the one row of a graph, an `InitialQubit`
+and `InteractionParams`, so one-row calls and many rows run the one kernel,
 `build_graph_state_rows`, which runs that loop once for the R rows, whose
 states are the rows of an (R, 2^M) array.  One `bincount` over the edges,
 weighted by 2^min(a, b), builds the lower-neighbour masks and one more counts
@@ -97,7 +98,6 @@ against live in `entanglement`, which this module never imports.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -105,7 +105,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import DirectedGraph, _available_bytes, _check_endpoints, _check_p, _integer, _vertex_count
+from .graphs import DirectedGraph, _available_bytes, _check_p, _explained, _integer, _vertex_count
 
 __all__ = [
     "DEFAULT_MAX_QUBITS",
@@ -200,15 +200,6 @@ class InitialQubit:
         _check_p(self.p)
         _check_phases(self.delta0, self.delta1)
 
-    # Computed once per instance.
-    @functools.cached_property
-    def alpha0(self) -> complex:
-        return math.sqrt(1.0 - self.p) * cmath.exp(1j * self.delta0)
-
-    @functools.cached_property
-    def alpha1(self) -> complex:
-        return math.sqrt(self.p) * cmath.exp(1j * self.delta1)
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -234,18 +225,18 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class StateRows:
-    """R oracle rows of one qubit count M as arrays, the array form of R
-    (graph, InitialQubit, InteractionParams) triples.  Row r's graph has M
-    vertices and the next edge_counts[r] rows of the (E, 2) `edges` as its
-    edges; its input qubit is (p, delta0, delta1)[r] and its angles are
-    (theta, psi)[r].  The per-row fields take anything that broadcasts to
-    (R,); p, delta0 and delta1 default to the balanced input.
+    """R oracle rows of one qubit count M, below 63, as arrays: the one form
+    the oracle takes.  Row r's graph has M vertices and the next
+    edge_counts[r] rows of the (E, 2) `edges` as its edges; its input qubit
+    is (p, delta0, delta1)[r] and its angles are (theta, psi)[r].  A per-row
+    field takes one value for every row or one value per row; p, delta0 and
+    delta1 default to the balanced input.
 
     The rows are checked once, vectorised, by the guards of the classes they
-    stand for: finite angles and phases, p in [0, 1], and every endpoint in
-    range.  Each row's edges are taken as simple, as `DirectedGraph._derived`
-    takes a transformed graph's: rows derived from valid graphs, such as an
-    edge reversed or the vertices relabelled, are not checked again."""
+    stand for: finite angles and phases, p in [0, 1], and each row's edges
+    as a `DirectedGraph`'s, with the first refused row named by the graph's
+    explain pass.  M of 63 or more is refused here: no array holds 2^63
+    amplitudes."""
 
     num_qubits: int
     edges: np.ndarray
@@ -260,31 +251,55 @@ class StateRows:
 
     def __post_init__(self) -> None:
         m = _vertex_count(self.num_qubits)
+        if m >= 63:  # as in PureState
+            raise ValueError(f"{m} qubits need 2^{m} amplitudes, more than any array holds")
         edges, counts = np.asarray(self.edges), np.asarray(self.edge_counts)
         if edges.dtype.kind not in "iu" or edges.ndim != 2 or edges.shape[1] != 2:
             raise ValueError(f"edges must be an (E, 2) integer array, got {edges.dtype} {edges.shape}")
         if counts.dtype.kind not in "iu" or counts.ndim != 1 or (counts < 0).any() or counts.sum() != len(edges):
             raise ValueError(f"edge_counts must be one count >= 0 per row, summing to the {len(edges)} edges")
-        edges = edges.astype(np.int64, copy=False)
-        out_of_range = ((edges < 0) | (edges >= m)).any(axis=1)
-        if out_of_range.any():
-            _check_endpoints(*edges[out_of_range.argmax()].tolist(), m)
-        p = np.asarray(self.p)
-        _check_p(p)
+        edges, counts = edges.astype(np.int64, copy=False), counts.astype(np.int64, copy=False)
+        vars(self).update(num_qubits=m, edges=edges, edge_counts=counts)
+        self._check_edges()
+        _check_p(np.asarray(self.p))
         rows = len(counts)
-        theta, psi, p, delta0, delta1 = (
-            np.broadcast_to(np.asarray(x, dtype=np.float64), (rows,))
-            for x in (self.theta, self.psi, p, self.delta0, self.delta1)
-        )
-        for check, x, y in ((_check_angles, theta, psi), (_check_phases, delta0, delta1)):
+        for name in self._PER_ROW:
+            x = np.asarray(getattr(self, name), dtype=np.float64)
+            try:
+                vars(self)[name] = np.broadcast_to(x, (rows,))
+            except ValueError:
+                raise ValueError(
+                    f"{name} must be one value or one per row of the {rows} rows, got shape {x.shape}"
+                ) from None
+        for check, x, y in ((_check_angles, self.theta, self.psi), (_check_phases, self.delta0, self.delta1)):
             finite = np.isfinite(x) & np.isfinite(y)
             if not finite.all():
                 r = int(np.argmin(finite))
                 check(float(x[r]), float(y[r]))
-        vars(self).update(
-            num_qubits=m, edges=edges, edge_counts=counts.astype(np.int64, copy=False),
-            theta=theta, psi=psi, p=p, delta0=delta0, delta1=delta1,
-        )
+
+    def _check_edges(self) -> None:
+        """Refuse the first row holding an edge its graph would refuse: an
+        endpoint out of range, a self-loop, or a second edge on one vertex
+        pair.  One pass over every row finds the rows; the graph's explain
+        pass names the edge."""
+        m, edges = self.num_qubits, self.edges
+        a, b = edges.T
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        row = np.repeat(np.arange(len(self)), self.edge_counts)
+        refused = (lo < 0) | (hi >= m) | (lo == hi)
+        # Row r's pair (lo, hi) has the key (r*M + lo)*M + hi, below R*M^2,
+        # which int64 holds for M < 63; refused edges take distinct negative
+        # keys, so only a repeated pair of one row repeats a key.
+        keys = np.sort(np.where(refused, -1 - np.arange(len(edges)), (row * m + lo) * m + hi))
+        repeated = keys[1:][keys[1:] == keys[:-1]] // (m * m)
+        bad = np.concatenate((row[refused], repeated))
+        if len(bad):
+            r = int(bad.min())
+            first, last = self._edge_ends[[r, r + 1]]
+            try:
+                _explained(edges[first:last].tolist(), m)
+            except ValueError as exc:
+                raise ValueError(f"row {r}: {exc}") from None
 
     @classmethod
     def _unchecked(cls, **fields: object) -> StateRows:
@@ -292,30 +307,6 @@ class StateRows:
         rows = cls.__new__(cls)
         vars(rows).update(fields)
         return rows
-
-    @classmethod
-    def _of_triples(
-        cls, rows: Sequence[tuple[DirectedGraph, InitialQubit, InteractionParams]]
-    ) -> StateRows:
-        """The rows of (graph, input qubit, params) triples, whose parts were
-        checked when they were made."""
-        if not rows:
-            raise ValueError("need at least one row")
-        graphs, qubits, params = zip(*rows)
-        m = graphs[0].num_vertices
-        if any(g.num_vertices != m for g in graphs):
-            sizes = sorted({g.num_vertices for g in graphs})
-            raise ValueError(f"rows must share one vertex count, got {sizes}")
-        return cls._unchecked(
-            num_qubits=m,
-            edges=np.concatenate([g.edge_array for g in graphs]),
-            edge_counts=np.array([g.num_edges for g in graphs], dtype=np.int64),
-            theta=np.array([x.theta for x in params], dtype=np.float64),
-            psi=np.array([x.psi for x in params], dtype=np.float64),
-            p=np.array([q.p for q in qubits], dtype=np.float64),
-            delta0=np.array([q.delta0 for q in qubits], dtype=np.float64),
-            delta1=np.array([q.delta1 for q in qubits], dtype=np.float64),
-        )
 
     def __len__(self) -> int:
         return len(self.edge_counts)
@@ -338,7 +329,7 @@ class StateRows:
     def _edge_ends(self) -> np.ndarray:
         return np.concatenate(([0], np.cumsum(self.edge_counts)))
 
-    # The input amplitudes per row, as InitialQubit.alpha0 and alpha1 form them.
+    # The input amplitudes per row: sqrt(1-p)*e^{i*delta0} and sqrt(p)*e^{i*delta1}.
     @property
     def alpha0(self) -> np.ndarray:
         return np.sqrt(1.0 - self.p) * np.exp(1j * self.delta0)
@@ -360,16 +351,17 @@ def build_graph_state(graph: DirectedGraph, qubit: InitialQubit, params: Interac
     """Product input state followed by one edge operator per graph edge,
     built by in-place doubling (see the module docstring): the one-row call
     of `build_graph_state_rows`."""
-    states = build_graph_state_rows([(graph, qubit, params)])
-    return PureState(graph.num_vertices, states[0])
+    row = StateRows(
+        graph.num_vertices, graph.edge_array, [graph.num_edges],
+        params.theta, params.psi, qubit.p, qubit.delta0, qubit.delta1,
+    )
+    return PureState(graph.num_vertices, build_graph_state_rows(row)[0])
 
 
 def _state_buffer(count: int, m: int) -> np.ndarray:
-    """An empty (count, 2^m) complex array for the states of `count` rows,
-    refused when no array holds 2^m amplitudes or, past the default cap,
-    when building them would not fit in the available memory."""
-    if m >= 63:  # as in PureState: no array holds 2^63 amplitudes
-        raise ValueError(f"{m} qubits need 2^{m} amplitudes, more than any array holds")
+    """An empty (count, 2^m) complex array for the states of `count` rows of
+    m < 63 qubits, refused when, past the default cap, building them would
+    not fit in the available memory."""
     if count << m > 1 << DEFAULT_MAX_QUBITS:
         # The states take 16 bytes per amplitude per row.  The build's pair
         # tables and the Pauli pass's Gram, row weights and partial dots add
@@ -387,20 +379,13 @@ def _state_buffer(count: int, m: int) -> np.ndarray:
 
 
 def build_graph_state_rows(
-    rows: StateRows | Sequence[tuple[DirectedGraph, InitialQubit, InteractionParams]],
-    *,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    rows: StateRows, *, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> np.ndarray:
     """Row r of the (R, 2^M) result holds the amplitudes of the state of row
-    r of `rows`, a `StateRows` or a sequence of (graph, input qubit, params)
-    triples whose graphs share their vertex count M, below 63; one doubling
-    loop serves every row.  The states are written into the first R rows of
-    `out`, an (R', 2^M) complex array with R' >= R, and the gathered pair
-    factors into `scratch`, a flat float64 array of at least R * 2^M
-    entries; each is allocated when not given."""
-    if not isinstance(rows, StateRows):
-        rows = StateRows._of_triples(rows)
+    r of `rows`; one doubling loop serves every row.  The states are
+    written into the first R rows of `out`, an (R', 2^M) complex array with
+    R' >= R, and the gathered pair factors into `scratch`, a flat float64
+    array of at least R * 2^M entries; each is allocated when not given."""
     count, m = len(rows), rows.num_qubits
     if out is None:
         out = _state_buffer(count, m)
@@ -590,20 +575,13 @@ def ed_numeric(state: PureState) -> EdReport:
     return EdReport(_contribution_rows(state.amplitudes[None])[0].tolist())
 
 
-def ed_numeric_rows(
-    rows: StateRows | Sequence[tuple[DirectedGraph, InitialQubit, InteractionParams]],
-) -> np.ndarray:
-    """The brute-force ED per qubit of each row, a `StateRows` or (graph,
-    input qubit, params) triples, as an (R,) array, bit for bit
-    `ed_numeric(build_graph_state(*row)).total` but with no report built.
-    The rows share their vertex count M; they are built and read in batches
-    of at most max(BATCH_AMPLITUDES, 2^M) amplitudes, every batch in the
-    same state buffer and, below 2^18 amplitudes per row, the same scratch
-    buffer."""
-    if not isinstance(rows, StateRows):
-        if not rows:
-            return np.empty(0)
-        rows = StateRows._of_triples(rows)
+def ed_numeric_rows(rows: StateRows) -> np.ndarray:
+    """The brute-force ED per qubit of each row of `rows`, as an (R,) array,
+    bit for bit `ed_numeric(build_graph_state(graph, qubit, params)).total`
+    for the graph, input qubit and params the row holds, but with no report
+    built.  The rows of M qubits are built and read in batches of at most
+    max(BATCH_AMPLITUDES, 2^M) amplitudes, every batch in the same state
+    buffer and, below 2^18 amplitudes per row, the same scratch buffer."""
     count, m = len(rows), rows.num_qubits
     if not count:
         return np.empty(0)

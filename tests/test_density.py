@@ -90,7 +90,7 @@ def test_density_matrix_refuses_nonfinite_without_a_warning(matrix):
 def test_product_state_reduces_to_projector(p, d0, d1):
     qubit = InitialQubit(p, d0, d1)
     state = product_state(3, qubit)
-    phi = np.array([qubit.alpha0, qubit.alpha1])
+    phi = np.array([math.sqrt(1.0 - p) * np.exp(1j * d0), math.sqrt(p) * np.exp(1j * d1)])
     for i in range(3):
         rho = partial_trace(state, [i])
         assert np.allclose(rho.matrix, np.outer(phi, phi.conj()), atol=1e-12)

@@ -29,7 +29,7 @@ from graphent.graphs import (
     to_json,
     young_fibonacci_degree_counts,
 )
-from graphent.statevector import InitialQubit, InteractionParams, build_graph_state_rows
+from graphent.statevector import StateRows, build_graph_state_rows
 
 from helpers import NoNumpy, directed_graphs, reference_graph
 
@@ -641,7 +641,14 @@ def test_derived_graphs_equal_validated_ones(g, data):
     derived = [permute_vertices(g, data.draw(st.permutations(range(g.num_vertices))))]
     if g.num_edges:
         derived.append(flip_edge(g, data.draw(st.integers(0, g.num_edges - 1))))
-    build_graph_state_rows([(h, InitialQubit(0.3), InteractionParams(0.7)) for h in derived])
+    build_graph_state_rows(StateRows(
+        g.num_vertices,
+        np.concatenate([h.edge_array for h in derived]),
+        [h.num_edges for h in derived],
+        0.7,
+        0.0,
+        0.3,
+    ))
     for h in derived:
         # the oracle counts the out-degrees it needs from the edges: building
         # a derived graph's state leaves its degree vectors uncounted

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -37,18 +38,8 @@ BALANCED = InitialQubit()
 
 def test_initial_qubit_amplitudes():
     q = InitialQubit(p=0.25, delta0=0.0, delta1=math.pi / 2)
-    assert q.alpha0 == pytest.approx(math.sqrt(0.75))
-    assert q.alpha1 == pytest.approx(0.5j)
-
-
-def test_initial_qubit_amplitudes_are_computed_once():
-    # A batch reads each row's amplitudes; they are kept on the instance,
-    # outside equality, hashing and repr.
-    q = InitialQubit(0.3, 0.1, -0.2)
-    a0, a1 = q.alpha0, q.alpha1
-    assert q.alpha0 is a0 and q.alpha1 is a1
-    assert a0 == math.sqrt(1.0 - 0.3) * cmath.exp(0.1j) and a1 == math.sqrt(0.3) * cmath.exp(-0.2j)
-    fresh = InitialQubit(0.3, 0.1, -0.2)
+    assert product_state(1, q).amplitudes == pytest.approx([math.sqrt(0.75), 0.5j])
+    fresh = InitialQubit(0.25, 0.0, math.pi / 2)
     assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
     with pytest.raises(dataclasses.FrozenInstanceError):
         q.p = 0.5
@@ -73,7 +64,7 @@ def test_initial_qubit_rejects_non_real_p(p):
 
 @pytest.mark.parametrize("p", [np.float64(0.3), np.float32(0.25), np.int64(1), 0])
 def test_initial_qubit_accepts_real_numbers(p):
-    assert InitialQubit(p).alpha1 == pytest.approx(math.sqrt(p))
+    assert product_state(1, InitialQubit(p)).amplitudes[1] == pytest.approx(math.sqrt(p))
 
 
 def test_interaction_params_reject_nonfinite():
@@ -158,13 +149,13 @@ def test_memory_estimate_above_default_cap(monkeypatch):
     assert product_state(5).num_qubits == 5
     # A batch needs the bytes of all its rows.
     monkeypatch.setattr(statevector, "_available_bytes", lambda: 543)
-    rows = [(DirectedGraph(4, []), BALANCED, InteractionParams(0.0))] * 2
+    rows = _arrays_of([(DirectedGraph(4, []), BALANCED, InteractionParams(0.0))] * 2)
     with pytest.raises(ValueError, match="^4 qubits need about 544 bytes to build"):
         build_graph_state_rows(rows)
     assert build_graph_state_rows(rows[:1]).shape == (1, 16)
     # So is a batch of rows at the default cap, once it holds more amplitudes than one such row.
     monkeypatch.setattr(statevector, "_available_bytes", lambda: 271)
-    rows = [(DirectedGraph(3, []), BALANCED, InteractionParams(0.0))] * 2
+    rows = _arrays_of([(DirectedGraph(3, []), BALANCED, InteractionParams(0.0))] * 2)
     with pytest.raises(ValueError, match="^3 qubits need about 272 bytes to build, but only 271 bytes"):
         build_graph_state_rows(rows)
 
@@ -173,14 +164,15 @@ def test_memory_estimate_above_default_cap(monkeypatch):
 @pytest.mark.parametrize("m", [70, 20000])
 def test_build_refuses_63_qubits_or_more_before_the_probe(monkeypatch, m, available):
     # 17 * 2^20000 bytes has more digits than str(int) writes, and with the
-    # probe unreadable nothing else would stand before np.empty.
+    # probe unreadable nothing else would stand before np.empty.  The rows
+    # are refused when made, so no row key (r*M + lo)*M + hi is formed.
     probed = []
     monkeypatch.setattr(statevector, "_available_bytes", lambda: probed.append(1) or available)
     message = rf"^{m} qubits need 2\^{m} amplitudes, more than any array holds$"
     with pytest.raises(ValueError, match=message):
         product_state(m)
     with pytest.raises(ValueError, match=message):
-        ed_numeric_rows([(DirectedGraph(m, [(0, 1)]), BALANCED, InteractionParams(0.3))] * 3)
+        ed_numeric_rows(StateRows(m, np.array([[0, 1]] * 3), [1, 1, 1], 0.3, 0.0))
     assert probed == []
 
 
@@ -202,8 +194,12 @@ def test_available_bytes_probe(tmp_path, text, expected):
 
 
 def _input_product(m, qubit):
-    """Pi_i alpha_{bit_i(x)} for every index x, multiplied out in plain Python."""
-    alpha = (qubit.alpha0, qubit.alpha1)
+    """Pi_i alpha_{bit_i(x)} for every index x, multiplied out in plain Python,
+    with alpha0 = sqrt(1-p) e^{i delta0} and alpha1 = sqrt(p) e^{i delta1}."""
+    alpha = (
+        math.sqrt(1.0 - qubit.p) * cmath.exp(1j * qubit.delta0),
+        math.sqrt(qubit.p) * cmath.exp(1j * qubit.delta1),
+    )
     amps = []
     for x in range(2**m):
         amp = 1.0
@@ -405,14 +401,14 @@ def _pauli_reference(amps):
 
 def _large_rows(m, count):
     rng = np.random.default_rng(m)
-    return build_graph_state_rows([
+    return build_graph_state_rows(_arrays_of([
         (
             random_graph(m, rng, edge_prob=0.3),
             InitialQubit(rng.uniform(0.0, 1.0), *rng.uniform(-math.pi, math.pi, 2)),
             InteractionParams(*rng.uniform(-math.pi, math.pi, 2)),
         )
         for _ in range(count)
-    ])
+    ]))
 
 
 # 2^17 amplitudes per row take the probability fold, 2^18 the Gram read.
@@ -481,9 +477,9 @@ def _mixed_rows():
 
 def test_rows_equal_their_one_row_calls_bit_for_bit():
     rows = _mixed_rows()
-    states = build_graph_state_rows(rows)
+    states = build_graph_state_rows(_arrays_of(rows))
     vectors = pauli_vector_rows(states)
-    totals = ed_numeric_rows(rows)
+    totals = ed_numeric_rows(_arrays_of(rows))
     assert states.shape == (len(rows), 2**7) and vectors.shape == (len(rows), 7, 3)
     assert totals.shape == (len(rows),)
     for r, row in enumerate(rows):
@@ -514,15 +510,16 @@ def test_oracle_rows_span_batches_bit_for_bit(monkeypatch):
         batches.append(len(batch))
         return build_graph_state_rows(batch, **kwargs)
 
+    arrays = _arrays_of(rows)
     monkeypatch.setattr(statevector, "build_graph_state_rows", build)
-    totals = ed_numeric_rows(rows)
+    totals = ed_numeric_rows(arrays)
     assert batches == [8, 8, 4]
     assert totals.tolist() == expected
-    assert ed_numeric_rows([]).shape == (0,) and batches == [8, 8, 4]
+    assert ed_numeric_rows(arrays[:0]).shape == (0,) and batches == [8, 8, 4]
 
 
 def test_rows_refuse_one_unnormalized_row():
-    states = build_graph_state_rows(_mixed_rows())
+    states = build_graph_state_rows(_arrays_of(_mixed_rows()))
     states[4] *= 1.001
     with pytest.raises(ValueError, match="^state not normalized: norm error 2.00"):
         pauli_vector_rows(states)
@@ -533,11 +530,6 @@ def test_rows_refuse_one_unnormalized_row():
 
 
 def test_rows_share_one_vertex_count():
-    rows = _mixed_rows()
-    with pytest.raises(ValueError, match=r"^rows must share one vertex count, got \[3, 7\]"):
-        build_graph_state_rows([*rows[:2], (DirectedGraph(3, []), *rows[2][1:])])
-    with pytest.raises(ValueError, match="^need at least one row"):
-        build_graph_state_rows([])
     with pytest.raises(ValueError, match="^expected 2"):
         pauli_vector_rows(np.ones((2, 6)))
 
@@ -562,15 +554,11 @@ def _arrays_of(rows):
     )
 
 
-def test_array_rows_equal_their_triples_bit_for_bit():
+def test_array_row_slices_hold_their_rows():
     rows = _mixed_rows()
     arrays = _arrays_of(rows)
     assert len(arrays) == len(rows)
-    assert arrays.alpha0.tolist() == [q.alpha0 for _, q, _ in rows]
-    assert arrays.alpha1.tolist() == [q.alpha1 for _, q, _ in rows]
     states = build_graph_state_rows(arrays)
-    assert np.array_equal(states, build_graph_state_rows(rows))
-    assert np.array_equal(ed_numeric_rows(arrays), ed_numeric_rows(rows))
     # A slice holds the rows it names, each with its own edges.
     assert np.array_equal(build_graph_state_rows(arrays[2:5]), states[2:5])
     assert len(arrays[5:2]) == 0
@@ -636,7 +624,7 @@ def test_array_rows_are_checked_by_the_guards_of_their_parts():
         StateRows(**good, psi=0.0, p=[True, False])
     with pytest.raises(ValueError, match=r"^phases must be finite, got delta0=0.0, delta1=-inf$"):
         StateRows(**good, psi=0.0, delta1=[0.0, -math.inf])
-    with pytest.raises(ValueError, match=r"^edge \(2,3\) out of range for 3 vertices$"):
+    with pytest.raises(ValueError, match=r"^row 1: edges\[0\] \[2, 3\]: edge \(2,3\) out of range for 3 vertices$"):
         StateRows(**good | {"edges": np.array([[0, 1], [2, 3], [-1, 0]])}, psi=0.0)
     with pytest.raises(ValueError, match="^edge_counts must be one count >= 0 per row"):
         StateRows(**good | {"edge_counts": [2, 2]}, psi=0.0)
@@ -644,3 +632,53 @@ def test_array_rows_are_checked_by_the_guards_of_their_parts():
         StateRows(**good | {"edges": np.zeros((3, 2))}, psi=0.0)
     with pytest.raises(ValueError, match="^num_vertices must be >= 1"):
         StateRows(**good | {"num_qubits": 0}, psi=0.0)
+
+
+@pytest.mark.parametrize(
+    "edges, refused",
+    [
+        ([[0, 1], [2, 1], [2, 2]], r"edges\[1\] \[2, 2\]: self-loop at vertex 2"),
+        ([[0, 1], [2, 1], [0, 2], [1, 2]], r"edges\[2\] \[1, 2\]: duplicate or anti-parallel edge on pair \(1, 2\)"),
+        ([[0, 1], [2, 1], [2, 1]], r"edges\[1\] \[2, 1\]: duplicate or anti-parallel edge on pair \(1, 2\)"),
+    ],
+    ids=["self-loop", "anti-parallel", "repeated"],
+)
+def test_array_rows_are_refused_as_graphs_are(edges, refused):
+    # Row 0 holds the edge (0, 1); row 1 holds the rest, named by the index
+    # of the refused edge within the row, as DirectedGraph names it.
+    rows = dict(num_qubits=3, edges=np.array(edges), edge_counts=[1, len(edges) - 1], theta=0.7, psi=0.0)
+    with pytest.raises(ValueError, match=rf"^row 1: {refused}$"):
+        StateRows(**rows)
+    with pytest.raises(ValueError, match=rf"^{refused}$"):
+        DirectedGraph(3, edges[1:])
+
+
+@pytest.mark.parametrize("edges", [[[0, 1], [0, 1]], [[0, 1], [1, 0]]])
+def test_a_repeated_pair_is_refused_not_simulated(edges):
+    # The kernel sums a vertex's lower-neighbour bits as their OR, which a
+    # second edge on one pair breaks: the pair was simulated as a product state.
+    with pytest.raises(ValueError, match=r"^row 0: edges\[1\] .*: duplicate or anti-parallel edge on pair \(0, 1\)$"):
+        ed_numeric_rows(StateRows(3, np.array(edges), [2], 0.7, 0.0))
+
+
+def test_row_check_names_the_first_refused_row():
+    # One pair in many rows is no repeat; the first row refused is named,
+    # whatever a later row refuses.  At 62 qubits the row keys reach R*M^2.
+    m = 62
+    edges = np.array([[61, 60]] * 5 + [[60, 61], [0, 62]])
+    rows = StateRows(m, edges[:5], [1] * 5, 0.7, 0.0)
+    assert len(rows) == 5 and rows.edges.tolist() == [[61, 60]] * 5
+    with pytest.raises(ValueError, match=r"^row 4: edges\[1\] \[60, 61\]: duplicate or anti-parallel"):
+        StateRows(m, edges, [1, 1, 1, 1, 2, 1], 0.7, 0.0)
+    with pytest.raises(ValueError, match=r"^row 0: edges\[0\] \[0, 62\]: edge \(0,62\) out of range for 62 vertices$"):
+        StateRows(m, edges[[6, 4, 5]], [1, 2], 0.7, 0.0)
+
+
+@pytest.mark.parametrize("field", StateRows._PER_ROW)
+def test_a_per_row_field_of_the_wrong_length_is_named(field):
+    rows = dict(num_qubits=3, edges=np.array([[0, 1], [1, 2]]), edge_counts=[1, 1], theta=0.7, psi=0.0)
+    for value in ([0.5] * 3, [[0.5, 0.5]]):
+        shape = np.shape(value)
+        with pytest.raises(ValueError, match=rf"^{field} must be one value or one per row of the 2 rows, got shape {re.escape(str(shape))}$"):
+            StateRows(**rows | {field: value})
+    assert getattr(StateRows(**rows | {field: [0.5]}), field).tolist() == [0.5, 0.5]

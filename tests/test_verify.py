@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import graphent.entanglement
 import graphent.statevector
@@ -22,8 +24,10 @@ from graphent.graphs import (
     permute_vertices,
     random_graph,
 )
-from graphent.statevector import InitialQubit, InteractionParams, build_graph_state, ed_numeric
+from graphent.statevector import InitialQubit, InteractionParams, StateRows, build_graph_state, ed_numeric
 from graphent.verify import CHECK_ORDER, ffnn_variant_report, run_verification
+
+from helpers import directed_graphs
 
 
 def small_graph_set():
@@ -198,3 +202,16 @@ def test_ffnn_variant_report_matches_one_build_per_theta():
     dev_degree = max(abs(e - ed_ffnn(t, sizes)) for e, t in zip(eds, thetas))
     dev_variant = max(abs(e - ed_ffnn_output_self_exponent(t, sizes)) for e, t in zip(eds, thetas))
     assert ffnn_variant_report(sizes, g) == (dev_degree, dev_variant)
+
+
+@given(directed_graphs(max_vertices=8), st.integers(0, 2**32 - 1))
+def test_flipped_and_relabelled_rows_pass_the_row_check(g, seed):
+    # verify writes each sample's flip and relabelling straight into the
+    # edge array; StateRows checks every row as a graph, and these pass.
+    rng = np.random.default_rng(seed)
+    samples = 3
+    values = rng.uniform(0.0, 1.0, (samples, 10))
+    flips = rng.integers(max(g.num_edges, 1), size=samples)
+    perms = np.array([rng.permutation(g.num_vertices) for _ in range(samples)])
+    rows = StateRows(g.num_vertices, *verify._sample_rows(g, values, flips, perms))
+    assert len(rows) == samples * (7 if g.num_edges else 6)
