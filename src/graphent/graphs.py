@@ -4,10 +4,9 @@ Vertices are 0-based.  Graphs are immutable after construction and simple in
 the undirected sense: no self-loops and at most one edge per unordered vertex
 pair, whichever way it points.  A graph holds its edges once, as the
 read-only (E, 2) int64 array `edge_array`: a vectorised accept pass takes
-valid integer input, and an explain pass names the first refused edge.  The
-degree vectors are counted from it on demand.  `flip_edge` and
-`permute_vertices` derive their array from a valid graph without a second
-check.
+valid integer input, and an explain pass names the first refused edge.  Every
+graph goes through them, a transformed one too, and so do the oracle's rows.
+The degree vectors are counted from the edges on demand.
 
 Each topology family has a degree-count rule, `*_degree_counts(size)`, that
 returns its {degree: vertices} in O(layers) or O(cycles) with no graph
@@ -164,10 +163,10 @@ def _checked_counts(counts: Mapping[int, int]) -> dict[int, int]:
 
 
 def _int_pairs(edges: Sequence) -> np.ndarray | None:
-    """edges as an (E, 2) int64 array when they are an integer ndarray of
-    pairs or a sequence of pairs of plain ints, else None.  A uint64
-    endpoint of 2^63 or more wraps to a negative one, which is out of range
-    either way."""
+    """edges as a new (E, 2) int64 array when they are an integer ndarray of
+    pairs or a sequence of pairs of plain ints, not bools, else None.  A
+    uint64 endpoint of 2^63 or more wraps to a negative one, which is out of
+    range either way."""
     if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
         return edges.astype(np.int64)
     try:  # TypeError: an edge without a length, such as 5; OverflowError: beyond int64
@@ -178,6 +177,22 @@ def _int_pairs(edges: Sequence) -> np.ndarray | None:
     except (TypeError, OverflowError):
         pass
     return None
+
+
+def _accepted(array: np.ndarray, m: int) -> np.ndarray | None:
+    """The accept pass: the total-degree count of a simple graph's (E, 2)
+    int64 edges on m vertices, or None if it refuses any edge."""
+    a, b = array.T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    if ((lo < 0) | (hi >= m) | (lo == hi)).any():
+        return None
+    # The count is allocated before the pair keys lo*m + hi are formed, so a
+    # vertex count whose keys would overflow int64 runs out of memory first.
+    degrees = np.bincount(array.ravel(), minlength=m)
+    keys = np.sort(lo * m + hi)
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    return degrees
 
 
 def _explained(edges: Sequence, m: int) -> np.ndarray:
@@ -222,8 +237,8 @@ class DirectedGraph:
     `degrees[i] - out_degrees[i]` is its in-degree.  Both are read-only
     int64 arrays, each counted from `edge_array` by one `np.bincount` on
     first use (the accept pass keeps the total it counts), and are derived
-    data, so they take no part in equality, hashing or repr.  A graph is
-    immutable.
+    data, so they take no part in equality, hashing or repr.  Every graph,
+    a flipped or relabelled one too, is checked when made and is immutable.
     """
 
     def __init__(self, num_vertices: int, edges: Iterable[Sequence[int]]) -> None:
@@ -234,37 +249,20 @@ class DirectedGraph:
     def __post_init__(self, num_vertices: int, edges: Iterable[Sequence[int]]) -> None:
         """Validate the vertex count and every edge.
 
-        The accept pass takes integer ndarrays and pairs of plain ints in
-        one vectorised check that answers only yes or no.  Everything it
-        does not accept goes to the explain pass, `_explained`, which
-        either accepts the edges one by one or names the first refused
-        edge, in input order: "edges[i] <edge>: <reason>"."""
+        The accept pass, `_accepted`, takes integer ndarrays and pairs of
+        plain ints in one vectorised check that answers only yes or no.
+        Everything it does not accept goes to the explain pass,
+        `_explained`, which either accepts the edges one by one or names the
+        first refused edge, in input order: "edges[i] <edge>: <reason>"."""
         m = _vertex_count(num_vertices)
         if not isinstance(edges, (list, tuple, np.ndarray)):
             edges = list(edges)
         array = _int_pairs(edges)
-        if array is not None:
-            a, b = array.T
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            if not ((lo < 0) | (hi >= m) | (lo == hi)).any():
-                # The total-degree count is allocated before the pair keys
-                # lo*m + hi are formed, so a vertex count whose keys would
-                # overflow int64 runs out of memory first; an accepted
-                # graph keeps it as `degrees`.
-                degrees = np.bincount(array.ravel(), minlength=m)
-                keys = np.sort(lo * m + hi)
-                if not (keys[1:] == keys[:-1]).any():
-                    self._set(m, array, degrees=_read_only(degrees))
-                    return
-        self._set(m, _explained(edges, m))
-
-    @classmethod
-    def _derived(cls, m: int, edge_array: np.ndarray) -> DirectedGraph:
-        """A graph whose edges were derived from a valid graph by a
-        transformation that keeps it simple: nothing is checked again."""
-        graph = cls.__new__(cls)
-        graph._set(m, edge_array)
-        return graph
+        degrees = None if array is None else _accepted(array, m)
+        if degrees is None:
+            self._set(m, _explained(edges, m))
+        else:
+            self._set(m, array, degrees=_read_only(degrees))
 
     def _set(self, m: int, edge_array: np.ndarray, **cached: np.ndarray) -> None:
         vars(self).update(num_vertices=m, edge_array=_read_only(edge_array), **cached)
@@ -532,7 +530,7 @@ def permute_vertices(g: DirectedGraph, permutation: Sequence[int]) -> DirectedGr
     if sorted(perm) != list(range(g.num_vertices)):
         raise ValueError(f"not a permutation of 0..{g.num_vertices - 1}")
     new = np.array(perm, dtype=np.int64)
-    return DirectedGraph._derived(g.num_vertices, new[g.edge_array])
+    return DirectedGraph(g.num_vertices, new[g.edge_array])
 
 
 def flip_edge(g: DirectedGraph, edge_index: int) -> DirectedGraph:
@@ -543,7 +541,7 @@ def flip_edge(g: DirectedGraph, edge_index: int) -> DirectedGraph:
         raise ValueError(f"edge index {edge_index} out of range")
     edges = g.edge_array.copy()
     edges[edge_index, ::-1] = g.edge_array[edge_index]
-    return DirectedGraph._derived(g.num_vertices, edges)
+    return DirectedGraph(g.num_vertices, edges)
 
 
 def random_graph(num_vertices: int, rng: np.random.Generator, edge_prob: float = 0.4) -> DirectedGraph:

@@ -24,8 +24,9 @@ params.  The oracle takes its rows in one form, `StateRows`: for R rows of
 one qubit count M, one (E, 2) edge array holding each row's edges in turn,
 the per-row edge counts, and per-row theta, psi and input qubit (p, delta0,
 delta1), from which `StateRows.alpha0` and `alpha1`, the only formula for
-the input amplitudes, form them.  Each row's edges are checked as a graph's
-are.  `build_graph_state` makes the one row of a graph, an `InitialQubit`
+the input amplitudes, form them.  The edges come in as a graph's do and go
+through the graph's own checks, all rows as one disjoint-union graph.
+`build_graph_state` makes the one row of a graph, an `InitialQubit`
 and `InteractionParams`, so one-row calls and many rows run the one kernel,
 `build_graph_state_rows`, which runs that loop once for the R rows, whose
 states are the rows of an (R, 2^M) array.  One `bincount` over the edges,
@@ -105,7 +106,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import DirectedGraph, _available_bytes, _check_p, _explained, _integer, _vertex_count
+from .graphs import (
+    DirectedGraph, _accepted, _available_bytes, _check_p, _explained, _int_pairs, _integer, _read_only, _vertex_count,
+)
 
 __all__ = [
     "DEFAULT_MAX_QUBITS",
@@ -233,10 +236,11 @@ class StateRows:
     delta1 default to the balanced input.
 
     The rows are checked once, vectorised, by the guards of the classes they
-    stand for: finite angles and phases, p in [0, 1], and each row's edges
-    as a `DirectedGraph`'s, with the first refused row named by the graph's
-    explain pass.  M of 63 or more is refused here: no array holds 2^63
-    amplitudes."""
+    stand for: finite angles and phases, p in [0, 1], and edges taken as a
+    `DirectedGraph` takes them, an integer (E, 2) array or pairs of plain
+    ints, into a read-only copy, and refused exactly when a row's graph
+    would be, the first refused row named by the graph's explain pass.  M of
+    63 or more is refused here: no array holds 2^63 amplitudes."""
 
     num_qubits: int
     edges: np.ndarray
@@ -253,18 +257,19 @@ class StateRows:
         m = _vertex_count(self.num_qubits)
         if m >= 63:  # as in PureState
             raise ValueError(f"{m} qubits need 2^{m} amplitudes, more than any array holds")
-        edges, counts = np.asarray(self.edges), np.asarray(self.edge_counts)
-        if edges.dtype.kind not in "iu" or edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError(f"edges must be an (E, 2) integer array, got {edges.dtype} {edges.shape}")
+        edges, counts = _int_pairs(self.edges), np.asarray(self.edge_counts)
+        if edges is None:
+            got = self.edges
+            got = f"{got.dtype} {got.shape}" if isinstance(got, np.ndarray) else type(got).__name__
+            raise ValueError(f"edges must be an (E, 2) integer array or pairs of plain ints, got {got}")
         if counts.dtype.kind not in "iu" or counts.ndim != 1 or (counts < 0).any() or counts.sum() != len(edges):
             raise ValueError(f"edge_counts must be one count >= 0 per row, summing to the {len(edges)} edges")
-        edges, counts = edges.astype(np.int64, copy=False), counts.astype(np.int64, copy=False)
-        vars(self).update(num_qubits=m, edges=edges, edge_counts=counts)
+        vars(self).update(num_qubits=m, edges=_read_only(edges), edge_counts=_read_only(counts.astype(np.int64)))
         self._check_edges()
         _check_p(np.asarray(self.p))
         rows = len(counts)
         for name in self._PER_ROW:
-            x = np.asarray(getattr(self, name), dtype=np.float64)
+            x = np.array(getattr(self, name), dtype=np.float64)
             try:
                 vars(self)[name] = np.broadcast_to(x, (rows,))
             except ValueError:
@@ -278,26 +283,21 @@ class StateRows:
                 check(float(x[r]), float(y[r]))
 
     def _check_edges(self) -> None:
-        """Refuse the first row holding an edge its graph would refuse: an
-        endpoint out of range, a self-loop, or a second edge on one vertex
-        pair.  One pass over every row finds the rows; the graph's explain
-        pass names the edge."""
-        m, edges = self.num_qubits, self.edges
-        a, b = edges.T
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        row = np.repeat(np.arange(len(self)), self.edge_counts)
-        refused = (lo < 0) | (hi >= m) | (lo == hi)
-        # Row r's pair (lo, hi) has the key (r*M + lo)*M + hi, below R*M^2,
-        # which int64 holds for M < 63; refused edges take distinct negative
-        # keys, so only a repeated pair of one row repeats a key.
-        keys = np.sort(np.where(refused, -1 - np.arange(len(edges)), (row * m + lo) * m + hi))
-        repeated = keys[1:][keys[1:] == keys[:-1]] // (m * m)
-        bad = np.concatenate((row[refused], repeated))
-        if len(bad):
-            r = int(bad.min())
-            first, last = self._edge_ends[[r, r + 1]]
+        """Refuse the first row holding an edge its graph would refuse.  Once
+        every endpoint is in [0, M), the rows go through the graph's accept
+        pass as one graph, row r's vertices offset by r*M as by the kernel's
+        `row_starts` (without the range test, endpoint M of row r would be
+        vertex 0 of row r + 1).  If either refuses, the graph's explain pass
+        walks the rows in order and names the first refused edge: a pair key
+        that wraps past int64 can only send good rows to that walk."""
+        m, edges, counts = self.num_qubits, self.edges, self.edge_counts
+        offsets = np.repeat(np.arange(len(counts)) * m, counts)
+        if ((edges >= 0) & (edges < m)).all() and _accepted(edges + offsets[:, None], len(counts) * m) is not None:
+            return
+        ends = self._edge_ends
+        for r in range(len(counts)):
             try:
-                _explained(edges[first:last].tolist(), m)
+                _explained(edges[ends[r] : ends[r + 1]].tolist(), m)
             except ValueError as exc:
                 raise ValueError(f"row {r}: {exc}") from None
 

@@ -40,6 +40,11 @@ CHECK_ORDER = (
 BALANCED = InitialQubit()
 FFNN_THETAS = tuple(i * math.pi / 8 for i in range(1, 8))
 FFNN_PSI = 0.4
+# The bounds of a sample's ten uniform draws, in the stream order that
+# `run_verification` lists.  Array bounds draw each element as a scalar
+# `uniform(low, high)` call does, so the stream and its values are the same.
+_LOW = np.array([0.0, -math.pi, 0.0, 0.0] + [-math.pi] * 6)
+_HIGH = np.array([math.pi, math.pi, 1.0, math.pi] + [math.pi] * 6)
 
 
 @dataclass(frozen=True)
@@ -90,16 +95,7 @@ def run_verification(
     for g, draws, flipped in zip(graphs, values, flips):
         perm = np.empty((samples, g.num_vertices), dtype=np.int64)
         for s in range(samples):
-            draws[s, :7] = [
-                rng.uniform(0.0, math.pi),
-                rng.uniform(-math.pi, math.pi),
-                rng.uniform(0.0, 1.0),
-                rng.uniform(0.0, math.pi),
-                rng.uniform(-math.pi, math.pi),
-                rng.uniform(-math.pi, math.pi),
-                rng.uniform(-math.pi, math.pi),
-            ]
-            draws[s, 7:] = rng.uniform(-math.pi, math.pi, 3)
+            draws[s] = rng.uniform(_LOW, _HIGH)
             if g.num_edges:
                 flipped[s] = rng.integers(g.num_edges)
             perm[s] = rng.permutation(g.num_vertices)

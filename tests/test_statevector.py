@@ -165,7 +165,7 @@ def test_memory_estimate_above_default_cap(monkeypatch):
 def test_build_refuses_63_qubits_or_more_before_the_probe(monkeypatch, m, available):
     # 17 * 2^20000 bytes has more digits than str(int) writes, and with the
     # probe unreadable nothing else would stand before np.empty.  The rows
-    # are refused when made, so no row key (r*M + lo)*M + hi is formed.
+    # are refused when made, before their edges are checked.
     probed = []
     monkeypatch.setattr(statevector, "_available_bytes", lambda: probed.append(1) or available)
     message = rf"^{m} qubits need 2\^{m} amplitudes, more than any array holds$"
@@ -672,6 +672,66 @@ def test_row_check_names_the_first_refused_row():
         StateRows(m, edges, [1, 1, 1, 1, 2, 1], 0.7, 0.0)
     with pytest.raises(ValueError, match=r"^row 0: edges\[0\] \[0, 62\]: edge \(0,62\) out of range for 62 vertices$"):
         StateRows(m, edges[[6, 4, 5]], [1, 2], 0.7, 0.0)
+
+
+def _edge_lists(m):
+    """Up to 6 edges on m vertices with endpoints from -1 to m: out of
+    range, self-loops, and repeated and anti-parallel pairs all occur."""
+    pair = st.lists(st.integers(-1, m), min_size=2, max_size=2)
+    return st.tuples(st.just(m), st.lists(pair, max_size=6))
+
+
+@given(st.integers(1, 4).flatmap(_edge_lists))
+@example((3, [[0, 1], [1, 0]]))
+@example((3, [[0, 1], [0, 1]]))
+@example((3, [[0, 3]]))
+def test_a_row_is_refused_exactly_when_its_graph_is(case):
+    m, edges = case
+    try:
+        expected = DirectedGraph(m, edges).edge_array.tolist()
+    except ValueError as exc:
+        expected = f"row 0: {exc}"
+    for form in (edges, np.array(edges, dtype=np.int64).reshape(-1, 2)):
+        try:
+            found = StateRows(m, form, [len(edges)], 0.7, 0.0).edges.tolist()
+        except ValueError as exc:
+            found = str(exc)
+        assert found == expected
+
+
+@pytest.mark.parametrize("edges", [[[True, 0]], [[0, False]], [[1, 2], [True, 0]]])
+def test_bool_endpoints_are_refused_by_rows_and_graphs(edges):
+    # A bool is an int to numpy: [[True, 0]] was simulated as the edge (1, 0).
+    with pytest.raises(ValueError, match=r"^edges must be an \(E, 2\) integer array"):
+        StateRows(3, edges, [len(edges)], 0.7, 0.0)
+    with pytest.raises(ValueError, match=r"edge endpoint (True|False) is not an integer$"):
+        DirectedGraph(3, edges)
+    with pytest.raises(ValueError, match=r"^edges must be an \(E, 2\) integer array"):
+        StateRows(3, np.array([[True, False]]), [1], 0.7, 0.0)
+
+
+def test_rows_are_checked_as_one_disjoint_union():
+    # One pair in several rows, either way round, is no repeat: each row
+    # is its own graph.  A bad row after good ones is the one named.
+    edges = [[0, 1], [1, 2], [1, 0], [2, 1], [0, 1], [1, 2], [2, 0], [0, 2]]
+    rows = StateRows(3, edges[:6], [2, 2, 2], 0.7, 0.0)
+    assert len(rows) == 3 and rows.edges.tolist() == edges[:6]
+    with pytest.raises(ValueError, match=r"^row 3: edges\[1\] \[0, 2\]: duplicate or anti-parallel edge on pair \(0, 2\)$"):
+        StateRows(3, edges, [2, 2, 2, 2], 0.7, 0.0)
+    # Endpoint M of row 0 is vertex 0 of row 1 in the union: still refused.
+    with pytest.raises(ValueError, match=r"^row 0: edges\[0\] \[2, 3\]: edge \(2,3\) out of range for 3 vertices$"):
+        StateRows(3, [[2, 3], [1, 2]], [1, 1], 0.7, 0.0)
+
+
+def test_rows_keep_their_own_copy_of_the_callers_arrays():
+    edges, counts, theta = np.array([[0, 1], [1, 2]]), np.array([2]), np.array([0.7])
+    rows = StateRows(3, edges, counts, theta, 0.0)
+    state = build_graph_state_rows(rows)
+    edges[1], counts[0], theta[0] = [1, 0], 1, math.nan
+    assert rows.edges.tolist() == [[0, 1], [1, 2]]
+    assert rows.edge_counts.tolist() == [2] and rows.theta.tolist() == [0.7]
+    assert not (rows.edges.flags.writeable or rows.edge_counts.flags.writeable or rows.theta.flags.writeable)
+    assert np.array_equal(build_graph_state_rows(rows), state)
 
 
 @pytest.mark.parametrize("field", StateRows._PER_ROW)
