@@ -44,9 +44,6 @@ from .graphs import (
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     EdReport,
-    InitialQubit,
-    InteractionParams,
-    PureState,
     build_graph_state,
     ed_numeric,
     pauli_vectors,

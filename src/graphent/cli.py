@@ -36,7 +36,7 @@ from .graphs import (
     save_graph,
     young_fibonacci_degree_counts,
 )
-from .statevector import DEFAULT_MAX_QUBITS, InitialQubit, InteractionParams, build_graph_state, ed_numeric
+from .statevector import DEFAULT_MAX_QUBITS, build_graph_state, ed_numeric
 
 __all__ = ["TOPOLOGIES", "run_sweep", "main"]
 
@@ -66,10 +66,15 @@ def _fmt(x: float) -> str:
 
 
 def _grid(lo: float, hi: float, steps: int, name: str) -> list[float]:
-    """Inclusive uniform grid over --NAME-min .. --NAME-max: lo + i*(hi-lo)/(steps-1)."""
+    """Inclusive uniform grid over --NAME-min .. --NAME-max: lo + i*(hi-lo)/(steps-1).
+    Finite bounds can still overflow hi - lo or i*(hi - lo), which leaves an
+    infinite grid point: that grid is refused."""
     if not lo < hi:
         raise ValueError(f"--{name}-min must be less than --{name}-max")
-    return [lo + (i * (hi - lo)) / (steps - 1) for i in range(steps)]
+    grid = [lo + (i * (hi - lo)) / (steps - 1) for i in range(steps)]
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"--{name}-min and --{name}-max are too far apart: the grid overflows a float")
+    return grid
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -209,7 +214,7 @@ def _graph_from_args(
         raise ValueError(f"--topology {args.topology} needs {flag}")
     counts = _sized(flag, count, size)
     if degrees_only:
-        return _sized(flag, DegreeDistribution, counts)
+        return DegreeDistribution._of_graph(counts)
     _within_cap(sum(counts.values()), cap)
     return _sized(flag, generate, size)
 
@@ -254,12 +259,8 @@ def cmd_ed(args: argparse.Namespace) -> int:
         total = entanglement.ed_closed_general(dist, args.p, args.theta)
         results["closed"] = (total, _closed_shares(graph, args.p, args.theta) if args.verbose else ())
     if args.method in ("simulate", "both"):
-        state = build_graph_state(
-            graph,
-            InitialQubit(args.p),
-            InteractionParams(args.theta, 0.0 if args.psi is None else args.psi),
-        )
-        report = ed_numeric(state)
+        psi = 0.0 if args.psi is None else args.psi
+        report = ed_numeric(build_graph_state(graph, theta=args.theta, psi=psi, p=args.p))
         results["simulate"] = (report.total, report.per_vertex)
     for name, (total, per_vertex) in results.items():
         print(f"{name}: {_fmt(total)}")

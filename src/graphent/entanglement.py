@@ -11,8 +11,10 @@ input (p, delta0, delta1) it is  4p(1-p) (1 - r^(2d))  with
 r^2 = cos^2(theta) + sin^2(theta) (1-2p)^2, since 1 - (1-2p)^2 = 4p(1-p).
 Both closed forms therefore consume nothing but the degree distribution;
 the state-vector oracle in :mod:`graphent.statevector`, ED step included,
-is the brute-force route they are checked against, and this module holds
-no part of it.
+is the brute-force route they are checked against, and this module neither
+holds nor imports any part of it: the two routes share only
+:mod:`graphent.graphs`, whose guards check the plain values (theta, psi,
+p, delta0, delta1) that both take.
 
 `vertex_share` is one vertex's term, 4p(1-p) (1 - r^(2d)); the reduced-state
 quantities in :mod:`graphent.density` read it.  It, `ed_closed_general`,
@@ -38,10 +40,9 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .graphs import DegreeDistribution, _check_p, _checked_counts, _integer
+from .graphs import DegreeDistribution, _check_angles, _check_p, _check_phases, _checked_counts, _integer
 from .graphs import _each, _each_of, _tree_depth, _vertex_count, _yf_layers
 from .graphs import ffnn_degree_counts, ffnn_layer_sizes
-from .statevector import InitialQubit, InteractionParams
 
 __all__ = [
     "ed_closed_form",
@@ -135,20 +136,22 @@ def vertex_share(degree: int, p: Real, theta: Real) -> Real:
     return w * (1.0 - _power(_r_squared(q, theta), d))
 
 
-def interaction_expectation(qubit: InitialQubit, params: InteractionParams) -> complex:
-    """z = <phi| Ubar |phi> for the single-qubit edge operator Ubar: the
-    modulus r drives every closed form, the phase feeds the x/y components."""
-    p = qubit.p
-    return cmath.exp(-1j * params.psi) * complex(
-        math.cos(params.theta), (1.0 - 2.0 * p) * math.sin(params.theta)
-    )
+def interaction_expectation(*, theta: float, psi: float = 0.0, p: float = 0.5) -> complex:
+    """z = <phi| Ubar |phi> for the single-qubit edge operator
+    Ubar = exp(-i*psi) * diag(exp(i*theta), exp(-i*theta)) and an input qubit
+    of |1> weight p: the modulus r drives every closed form, the phase feeds
+    the x/y components."""
+    _check_p(p)
+    _check_angles(theta, psi)
+    return cmath.exp(-1j * psi) * complex(math.cos(theta), (1.0 - 2.0 * p) * math.sin(theta))
 
 
 def pauli_vector_closed(
-    d_out: int, d_in: int, qubit: InitialQubit, params: InteractionParams
+    d_out: int, d_in: int, *, theta: float, psi: float = 0.0, p: float = 0.5, delta0: float = 0.0, delta1: float = 0.0
 ) -> np.ndarray:
     """Closed-form Pauli expectation vector of a vertex with d_out outgoing
-    and d_in incoming edges:
+    and d_in incoming edges, input qubit sqrt(1-p)*e^{i*delta0}|0> +
+    sqrt(p)*e^{i*delta1}|1> and interaction angles theta, psi:
 
         ( 2 sqrt(p(1-p)) r^d cos(Phi), -2 sqrt(p(1-p)) r^d sin(Phi), 1-2p )
 
@@ -162,12 +165,12 @@ def pauli_vector_closed(
     d_out, d_in = _integer(d_out, "d_out"), _integer(d_in, "d_in")
     if d_out < 0 or d_in < 0:
         raise ValueError(f"edge counts must be non-negative, got ({d_out}, {d_in})")
-    p = qubit.p
-    z = interaction_expectation(qubit, params)
-    delta = cmath.phase(z) + params.psi
+    _check_phases(delta0, delta1)
+    z = interaction_expectation(theta=theta, psi=psi, p=p)
+    delta = cmath.phase(z) + psi
     d = d_out + d_in
     amplitude = 2.0 * math.sqrt(p * (1.0 - p)) * abs(z) ** d
-    phi = qubit.delta0 - qubit.delta1 - d * delta + d_out * params.psi + d_in * params.theta
+    phi = delta0 - delta1 - d * delta + d_out * psi + d_in * theta
     return np.array([amplitude * math.cos(phi), -amplitude * math.sin(phi), 1.0 - 2.0 * p])
 
 

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import numbers
 import operator
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import accumulate, chain
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -113,20 +114,52 @@ def _family_size(counts: Mapping[int, int], what: str) -> tuple[int, int]:
     return num_vertices, num_edges
 
 
+def _real(x: object) -> bool:
+    """Whether x is a real number: a bool, str, None or complex is not."""
+    return type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+
+
+def _first_refused(ok: Callable[..., object], *values: object) -> tuple | None:
+    """The first tuple of `values`, or of their elements at one index once
+    broadcast when any is an array, that holds anything but real numbers or
+    that `ok` refuses, as a non-empty tuple; None when there is none.  Float
+    arrays are checked by one vectorised call of ok; any other array, or one
+    that fails it, element by element, as Python scalars."""
+    if not any(isinstance(v, np.ndarray) for v in values):
+        rows = [values]
+    else:
+        arrays = np.broadcast_arrays(*values) if len(values) > 1 else values
+        if all(a.dtype.kind == "f" for a in arrays) and ok(*arrays).all():
+            return None
+        rows = zip(*(a.ravel().tolist() for a in arrays))
+    for row in rows:
+        if not (all(map(_real, row)) and ok(*row)):
+            return row
+    return None
+
+
 def _check_p(p: float | np.ndarray) -> None:
-    """Refuse an input amplitude split p that is not a real number in [0, 1]:
-    NaN fails the range test, and a bool, str or None is not a real number.
-    A float array is checked in one vectorised pass; any other array, or one
-    that fails it, element by element, as a Python scalar each."""
-    if isinstance(p, np.ndarray):
-        if p.dtype.kind == "f" and ((p >= 0.0) & (p <= 1.0)).all():
-            return
-        for v in p.ravel().tolist():
-            _check_p(v)
-        return
-    real = type(p) is float or (isinstance(p, numbers.Real) and not isinstance(p, bool))
-    if not (real and 0.0 <= p <= 1.0):
-        raise ValueError(f"p must be in [0, 1], got {p!r}")
+    """Refuse an input amplitude split p, or an element of an array of them,
+    that is not a real number in [0, 1]: NaN fails the range test."""
+    if refused := _first_refused(lambda p: (p >= 0.0) & (p <= 1.0), p):
+        raise ValueError(f"p must be in [0, 1], got {refused[0]!r}")
+
+
+def _finite(x: float | np.ndarray, y: float | np.ndarray) -> object:
+    return (abs(x) < math.inf) & (abs(y) < math.inf)  # False at NaN
+
+
+def _check_angles(theta: float | np.ndarray, psi: float | np.ndarray) -> None:
+    """Refuse interaction angles that are not finite real numbers, the first
+    refused pair named when they are arrays of one shape."""
+    if refused := _first_refused(_finite, theta, psi):
+        raise ValueError(f"angles must be finite, got theta={refused[0]!r}, psi={refused[1]!r}")
+
+
+def _check_phases(delta0: float | np.ndarray, delta1: float | np.ndarray) -> None:
+    """Refuse input phases that are not finite real numbers, as `_check_angles`."""
+    if refused := _first_refused(_finite, delta0, delta1):
+        raise ValueError(f"phases must be finite, got delta0={refused[0]!r}, delta1={refused[1]!r}")
 
 
 def _each(fn: Callable[[float], float], x: float | np.ndarray) -> float | np.ndarray:
@@ -351,8 +384,9 @@ class DegreeDistribution:
 
     @classmethod
     def _of_graph(cls, counts: dict[int, int]) -> DegreeDistribution:
-        """The distribution of a valid graph's own degrees, which some simple
-        graph has by construction: nothing is checked."""
+        """The distribution of a valid graph's own degrees, or of a family's
+        degree-count rule, the degrees of the graph its generator builds:
+        some simple graph has them by construction, so nothing is checked."""
         dist = cls.__new__(cls)
         object.__setattr__(dist, "counts", counts)
         return dist
@@ -561,7 +595,8 @@ def random_graph(num_vertices: int, rng: np.random.Generator, edge_prob: float =
 # ----------------------------------------------------------------------
 
 def to_json(g: DirectedGraph) -> str:
-    return json.dumps({"num_vertices": g.num_vertices, "edges": g.edge_array.tolist()})
+    """The graph's JSON text, as `save_graph` writes it before its newline."""
+    return "".join(_json_chunks(g))
 
 
 def from_json(text: str) -> DirectedGraph:
@@ -590,16 +625,23 @@ def from_json(text: str) -> DirectedGraph:
 _SAVE_EDGES = 4096
 
 
+def _json_chunks(g: DirectedGraph) -> Iterator[str]:
+    """The graph's JSON text, in json.dumps's layout, _SAVE_EDGES edges per
+    chunk."""
+    yield f'{{"num_vertices": {g.num_vertices}, "edges": ['
+    for start in range(0, g.num_edges, _SAVE_EDGES):
+        chunk = g.edge_array[start : start + _SAVE_EDGES]
+        text = ", ".join(["[%d, %d]"] * len(chunk)) % tuple(chunk.ravel().tolist())
+        yield (", " if start else "") + text
+    yield "]}"
+
+
 def save_graph(g: DirectedGraph, path: str) -> None:
-    """Write the bytes of `to_json(g)` and a newline, _SAVE_EDGES edges at a
-    time, so no list or text of the whole edge set is held."""
+    """Write `to_json(g)` and a newline, one chunk at a time, so no list or
+    text of the whole edge set is held."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f'{{"num_vertices": {g.num_vertices}, "edges": [')
-        for start in range(0, g.num_edges, _SAVE_EDGES):
-            chunk = g.edge_array[start : start + _SAVE_EDGES]
-            text = ", ".join(["[%d, %d]"] * len(chunk)) % tuple(chunk.ravel().tolist())
-            fh.write((", " if start else "") + text)
-        fh.write("]}\n")
+        fh.writelines(_json_chunks(g))
+        fh.write("\n")
 
 
 def load_graph(path: str) -> DirectedGraph:

@@ -19,19 +19,20 @@ This is the qubit-by-qubit form of the weighted graph state (Hein, Eisert
 and Briegel, PRA 69, 062311, 2004), still a direct simulation of the edge
 operators, not a degree closed form.
 
-Rows: a row is one state, that is, a graph, an input qubit and interaction
-params.  The oracle takes its rows in one form, `StateRows`: for R rows of
-one qubit count M, one (E, 2) edge array holding each row's edges in turn,
-the per-row edge counts, and per-row theta, psi and input qubit (p, delta0,
-delta1), from which `StateRows.alpha0` and `alpha1`, the only formula for
+Rows: a row is one state, that is, a graph, interaction angles theta and
+psi, and an input qubit sqrt(1-p)*e^{i*delta0}|0> + sqrt(p)*e^{i*delta1}|1>,
+all as plain values.  The oracle takes its rows in one form, `StateRows`:
+for R rows of one qubit count M, one (E, 2) edge array holding each row's
+edges in turn, the per-row edge counts, and per-row theta, psi, p, delta0
+and delta1, from which `StateRows.alpha0` and `alpha1`, the only formula for
 the input amplitudes, form them.  The edges come in as a graph's do and go
 through the graph's own checks, all rows as one disjoint-union graph.
-`build_graph_state` makes the one row of a graph, an `InitialQubit`
-and `InteractionParams`, so one-row calls and many rows run the one kernel,
+`build_graph_state` makes the one row of a graph and those values, taken by
+keyword, so one-row calls and many rows run the one kernel,
 `build_graph_state_rows`, which runs that loop once for the R rows, whose
-states are the rows of an (R, 2^M) array.  One `bincount` over the edges,
-weighted by 2^min(a, b), builds the lower-neighbour masks and one more counts
-the out-degrees d_out(k).  The masks and the high-half factors
+states are the rows of an (R, 2^M) array; a one-row state is one (2^M,)
+array.  One `bincount` over the edges, weighted by 2^min(a, b), builds the
+lower-neighbour masks and one more counts the out-degrees d_out(k).  The masks and the high-half factors
 alpha1 * exp(i*(theta - psi)*d_out(k)) are (M, R), and the pair factors
 exp(-2i*theta*c) are one flat (R*M) table read at c + r*M.
 `pauli_vector_rows` reads such an array, and `build_graph_state` and
@@ -107,14 +108,12 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import (
-    DirectedGraph, _accepted, _available_bytes, _check_p, _explained, _int_pairs, _integer, _read_only, _vertex_count,
+    DirectedGraph, _accepted, _available_bytes, _check_angles, _check_p, _check_phases, _explained, _int_pairs,
+    _read_only, _vertex_count,
 )
 
 __all__ = [
     "DEFAULT_MAX_QUBITS",
-    "InteractionParams",
-    "InitialQubit",
-    "PureState",
     "StateRows",
     "product_state",
     "build_graph_state",
@@ -160,72 +159,6 @@ _PAIRS = np.array(
 BATCH_AMPLITUDES = 2**15
 
 
-@dataclass(frozen=True)
-class InteractionParams:
-    """Edge interaction angles.
-
-    When the control qubit of an edge is 1, the target qubit picks up
-    exp(-i*psi) * diag(exp(i*theta), exp(-i*theta)); when it is 0, nothing
-    happens.  Both angles are radians, unconstrained (all formulas are
-    periodic).
-    """
-
-    theta: float
-    psi: float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_angles(self.theta, self.psi)
-
-
-def _check_angles(theta: float, psi: float) -> None:
-    if not (math.isfinite(theta) and math.isfinite(psi)):
-        raise ValueError(f"angles must be finite, got theta={theta}, psi={psi}")
-
-
-def _check_phases(delta0: float, delta1: float) -> None:
-    if not (math.isfinite(delta0) and math.isfinite(delta1)):
-        raise ValueError(f"phases must be finite, got delta0={delta0}, delta1={delta1}")
-
-
-@dataclass(frozen=True)
-class InitialQubit:
-    """Per-vertex input state sqrt(1-p)*e^{i*delta0}|0> + sqrt(p)*e^{i*delta1}|1>.
-
-    The default (p=1/2, zero phases) is the balanced real superposition that
-    maximizes entanglement of the resulting graph states.
-    """
-
-    p: float = 0.5
-    delta0: float = 0.0
-    delta1: float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_p(self.p)
-        _check_phases(self.delta0, self.delta1)
-
-
-@dataclass(frozen=True)
-class PureState:
-    """A pure M-qubit state as 2^M complex amplitudes (qubit i = bit i)."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = _integer(self.num_qubits, "num_qubits")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        # No array holds 2^63 amplitudes, so 2^M is formed only below that.
-        if not (0 <= m < 63 and amps.shape == (1 << m,)):
-            raise ValueError(f"expected 2^{m} amplitudes for {m} qubits, got shape {amps.shape}")
-        object.__setattr__(self, "num_qubits", m)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def norm_error(self) -> float:
-        """|sum of squared moduli - 1|."""
-        return abs(float(np.vdot(self.amplitudes, self.amplitudes).real) - 1.0)
-
-
 @dataclass(frozen=True, eq=False)
 class StateRows:
     """R oracle rows of one qubit count M, below 63, as arrays: the one form
@@ -235,8 +168,9 @@ class StateRows:
     field takes one value for every row or one value per row; p, delta0 and
     delta1 default to the balanced input.
 
-    The rows are checked once, vectorised, by the guards of the classes they
-    stand for: finite angles and phases, p in [0, 1], and edges taken as a
+    The rows are checked once, vectorised, by `graphs`' guards: finite real
+    angles and phases (a str, bool, None or complex is refused, not read as
+    a float), a real p in [0, 1], and edges taken as a
     `DirectedGraph` takes them, an integer (E, 2) array or pairs of plain
     ints, into a read-only copy, and refused exactly when a row's graph
     would be, the first refused row named by the graph's explain pass.  M of
@@ -255,7 +189,7 @@ class StateRows:
 
     def __post_init__(self) -> None:
         m = _vertex_count(self.num_qubits)
-        if m >= 63:  # as in PureState
+        if m >= 63:
             raise ValueError(f"{m} qubits need 2^{m} amplitudes, more than any array holds")
         edges, counts = _int_pairs(self.edges), np.asarray(self.edge_counts)
         if edges is None:
@@ -266,21 +200,23 @@ class StateRows:
             raise ValueError(f"edge_counts must be one count >= 0 per row, summing to the {len(edges)} edges")
         vars(self).update(num_qubits=m, edges=_read_only(edges), edge_counts=_read_only(counts.astype(np.int64)))
         self._check_edges()
-        _check_p(np.asarray(self.p))
         rows = len(counts)
+        per_row = {}
         for name in self._PER_ROW:
-            x = np.array(getattr(self, name), dtype=np.float64)
+            # A list or scalar is taken as Python objects: np.asarray would
+            # read [0.1, True] as floats before a guard could see the bool.
+            x = getattr(self, name)
+            x = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
             try:
-                vars(self)[name] = np.broadcast_to(x, (rows,))
+                per_row[name] = np.broadcast_to(x, (rows,))
             except ValueError:
                 raise ValueError(
                     f"{name} must be one value or one per row of the {rows} rows, got shape {x.shape}"
                 ) from None
-        for check, x, y in ((_check_angles, self.theta, self.psi), (_check_phases, self.delta0, self.delta1)):
-            finite = np.isfinite(x) & np.isfinite(y)
-            if not finite.all():
-                r = int(np.argmin(finite))
-                check(float(x[r]), float(y[r]))
+        _check_p(per_row["p"])
+        _check_angles(per_row["theta"], per_row["psi"])
+        _check_phases(per_row["delta0"], per_row["delta1"])
+        vars(self).update((name, _read_only(x.astype(np.float64))) for name, x in per_row.items())
 
     def _check_edges(self) -> None:
         """Refuse the first row holding an edge its graph would refuse.  Once
@@ -339,23 +275,25 @@ class StateRows:
         return np.sqrt(self.p) * np.exp(1j * self.delta1)
 
 
-def product_state(num_qubits: int, qubit: InitialQubit = InitialQubit()) -> PureState:
-    """Tensor power of the single-qubit input state: amplitude at index x is
-    the product over qubits i of alpha_{bit_i(x)}.  It is the state of the
+def product_state(num_qubits: int, *, p: float = 0.5, delta0: float = 0.0, delta1: float = 0.0) -> np.ndarray:
+    """The 2^M amplitudes of the tensor power of the input qubit
+    sqrt(1-p)*e^{i*delta0}|0> + sqrt(p)*e^{i*delta1}|1>: amplitude x is the
+    product over qubits i of alpha_{bit_i(x)}.  It is the state of the
     edgeless graph, whose appended halves take alpha1 * e^{0i} = alpha1;
     `DirectedGraph` checks num_qubits."""
-    return build_graph_state(DirectedGraph(num_qubits, ()), qubit, InteractionParams(0.0))
+    return build_graph_state(DirectedGraph(num_qubits, ()), theta=0.0, p=p, delta0=delta0, delta1=delta1)
 
 
-def build_graph_state(graph: DirectedGraph, qubit: InitialQubit, params: InteractionParams) -> PureState:
-    """Product input state followed by one edge operator per graph edge,
-    built by in-place doubling (see the module docstring): the one-row call
-    of `build_graph_state_rows`."""
-    row = StateRows(
-        graph.num_vertices, graph.edge_array, [graph.num_edges],
-        params.theta, params.psi, qubit.p, qubit.delta0, qubit.delta1,
-    )
-    return PureState(graph.num_vertices, build_graph_state_rows(row)[0])
+def build_graph_state(
+    graph: DirectedGraph, *, theta: float, psi: float = 0.0, p: float = 0.5, delta0: float = 0.0, delta1: float = 0.0
+) -> np.ndarray:
+    """The 2^M amplitudes of the product input state followed by one edge
+    operator per graph edge, at interaction angles theta and psi, built by
+    in-place doubling (see the module docstring): the one-row call of
+    `build_graph_state_rows`.  When the control qubit of an edge is 1, its
+    target picks up exp(-i*psi) * diag(exp(i*theta), exp(-i*theta))."""
+    row = StateRows(graph.num_vertices, graph.edge_array, [graph.num_edges], theta, psi, p, delta0, delta1)
+    return build_graph_state_rows(row)[0]
 
 
 def _state_buffer(count: int, m: int) -> np.ndarray:
@@ -460,22 +398,25 @@ def build_graph_state_rows(
     return amps
 
 
-def pauli_vectors(state: PureState) -> np.ndarray:
-    """Row i is (<sx>, <sy>, <sz>) of qubit i, read from the amplitudes in
-    place (see the module docstring); a norm off by more than 1e-8 is refused.
-    The one-row call of `pauli_vector_rows`."""
-    return pauli_vector_rows(state.amplitudes[None])[0]
+def pauli_vectors(state: np.ndarray) -> np.ndarray:
+    """Row i is (<sx>, <sy>, <sz>) of qubit i of a state of 2^M amplitudes,
+    read in place (see the module docstring); a norm off by more than 1e-8
+    is refused.  The one-row call of `pauli_vector_rows`."""
+    return pauli_vector_rows(np.asarray(state)[None])[0]
 
 
 def pauli_vector_rows(amplitudes: np.ndarray, *, scratch: np.ndarray | None = None) -> np.ndarray:
     """Entry [r, i] is (<sx>, <sy>, <sz>) of qubit i in row r of an (R, 2^M)
     array of amplitudes; a row whose norm is off by more than 1e-8 is refused.
+    Any array or nested list of that shape is read as complex, and a complex
+    array, such as the oracle's own states, is read in place, not copied.
     Below 2^18 amplitudes per row the probabilities go into `scratch`, a flat
     float64 array of at least R * 2^M entries, allocated when not given."""
-    rows, size = amplitudes.shape
+    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    rows, size = amplitudes.shape if amplitudes.ndim == 2 else (0, 0)
     m = size.bit_length() - 1
     if m < 1 or size != 1 << m:
-        raise ValueError(f"expected 2^M amplitudes per row with M >= 1, got {size}")
+        raise ValueError(f"expected 2^M amplitudes per row with M >= 1, got shape {amplitudes.shape}")
     vectors = np.empty((rows, m, 3))
     # xy views the first two columns as one complex column: each cross term
     # lands there and is doubled into (<sx>, <sy>) below.
@@ -569,16 +510,16 @@ def _contribution_rows(amplitudes: np.ndarray, scratch: np.ndarray | None = None
     return 1.0 - np.vecdot(vectors, vectors)
 
 
-def ed_numeric(state: PureState) -> EdReport:
-    """Brute-force Entanglement Distance from a simulated state, with its
-    per-vertex contributions."""
-    return EdReport(_contribution_rows(state.amplitudes[None])[0].tolist())
+def ed_numeric(state: np.ndarray) -> EdReport:
+    """Brute-force Entanglement Distance from a simulated state of 2^M
+    amplitudes, with its per-vertex contributions."""
+    return EdReport(_contribution_rows(np.asarray(state)[None])[0].tolist())
 
 
 def ed_numeric_rows(rows: StateRows) -> np.ndarray:
     """The brute-force ED per qubit of each row of `rows`, as an (R,) array,
-    bit for bit `ed_numeric(build_graph_state(graph, qubit, params)).total`
-    for the graph, input qubit and params the row holds, but with no report
+    bit for bit `ed_numeric(build_graph_state(graph, theta=..., ...)).total`
+    for the graph, angles and input qubit the row holds, but with no report
     built.  The rows of M qubits are built and read in batches of at most
     max(BATCH_AMPLITUDES, 2^M) amplitudes, every batch in the same state
     buffer and, below 2^18 amplitudes per row, the same scratch buffer."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import entanglement
 from .graphs import DirectedGraph, degree_distribution
-from .statevector import InitialQubit, StateRows, ed_numeric_rows
+from .statevector import StateRows, ed_numeric_rows
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification", "ffnn_variant_report"]
 
@@ -37,7 +37,8 @@ CHECK_ORDER = (
     "vertex relabeling",
 )
 
-BALANCED = InitialQubit()
+# The balanced input qubit (p, delta0, delta1), StateRows' default.
+BALANCED = (0.5, 0.0, 0.0)
 FFNN_THETAS = tuple(i * math.pi / 8 for i in range(1, 8))
 FFNN_PSI = 0.4
 # The bounds of a sample's ten uniform draws, in the stream order that
@@ -159,7 +160,7 @@ def _sample_rows(
     edges[:, -1] = perms[:, g.edge_array]
     # (p, delta0, delta1) per row: the general row's draws, else the balanced input.
     inputs = np.empty((3, samples, width))
-    inputs[:] = np.array([BALANCED.p, BALANCED.delta0, BALANCED.delta1])[:, None, None]
+    inputs[:] = np.array(BALANCED)[:, None, None]
     inputs[:, :, 1] = values[:, [2, 5, 6]].T
     return (
         edges.reshape(-1, 2),

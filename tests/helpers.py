@@ -22,7 +22,6 @@ import numpy as np
 from hypothesis import strategies as st
 
 from graphent.graphs import DirectedGraph, _integer
-from graphent.statevector import PureState
 
 I2 = np.eye(2, dtype=complex)
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -111,22 +110,26 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def partial_trace(state: PureState, keep: Sequence[int]) -> DensityMatrix:
+def partial_trace(state: np.ndarray, keep: Sequence[int]) -> DensityMatrix:
     """Reduced density matrix of the qubits in `keep` (a set; the complement
-    is traced out).  Row/column index r encodes the j-th smallest kept qubit
-    as bit j of r, matching the global bit convention."""
+    is traced out) of a state of 2^M amplitudes.  Row/column index r encodes
+    the j-th smallest kept qubit as bit j of r, matching the global bit
+    convention."""
+    amplitudes = np.asarray(state, dtype=np.complex128)
+    m = amplitudes.size.bit_length() - 1
+    if amplitudes.shape != (1 << m,):
+        raise ValueError(f"expected 2^M amplitudes, got shape {amplitudes.shape}")
     keep_list = [_integer(q, "qubit") for q in keep]
     if not keep_list:
         raise ValueError("keep set must be non-empty")
     kept = sorted(set(keep_list))
     if len(kept) != len(keep_list):
         raise ValueError(f"duplicate vertices in keep set {keep_list}")
-    m = state.num_qubits
     for q in kept:
         if not (0 <= q < m):
             raise ValueError(f"qubit {q} out of range for {m} qubits")
     k = len(kept)
-    view = state.amplitudes.reshape((2,) * m)
+    view = amplitudes.reshape((2,) * m)
     # Move kept-qubit axes to the front, most significant kept qubit first.
     src = [m - 1 - q for q in reversed(kept)]
     block = np.ascontiguousarray(np.moveaxis(view, src, range(k))).reshape(2**k, -1)

@@ -36,7 +36,7 @@ from graphent.graphs import (
     gen_young_fibonacci,
     random_graph,
 )
-from graphent.statevector import InitialQubit, InteractionParams, build_graph_state, ed_numeric
+from graphent.statevector import build_graph_state, ed_numeric
 from graphent.verify import ffnn_variant_report, run_verification
 
 from helpers import (
@@ -48,7 +48,6 @@ from helpers import (
     von_neumann_entropy,
 )
 
-BALANCED = InitialQubit()
 THETAS = grid(0.0, math.pi, 33)
 THETA_QUARTER_INDEX = 8  # THETAS[8] == pi/4 exactly
 
@@ -73,7 +72,7 @@ def _report(number, name, ok, detail):
 
 
 def _balanced_ed(graph, theta, psi):
-    return ed_numeric(build_graph_state(graph, BALANCED, InteractionParams(theta, psi))).total
+    return ed_numeric(build_graph_state(graph, theta=theta, psi=psi)).total
 
 
 def test_criterion_1_oracle_equivalence():
@@ -104,9 +103,9 @@ def test_criterion_2_general_p_equivalence():
             p = float(rng.uniform(0.0, 1.0))
             theta = float(rng.uniform(0.0, math.pi))
             psi = float(rng.uniform(-math.pi, math.pi))
-            qubit = InitialQubit(p, float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(-math.pi, math.pi)))
+            delta0, delta1 = float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(-math.pi, math.pi))
             numeric = ed_numeric(
-                build_graph_state(graph, qubit, InteractionParams(theta, psi))
+                build_graph_state(graph, theta=theta, psi=psi, p=p, delta0=delta0, delta1=delta1)
             ).total
             worst = max(worst, abs(numeric - ed_closed_general(dist, p, theta)))
     _report(2, "general-p equivalence", worst <= 1e-10, f"max dev {worst:.3e}, tol 1e-10")
@@ -123,7 +122,7 @@ def test_criterion_3_two_qubit_analytics():
     hs2_values = np.zeros((41, 41))
     for ti, theta in enumerate(thetas):
         for pi_, p in enumerate(ps):
-            state = build_graph_state(pair, InitialQubit(p), InteractionParams(theta, 0.0))
+            state = build_graph_state(pair, theta=theta, p=p)
             rho = partial_trace(state, [0])
 
             ed_values[ti, pi_] = ed_numeric(state).total

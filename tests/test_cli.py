@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -91,12 +92,16 @@ def test_gen_topology_table(tmp_path, capsys, name):
 @pytest.mark.parametrize("chunk", [1, 3, 4096])
 @pytest.mark.parametrize("name", [*sorted(TOPOLOGIES), "edgeless"])
 def test_save_graph_writes_to_json_in_chunks(tmp_path, monkeypatch, name, chunk):
-    # Whatever the chunk size, the file holds the bytes of to_json and a newline.
+    # Whatever the chunk size, the file holds json.dumps's bytes of the
+    # document and a newline, and to_json gives the same text: an encoder
+    # independent of the package pins the format.
     graph = DirectedGraph(3, []) if name == "edgeless" else TOPOLOGIES[name][2](TOPOLOGY_SIZES[name][1])
     monkeypatch.setattr(graphent.graphs, "_SAVE_EDGES", chunk)
     path = tmp_path / "g.json"
     save_graph(graph, str(path))
-    assert path.read_bytes() == (graphent.graphs.to_json(graph) + "\n").encode()
+    expected = json.dumps({"num_vertices": graph.num_vertices, "edges": [list(e) for e in graph.edges]})
+    assert path.read_bytes() == (expected + "\n").encode()
+    assert graphent.graphs.to_json(graph) == expected
 
 
 @pytest.mark.parametrize(
@@ -322,6 +327,29 @@ def test_closed_route_builds_no_graph(tmp_path, capsys, monkeypatch, name):
     )
     assert code == 0
     assert out.read_text().splitlines()[1] == f"0.69999999999999996,{expected:.17g}"
+
+
+def _no_graphicality_check(counts):
+    raise AssertionError("a family's own degree counts were checked for a graph")
+
+
+@pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+def test_closed_route_runs_no_graphicality_check_on_a_family(tmp_path, capsys, monkeypatch, name):
+    # A family's degree counts are its built graph's by construction: the
+    # quadratic Erdos-Gallai pass is never run on them, and ed and sweep
+    # print what they print with it in place.
+    source = ("--topology", name, "--" + TOPOLOGIES[name][0].replace("_", "-"), TOPOLOGY_SIZES[name][0])
+    ed = ("ed", *source, "--theta", "0.7", "--p", "0.3", "--method", "closed")
+    sweep = ("sweep", "--quantity", "ed", *source, "--theta-steps", "5")
+
+    def outputs(name):
+        csv = tmp_path / name
+        return run(capsys, *ed), run(capsys, *sweep, "--out", str(csv))[0], csv.read_bytes()
+
+    expected = outputs("checked.csv")
+    assert expected[0][0] == expected[1] == 0
+    monkeypatch.setattr(graphent.graphs, "_erdos_gallai", _no_graphicality_check)
+    assert outputs("unchecked.csv") == expected
 
 
 def test_closed_total_of_a_family_past_memory(capsys):
@@ -676,6 +704,30 @@ def test_ed_closed_at_huge_theta(capsys):
 # ----------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--quantity", "hs2"),
+        ("--quantity", "entropy", "--p-steps", "3"),
+        ("--quantity", "ed", "--topology", "yf", "--layers", "3"),
+        ("--quantity", "ed", "--topology", "btree", "--limit"),
+    ],
+    ids=["hs2", "entropy", "ed", "limit"],
+)
+@pytest.mark.parametrize("bounds", [("-1e308", "1e308"), ("0", "1.5e308")], ids=["span", "product"])
+def test_sweep_grid_that_overflows_names_its_flags(tmp_path, capsys, argv, bounds):
+    # Finite bounds whose span, or a multiple of it, overflows a float would
+    # put an infinite point on the grid: refused by flag, before any write.
+    out = tmp_path / "x.csv"
+    code, stdout, stderr = run(
+        capsys, "sweep", *argv, f"--theta-min={bounds[0]}", f"--theta-max={bounds[1]}",
+        "--theta-steps", "3", "--out", str(out),
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: --theta-min and --theta-max are too far apart: the grid overflows a float\n"
+    assert not out.exists()
+
 
 def test_sweep_hs2_grid(tmp_path, capsys):
     out = str(tmp_path / "hs2.csv")

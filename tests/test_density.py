@@ -13,9 +13,6 @@ from graphent.cli import main as cli_main
 from graphent.density import vertex_eigenvalues, vertex_entropy, vertex_hs2
 from graphent.entanglement import ed_closed_general, vertex_share
 from graphent.statevector import (
-    InitialQubit,
-    InteractionParams,
-    PureState,
     build_graph_state,
     product_state,
 )
@@ -37,7 +34,7 @@ PAIR = DirectedGraph(2, [(0, 1)])
 
 
 def pair_state(p, theta, psi=0.0):
-    return build_graph_state(PAIR, InitialQubit(p), InteractionParams(theta, psi))
+    return build_graph_state(PAIR, theta=theta, psi=psi, p=p)
 
 
 # ----------------------------------------------------------------------
@@ -88,8 +85,7 @@ def test_density_matrix_refuses_nonfinite_without_a_warning(matrix):
 @given(probabilities, angles, angles)
 @settings(max_examples=50)
 def test_product_state_reduces_to_projector(p, d0, d1):
-    qubit = InitialQubit(p, d0, d1)
-    state = product_state(3, qubit)
+    state = product_state(3, p=p, delta0=d0, delta1=d1)
     phi = np.array([math.sqrt(1.0 - p) * np.exp(1j * d0), math.sqrt(p) * np.exp(1j * d1)])
     for i in range(3):
         rho = partial_trace(state, [i])
@@ -116,7 +112,7 @@ def test_partial_trace_bit_order():
     # {0, 2}.
     amps = np.zeros(8)
     amps[1] = 1.0  # |001> = qubit0 set
-    rho = partial_trace(PureState(3, amps), [0, 2])
+    rho = partial_trace(amps, [0, 2])
     assert rho.matrix[1, 1] == pytest.approx(1.0)
 
 
@@ -261,8 +257,8 @@ def test_every_degree_matches_the_reduced_state():
     for _ in range(40):
         graph = random_graph(int(rng.integers(2, 10)), rng, float(rng.uniform(0.2, 0.8)))
         p, theta = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, math.pi))
-        qubit = InitialQubit(p, float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(-math.pi, math.pi)))
-        state = build_graph_state(graph, qubit, InteractionParams(theta, float(rng.uniform(-math.pi, math.pi))))
+        delta0, delta1, psi = (float(x) for x in rng.uniform(-math.pi, math.pi, 3))
+        state = build_graph_state(graph, theta=theta, psi=psi, p=p, delta0=delta0, delta1=delta1)
         for i, d in enumerate(graph.degrees.tolist()):
             rho = partial_trace(state, [i])
             worst = max(

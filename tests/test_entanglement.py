@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -17,6 +19,7 @@ from graphent.entanglement import (
     ed_ffnn_output_self_exponent,
     ed_young_fibonacci,
     ed_young_fibonacci_limit,
+    interaction_expectation,
     pauli_vector_closed,
     vertex_share,
 )
@@ -37,9 +40,6 @@ from graphent.graphs import (
 )
 from graphent.statevector import (
     EdReport,
-    InitialQubit,
-    InteractionParams,
-    PureState,
     build_graph_state,
     ed_numeric,
     pauli_vectors,
@@ -49,11 +49,8 @@ from graphent.statevector import (
 from helpers import angles, directed_graphs, grid, probabilities
 from test_density import GRID_P, GRID_THETA, same_bits
 
-BALANCED = InitialQubit()
-
-
 def balanced_state(g, theta, psi=0.0):
-    return build_graph_state(g, BALANCED, InteractionParams(theta, psi))
+    return build_graph_state(g, theta=theta, psi=psi)
 
 
 # ----------------------------------------------------------------------
@@ -63,7 +60,7 @@ def balanced_state(g, theta, psi=0.0):
 @given(probabilities, angles, angles)
 @settings(max_examples=50)
 def test_product_state_has_zero_ed(p, d0, d1):
-    report = ed_numeric(product_state(4, InitialQubit(p, d0, d1)))
+    report = ed_numeric(product_state(4, p=p, delta0=d0, delta1=d1))
     assert abs(report.total) <= 1e-12
 
 
@@ -79,13 +76,13 @@ def test_single_edge_half():
 
 def test_ed_numeric_rejects_unnormalized():
     with pytest.raises(ValueError):
-        ed_numeric(PureState(1, np.array([1.0, 1.0])))
+        ed_numeric(np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="not normalized: norm error nan"):
-        ed_numeric(PureState(1, np.array([math.nan, 0.0])))
+        ed_numeric(np.array([math.nan, 0.0]))
     with pytest.raises(ValueError, match="not normalized: norm error 1.000e"):
-        pauli_vectors(PureState(1, np.array([1.0, 1.0])))
+        pauli_vectors(np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="not normalized: norm error nan"):
-        pauli_vectors(PureState(1, np.array([math.nan, 0.0])))
+        pauli_vectors(np.array([math.nan, 0.0]))
 
 
 def test_report_mean_invariant():
@@ -272,7 +269,7 @@ def test_closed_form_matches_oracle(g, theta, psi):
 @settings(max_examples=40, deadline=None)
 @given(directed_graphs(max_vertices=6), angles, angles, probabilities, angles, angles)
 def test_general_form_matches_oracle(g, theta, psi, p, d0, d1):
-    state = build_graph_state(g, InitialQubit(p, d0, d1), InteractionParams(theta, psi))
+    state = build_graph_state(g, theta=theta, psi=psi, p=p, delta0=d0, delta1=d1)
     closed = ed_closed_general(degree_distribution(g), p, theta)
     assert abs(ed_numeric(state).total - closed) <= 1e-10
 
@@ -291,24 +288,23 @@ def test_ed_independent_of_psi(g, theta):
 # ----------------------------------------------------------------------
 
 def test_pauli_vector_trivial_vertex():
-    vec = pauli_vector_closed(0, 0, BALANCED, InteractionParams(0.7, 0.2))
+    vec = pauli_vector_closed(0, 0, theta=0.7, psi=0.2)
     assert np.allclose(vec, [1.0, 0.0, 0.0], atol=1e-15)
 
 
 @given(st.integers(0, 4), st.integers(0, 4), probabilities, angles, angles)
 @settings(max_examples=60)
 def test_pauli_vector_z_component(d_out, d_in, p, theta, psi):
-    vec = pauli_vector_closed(d_out, d_in, InitialQubit(p), InteractionParams(theta, psi))
+    vec = pauli_vector_closed(d_out, d_in, theta=theta, psi=psi, p=p)
     assert vec[2] == pytest.approx(1 - 2 * p, abs=1e-14)
 
 
 @given(st.integers(0, 5), st.integers(0, 5), probabilities, angles, angles)
 @settings(max_examples=60)
 def test_pauli_vector_norm_only_sees_total_degree(d_out, d_in, p, theta, psi):
-    params = InteractionParams(theta, psi)
-    qubit = InitialQubit(p, 0.3, -0.8)
-    split = pauli_vector_closed(d_out, d_in, qubit, params)
-    lumped = pauli_vector_closed(d_out + d_in, 0, qubit, params)
+    values = dict(theta=theta, psi=psi, p=p, delta0=0.3, delta1=-0.8)
+    split = pauli_vector_closed(d_out, d_in, **values)
+    lumped = pauli_vector_closed(d_out + d_in, 0, **values)
     r2 = math.cos(theta) ** 2 + math.sin(theta) ** 2 * (1 - 2 * p) ** 2
     expected = (1 - 2 * p) ** 2 + 4 * p * (1 - p) * r2 ** (d_out + d_in)
     assert float(split @ split) == pytest.approx(expected, abs=1e-12)
@@ -318,21 +314,19 @@ def test_pauli_vector_norm_only_sees_total_degree(d_out, d_in, p, theta, psi):
 @settings(max_examples=30, deadline=None)
 @given(directed_graphs(max_vertices=5), angles, angles, probabilities, angles, angles)
 def test_pauli_vector_norm_matches_simulation(g, theta, psi, p, d0, d1):
-    qubit = InitialQubit(p, d0, d1)
-    params = InteractionParams(theta, psi)
-    state = build_graph_state(g, qubit, params)
+    values = dict(theta=theta, psi=psi, p=p, delta0=d0, delta1=d1)
+    state = build_graph_state(g, **values)
     for i, numeric in enumerate(pauli_vectors(state)):
-        closed = pauli_vector_closed(g.out_degrees[i], g.degrees[i] - g.out_degrees[i], qubit, params)
+        closed = pauli_vector_closed(g.out_degrees[i], g.degrees[i] - g.out_degrees[i], **values)
         assert float(numeric @ numeric) == pytest.approx(float(closed @ closed), abs=1e-10)
 
 
 def test_pauli_vector_components_match_simulation_at_zero_psi():
     g = DirectedGraph(4, [(0, 1), (2, 1), (1, 3)])
-    qubit = InitialQubit(0.3, 0.4, -0.7)
-    params = InteractionParams(1.1, 0.0)
-    vectors = pauli_vectors(build_graph_state(g, qubit, params))
+    values = dict(theta=1.1, p=0.3, delta0=0.4, delta1=-0.7)
+    vectors = pauli_vectors(build_graph_state(g, **values))
     for i in range(4):
-        closed = pauli_vector_closed(g.out_degrees[i], g.degrees[i] - g.out_degrees[i], qubit, params)
+        closed = pauli_vector_closed(g.out_degrees[i], g.degrees[i] - g.out_degrees[i], **values)
         assert np.allclose(vectors[i], closed, atol=1e-12)
 
 
@@ -342,23 +336,53 @@ def test_pauli_vector_phase_convention_report():
     rng = np.random.default_rng(11)
     for m in (2, 4, 6, 7):
         g = random_graph(m, rng, edge_prob=0.6)
-        qubit = InitialQubit(rng.uniform(0, 1), rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi))
-        params = InteractionParams(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi))
-        vectors = pauli_vectors(build_graph_state(g, qubit, params))
+        p, delta0, delta1 = rng.uniform(0, 1), rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi)
+        theta, psi = rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi)
+        values = dict(theta=theta, psi=psi, p=p, delta0=delta0, delta1=delta1)
+        vectors = pauli_vectors(build_graph_state(g, **values))
         for i in range(m):
             d_out, d_in = g.out_degrees[i], g.degrees[i] - g.out_degrees[i]
-            closed = pauli_vector_closed(d_out, d_in, qubit, params)
+            closed = pauli_vector_closed(d_out, d_in, **values)
             assert np.allclose(vectors[i], closed, rtol=0, atol=1e-12), (g, i)
 
 
 def test_pauli_vector_rejects_negative_counts():
     with pytest.raises(ValueError):
-        pauli_vector_closed(-1, 0, BALANCED, InteractionParams(1.0))
+        pauli_vector_closed(-1, 0, theta=1.0)
     # edge counts are integers: refused, not used as 1.5 or 1 edges
     with pytest.raises(ValueError, match="d_out 1.5 is not an integer"):
-        pauli_vector_closed(1.5, 0, BALANCED, InteractionParams(1.0))
+        pauli_vector_closed(1.5, 0, theta=1.0)
     with pytest.raises(ValueError, match="d_in True is not an integer"):
-        pauli_vector_closed(1, True, BALANCED, InteractionParams(1.0))
+        pauli_vector_closed(1, True, theta=1.0)
+
+
+@pytest.mark.parametrize(
+    "values, refused",
+    [
+        (dict(theta=0.3, p=1.5), r"p must be in \[0, 1\], got 1.5"),
+        (dict(theta=0.3, p=-0.1), r"p must be in \[0, 1\], got -0.1"),
+        (dict(theta=0.3, p=math.nan), r"p must be in \[0, 1\], got nan"),
+        (dict(theta=math.inf), "angles must be finite, got theta=inf, psi=0.0"),
+        (dict(theta=0.3, psi=math.nan), "angles must be finite, got theta=0.3, psi=nan"),
+        (dict(theta=True), "angles must be finite, got theta=True, psi=0.0"),
+    ],
+)
+def test_closed_vectors_refuse_what_the_oracle_refuses(values, refused):
+    # The closed route checks its inputs with the oracle's own guards.
+    for call in (interaction_expectation, functools.partial(pauli_vector_closed, 1, 2)):
+        with pytest.raises(ValueError, match=f"^{refused}$"):
+            call(**values)
+    with pytest.raises(ValueError, match=f"^{refused}$"):
+        build_graph_state(DirectedGraph(2, [(0, 1)]), **values)
+
+
+@pytest.mark.parametrize("d0, d1", [(math.inf, 0.0), (0.0, math.nan), ("0", 0.0)])
+def test_closed_vector_refuses_phases_the_oracle_refuses(d0, d1):
+    refused = re.escape(f"phases must be finite, got delta0={d0!r}, delta1={d1!r}")
+    with pytest.raises(ValueError, match=f"^{refused}$"):
+        pauli_vector_closed(0, 1, theta=0.3, delta0=d0, delta1=d1)
+    with pytest.raises(ValueError, match=f"^{refused}$"):
+        product_state(1, delta0=d0, delta1=d1)
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +402,7 @@ def test_two_qubit_values(p, theta, expected):
 @settings(max_examples=40, deadline=None)
 def test_two_qubit_matches_oracle(p, theta):
     g = DirectedGraph(2, [(0, 1)])
-    state = build_graph_state(g, InitialQubit(p), InteractionParams(theta, 0.0))
+    state = build_graph_state(g, theta=theta, p=p)
     assert abs(ed_numeric(state).total - vertex_share(1, p, theta)) <= 1e-10
 
 

@@ -3,10 +3,11 @@
 reduced-density reference (tests/helpers.py) import no closed-form code,
 directly or through the graphent modules they import, and read none of a
 graph's degree bookkeeping.  The closed forms are entanglement.py and the
-single-vertex forms built on its share, density.py.  The oracle's rows are split into batches in one place,
-`statevector.ed_numeric_rows`.  And no export outlives its definition: every
-name a module lists in `__all__` exists, and the package imports only names
-its modules export.  Each shared input guard raises its message from one
+single-vertex forms built on its share, density.py; they import no oracle
+code either, so the two routes share only graphs.py.  The oracle's rows are
+split into batches in one place, `statevector.ed_numeric_rows`.  And no
+export outlives its definition: every name a module lists in `__all__`
+exists, and the package imports only names its modules export.  Each shared input guard raises its message from one
 line, so a fix cannot miss a copy."""
 
 import ast
@@ -54,6 +55,23 @@ def test_oracle_imports_no_closed_form_code(oracle_module):
             f"{path.name} (reached from {oracle_module}.py) imports "
             f"{sorted(tokens & CLOSED_FORM_NAMES)}"
         )
+        todo += [PACKAGE / f"{t}.py" for t in tokens if (PACKAGE / f"{t}.py").is_file()]
+    assert PACKAGE / "graphs.py" in seen  # the walk followed the package imports
+
+
+@pytest.mark.parametrize("closed_module", ["entanglement", "density"])
+def test_closed_forms_import_no_oracle_code(closed_module):
+    # The other direction: the closed forms take (theta, psi, p, delta0,
+    # delta1) as plain values checked by graphs.py, so the two routes share
+    # only graphs.py and nothing reaches the state-vector module.
+    todo, seen = [PACKAGE / f"{closed_module}.py"], set()
+    while todo:
+        path = todo.pop()
+        if path in seen:
+            continue
+        seen.add(path)
+        tokens = _import_tokens(path)
+        assert "statevector" not in tokens, f"{path.name} (reached from {closed_module}.py) imports statevector"
         todo += [PACKAGE / f"{t}.py" for t in tokens if (PACKAGE / f"{t}.py").is_file()]
     assert PACKAGE / "graphs.py" in seen  # the walk followed the package imports
 

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import random
 import re
@@ -14,9 +13,6 @@ from graphent import statevector
 from graphent.cli import main
 from graphent.graphs import DirectedGraph, flip_edge, gen_young_fibonacci, random_graph
 from graphent.statevector import (
-    InitialQubit,
-    InteractionParams,
-    PureState,
     StateRows,
     build_graph_state,
     build_graph_state_rows,
@@ -29,66 +25,85 @@ from graphent.statevector import (
 
 from helpers import angles, dense_graph_state, dense_pauli_expectations, directed_graphs, probabilities
 
-BALANCED = InitialQubit()
-
 
 # ----------------------------------------------------------------------
-# parameter types
+# inputs: the input qubit (p, delta0, delta1), the angles (theta, psi) and
+# a pure state's 2^M amplitudes, all plain values
 # ----------------------------------------------------------------------
 
 def test_initial_qubit_amplitudes():
-    q = InitialQubit(p=0.25, delta0=0.0, delta1=math.pi / 2)
-    assert product_state(1, q).amplitudes == pytest.approx([math.sqrt(0.75), 0.5j])
-    fresh = InitialQubit(0.25, 0.0, math.pi / 2)
-    assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        q.p = 0.5
+    state = product_state(1, p=0.25, delta1=math.pi / 2)
+    assert state == pytest.approx([math.sqrt(0.75), 0.5j])
 
 
 def test_initial_qubit_rejects_bad_p():
-    with pytest.raises(ValueError):
-        InitialQubit(p=1.5)
+    with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got 1.5$"):
+        product_state(1, p=1.5)
 
 
 @pytest.mark.parametrize("d0, d1", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0)])
 def test_initial_qubit_rejects_nonfinite_phases(d0, d1):
     with pytest.raises(ValueError, match="phases must be finite"):
-        InitialQubit(0.5, d0, d1)
+        product_state(1, delta0=d0, delta1=d1)
 
 
 @pytest.mark.parametrize("p", ["0.5", None, True, False, np.True_, 1j])
 def test_initial_qubit_rejects_non_real_p(p):
     with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got "):
-        InitialQubit(p)
+        product_state(1, p=p)
 
 
 @pytest.mark.parametrize("p", [np.float64(0.3), np.float32(0.25), np.int64(1), 0])
 def test_initial_qubit_accepts_real_numbers(p):
-    assert product_state(1, InitialQubit(p)).amplitudes[1] == pytest.approx(math.sqrt(p))
+    assert product_state(1, p=p)[1] == pytest.approx(math.sqrt(p))
 
 
 def test_interaction_params_reject_nonfinite():
-    with pytest.raises(ValueError):
-        InteractionParams(math.nan)
+    g = DirectedGraph(2, [(0, 1)])
+    with pytest.raises(ValueError, match=r"^angles must be finite, got theta=nan, psi=0.0$"):
+        build_graph_state(g, theta=math.nan)
+    with pytest.raises(ValueError, match=r"^angles must be finite, got theta=0.3, psi=inf$"):
+        build_graph_state(g, theta=0.3, psi=math.inf)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in ("theta", "psi", "delta0", "delta1") for v in ("1", True, None, 1j)],
+)
+def test_angles_and_phases_refuse_what_is_no_real_number(field, value):
+    # A str or bool angle or phase was read as a float and simulated; each
+    # is refused, with None and complex, by its guard, for one row or many.
+    message = "angles" if field in ("theta", "psi") else "phases"
+    values = {"theta": 0.3, "psi": 0.0, "delta0": 0.0, "delta1": 0.0} | {field: value}
+    rows = dict(num_qubits=2, edges=[[0, 1]] * 2, edge_counts=[1, 1])
+    with pytest.raises(ValueError, match=rf"^{message} must be finite, got .*{field}={re.escape(repr(value))}"):
+        build_graph_state(DirectedGraph(2, [(0, 1)]), **values)
+    with pytest.raises(ValueError, match=rf"^{message} must be finite, got .*{field}={re.escape(repr(value))}"):
+        StateRows(**rows, **values | {field: [0.1, value]})
 
 
 def test_pure_state_shape_checked():
-    with pytest.raises(ValueError):
-        PureState(2, np.ones(3))
-    assert PureState(np.int64(1), [1, 0]).num_qubits == 1
+    with pytest.raises(ValueError, match=r"^expected 2\^M amplitudes per row with M >= 1, got shape \(1, 3\)$"):
+        pauli_vectors(np.ones(3))
+    with pytest.raises(ValueError, match=r"^expected 2\^M amplitudes per row with M >= 1, got shape \(1, 2, 2\)$"):
+        pauli_vectors(np.ones((2, 2)) / 2)
+    # A list or a real array is read as complex amplitudes.
+    assert pauli_vectors([1, 0]).tolist() == [[0.0, 0.0, 1.0]]
+    assert ed_numeric(np.array([0.6, 0.8])).total == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("m", [1.0, True, "1"])
 def test_pure_state_refuses_a_qubit_count_that_is_no_integer(m):
-    with pytest.raises(ValueError, match=f"^num_qubits {m!r} is not an integer$"):
-        PureState(m, [1, 0])
+    with pytest.raises(ValueError, match=f"^num_vertices {m!r} is not an integer$"):
+        product_state(m)
 
 
 @pytest.mark.parametrize("m", [20000, 63, -1])
 def test_pure_state_refuses_a_count_past_its_amplitudes_without_forming_it(m):
     # 2^20000 has 6021 digits, past Python's 4300-digit limit for str(int).
-    with pytest.raises(ValueError, match=rf"^expected 2\^{m} amplitudes for {m} qubits, got shape \(2,\)$"):
-        PureState(m, np.zeros(2))
+    message = "num_vertices must be >= 1, got -1" if m < 1 else rf"{m} qubits need 2\^{m} amplitudes"
+    with pytest.raises(ValueError, match=f"^{message}"):
+        product_state(m)
 
 
 # ----------------------------------------------------------------------
@@ -96,23 +111,23 @@ def test_pure_state_refuses_a_count_past_its_amplitudes_without_forming_it(m):
 # ----------------------------------------------------------------------
 
 def test_product_state_basis():
-    assert np.allclose(product_state(1, InitialQubit(p=0.0)).amplitudes, [1, 0])
+    assert np.allclose(product_state(1, p=0.0), [1, 0])
 
 
 def test_product_state_balanced():
     s = product_state(1)
-    assert np.allclose(s.amplitudes, [1 / math.sqrt(2), 1 / math.sqrt(2)])
+    assert np.allclose(s, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
 
 def test_product_state_two_qubits():
-    assert np.allclose(product_state(2).amplitudes, [0.5, 0.5, 0.5, 0.5])
+    assert np.allclose(product_state(2), [0.5, 0.5, 0.5, 0.5])
 
 
 def test_product_state_bit_convention():
     # qubit 0 is the least significant bit: |1>_0 |0>_1 sits at index 1
-    s = product_state(2, InitialQubit(p=0.25))
+    s = product_state(2, p=0.25)
     a0, a1 = math.sqrt(0.75), math.sqrt(0.25)
-    assert np.allclose(s.amplitudes, [a0 * a0, a1 * a0, a0 * a1, a1 * a1])
+    assert np.allclose(s, [a0 * a0, a1 * a0, a0 * a1, a1 * a1])
 
 
 @pytest.mark.parametrize("num_qubits", [0, 2.0])
@@ -124,7 +139,7 @@ def test_product_state_needs_an_integer_qubit_count(num_qubits):
 def test_qubit_cap_enforced(capsys):
     # The cap is the CLI's --max-qubits: the library takes none, and the CLI
     # refuses the first qubit count past it.
-    assert product_state(6).num_qubits == 6
+    assert product_state(6).shape == (2**6,)
     argv = ["ed", "--topology", "yf", "--layers", "3", "--theta", "0.5", "--method", "simulate"]
     assert main([*argv, "--max-qubits", "6"]) == 0
     assert main([*argv, "--max-qubits", "5"]) == 2
@@ -139,23 +154,23 @@ def test_memory_estimate_above_default_cap(monkeypatch):
     probed = []
     monkeypatch.setattr(statevector, "DEFAULT_MAX_QUBITS", 3)
     monkeypatch.setattr(statevector, "_available_bytes", lambda: probed.append(1) or 271)
-    assert product_state(3).num_qubits == 3
+    assert product_state(3).shape == (2**3,)
     assert probed == []  # at or below the default cap there is no probe
     with pytest.raises(ValueError, match="^4 qubits need about 272 bytes to build, but only 271 bytes"):
         product_state(4)
     monkeypatch.setattr(statevector, "_available_bytes", lambda: 272)
-    assert product_state(4).num_qubits == 4
+    assert product_state(4).shape == (2**4,)
     monkeypatch.setattr(statevector, "_available_bytes", lambda: None)  # unreadable: no check
-    assert product_state(5).num_qubits == 5
+    assert product_state(5).shape == (2**5,)
     # A batch needs the bytes of all its rows.
     monkeypatch.setattr(statevector, "_available_bytes", lambda: 543)
-    rows = _arrays_of([(DirectedGraph(4, []), BALANCED, InteractionParams(0.0))] * 2)
+    rows = _arrays_of([(DirectedGraph(4, []), dict(theta=0.0))] * 2)
     with pytest.raises(ValueError, match="^4 qubits need about 544 bytes to build"):
         build_graph_state_rows(rows)
     assert build_graph_state_rows(rows[:1]).shape == (1, 16)
     # So is a batch of rows at the default cap, once it holds more amplitudes than one such row.
     monkeypatch.setattr(statevector, "_available_bytes", lambda: 271)
-    rows = _arrays_of([(DirectedGraph(3, []), BALANCED, InteractionParams(0.0))] * 2)
+    rows = _arrays_of([(DirectedGraph(3, []), dict(theta=0.0))] * 2)
     with pytest.raises(ValueError, match="^3 qubits need about 272 bytes to build, but only 271 bytes"):
         build_graph_state_rows(rows)
 
@@ -193,12 +208,12 @@ def test_available_bytes_probe(tmp_path, text, expected):
     assert statevector._available_bytes(str(path)) == expected
 
 
-def _input_product(m, qubit):
+def _input_product(m, p, delta0, delta1):
     """Pi_i alpha_{bit_i(x)} for every index x, multiplied out in plain Python,
     with alpha0 = sqrt(1-p) e^{i delta0} and alpha1 = sqrt(p) e^{i delta1}."""
     alpha = (
-        math.sqrt(1.0 - qubit.p) * cmath.exp(1j * qubit.delta0),
-        math.sqrt(qubit.p) * cmath.exp(1j * qubit.delta1),
+        math.sqrt(1.0 - p) * cmath.exp(1j * delta0),
+        math.sqrt(p) * cmath.exp(1j * delta1),
     )
     amps = []
     for x in range(2**m):
@@ -210,16 +225,15 @@ def _input_product(m, qubit):
 
 
 def test_product_state_matches_per_index_product():
-    qubit = InitialQubit(0.3, 0.8, -2.4)
-    expected = _input_product(10, qubit)
-    amps = product_state(10, qubit).amplitudes
+    expected = _input_product(10, 0.3, 0.8, -2.4)
+    amps = product_state(10, p=0.3, delta0=0.8, delta1=-2.4)
     assert np.max(np.abs(amps - expected) / np.abs(expected)) <= 1e-15
 
 
 @given(st.integers(1, 8), probabilities, angles, angles)
 def test_product_state_normalized(m, p, d0, d1):
-    s = product_state(m, InitialQubit(p, d0, d1))
-    assert s.norm_error < 1e-12
+    s = product_state(m, p=p, delta0=d0, delta1=d1)
+    assert abs(np.vdot(s, s).real - 1.0) < 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -228,31 +242,30 @@ def test_product_state_normalized(m, p, d0, d1):
 
 def test_empty_graph_is_product_state():
     g = DirectedGraph(3, [])
-    s = build_graph_state(g, BALANCED, InteractionParams(1.1, 0.3))
-    assert np.array_equal(s.amplitudes, product_state(3).amplitudes)
+    s = build_graph_state(g, theta=1.1, psi=0.3)
+    assert np.array_equal(s, product_state(3))
 
 
 def test_single_edge_amplitudes():
     # edge (1, 0): control on bit 1, target on bit 0
     g = DirectedGraph(2, [(1, 0)])
-    product = product_state(2).amplitudes
+    product = product_state(2)
     for theta, psi in [(math.pi / 2, 0.0), (1.2, 0.7)]:
-        s = build_graph_state(g, BALANCED, InteractionParams(theta, psi))
+        s = build_graph_state(g, theta=theta, psi=psi)
         # control 0 (|00>, |01>): untouched, bit for bit
-        assert np.array_equal(s.amplitudes[:2], product[:2])
+        assert np.array_equal(s[:2], product[:2])
         # control 1: e^{-i psi} e^{+i theta} on target 0, e^{-i psi} e^{-i theta} on target 1
         expected = [0.5 * cmath.exp(1j * (theta - psi)), 0.5 * cmath.exp(-1j * (theta + psi))]
-        assert np.allclose(s.amplitudes[2:], expected, rtol=0, atol=1e-15)
+        assert np.allclose(s[2:], expected, rtol=0, atol=1e-15)
 
 
 def test_edge_order_irrelevant():
     edges = [(0, 1), (1, 2)]
     g1 = DirectedGraph(3, edges)
     g2 = DirectedGraph(3, edges[::-1])
-    params = InteractionParams(0.9, -0.4)
-    s1 = build_graph_state(g1, BALANCED, params)
-    s2 = build_graph_state(g2, BALANCED, params)
-    assert np.max(np.abs(s1.amplitudes - s2.amplitudes)) <= 1e-12
+    s1 = build_graph_state(g1, theta=0.9, psi=-0.4)
+    s2 = build_graph_state(g2, theta=0.9, psi=-0.4)
+    assert np.max(np.abs(s1 - s2)) <= 1e-12
 
 
 # In a randomly oriented K_7 every qubit has all its lower-numbered neighbours, so
@@ -262,16 +275,15 @@ def test_edge_order_irrelevant():
 @example(random_graph(7, np.random.default_rng(7), edge_prob=1.0), 1.3, -0.6, 0.35, 0.4, -2.1, random.Random(7))
 @example(DirectedGraph(1, []), 1.3, -0.6, 0.35, 0.4, -2.1, random.Random(1))
 def test_matches_dense_reference_and_order_stable(g, theta, psi, p, d0, d1, rnd):
-    qubit = InitialQubit(p, d0, d1)
-    params = InteractionParams(theta, psi)
-    state = build_graph_state(g, qubit, params)
-    assert state.norm_error <= 1e-12
+    values = dict(theta=theta, psi=psi, p=p, delta0=d0, delta1=d1)
+    state = build_graph_state(g, **values)
+    assert abs(np.vdot(state, state).real - 1.0) <= 1e-12
     reference = dense_graph_state(g, theta, psi, p, d0, d1)
-    assert np.max(np.abs(state.amplitudes - reference)) <= 1e-12
+    assert np.max(np.abs(state - reference)) <= 1e-12
     shuffled = list(g.edges)
     rnd.shuffle(shuffled)
-    again = build_graph_state(DirectedGraph(g.num_vertices, shuffled), qubit, params)
-    assert np.max(np.abs(state.amplitudes - again.amplitudes)) <= 1e-12
+    again = build_graph_state(DirectedGraph(g.num_vertices, shuffled), **values)
+    assert np.max(np.abs(state - again)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -283,8 +295,7 @@ def test_phase_kernel_matches_edge_definition_at_12_qubits(seed):
     rng = np.random.default_rng(seed)
     g = random_graph(12, rng, edge_prob=0.5)
     theta, psi, d0, d1 = rng.uniform(-2 * math.pi, 2 * math.pi, 4)
-    qubit = InitialQubit(0.5, d0, d1)
-    state = build_graph_state(g, qubit, InteractionParams(theta, psi))
+    state = build_graph_state(g, theta=theta, psi=psi, delta0=d0, delta1=d1)
     phase = []
     for x in range(2**12):
         total = 0.0
@@ -292,8 +303,8 @@ def test_phase_kernel_matches_edge_definition_at_12_qubits(seed):
             if x >> a & 1:  # control set: theta - psi, less 2*theta if the target is set
                 total += theta - psi - 2 * theta * (x >> b & 1)
         phase.append(total)
-    expected = _input_product(12, qubit) * np.exp(1j * np.array(phase))
-    assert np.max(np.abs(state.amplitudes - expected)) <= 1e-14
+    expected = _input_product(12, 0.5, d0, d1) * np.exp(1j * np.array(phase))
+    assert np.max(np.abs(state - expected)) <= 1e-14
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -308,14 +319,13 @@ def test_phase_kernel_matches_edge_definition_at_14_qubits(seed):
     edges = {tuple(sorted(e)) for e in g.edges}
     g = DirectedGraph(m, [*g.edges, *((a, 13) for a in (11, 12) if (a, 13) not in edges)])
     theta, psi, d0, d1 = rng.uniform(-2 * math.pi, 2 * math.pi, 4)
-    qubit = InitialQubit(0.5, d0, d1)
-    state = build_graph_state(g, qubit, InteractionParams(theta, psi))
+    state = build_graph_state(g, theta=theta, psi=psi, delta0=d0, delta1=d1)
     x = np.arange(2**m)
     phase = np.zeros(2**m)
     for a, b in g.edges:
         phase += (x >> a & 1) * (theta - psi - 2 * theta * (x >> b & 1))
-    expected = _input_product(m, qubit) * np.exp(1j * phase)
-    assert np.max(np.abs(state.amplitudes - expected)) <= 1e-14
+    expected = _input_product(m, 0.5, d0, d1) * np.exp(1j * phase)
+    assert np.max(np.abs(state - expected)) <= 1e-14
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +343,7 @@ def test_plus_state_points_along_x():
 @given(directed_graphs(max_vertices=5), angles, angles, probabilities, angles, angles)
 def test_sigma_z_is_one_minus_two_p(g, theta, psi, p, d0, d1):
     # holds whatever the graph, angles, and input phases
-    state = build_graph_state(g, InitialQubit(p, d0, d1), InteractionParams(theta, psi))
+    state = build_graph_state(g, theta=theta, psi=psi, p=p, delta0=d0, delta1=d1)
     vectors = pauli_vectors(state)
     assert np.allclose(vectors[:, 2], 1 - 2 * p, rtol=0, atol=1e-10)
     assert np.all(np.abs(vectors) <= 1 + 1e-12)
@@ -341,7 +351,7 @@ def test_sigma_z_is_one_minus_two_p(g, theta, psi, p, d0, d1):
 
 def test_maximally_entangled_pair_has_zero_vector():
     g = DirectedGraph(2, [(0, 1)])
-    state = build_graph_state(g, BALANCED, InteractionParams(math.pi / 2))
+    state = build_graph_state(g, theta=math.pi / 2)
     assert np.all(np.linalg.norm(pauli_vectors(state), axis=1) <= 1e-12)
 
 
@@ -349,7 +359,7 @@ def test_maximally_entangled_pair_has_zero_vector():
 @given(directed_graphs(max_vertices=5), angles, angles, probabilities, angles, angles)
 @example(DirectedGraph(1, ()), 0.7, 0.2, 0.3, 0.4, -0.7)
 def test_pauli_matches_dense_reference(g, theta, psi, p, d0, d1):
-    state = build_graph_state(g, InitialQubit(p, d0, d1), InteractionParams(theta, psi))
+    state = build_graph_state(g, theta=theta, psi=psi, p=p, delta0=d0, delta1=d1)
     reference = dense_graph_state(g, theta, psi, p, d0, d1)
     vectors = pauli_vectors(state)
     for i in range(g.num_vertices):
@@ -362,10 +372,9 @@ def test_flip_edge_preserves_vector_norms():
     # the norm of each vertex's Pauli vector only sees the total degree;
     # x/y components individually may move.
     g = gen_young_fibonacci(3)
-    params = InteractionParams(0.8, 0.5)
-    norms = np.linalg.norm(pauli_vectors(build_graph_state(g, BALANCED, params)), axis=1)
+    norms = np.linalg.norm(pauli_vectors(build_graph_state(g, theta=0.8, psi=0.5)), axis=1)
     for edge_index in range(g.num_edges):
-        flipped = build_graph_state(flip_edge(g, edge_index), BALANCED, params)
+        flipped = build_graph_state(flip_edge(g, edge_index), theta=0.8, psi=0.5)
         after = np.linalg.norm(pauli_vectors(flipped), axis=1)
         assert np.allclose(after**2, norms**2, rtol=0, atol=1e-10)
 
@@ -376,7 +385,7 @@ def test_pauli_vectors_copy_no_state_half():
     # would reach the state's full size.
     m = 16
     g = random_graph(m, np.random.default_rng(7), edge_prob=0.3)
-    state = build_graph_state(g, BALANCED, InteractionParams(0.9, 0.4))
+    state = build_graph_state(g, theta=0.9, psi=0.4)
     tracemalloc.start()
     try:
         pauli_vectors(state)
@@ -404,8 +413,7 @@ def _large_rows(m, count):
     return build_graph_state_rows(_arrays_of([
         (
             random_graph(m, rng, edge_prob=0.3),
-            InitialQubit(rng.uniform(0.0, 1.0), *rng.uniform(-math.pi, math.pi, 2)),
-            InteractionParams(*rng.uniform(-math.pi, math.pi, 2)),
+            _random_values(rng, rng.uniform(0.0, 1.0)),
         )
         for _ in range(count)
     ]))
@@ -419,9 +427,9 @@ def test_large_rows_match_copied_halves(m, count):
     vectors = pauli_vector_rows(states)
     for r in range(count):
         assert np.max(np.abs(vectors[r] - _pauli_reference(states[r]))) <= 1e-13
-    assert np.array_equal(vectors[0], pauli_vectors(PureState(m, states[0])))
+    assert np.array_equal(vectors[0], pauli_vectors(states[0]))
     strided = np.stack([states[0], states[0]], axis=1)[:, 0]  # not contiguous
-    assert np.max(np.abs(pauli_vectors(PureState(m, strided)) - vectors[0])) <= 1e-13
+    assert np.max(np.abs(pauli_vectors(strided) - vectors[0])) <= 1e-13
 
 
 @pytest.mark.parametrize("m", [17, 18])
@@ -445,7 +453,7 @@ def test_large_state_memory_peaks():
     state_bytes = 16 * 2**m
     tracemalloc.start()
     try:
-        state = build_graph_state(g, InitialQubit(0.3, 0.4, -1.2), InteractionParams(0.9, 0.4))
+        state = build_graph_state(g, theta=0.9, psi=0.4, p=0.3, delta0=0.4, delta1=-1.2)
         held, build_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         pauli_vectors(state)
@@ -460,19 +468,25 @@ def test_large_state_memory_peaks():
 # rows: many states of one qubit count in one call
 # ----------------------------------------------------------------------
 
+def _random_values(rng, p):
+    """build_graph_state's keywords at p, with random input phases, then
+    random angles."""
+    delta0, delta1 = rng.uniform(-math.pi, math.pi, 2)
+    theta, psi = rng.uniform(-math.pi, math.pi, 2)
+    return dict(theta=theta, psi=psi, p=p, delta0=delta0, delta1=delta1)
+
+
 def _mixed_rows():
-    """(graph, qubit, params) rows: different graphs of 7 vertices, the
-    edgeless one among them, with p in {0, 1/2, 1} and random p, input
-    phases and angles."""
+    """(graph, keywords) rows: different graphs of 7 vertices, the edgeless
+    one among them, with p in {0, 1/2, 1} and random p, input phases and
+    angles."""
     m = 7
     rng = np.random.default_rng(3)
     graphs = [random_graph(m, rng, edge_prob=q) for q in (0.2, 0.5, 1.0, 0.7, 0.4)]
     graphs.append(DirectedGraph(m, []))
     graphs.append(flip_edge(graphs[1], 0))
     ps = [0.0, 0.5, 1.0, *rng.uniform(0.0, 1.0, len(graphs) - 3)]
-    qubits = [InitialQubit(p, *rng.uniform(-math.pi, math.pi, 2)) for p in ps]
-    params = [InteractionParams(*rng.uniform(-math.pi, math.pi, 2)) for _ in graphs]
-    return list(zip(graphs, qubits, params))
+    return [(g, _random_values(rng, p)) for g, p in zip(graphs, ps)]
 
 
 def test_rows_equal_their_one_row_calls_bit_for_bit():
@@ -482,11 +496,11 @@ def test_rows_equal_their_one_row_calls_bit_for_bit():
     totals = ed_numeric_rows(_arrays_of(rows))
     assert states.shape == (len(rows), 2**7) and vectors.shape == (len(rows), 7, 3)
     assert totals.shape == (len(rows),)
-    for r, row in enumerate(rows):
-        state = build_graph_state(*row)
-        assert np.array_equal(states[r], state.amplitudes)
+    for r, (g, values) in enumerate(rows):
+        state = build_graph_state(g, **values)
+        assert np.array_equal(states[r], state)
         assert np.array_equal(vectors[r], pauli_vectors(state))
-        assert totals[r] == ed_numeric(PureState(7, states[r])).total
+        assert totals[r] == ed_numeric(states[r]).total
 
 
 def test_oracle_rows_span_batches_bit_for_bit(monkeypatch):
@@ -495,15 +509,11 @@ def test_oracle_rows_span_batches_bit_for_bit(monkeypatch):
     m = 12
     rng = np.random.default_rng(13)
     rows = [
-        (
-            random_graph(m, rng, edge_prob=rng.uniform(0.0, 0.6)),
-            InitialQubit(p, *rng.uniform(-math.pi, math.pi, 2)),
-            InteractionParams(*rng.uniform(-math.pi, math.pi, 2)),
-        )
+        (random_graph(m, rng, edge_prob=rng.uniform(0.0, 0.6)), _random_values(rng, p))
         for p in [0.0, 0.5, 1.0, *rng.uniform(0.0, 1.0, 17)]
     ]
     # Computed before the patch: the one-row builder calls the patched name too.
-    expected = [ed_numeric(build_graph_state(*row)).total for row in rows]
+    expected = [ed_numeric(build_graph_state(g, **values)).total for g, values in rows]
     batches = []
 
     def build(batch, **kwargs):
@@ -539,18 +549,16 @@ def test_rows_share_one_vertex_count():
 # ----------------------------------------------------------------------
 
 def _arrays_of(rows):
-    """The rows of (graph, qubit, params) triples as `StateRows`, made
-    through its checked constructor."""
-    graphs, qubits, params = zip(*rows)
+    """The rows of (graph, build_graph_state keywords) pairs as `StateRows`,
+    made through its checked constructor, with build_graph_state's defaults."""
+    graphs, values = zip(*rows)
+    defaults = dict(psi=0.0, p=0.5, delta0=0.0, delta1=0.0)
     return StateRows(
         graphs[0].num_vertices,
         np.concatenate([g.edge_array for g in graphs]),
         [g.num_edges for g in graphs],
-        [q.theta for q in params],
-        [q.psi for q in params],
-        [q.p for q in qubits],
-        [q.delta0 for q in qubits],
-        [q.delta1 for q in qubits],
+        theta=[v["theta"] for v in values],
+        **{name: [v.get(name, default) for v in values] for name, default in defaults.items()},
     )
 
 

@@ -24,7 +24,7 @@ from graphent.graphs import (
     permute_vertices,
     random_graph,
 )
-from graphent.statevector import InitialQubit, InteractionParams, StateRows, build_graph_state, ed_numeric
+from graphent.statevector import StateRows, build_graph_state, ed_numeric
 from graphent.verify import CHECK_ORDER, ffnn_variant_report, run_verification
 
 from helpers import directed_graphs
@@ -139,33 +139,30 @@ def _one_state_at_a_time(graphs, samples, seed):
             worst[name] = deviation
         ran[name] += 1
 
-    def oracle(graph, qubit, params):
-        return ed_numeric(build_graph_state(graph, qubit, params)).total
+    def oracle(graph, **values):
+        return ed_numeric(build_graph_state(graph, **values)).total
 
-    balanced = InitialQubit()
     for g in graphs:
         dist = degree_distribution(g)
         for _ in range(samples):
             theta, psi = rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)
-            params = InteractionParams(theta, psi)
-            base = oracle(g, balanced, params)
+            base = oracle(g, theta=theta, psi=psi)
             record("closed-form oracle", abs(base - ed_closed_form(dist, theta)))
             p, theta_g = rng.uniform(0.0, 1.0), rng.uniform(0.0, math.pi)
             psi_g = rng.uniform(-math.pi, math.pi)
-            qubit = InitialQubit(p, rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
-            numeric_g = oracle(g, qubit, InteractionParams(theta_g, psi_g))
+            delta0, delta1 = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
+            numeric_g = oracle(g, theta=theta_g, psi=psi_g, p=p, delta0=delta0, delta1=delta1)
             record("general-closed oracle", abs(numeric_g - ed_closed_general(dist, p, theta_g)))
             values = [base]
             for _ in range(3):
-                alt = InteractionParams(theta, rng.uniform(-math.pi, math.pi))
-                values.append(oracle(g, balanced, alt))
+                values.append(oracle(g, theta=theta, psi=rng.uniform(-math.pi, math.pi)))
             record("psi independence", max(values) - min(values))
             if g.edges:
                 flipped = flip_edge(g, int(rng.integers(len(g.edges))))
-                record("orientation flip", abs(base - oracle(flipped, balanced, params)))
+                record("orientation flip", abs(base - oracle(flipped, theta=theta, psi=psi)))
             perm = [int(x) for x in rng.permutation(g.num_vertices)]
             relabeled = permute_vertices(g, perm)
-            record("vertex relabeling", abs(base - oracle(relabeled, balanced, params)))
+            record("vertex relabeling", abs(base - oracle(relabeled, theta=theta, psi=psi)))
     return worst, ran
 
 
@@ -196,7 +193,7 @@ def test_ffnn_variant_report_matches_one_build_per_theta():
     g = gen_ffnn(sizes)
     thetas = verify.FFNN_THETAS
     eds = [
-        ed_numeric(build_graph_state(g, InitialQubit(), InteractionParams(t, verify.FFNN_PSI))).total
+        ed_numeric(build_graph_state(g, theta=t, psi=verify.FFNN_PSI)).total
         for t in thetas
     ]
     dev_degree = max(abs(e - ed_ffnn(t, sizes)) for e, t in zip(eds, thetas))
