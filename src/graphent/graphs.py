@@ -26,6 +26,7 @@ import json
 import math
 import numbers
 import operator
+import sys
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import accumulate, chain
@@ -138,15 +139,29 @@ def _first_refused(ok: Callable[..., object], *values: object) -> tuple | None:
     return None
 
 
+def _unit(x: float | np.ndarray) -> object:
+    return (x >= 0.0) & (x <= 1.0)  # False at NaN
+
+
 def _check_p(p: float | np.ndarray) -> None:
     """Refuse an input amplitude split p, or an element of an array of them,
     that is not a real number in [0, 1]: NaN fails the range test."""
-    if refused := _first_refused(lambda p: (p >= 0.0) & (p <= 1.0), p):
+    if refused := _first_refused(_unit, p):
         raise ValueError(f"p must be in [0, 1], got {refused[0]!r}")
 
 
 def _finite(x: float | np.ndarray, y: float | np.ndarray) -> object:
-    return (abs(x) < math.inf) & (abs(y) < math.inf)  # False at NaN
+    return _below_inf(x) & _below_inf(y)
+
+
+def _below_inf(x: float | np.ndarray) -> object:
+    """Whether x, a real number or a float array, is finite; False at NaN.  A
+    Python int past the largest float is refused: abs(10**400) < inf holds,
+    but no float holds it.  It takes its own branch, since a bound of the
+    largest float would overflow a float32 scalar compared with it."""
+    if isinstance(x, int):
+        return abs(x) <= sys.float_info.max
+    return abs(x) < math.inf
 
 
 def _check_angles(theta: float | np.ndarray, psi: float | np.ndarray) -> None:
@@ -580,8 +595,11 @@ def flip_edge(g: DirectedGraph, edge_index: int) -> DirectedGraph:
 
 def random_graph(num_vertices: int, rng: np.random.Generator, edge_prob: float = 0.4) -> DirectedGraph:
     """Erdos-Renyi style directed simple graph: each unordered pair is linked
-    with probability edge_prob, then oriented by a fair coin flip."""
+    with probability edge_prob, a real number in [0, 1], then oriented by a
+    fair coin flip."""
     num_vertices = _integer(num_vertices, "num_vertices")
+    if refused := _first_refused(_unit, edge_prob):
+        raise ValueError(f"edge_prob must be in [0, 1], got {refused[0]!r}")
     edges = []
     for a in range(num_vertices):
         for b in range(a + 1, num_vertices):
@@ -603,7 +621,10 @@ def from_json(text: str) -> DirectedGraph:
     """Parse {"num_vertices": M, "edges": [[a, b], ...]}.  Only the document's
     shape is checked here: `DirectedGraph` checks the count and every edge.  Any
     error is a ValueError "malformed graph JSON: <field> ...", e.g. "edges[3] [0, 0]: "."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("malformed graph JSON: nesting deeper than the parser's recursion limit") from None
     if not isinstance(data, dict):
         raise ValueError(
             f"malformed graph JSON: top level must be an object, got {type(data).__name__}"

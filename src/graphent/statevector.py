@@ -49,8 +49,9 @@ system by glibc (unmapped, or trimmed off the heap top) and faulted back in
 by the next: a `verify` op of 120 graphs of at most 12 vertices, 5 samples,
 took 18,621 minor page faults in a bare process with new arrays per batch
 and 1,920 with the buffers of one call per qubit count (16 ops).  Rows of
-2^18 amplitudes or more are built one per batch and read through the Gram,
-which needs no probability buffer, so they take no scratch.
+2^18 amplitudes or more are built one per batch and read in chunks, which
+needs no probability buffer, so they take no scratch: the chunked read
+allocates one tile of at most 1/16 of a row and its partial sums.
 
 Build: the step that appends qubit k multiplies each place l of the new
 half by pair[popcount(l & lower_k)].  Up to 2^11 places (every step of a
@@ -64,7 +65,7 @@ steps allocates anything the size of a half, so for large states the states
 themselves, 16 bytes per amplitude per row, are the build's peak.
 
 Pauli vectors: `pauli_vector_rows` returns every qubit's (<sx>, <sy>, <sz>)
-in one call and copies no part of the states.  The cross term
+in one call and copies no half of a state.  The cross term
 sum_x conj(amp(x)) amp(x + 2^i), over x with bit i clear, is read in place
 from the (R, blocks, 2, 2^i) view of the amplitudes as one dot per
 contiguous block pair.  How the low qubits are read depends on the size of
@@ -80,14 +81,20 @@ a row:
   174 vs 361 us on 35 rows of 9 qubits, 298 vs 610 us on 8 rows of 12).
   The partial dots go into the spent probability buffer, half the states'
   bytes, and a second segmented sum adds them up.
-- From 2^18 amplitudes on, the float64 view V of a row, 2^(M-6) rows of 64
-  amplitudes' real and imaginary parts, gives one 128 x 128 Gram matrix
-  G = V^T V: every cross term and weight of qubits 0..5 is a sum of its
-  entries.  The weights of V's rows, folded like the probabilities, give the
-  norm and the other qubits' <sz>; qubits 6 and up take their block dots.
-  Nothing the size of a state is allocated: the Gram, the row weights and
-  the partial dots together take a few percent of the states' bytes.  On
-  smaller rows the Gram costs more than the passes it saves.
+- From 2^18 amplitudes on, each row is read one chunk of 2^c contiguous
+  amplitudes at a time, c = min(16, M - 4), so a chunk (1 MiB at most) sits
+  in a core's 2 MiB L2 cache while it is read, the way state-vector
+  simulators block their short-stride qubits (Haener and Steiger, SC'17,
+  arXiv:1704.01127).  A chunk is copied, transposed, into one reused
+  (2^8, 2^(c-8)) tile, so qubits 0..7 pair tile rows, contiguous runs of
+  2^(c-8) amplitudes, where their blocks in the row hold 1 to 128; qubits
+  8..c-1 take their block dots on the chunk itself.  The row weights of the
+  tile and of the chunk's (2^(c-8), 2^8) view, folded like the
+  probabilities, give the weights of bits 0..c-1, and the chunk totals those
+  of bits c and up and the norm.  Qubits c and up take one block dot each
+  over the whole row.  Nothing the size of a state is allocated: the tile
+  and the partial sums peak at 8% of a state's bytes at 18 qubits and 2% at
+  22 (tracemalloc).
 
 Either way the weights' total is each row's norm, so a row that is not
 normalized is refused without a further pass over it.
@@ -138,22 +145,22 @@ _ACROSS_BLOCKS = 4
 # Doubling steps past 2^_LOW_BITS amplitudes split each pair factor into a
 # low-bit and a high-bit table instead of gathering one factor per amplitude.
 _LOW_BITS = 11
-# A row of at least _GRAM_AMPLITUDES amplitudes reads its qubits below
-# _GRAM_QUBITS from one real Gram matrix instead of a probability buffer and
-# block dots.  Against the probability pass, median of alternating calls on
-# one row unless stated: 3.0x at 12 qubits with 8 rows, 1.10x at 16, 0.96x
-# at 17 (faster in 28 of 40), 0.86x at 18 (40 of 40), 0.82x at 20, 0.72x at 22.
-_GRAM_AMPLITUDES = 1 << 18
-_GRAM_QUBITS = 6
-# Row i holds l * 2^g + l + 2^i, with g = _GRAM_QUBITS, for every l whose
-# bit i is clear: the entries of a flat 2^g x 2^g table that qubit i's cross
-# term sums.
-_PAIRS = np.array(
-    [
-        [(l << _GRAM_QUBITS) + l + bit for l in range(1 << _GRAM_QUBITS) if not l & bit]
-        for bit in (1 << i for i in range(_GRAM_QUBITS))
-    ]
-)
+# A row of at least _CHUNKED_AMPLITUDES amplitudes is read in chunks of
+# 2^_CHUNK_BITS contiguous amplitudes (see `_read_chunks`) instead of through
+# a probability buffer.  Times below are medians of alternating one-row
+# calls, one BLAS thread, 2-core Xeon with 2 MiB of L2 per core.  Against a
+# 128 x 128 Gram read of qubits 0..5: 0.71x at 18 qubits, 0.62x at 20, 0.58x
+# at 22, faster in 15 of 15 calls each.  Against the probability pass: 1.43x
+# at 16 qubits, 0.89x at 17.
+_CHUNKED_AMPLITUDES = 1 << 18
+# Chunks of 2^16 amplitudes, 1 MiB, and the tile copied from them fill one
+# core's L2 cache: at 22 qubits chunks of 2^17 took 1.22x the time and
+# chunks of 2^14 1.18x.  A row of M qubits takes chunks of at most 2^(M-4)
+# amplitudes, so the tile is at most 1/16 of the row's bytes.
+_CHUNK_BITS = 16
+# Qubits below _TILE_BITS are read from the transposed tile.  At 22 qubits 6
+# took 1.07x the time of 8; 7 and 9 read within the noise (0.97x and 1.03x).
+_TILE_BITS = 8
 # Oracle rows are built and read in batches of at most max(2^15, 2^M)
 # amplitudes: one doubling loop and one Pauli pass per batch, not per state.
 BATCH_AMPLITUDES = 2**15
@@ -302,10 +309,10 @@ def _state_buffer(count: int, m: int) -> np.ndarray:
     not fit in the available memory."""
     if count << m > 1 << DEFAULT_MAX_QUBITS:
         # The states take 16 bytes per amplitude per row.  The build's pair
-        # tables and the Pauli pass's Gram, row weights and partial dots add
-        # under 1 (tracemalloc, one row of 18 to 22 qubits: the build peaks at
-        # 1.003-1.05x the state's bytes, the Pauli pass at 0.02-0.06x); 17 * R
-        # bounds it.
+        # tables and the Pauli pass's tile and partial sums add under 1
+        # (tracemalloc, one row of 18 to 22 qubits: the build peaks at
+        # 1.004-1.06x the state's bytes, the Pauli pass at 0.02-0.08x);
+        # 17 * R bounds it.
         needed = 17 * count * 2**m
         available = _available_bytes()
         if available is not None and needed > available:
@@ -421,7 +428,7 @@ def pauli_vector_rows(amplitudes: np.ndarray, *, scratch: np.ndarray | None = No
     # xy views the first two columns as one complex column: each cross term
     # lands there and is doubled into (<sx>, <sy>) below.
     xy = vectors[:, :, :2].view(np.complex128)[:, :, 0]
-    if size < _GRAM_AMPLITUDES:
+    if size < _CHUNKED_AMPLITUDES:
         low = 0
         if scratch is None:
             scratch = np.empty(rows * size)
@@ -431,22 +438,9 @@ def pauli_vector_rows(amplitudes: np.ndarray, *, scratch: np.ndarray | None = No
         # The spent probability buffer takes the partial dots.
         blocks = prob.view(np.complex128)
     else:
-        low = _GRAM_QUBITS
-        # Row h of v holds the real and imaginary parts of amplitudes
-        # h*2^low .. (h+1)*2^low - 1; gram[r, l, s, k, t] sums part s of
-        # amplitude l times part t of amplitude k over every h.
-        v = np.ascontiguousarray(amplitudes).view(np.float64).reshape(rows, size >> low, 2 << low)
-        gram = np.matmul(v.transpose(0, 2, 1), v).reshape(rows, 1 << low, 2, 1 << low, 2)
-        # Entry l * 2^low + k: the real and imaginary parts of
-        # sum_h conj(amp l) amp k.  np.take keeps each row's sum in the same
-        # order however many rows there are.
-        re = (gram[:, :, 0, :, 0] + gram[:, :, 1, :, 1]).reshape(rows, 1 << 2 * low)
-        im = (gram[:, :, 0, :, 1] - gram[:, :, 1, :, 0]).reshape(rows, 1 << 2 * low)
-        vectors[:, :low, 0] = np.take(re, _PAIRS, axis=1).sum(axis=2)
-        vectors[:, :low, 1] = np.take(im, _PAIRS, axis=1).sum(axis=2)
-        # The diagonal of re holds each place's |amp l|^2 summed over h.
-        _fold_weights(re[:, :: (1 << low) + 1].copy(), vectors[:, :low, 2])
-        norms = _fold_weights(np.vecdot(v, v, axis=2), vectors[:, low:, 2])
+        low = min(_CHUNK_BITS, m - 4)
+        amplitudes = np.ascontiguousarray(amplitudes)
+        norms = _read_chunks(amplitudes, low, xy, vectors[:, :, 2])
         blocks = np.empty((rows, 1 << (m - low)), dtype=np.complex128)
     error = np.max(np.abs(norms - 1.0), initial=0.0)
     if not error <= 1e-8:  # a NaN norm is refused too
@@ -465,6 +459,63 @@ def pauli_vector_rows(amplitudes: np.ndarray, *, scratch: np.ndarray | None = No
     vectors *= (2.0, 2.0, -2.0)
     vectors[:, :, 2] += norms[:, None]  # <sz> = norm - 2 * weight of bit 1
     return vectors
+
+
+def _read_chunks(amplitudes: np.ndarray, c: int, xy: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Read each row of a C-contiguous (R, 2^M) array one chunk of 2^c
+    contiguous amplitudes at a time, c >= _TILE_BITS: the cross terms of
+    qubits 0..c-1 go into xy[:, :c] and every qubit's weight of bit 1 into
+    `weights`, both (R, M).  Returns the (R,) norms.
+
+    Chunk place h * 2^t + l, with t = _TILE_BITS, is copied to entry (l, h)
+    of one reused (2^t, 2^(c-t)) tile, so qubit i < t pairs tile rows l and
+    l + 2^i: contiguous runs of 2^(c-t) amplitudes.  Qubits t..c-1 take their
+    block dots on the chunk itself while it is still in cache.  The tile's
+    row weights give bits 0..t-1, the chunk's (2^(c-t), 2^t) row weights
+    bits t..c-1, and the chunk totals the bits from c up and the norm."""
+    rows, size = amplitudes.shape
+    t = _TILE_BITS
+    chunks = size >> c
+    tile = np.empty((1 << t, 1 << (c - t)), dtype=np.complex128)
+    counts = [1 << (t - 1)] * t + [1 << (c - i - 1) for i in range(t, c)]
+    starts = np.cumsum([0, *counts[:-1]])
+    dots = np.empty(sum(counts), dtype=np.complex128)
+    # lo and hi are the tile rows where bit i is clear and set, and out their dots.
+    tile_pairs = [
+        (*tile.reshape(n >> i, 2, 1 << i, -1).transpose(1, 0, 2, 3), dots[start : start + n].reshape(n >> i, 1 << i))
+        for i, start, n in zip(range(t), starts, counts)
+    ]
+    tile_floats = tile.view(np.float64)
+    cross = np.empty((chunks, c), dtype=np.complex128)
+    tile_weights = np.empty((chunks, 1 << t))
+    square_weights = np.empty((chunks, 1 << (c - t)))
+    norms = np.empty(rows)
+    for r in range(rows):
+        row = amplitudes[r].reshape(chunks, 1 << c)
+        square = row.reshape(chunks, 1 << (c - t), 1 << t)
+        square_floats = row.view(np.float64).reshape(chunks, 1 << (c - t), 2 << t)
+        # lo and hi are (chunks, blocks, 2^i): the block halves where bit i is clear and set.
+        chunk_pairs = [
+            (*row.reshape(chunks, -1, 2, 1 << i).transpose(2, 0, 1, 3), dots[start : start + n])
+            for i, start, n in zip(range(t, c), starts[t:], counts[t:])
+        ]
+        for j in range(chunks):
+            # The first pass brings the chunk into cache, so the transposed
+            # copy reads it from there: 6.5 ms per 22-qubit row, against 15
+            # ms as the first pass.
+            np.vecdot(square_floats[j], square_floats[j], out=square_weights[j])
+            for lo, hi, out in chunk_pairs:
+                np.vecdot(lo[j], hi[j], out=out)
+            np.copyto(tile, square[j].T)
+            for lo, hi, out in tile_pairs:
+                np.vecdot(lo, hi, out=out)
+            np.vecdot(tile_floats, tile_floats, out=tile_weights[j])
+            np.add.reduceat(dots, starts, out=cross[j])
+        xy[r, :c] = cross.sum(axis=0)
+        _fold_weights(tile_weights.sum(axis=0)[None], weights[r : r + 1, :t])
+        _fold_weights(square_weights.sum(axis=0)[None], weights[r : r + 1, t:c])
+        norms[r] = _fold_weights(tile_weights.sum(axis=1)[None], weights[r : r + 1, c:])[0]
+    return norms
 
 
 def _fold_weights(prob: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -528,9 +579,9 @@ def ed_numeric_rows(rows: StateRows) -> np.ndarray:
         return np.empty(0)
     per_batch = min(max(BATCH_AMPLITUDES >> m, 1), count)
     states = _state_buffer(per_batch, m)
-    # Rows of 2^18 amplitudes or more take the Pauli pass's Gram read, which
-    # needs no probability buffer, and the build's own small pair buffer.
-    scratch = np.empty(per_batch << m) if 1 << m < _GRAM_AMPLITUDES else None
+    # Rows of 2^18 amplitudes or more take the Pauli pass's chunked read,
+    # which needs no probability buffer, and the build's own small pair buffer.
+    scratch = np.empty(per_batch << m) if 1 << m < _CHUNKED_AMPLITUDES else None
     totals = np.empty(count)
     for start in range(0, count, per_batch):
         batch = build_graph_state_rows(rows[start : start + per_batch], out=states, scratch=scratch)

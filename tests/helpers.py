@@ -1,6 +1,6 @@
-"""Shared test utilities: a dense-matrix reference implementation, reduced
-density matrices, the per-edge reference validator, and hypothesis
-strategies.
+"""Shared test utilities: a dense-matrix reference implementation, the
+graph-state amplitudes at the Clifford point, reduced density matrices, the
+per-edge reference validator, and hypothesis strategies.
 
 The dense builder below constructs graph states with full 2^M x 2^M operator
 matrices via np.kron.  It shares no code path with the package's diagonal
@@ -67,6 +67,20 @@ def dense_graph_state(
     for a, b in graph.edges:
         vec = dense_edge_operator(a, b, graph.num_vertices, theta, psi) @ vec
     return vec
+
+
+def clifford_amplitudes(graph: DirectedGraph) -> np.ndarray:
+    """The 2^M amplitudes of the undirected graph state of the graph's
+    skeleton: amplitude x is 2^(-M/2) * (-1)^|E[x]|, |E[x]| the number of
+    edges with both ends set in x, read from the parity of x >> a & x >> b.
+    It is the package's state at p = 1/2 and theta = psi = pi/2, where each
+    edge operator is a CZ, from no closed form and no dense operator."""
+    m = graph.num_vertices
+    x = np.arange(1 << m)
+    parity = np.zeros(1 << m, dtype=x.dtype)
+    for a, b in graph.edges:
+        parity ^= x >> a & x >> b
+    return np.where(parity & 1, -1.0, 1.0) * 2.0 ** (-m / 2)
 
 
 def dense_pauli_expectations(vec: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:

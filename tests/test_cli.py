@@ -464,6 +464,8 @@ def test_ed_bad_graph_file_exit_2(tmp_path, capsys):
         ('{"num_vertices": 3, "edges": [[0, 1], [2, 2]]}', "edges[1]"),
         ('{"num_vertices": 3, "edges": [[0, 3]]}', "edges[0]"),
         ('{"num_vertices": 1000000000000000000000000000000, "edges": []}', "num_vertices"),
+        # json.loads raised RecursionError here: a traceback and exit code 1.
+        pytest.param('{"num_vertices": 2, "edges": ' + "[" * 5000 + "]" * 5000 + "}", "nesting", id="edges-5000-deep"),
     ],
 )
 def test_ed_malformed_graph_json_names_field(tmp_path, capsys, text, field):
@@ -473,7 +475,7 @@ def test_ed_malformed_graph_json_names_field(tmp_path, capsys, text, field):
     assert code == 2
     assert stdout == ""
     assert stderr.startswith(f"error: malformed graph JSON: {field} ")
-    assert stderr.count("\n") == 1
+    assert stderr.count("\n") == 1 and "Traceback" not in stderr
 
 
 # Exact stdout, 17 significant digits per value: the closed-form lines are a

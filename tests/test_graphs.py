@@ -764,3 +764,10 @@ def test_random_graph_seeded_determinism():
     b = random_graph(8, np.random.default_rng(123))
     assert a == b
     assert a.num_vertices == 8
+
+
+@pytest.mark.parametrize("edge_prob", [float("nan"), 2.0, -0.1, True, "0.5", None], ids=repr)
+def test_random_graph_refuses_an_edge_prob_outside_the_unit_interval(edge_prob):
+    # NaN drew no edge and 2.0 or True every edge, with no error.
+    with pytest.raises(ValueError, match=rf"^edge_prob must be in \[0, 1\], got {re.escape(repr(edge_prob))}$"):
+        random_graph(4, np.random.default_rng(0), edge_prob=edge_prob)

@@ -23,7 +23,9 @@ from graphent.statevector import (
     product_state,
 )
 
-from helpers import angles, dense_graph_state, dense_pauli_expectations, directed_graphs, probabilities
+from helpers import (
+    angles, clifford_amplitudes, dense_graph_state, dense_pauli_expectations, directed_graphs, probabilities,
+)
 
 
 # ----------------------------------------------------------------------
@@ -80,6 +82,27 @@ def test_angles_and_phases_refuse_what_is_no_real_number(field, value):
         build_graph_state(DirectedGraph(2, [(0, 1)]), **values)
     with pytest.raises(ValueError, match=rf"^{message} must be finite, got .*{field}={re.escape(repr(value))}"):
         StateRows(**rows, **values | {field: [0.1, value]})
+
+
+@pytest.mark.parametrize("field", ["theta", "psi", "delta0", "delta1"])
+def test_ints_past_the_largest_float_are_refused_by_the_guards(field):
+    # abs(10**400) < inf holds for a Python int, but no float holds it: the
+    # guard refuses it, where converting the row's fields overflowed.
+    message = "angles" if field in ("theta", "psi") else "phases"
+    values = {"theta": 0.3, "psi": 0.0, "delta0": 0.0, "delta1": 0.0} | {field: 10**400}
+    with pytest.raises(ValueError, match=rf"^{message} must be finite, got .*{field}={10**400}"):
+        StateRows(2, [[0, 1]], [1], **values)
+    with pytest.raises(ValueError, match=rf"^{message} must be finite, got .*{field}={10**400}"):
+        StateRows(2, [[0, 1]] * 2, [1, 1], **values | {field: [0.1, 10**400]})
+
+
+def test_float32_scalar_angles_and_phases_are_read_without_warnings():
+    # The int branch of the guard compares no float32 with the largest
+    # float, which would overflow the cast (a warning, an error here).
+    g = DirectedGraph(2, [(0, 1)])
+    as_float32 = dict(theta=np.float32(0.3), psi=np.float32(-0.2), delta0=np.float32(0.1), delta1=np.float32(3e38))
+    state = build_graph_state(g, **as_float32)
+    assert np.array_equal(state, build_graph_state(g, **{k: float(v) for k, v in as_float32.items()}))
 
 
 def test_pure_state_shape_checked():
@@ -419,8 +442,9 @@ def _large_rows(m, count):
     ]))
 
 
-# 2^17 amplitudes per row take the probability fold, 2^18 the Gram read.
-@pytest.mark.parametrize("m", [17, 18])
+# 2^17 amplitudes per row take the probability fold; 2^18 and 2^20 the
+# chunked read, with chunks of 2^14 and 2^16 amplitudes.
+@pytest.mark.parametrize("m", [17, 18, 20])
 @pytest.mark.parametrize("count", [1, 2])
 def test_large_rows_match_copied_halves(m, count):
     states = _large_rows(m, count)
@@ -432,7 +456,7 @@ def test_large_rows_match_copied_halves(m, count):
     assert np.max(np.abs(pauli_vectors(strided) - vectors[0])) <= 1e-13
 
 
-@pytest.mark.parametrize("m", [17, 18])
+@pytest.mark.parametrize("m", [17, 18, 20])
 def test_large_rows_refuse_one_unnormalized_row(m):
     states = _large_rows(m, 2)
     states[1] *= 1.01
@@ -444,11 +468,12 @@ def test_large_rows_refuse_one_unnormalized_row(m):
         pauli_vector_rows(states)
 
 
-def test_large_state_memory_peaks():
+@pytest.mark.parametrize("m", [18, 20])
+def test_large_state_memory_peaks(m):
     # From 2^18 amplitudes on neither pass allocates anything near the state's
     # size: the build writes the state through views of itself, and the Pauli
-    # pass reads it through a Gram matrix and block dots.
-    m = 18
+    # pass reads it through one tile of at most 1/16 of the state and block
+    # dots.
     g = random_graph(m, np.random.default_rng(11), edge_prob=0.3)
     state_bytes = 16 * 2**m
     tracemalloc.start()
@@ -462,6 +487,24 @@ def test_large_state_memory_peaks():
         tracemalloc.stop()
     assert build_peak < 1.1 * state_bytes
     assert pauli_peak < 0.1 * state_bytes
+
+
+@pytest.mark.parametrize("m", [6, 13, 18, 20])
+def test_clifford_point_matches_the_graph_state_signs(m):
+    # At p = 1/2 and theta = psi = pi/2 every edge operator is a CZ, so the
+    # state is the skeleton's graph state, amplitude x 2^(-M/2) (-1)^|E[x]|,
+    # whatever the orientations.  An isolated vertex stays |+>, (1, 0, 0);
+    # any other vertex is maximally mixed.  6 and 13 qubits take the gather
+    # and the table build steps and the probability pass, 18 and 20 the
+    # chunked Pauli read.
+    rng = np.random.default_rng(m)
+    cut = set(rng.choice(m, size=2, replace=False).tolist())
+    g = DirectedGraph(m, [e for e in random_graph(m, rng, edge_prob=0.3).edges if not set(e) & cut])
+    state = build_graph_state(g, theta=math.pi / 2, psi=math.pi / 2, p=0.5)
+    assert np.max(np.abs(state - clifford_amplitudes(g))) <= 1e-12
+    expected = np.zeros((m, 3))
+    expected[np.setdiff1d(np.arange(m), g.edge_array), 0] = 1.0
+    assert np.max(np.abs(pauli_vectors(state) - expected)) <= 1e-12
 
 
 # ----------------------------------------------------------------------
