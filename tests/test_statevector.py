@@ -468,8 +468,7 @@ def test_large_rows_refuse_one_unnormalized_row(m):
         pauli_vector_rows(states)
 
 
-@pytest.mark.parametrize("m", [18, 20])
-def test_large_state_memory_peaks(m):
+def _assert_memory_peaks(m):
     # From 2^18 amplitudes on neither pass allocates anything near the state's
     # size: the build writes the state through views of itself, and the Pauli
     # pass reads it through one tile of at most 1/16 of the state and block
@@ -487,6 +486,16 @@ def test_large_state_memory_peaks(m):
         tracemalloc.stop()
     assert build_peak < 1.1 * state_bytes
     assert pauli_peak < 0.1 * state_bytes
+
+
+def test_large_state_memory_peaks():
+    # 2^18 amplitudes: the chunked read with chunks of 2^14.
+    _assert_memory_peaks(18)
+
+
+def test_large_state_memory_peaks_at_full_chunks():
+    # 2^20 amplitudes: chunks of 2^16, the largest the read takes.
+    _assert_memory_peaks(20)
 
 
 @pytest.mark.parametrize("m", [6, 13, 18, 20])
