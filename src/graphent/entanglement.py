@@ -14,7 +14,9 @@ the state-vector oracle in :mod:`graphent.statevector`, ED step included,
 is the brute-force route they are checked against, and this module neither
 holds nor imports any part of it: the two routes share only
 :mod:`graphent.graphs`, whose guards check the plain values (theta, psi,
-p, delta0, delta1) that both take.
+p, delta0, delta1) that both take.  Every closed form that takes theta
+refuses, with a ValueError naming it, a theta that is not a finite real
+number, whole arrays in one vectorised pass.
 
 `vertex_share` is one vertex's term, 4p(1-p) (1 - r^(2d)); the reduced-state
 quantities in :mod:`graphent.density` read it.  It, `ed_closed_general`,
@@ -40,7 +42,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .graphs import DegreeDistribution, _check_angles, _check_p, _check_phases, _checked_counts, _integer
+from .graphs import DegreeDistribution, _check_angles, _check_p, _check_phases, _check_theta, _checked_counts, _integer
 from .graphs import _each, _each_of, _tree_depth, _vertex_count, _yf_layers
 from .graphs import ffnn_degree_counts, ffnn_layer_sizes
 
@@ -117,6 +119,7 @@ def ed_closed_general(dist: DistributionLike, p: Real, theta: Real) -> Real:
     broadcast (see the module docstring).
     """
     _check_p(p)
+    _check_theta(theta)
     q, w = _p_factors(p)
     mean = _each_of(functools.partial(_degree_means, _degree_counts(dist)), _r_squared(q, theta))
     return w * (1.0 - mean)
@@ -132,6 +135,7 @@ def vertex_share(degree: int, p: Real, theta: Real) -> Real:
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
     _check_p(p)
+    _check_theta(theta)
     q, w = _p_factors(p)
     return w * (1.0 - _power(_r_squared(q, theta), d))
 
@@ -182,6 +186,7 @@ def pauli_vector_closed(
 
 def ed_young_fibonacci(theta: float, num_layers: int) -> float:
     """ED per qubit of the triangular layered graph with `num_layers` layers."""
+    _check_theta(theta)
     n = _yf_layers(num_layers)
     c2 = math.cos(theta) ** 2
     # (n-2)/(n-3) factors vanish on their own at n = 2, 3.
@@ -191,6 +196,7 @@ def ed_young_fibonacci(theta: float, num_layers: int) -> float:
 
 def ed_young_fibonacci_limit(theta: Real) -> Real:
     """Infinite-layer limit: 1 - cos^8(theta), set by the interior vertices."""
+    _check_theta(theta)
     return 1.0 - _power(_each(math.cos, theta), 8)
 
 
@@ -219,6 +225,7 @@ def ed_ffnn_output_self_exponent(theta: float, layer_sizes: Sequence[int]) -> fl
 def ed_binary_tree(theta: float, depth: int) -> float:
     """ED per qubit of the full binary tree with `depth` layers; depth 1 is a
     single vertex with no entanglement."""
+    _check_theta(theta)
     depth = _tree_depth(depth)
     if depth == 1:
         return 0.0
@@ -230,6 +237,7 @@ def ed_binary_tree(theta: float, depth: int) -> float:
 def ed_binary_tree_limit(theta: Real) -> Real:
     """Infinite-depth limit: 1 - (cos^2(theta)/2)(1 + cos^4(theta)); leaves and
     interior vertices each contribute half the weight."""
+    _check_theta(theta)
     c2 = _cos2(theta)
     return 1.0 - 0.5 * c2 * (1.0 + _power(c2, 2))
 
@@ -237,6 +245,7 @@ def ed_binary_tree_limit(theta: Real) -> Real:
 def ed_bridged_cycles(theta: float, total_vertices: int, num_cycles: int) -> float:
     """ED per qubit of a chain of `num_cycles` cycles with `total_vertices`
     vertices overall: 1 - (cos^4(theta)/M)(M - 2(N-1) sin^2(theta))."""
+    _check_theta(theta)
     total_vertices = _integer(total_vertices, "total_vertices")
     num_cycles = _integer(num_cycles, "num_cycles")
     if num_cycles < 2:

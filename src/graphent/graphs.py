@@ -26,6 +26,7 @@ import json
 import math
 import numbers
 import operator
+import reprlib
 import sys
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
@@ -57,6 +58,13 @@ __all__ = [
 ]
 
 
+def _echo(x: object) -> str:
+    """repr(x) cut to at most 40 characters, for an error message: a JSON
+    value nested hundreds deep would otherwise fill a screen with brackets."""
+    text = reprlib.repr(x)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def _integer(x: object, what: str) -> int:
     """x as a plain int: numpy integers pass, while floats and bools are
     refused rather than truncated."""
@@ -65,7 +73,7 @@ def _integer(x: object, what: str) -> int:
             return operator.index(x)
         except TypeError:
             pass
-    raise ValueError(f"{what} {x!r} is not an integer")
+    raise ValueError(f"{what} {_echo(x)} is not an integer")
 
 
 # Bytes per edge that generating and validating a family's graph peak at,
@@ -162,6 +170,13 @@ def _below_inf(x: float | np.ndarray) -> object:
     if isinstance(x, int):
         return abs(x) <= sys.float_info.max
     return abs(x) < math.inf
+
+
+def _check_theta(theta: float | np.ndarray) -> None:
+    """Refuse an interaction angle theta, or an element of an array of them,
+    that is not a finite real number: the closed forms' one angle guard."""
+    if refused := _first_refused(_below_inf, theta):
+        raise ValueError(f"theta must be finite, got {refused[0]!r}")
 
 
 def _check_angles(theta: float | np.ndarray, psi: float | np.ndarray) -> None:
@@ -264,7 +279,7 @@ def _explained(edges: Sequence, m: int) -> np.ndarray:
             if pair in seen:
                 raise ValueError(f"duplicate or anti-parallel edge on pair {pair}")
         except ValueError as exc:
-            raise ValueError(f"edges[{i}] {edge!r}: {exc}") from None
+            raise ValueError(f"edges[{i}] {_echo(edge)}: {exc}") from None
         seen.add(pair)
         pairs.append((a, b))
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)

@@ -42,34 +42,39 @@ rule the oracle's callers use.
 
 Buffers: `ed_numeric_rows` allocates one state buffer, one batch in size,
 per call and builds every batch into it.  Below 2^18 amplitudes per row one
-scratch buffer, half the states' bytes, takes the build's gathered pair
-factors and then the Pauli pass's probabilities, so no batch allocates an
-array of its size.  A batch array freed after each batch was returned to the
-system by glibc (unmapped, or trimmed off the heap top) and faulted back in
-by the next: a `verify` op of 120 graphs of at most 12 vertices, 5 samples,
+scratch buffer, half the states' bytes (all of them up to 12 qubits), takes
+the build's products and gathered pair factors and then the Pauli pass's
+probabilities, so no batch allocates an array of its size.  A batch array
+freed after each batch was returned to the system by glibc (unmapped, or
+trimmed off the heap top) and faulted back in by the next: a `verify` op of 120 graphs of at most 12 vertices, 5 samples,
 took 18,621 minor page faults in a bare process with new arrays per batch
 and 1,920 with the buffers of one call per qubit count (16 ops).  Rows of
-2^18 amplitudes or more are built one per batch and read in chunks, which
-needs no probability buffer, so they take no scratch: the chunked read
-allocates one tile of at most 1/16 of a row and its partial sums.
+2^18 amplitudes or more are built one per batch and read in chunks and
+slabs, which need no probability buffer, so they take no scratch: the read
+allocates one tile, then one slab buffer, each at most 1/16 of a row, and
+their partial sums.
 
 Build: the step that appends qubit k multiplies each place l of the new
 half by pair[popcount(l & lower_k)].  Up to 2^11 places (every step of a
-state of at most 12 qubits) that factor is gathered per place, into the
-scratch buffer.  Past that,
-the place is split into its low 11 bits and the rest, pair[c + c'] =
-pair[c] * pair[c'], and the half is written through an (R, blocks, 2^11)
-view: once from the lower half times one factor per block (high_k folded
-in), then times one factor per place in a block.  No step past the gather
-steps allocates anything the size of a half, so for large states the states
+state of at most 12 qubits) the lower half times high_k goes into the
+scratch buffer, that factor is gathered per place beside it, and their
+product is written into the half.  Past that, the place is split into its
+low 11 bits and the rest, pair[c + c'] = pair[c] * pair[c'], and the half is
+written through an (R, blocks, 2^11) view: row by row from the lower half
+times one factor per block (high_k folded in), then times one factor per
+place in a block.  A batch's halves interleave in memory, so a multiply
+from the lower halves of several rows into their upper halves would make
+numpy copy its input first: 34.0 against 26.1 us at 8 rows of 2^11 places
+(median of 2,000 alternating calls).  No step past the gather steps
+allocates anything the size of a half, so for large states the states
 themselves, 16 bytes per amplitude per row, are the build's peak.
 
 Pauli vectors: `pauli_vector_rows` returns every qubit's (<sx>, <sy>, <sz>)
 in one call and copies no half of a state.  The cross term
 sum_x conj(amp(x)) amp(x + 2^i), over x with bit i clear, is read in place
 from the (R, blocks, 2, 2^i) view of the amplitudes as one dot per
-contiguous block pair.  How the low qubits are read depends on the size of
-a row:
+contiguous block pair.  How the qubits are read depends on the size of a
+row:
 
 - Below 2^18 amplitudes, <sz> comes from one probability array folded M
   times, top qubit first: the upper half (bit k = 1) is added onto the lower
@@ -91,10 +96,15 @@ a row:
   8..c-1 take their block dots on the chunk itself.  The row weights of the
   tile and of the chunk's (2^(c-8), 2^8) view, folded like the
   probabilities, give the weights of bits 0..c-1, and the chunk totals those
-  of bits c and up and the norm.  Qubits c and up take one block dot each
-  over the whole row.  Nothing the size of a state is allocated: the tile
-  and the partial sums peak at 8% of a state's bytes at 18 qubits and 2% at
-  22 (tracemalloc).
+  of bits c and up and the norm.  Qubits c and up pair rows of the row's
+  (2^(M-c), 2^c) view, 1 MiB apart at 22 qubits, so they are read in one
+  more pass, one slab of 2^10 columns of that view at a time: the slab is
+  copied into one reused contiguous buffer, whose rows the top qubits pair
+  while it sits in L2.  One qubit's dots over a whole 64 MiB row took 1.4
+  to 2.7 ms, as more or less of the host's shared L3 cache was free, and
+  0.9 to 1.1 ms on the row's 64 slabs in L2.  Nothing the size of a state is
+  allocated: the tile, the slab buffer and the partial sums peak at 8% of a
+  state's bytes at 18 qubits and 2% at 22 (tracemalloc).
 
 Either way the weights' total is each row's norm, so a row that is not
 normalized is refused without a further pass over it.
@@ -150,8 +160,9 @@ _LOW_BITS = 11
 # a probability buffer.  Times below are medians of alternating one-row
 # calls, one BLAS thread, 2-core Xeon with 2 MiB of L2 per core.  Against a
 # 128 x 128 Gram read of qubits 0..5: 0.71x at 18 qubits, 0.62x at 20, 0.58x
-# at 22, faster in 15 of 15 calls each.  Against the probability pass: 1.43x
-# at 16 qubits, 0.89x at 17.
+# at 22, faster in 15 of 15 calls each.  Against the probability pass: 1.76x
+# at 16 qubits; at 17, with the slab read, 0.97x, 1.04x and 1.12x in three
+# runs of 10 calls (faster in 10, 2 and 0 of them), so the switch stays.
 _CHUNKED_AMPLITUDES = 1 << 18
 # Chunks of 2^16 amplitudes, 1 MiB, and the tile copied from them fill one
 # core's L2 cache: at 22 qubits chunks of 2^17 took 1.22x the time and
@@ -161,6 +172,11 @@ _CHUNK_BITS = 16
 # Qubits below _TILE_BITS are read from the transposed tile.  At 22 qubits 6
 # took 1.07x the time of 8; 7 and 9 read within the noise (0.97x and 1.03x).
 _TILE_BITS = 8
+# Qubits from the chunk bits up are read from slabs of 2^_SLAB_BITS places
+# per top-bit value (see `_read_slabs`), 1 MiB at 22 qubits.  At 22 qubits
+# the slab pass took 11.0 ms at 10, 12.0 ms at 9 and 12.6 ms at 8 (median of
+# 20 calls); wider slabs would outgrow a chunk.
+_SLAB_BITS = 10
 # Oracle rows are built and read in batches of at most max(2^15, 2^M)
 # amplitudes: one doubling loop and one Pauli pass per batch, not per state.
 BATCH_AMPLITUDES = 2**15
@@ -309,9 +325,9 @@ def _state_buffer(count: int, m: int) -> np.ndarray:
     not fit in the available memory."""
     if count << m > 1 << DEFAULT_MAX_QUBITS:
         # The states take 16 bytes per amplitude per row.  The build's pair
-        # tables and the Pauli pass's tile and partial sums add under 1
-        # (tracemalloc, one row of 18 to 22 qubits: the build peaks at
-        # 1.004-1.06x the state's bytes, the Pauli pass at 0.02-0.08x);
+        # tables and the Pauli pass's tile, slab buffer and partial sums add
+        # under 1 (tracemalloc, one row of 18 to 22 qubits: the build peaks
+        # at 1.004-1.06x the state's bytes, the Pauli pass at 0.02-0.08x);
         # 17 * R bounds it.
         needed = 17 * count * 2**m
         available = _available_bytes()
@@ -329,8 +345,9 @@ def build_graph_state_rows(
     """Row r of the (R, 2^M) result holds the amplitudes of the state of row
     r of `rows`; one doubling loop serves every row.  The states are
     written into the first R rows of `out`, an (R', 2^M) complex array with
-    R' >= R, and the gathered pair factors into `scratch`, a flat float64
-    array of at least R * 2^M entries; each is allocated when not given."""
+    R' >= R, and the products and gathered pair factors of the steps up to
+    2^11 places into `scratch`, a flat float64 array of at least
+    R * 2^min(M + 1, 13) entries; each is allocated when not given."""
     count, m = len(rows), rows.num_qubits
     if out is None:
         out = _state_buffer(count, m)
@@ -339,9 +356,8 @@ def build_graph_state_rows(
     amps = out[:count]
     if not count:
         return amps
-    # The gather steps' pair factors fill at most R * 2^min(M, 12) floats.
     if scratch is None:
-        scratch = np.empty(count << min(m, _LOW_BITS + 1))
+        scratch = np.empty(count << min(m + 1, _LOW_BITS + 2))
     # int32 holds every index, mask and pair offset up to 32 qubits.
     itype = np.int32 if m <= 32 else np.int64
     # Each vertex's bit mask of lower-numbered neighbours and its out-degree,
@@ -377,30 +393,40 @@ def build_graph_state_rows(
     for k in range(m):
         n = 1 << k
         half = amps[:, n : 2 * n]
-        if n > width and lower[k].any():
-            # pair[c + c'] = pair[c] * pair[c']: the high bits of a place in
-            # the half pick one factor per block of `width` places, the low
-            # bits one factor per place in a block.
-            high_bits = np.arange(0, n, width, dtype=itype) & lower[k]
-            np.bitwise_count(high_bits, out=high_bits)
-            high_bits += offsets
-            low_bits = index & lower[k]
-            np.bitwise_count(low_bits, out=low_bits)
-            low_bits += offsets
-            upper = half.reshape(count, -1, width)
-            per_block = high[k, :, None] * np.take(pair, high_bits)
-            np.multiply(amps[:, :n].reshape(count, -1, width), per_block[:, :, None], out=upper)
-            upper *= np.take(pair, low_bits)[:, None, :]
+        # The lower and upper halves of a batch of rows interleave in memory,
+        # so numpy would copy the lower half before writing the upper one:
+        # each step writes its upper half from the scratch, or row by row.
+        if n > width:
+            if lower[k].any():
+                # pair[c + c'] = pair[c] * pair[c']: the high bits of a place in
+                # the half pick one factor per block of `width` places, the low
+                # bits one factor per place in a block.
+                high_bits = np.arange(0, n, width, dtype=itype) & lower[k]
+                np.bitwise_count(high_bits, out=high_bits)
+                high_bits += offsets
+                low_bits = index & lower[k]
+                np.bitwise_count(low_bits, out=low_bits)
+                low_bits += offsets
+                upper = half.reshape(count, -1, width)
+                per_block = high[k, :, None] * np.take(pair, high_bits)
+                for r in range(count):
+                    np.multiply(amps[r, :n].reshape(-1, width), per_block[r, :, None], out=upper[r])
+                upper *= np.take(pair, low_bits)[:, None, :]
+            else:
+                for r in range(count):
+                    np.multiply(amps[r, :n], high[k, r], out=half[r])
         else:
-            np.multiply(amps[:, :n], high[k, :, None], out=half)
+            product, factors = scratch[: 4 * count * n].view(np.complex128).reshape(2, count, n)
+            np.multiply(amps[:, :n], high[k, :, None], out=product)
             if lower[k].any():
                 gather = index[:n] & lower[k]
                 np.bitwise_count(gather, out=gather)
                 gather += offsets
                 # mode="clip" (the indices are in range) writes straight into
                 # the scratch; the default mode would buffer the output.
-                factors = scratch[: 2 * count * n].view(np.complex128).reshape(count, n)
-                half *= np.take(pair, gather, out=factors, mode="clip")
+                np.multiply(product, np.take(pair, gather, out=factors, mode="clip"), out=half)
+            else:
+                np.copyto(half, product)
         amps[:, :n] *= a0
     return amps
 
@@ -429,7 +455,6 @@ def pauli_vector_rows(amplitudes: np.ndarray, *, scratch: np.ndarray | None = No
     # lands there and is doubled into (<sx>, <sy>) below.
     xy = vectors[:, :, :2].view(np.complex128)[:, :, 0]
     if size < _CHUNKED_AMPLITUDES:
-        low = 0
         if scratch is None:
             scratch = np.empty(rows * size)
         prob = np.abs(amplitudes, out=scratch[: rows * size].reshape(rows, size))
@@ -437,25 +462,25 @@ def pauli_vector_rows(amplitudes: np.ndarray, *, scratch: np.ndarray | None = No
         norms = _fold_weights(prob, vectors[:, :, 2])
         # The spent probability buffer takes the partial dots.
         blocks = prob.view(np.complex128)
+        starts = []
+        end = 0
+        for i in range(m):
+            # lo and hi are (R, blocks, 2^i): the block halves where bit i is clear and set.
+            lo, hi = amplitudes.reshape(rows, size >> (i + 1), 2, 1 << i).transpose(2, 0, 1, 3)
+            count, length = lo.shape[1:]
+            across = length <= _ACROSS_BLOCKS and length < count  # one dot per offset
+            starts.append(end)
+            end += length if across else count
+            np.vecdot(lo, hi, axis=1 if across else 2, out=blocks[:, starts[-1] : end])
+        np.add.reduceat(blocks[:, :end], starts, axis=1, out=xy)
     else:
-        low = min(_CHUNK_BITS, m - 4)
+        c = min(_CHUNK_BITS, m - 4)
         amplitudes = np.ascontiguousarray(amplitudes)
-        norms = _read_chunks(amplitudes, low, xy, vectors[:, :, 2])
-        blocks = np.empty((rows, 1 << (m - low)), dtype=np.complex128)
+        norms = _read_chunks(amplitudes, c, xy, vectors[:, :, 2])
+        _read_slabs(amplitudes, c, xy[:, c:])
     error = np.max(np.abs(norms - 1.0), initial=0.0)
     if not error <= 1e-8:  # a NaN norm is refused too
         raise ValueError(f"state not normalized: norm error {error:.3e}")
-    starts = []
-    end = 0
-    for i in range(low, m):
-        # lo and hi are (R, blocks, 2^i): the block halves where bit i is clear and set.
-        lo, hi = amplitudes.reshape(rows, size >> (i + 1), 2, 1 << i).transpose(2, 0, 1, 3)
-        count, length = lo.shape[1:]
-        across = length <= _ACROSS_BLOCKS and length < count  # one dot per offset
-        starts.append(end)
-        end += length if across else count
-        np.vecdot(lo, hi, axis=1 if across else 2, out=blocks[:, starts[-1] : end])
-    np.add.reduceat(blocks[:, :end], starts, axis=1, out=xy[:, low:])
     vectors *= (2.0, 2.0, -2.0)
     vectors[:, :, 2] += norms[:, None]  # <sz> = norm - 2 * weight of bit 1
     return vectors
@@ -516,6 +541,37 @@ def _read_chunks(amplitudes: np.ndarray, c: int, xy: np.ndarray, weights: np.nda
         _fold_weights(square_weights.sum(axis=0)[None], weights[r : r + 1, t:c])
         norms[r] = _fold_weights(tile_weights.sum(axis=1)[None], weights[r : r + 1, c:])[0]
     return norms
+
+
+def _read_slabs(amplitudes: np.ndarray, c: int, xy: np.ndarray) -> None:
+    """Read the cross terms of qubits c..M-1 of each row of a C-contiguous
+    (R, 2^M) array into xy, (R, M - c), one slab at a time.
+
+    In a row's (2^(M-c), 2^c) view qubit c + j pairs view rows h and
+    h + 2^j.  A slab is 2^w columns of that view, every view row's run of
+    2^w places, w = min(_SLAB_BITS, 2c - M), so a slab holds at most 2^c
+    amplitudes, a chunk's worth.  Each slab is copied into one reused
+    contiguous buffer, whose rows the top qubits pair while it sits in
+    cache; the dots of all slabs are added up once per row."""
+    rows, size = amplitudes.shape
+    top = size.bit_length() - 1 - c
+    w = max(min(_SLAB_BITS, c - top), 0)
+    slabs = 1 << (c - w)
+    half = 1 << (top - 1)
+    buffer = np.empty((1 << top, 1 << w), dtype=np.complex128)
+    dots = np.empty((slabs, top, half), dtype=np.complex128)
+    # lo and hi are the buffer rows where bit j is clear and set, and out their dots per slab.
+    pairs = [
+        (*buffer.reshape(half >> j, 2, 1 << j, -1).transpose(1, 0, 2, 3), dots[:, j].reshape(slabs, half >> j, 1 << j))
+        for j in range(top)
+    ]
+    for r in range(rows):
+        view = amplitudes[r].reshape(1 << top, slabs, 1 << w)
+        for s in range(slabs):
+            np.copyto(buffer, view[:, s])
+            for lo, hi, out in pairs:
+                np.vecdot(lo, hi, out=out[s])
+        dots.sum(axis=(0, 2), out=xy[r])
 
 
 def _fold_weights(prob: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -579,9 +635,11 @@ def ed_numeric_rows(rows: StateRows) -> np.ndarray:
         return np.empty(0)
     per_batch = min(max(BATCH_AMPLITUDES >> m, 1), count)
     states = _state_buffer(per_batch, m)
-    # Rows of 2^18 amplitudes or more take the Pauli pass's chunked read,
-    # which needs no probability buffer, and the build's own small pair buffer.
-    scratch = np.empty(per_batch << m) if 1 << m < _CHUNKED_AMPLITUDES else None
+    # The scratch takes the build's gather steps, R * 2^min(M + 1, 13) floats,
+    # and then the probabilities, R * 2^M.  Rows of 2^18 amplitudes or more
+    # take the Pauli pass's chunked read, which needs no probability buffer,
+    # and the build's own small buffer.
+    scratch = np.empty(per_batch << max(m, min(m + 1, _LOW_BITS + 2))) if 1 << m < _CHUNKED_AMPLITUDES else None
     totals = np.empty(count)
     for start in range(0, count, per_batch):
         batch = build_graph_state_rows(rows[start : start + per_batch], out=states, scratch=scratch)

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from hypothesis import strategies as st
 
-from graphent.graphs import DirectedGraph, _integer
+from graphent.graphs import DirectedGraph, _echo, _integer
 
 I2 = np.eye(2, dtype=complex)
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -211,7 +211,7 @@ def reference_graph(num_vertices, edges):
             if key in seen:
                 raise ValueError(f"duplicate or anti-parallel edge on pair {divmod(key, m)}")
         except ValueError as exc:
-            raise ValueError(f"edges[{i}] {edge!r}: {exc}") from None
+            raise ValueError(f"edges[{i}] {_echo(edge)}: {exc}") from None
         seen.add(key)
         out[a] += 1
         into[b] += 1

@@ -478,6 +478,21 @@ def test_ed_malformed_graph_json_names_field(tmp_path, capsys, text, field):
     assert stderr.count("\n") == 1 and "Traceback" not in stderr
 
 
+@pytest.mark.parametrize(
+    "edge", ["[" * 900 + "]" * 900, "[" + "[" * 900 + "]" * 900 + ", 1]"], ids=["not-a-pair", "bad-endpoint"]
+)
+def test_ed_refused_edge_is_echoed_short(tmp_path, capsys, edge):
+    # A first edge nested 900 deep parses (it is below the recursion limit)
+    # and the graph refuses it; its whole repr took about 1,800 characters.
+    path = tmp_path / "deep.json"
+    path.write_text('{"num_vertices": 3, "edges": [' + edge + "]}")
+    code, stdout, stderr = run(capsys, "ed", "--graph", str(path), "--theta", "1.0")
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: malformed graph JSON: edges[0] [[[")
+    assert stderr.count("\n") == 1 and len(stderr) < 120
+
+
 # Exact stdout, 17 significant digits per value: the closed-form lines are a
 # byte-level contract.  The simulate lines depend on numpy's floating-point
 # summation order and on the state kernel's phase arithmetic (recorded with

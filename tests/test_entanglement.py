@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphent.cli import _closed_shares
+from graphent.density import vertex_eigenvalues, vertex_entropy, vertex_hs2
 from graphent.entanglement import (
     ed_binary_tree,
     ed_binary_tree_limit,
@@ -383,6 +384,49 @@ def test_closed_vector_refuses_phases_the_oracle_refuses(d0, d1):
         pauli_vector_closed(0, 1, theta=0.3, delta0=d0, delta1=d1)
     with pytest.raises(ValueError, match=f"^{refused}$"):
         product_state(1, delta0=d0, delta1=d1)
+
+
+# Every public closed form that takes theta, with its other arguments valid.
+THETA_FORMS = {
+    "ed_closed_form": lambda theta: ed_closed_form({1: 2, 2: 1}, theta),
+    "ed_closed_general": lambda theta: ed_closed_general({1: 2, 2: 1}, 0.3, theta),
+    "vertex_share": lambda theta: vertex_share(1, 0.3, theta),
+    "vertex_hs2": lambda theta: vertex_hs2(1, 0.3, theta),
+    "vertex_eigenvalues": lambda theta: vertex_eigenvalues(1, 0.3, theta),
+    "vertex_entropy": lambda theta: vertex_entropy(1, 0.3, theta),
+    "ed_young_fibonacci": lambda theta: ed_young_fibonacci(theta, 3),
+    "ed_young_fibonacci_limit": ed_young_fibonacci_limit,
+    "ed_ffnn": lambda theta: ed_ffnn(theta, [2, 3]),
+    "ed_ffnn_output_self_exponent": lambda theta: ed_ffnn_output_self_exponent(theta, [2, 3, 1]),
+    "ed_binary_tree": lambda theta: ed_binary_tree(theta, 1),  # depth 1 reads no angle
+    "ed_binary_tree_limit": ed_binary_tree_limit,
+    "ed_bridged_cycles": lambda theta: ed_bridged_cycles(theta, 9, 3),
+}
+
+
+@pytest.mark.parametrize(
+    "theta, shown",
+    [
+        (math.nan, "nan"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (True, "True"),
+        ("0.3", "'0.3'"),
+        (None, "None"),
+        (1j, "1j"),
+        (10**400, str(10**400)),
+        (np.array([[0.3], [math.nan]]), "nan"),
+        (np.array([0.3, -math.inf]), "-inf"),
+    ],
+    ids=["nan", "inf", "-inf", "bool", "str", "None", "complex", "int-past-float", "grid-nan", "array-inf"],
+)
+def test_closed_forms_refuse_a_bad_theta(theta, shown):
+    # They returned NaN, a value read from a bool, or raised "math domain
+    # error", OverflowError or TypeError; each now runs the angle guard.
+    for name, form in THETA_FORMS.items():
+        with pytest.raises(ValueError, match=f"^theta must be finite, got {re.escape(shown)}$"):
+            form(theta)
+        assert np.all(np.isfinite(form(0.3))), name  # a good angle still passes
 
 
 # ----------------------------------------------------------------------

@@ -442,10 +442,10 @@ def _large_rows(m, count):
     ]))
 
 
-# 2^17 amplitudes per row take the probability fold; 2^18 and 2^20 the
-# chunked read, with chunks of 2^14 and 2^16 amplitudes.
-@pytest.mark.parametrize("m", [17, 18, 20])
-@pytest.mark.parametrize("count", [1, 2])
+# 2^17 amplitudes per row take the probability fold; 2^18, 2^20 and 2^22
+# the chunked read, with chunks of 2^14, 2^16 and 2^16 amplitudes, and the
+# slab read of their top 4, 4 and 6 qubits.
+@pytest.mark.parametrize("count, m", [(1, 17), (1, 18), (1, 20), (2, 17), (2, 18), (2, 20), (1, 22)])
 def test_large_rows_match_copied_halves(m, count):
     states = _large_rows(m, count)
     vectors = pauli_vector_rows(states)
@@ -471,8 +471,8 @@ def test_large_rows_refuse_one_unnormalized_row(m):
 def _assert_memory_peaks(m):
     # From 2^18 amplitudes on neither pass allocates anything near the state's
     # size: the build writes the state through views of itself, and the Pauli
-    # pass reads it through one tile of at most 1/16 of the state and block
-    # dots.
+    # pass reads it through one tile and then one slab buffer, each at most
+    # 1/16 of the state.
     g = random_graph(m, np.random.default_rng(11), edge_prob=0.3)
     state_bytes = 16 * 2**m
     tracemalloc.start()
@@ -496,6 +496,11 @@ def test_large_state_memory_peaks():
 def test_large_state_memory_peaks_at_full_chunks():
     # 2^20 amplitudes: chunks of 2^16, the largest the read takes.
     _assert_memory_peaks(20)
+
+
+def test_large_state_memory_peaks_at_the_default_cap():
+    # 2^22 amplitudes, the oracle workload's size: six top qubits in slabs.
+    _assert_memory_peaks(22)
 
 
 @pytest.mark.parametrize("m", [6, 13, 18, 20])
@@ -638,8 +643,10 @@ def test_zero_rows_give_empty_results():
 @pytest.mark.parametrize("m, count, batches", [(9, 150, [64, 64, 22]), (18, 2, [1, 1])])
 def test_batches_of_one_call_share_their_buffers(monkeypatch, m, count, batches):
     # Every batch is built into the same state buffer: the states stay alive
-    # here, so one data pointer means one buffer.  Rows of 2^18 amplitudes
-    # or more take no scratch buffer.
+    # here, so one data pointer means one buffer.  Up to 12 qubits the
+    # scratch is sized by the build's last gather step, a product and a
+    # factor per place of the upper half, twice the probabilities' R * 2^M.
+    # Rows of 2^18 amplitudes or more take no scratch buffer.
     rng = np.random.default_rng(17)
     g = random_graph(m, rng, edge_prob=0.4)
     rows = StateRows(
@@ -662,7 +669,7 @@ def test_batches_of_one_call_share_their_buffers(monkeypatch, m, count, batches)
     assert [len(s) for s in states] == batches
     assert len({s.__array_interface__["data"][0] for s in states}) == 1
     if m < 18:
-        assert scratches[0].size == batches[0] << m
+        assert scratches[0].size == batches[0] << (m + 1)
         assert all(s is scratches[0] for s in scratches)
     else:
         assert scratches == [None] * len(batches)
