@@ -36,6 +36,7 @@ import cmath
 import functools
 import math
 import operator
+import sys
 from collections import Counter
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence, Union
@@ -43,7 +44,7 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .graphs import DegreeDistribution, _check_angles, _check_p, _check_phases, _check_theta, _checked_counts, _integer
-from .graphs import _each, _each_of, _tree_depth, _vertex_count, _yf_layers
+from .graphs import _each, _each_of, _echo, _tree_depth, _vertex_count, _yf_layers
 from .graphs import ffnn_degree_counts, ffnn_layer_sizes
 
 __all__ = [
@@ -69,7 +70,20 @@ def _degree_counts(dist: DistributionLike) -> Mapping[int, int]:
     """A distribution's counts; a raw mapping gets the entry checks but not
     the graphicality checks, since some closed forms are evaluated on degree
     counts that no graph has."""
-    return dist.counts if isinstance(dist, DegreeDistribution) else _checked_counts(dist)
+    counts = dist.counts if isinstance(dist, DegreeDistribution) else _checked_counts(dist)
+    for k, n in counts.items():
+        _float_sized(k, "degree")
+        _float_sized(n, "vertex count")
+    _float_sized(sum(counts.values()), "vertex total")
+    return counts
+
+
+def _float_sized(n: int, what: str) -> int:
+    """n, a checked int, refused when no float holds it: the closed forms
+    compute in floats, which would raise OverflowError on it."""
+    if n > sys.float_info.max:
+        raise ValueError(f"{what} {_echo(n)} is past the largest float")
+    return n
 
 
 def ed_closed_form(dist: DistributionLike, theta: Real) -> Real:
@@ -131,7 +145,7 @@ def vertex_share(degree: int, p: Real, theta: Real) -> Real:
     ``ed_closed_general({d: 1}, p, theta)``.  It is 1 - |<sigma>|^2, so a
     vertex's reduced state depends on its degree alone; an isolated pair's
     ED is the share at d = 1, 16 p^2 (1-p)^2 sin^2(theta)."""
-    d = _integer(degree, "degree")
+    d = _float_sized(_integer(degree, "degree"), "degree")
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
     _check_p(p)
@@ -169,6 +183,9 @@ def pauli_vector_closed(
     d_out, d_in = _integer(d_out, "d_out"), _integer(d_in, "d_in")
     if d_out < 0 or d_in < 0:
         raise ValueError(f"edge counts must be non-negative, got ({d_out}, {d_in})")
+    _float_sized(d_out, "d_out")
+    _float_sized(d_in, "d_in")
+    _float_sized(d_out + d_in, "degree d_out + d_in")
     _check_phases(delta0, delta1)
     z = interaction_expectation(theta=theta, psi=psi, p=p)
     delta = cmath.phase(z) + psi

@@ -28,83 +28,94 @@ and delta1, from which `StateRows.alpha0` and `alpha1`, the only formula for
 the input amplitudes, form them.  The edges come in as a graph's do and go
 through the graph's own checks, all rows as one disjoint-union graph.
 `build_graph_state` makes the one row of a graph and those values, taken by
-keyword, so one-row calls and many rows run the one kernel,
-`build_graph_state_rows`, which runs that loop once for the R rows, whose
-states are the rows of an (R, 2^M) array; a one-row state is one (2^M,)
-array.  One `bincount` over the edges, weighted by 2^min(a, b), builds the
-lower-neighbour masks and one more counts the out-degrees d_out(k).  The masks and the high-half factors
-alpha1 * exp(i*(theta - psi)*d_out(k)) are (M, R), and the pair factors
-exp(-2i*theta*c) are one flat (R*M) table read at c + r*M.
-`pauli_vector_rows` reads such an array, and `build_graph_state` and
-`pauli_vectors` are the one-row calls of the same code.  How many rows go
-into one call is the caller's choice; `ed_numeric_rows` holds the batch
-rule the oracle's callers use.
+keyword, so one-row calls and many rows run the one kernel.
+`build_graph_state_rows` runs that loop once for the R rows, whose states
+are the rows of an (R, 2^M) array; a one-row state is one (2^M,) array.  It
+takes two steps.  `_row_tables` forms the loop's per-row tables: one
+`bincount` over the edges, weighted by 2^min(a, b), builds the
+lower-neighbour masks and one more counts the out-degrees d_out(k); the
+masks, the high-half factors alpha1 * exp(i*(theta - psi)*d_out(k)) and the
+pair factors exp(-2i*theta*c) are (R, M), alpha0 is (R, 1), and a row whose
+angles overflow a phase is refused there.  `_double_rows` is the doubling
+loop over the tables of a batch of rows.  `pauli_vector_rows` reads such an
+array, and `build_graph_state` and `pauli_vectors` are the one-row calls of
+the same code.  How many rows go into one call is the caller's choice;
+`ed_numeric_rows` holds the batch rule the oracle's callers use.
 
-Buffers: `ed_numeric_rows` allocates one state buffer, one batch in size,
-per call and builds every batch into it.  Below 2^18 amplitudes per row one
-scratch buffer, half the states' bytes (all of them up to 12 qubits), takes
-the build's products and gathered pair factors and then the Pauli pass's
-probabilities, so no batch allocates an array of its size.  A batch array
-freed after each batch was returned to the system by glibc (unmapped, or
-trimmed off the heap top) and faulted back in by the next: a `verify` op of 120 graphs of at most 12 vertices, 5 samples,
-took 18,621 minor page faults in a bare process with new arrays per batch
-and 1,920 with the buffers of one call per qubit count (16 ops).  Rows of
-2^18 amplitudes or more are built one per batch and read in chunks and
-slabs, which need no probability buffer, so they take no scratch: the read
-allocates one tile, then one slab buffer, each at most 1/16 of a row, and
-their partial sums.
+Buffers: `ed_numeric_rows` forms the tables of all its rows once and
+allocates one state buffer, one batch in size, per call; every batch takes
+its row slices of the tables and is built into that buffer.  Below 2^18
+amplitudes per row one scratch buffer, the states' bytes up to 15 qubits
+(half at 16, a quarter at 17), takes the build's gathered factors and then
+the Pauli pass's tile, so no batch allocates an array of its size.  A batch
+array freed after each batch was returned to the system by glibc (unmapped,
+or trimmed off the heap top) and faulted back in by the next: a `verify` op
+of 120 graphs of at most 12 vertices, 5 samples, took 18,621 minor page
+faults in a bare process with new arrays per batch and 1,920 with the
+buffers of one call per qubit count (16 ops).  Rows of 2^18 amplitudes or
+more are built one per batch and read one row at a time, so they take no
+scratch: the read allocates one tile, then one slab buffer, each at most
+1/16 of a row, and their partial sums.
 
 Build: the step that appends qubit k multiplies each place l of the new
-half by pair[popcount(l & lower_k)].  Up to 2^11 places (every step of a
-state of at most 12 qubits) the lower half times high_k goes into the
-scratch buffer, that factor is gathered per place beside it, and their
-product is written into the half.  Past that, the place is split into its
-low 11 bits and the rest, pair[c + c'] = pair[c] * pair[c'], and the half is
-written through an (R, blocks, 2^11) view: row by row from the lower half
-times one factor per block (high_k folded in), then times one factor per
-place in a block.  A batch's halves interleave in memory, so a multiply
-from the lower halves of several rows into their upper halves would make
-numpy copy its input first: 34.0 against 26.1 us at 8 rows of 2^11 places
-(median of 2,000 alternating calls).  No step past the gather steps
-allocates anything the size of a half, so for large states the states
-themselves, 16 bytes per amplitude per row, are the build's peak.
+half by high_k * pair[popcount(l & lower_k)].  Up to 2^11 places (every
+step of a state of at most 12 qubits) high_k is folded into the step's
+(R, M) pair table, one factor is gathered per place into the scratch, the
+lower half is multiplied onto it there, and the product is copied into the
+half: one gather, one multiply and one copy.  Past that, the place is split
+into its low 11 bits and the rest, pair[c + c'] = pair[c] * pair[c'], and the
+half is written through an (R, blocks, 2^11) view: row by row from the
+lower half times one factor per block (high_k folded in), then times one
+factor per place in a block.  A batch's halves interleave in memory, so a
+multiply from the lower halves of several rows into their upper halves
+would make numpy copy its input first: 34.0 against 26.1 us at 8 rows of
+2^11 places (median of 2,000 alternating calls).  Every factor is the first
+operand of its multiply, in every branch: complex multiply is not bitwise
+commutative (it rounds one cross product before the fused add), and a
+row's factor must meet its lower half the same way whichever branch its
+batch takes.  No step past the gather steps allocates anything the size of
+a half, so for large states the states themselves, 16 bytes per amplitude
+per row, are the build's peak.  Against building every batch's tables
+apart, with its own `StateRows` slice, and gathering high_k and the pair
+factor in two multiplies, one batch took 0.30x the time at 2 qubits (350
+rows), 0.54x at 6, 0.75x at 12 and 0.87x at 17 (median of 60 alternating
+calls, one BLAS thread, 2-core Xeon).
 
 Pauli vectors: `pauli_vector_rows` returns every qubit's (<sx>, <sy>, <sz>)
 in one call and copies no half of a state.  The cross term
-sum_x conj(amp(x)) amp(x + 2^i), over x with bit i clear, is read in place
-from the (R, blocks, 2, 2^i) view of the amplitudes as one dot per
-contiguous block pair.  How the qubits are read depends on the size of a
-row:
+sum_x conj(amp(x)) amp(x + 2^i), over x with bit i clear, is read as one dot
+per contiguous block pair, where a block is a run of 2^i places with bit i
+clear, or as one dot per pair of rows of a transposed tile.  Each row is
+read one chunk of 2^c contiguous amplitudes at a time, so the chunk sits in
+a core's 2 MiB L2 cache while it is read, the way state-vector simulators
+block their short-stride qubits (Haener and Steiger, SC'17,
+arXiv:1704.01127).  A chunk is copied, transposed, into a (2^t, 2^(c-t))
+tile, so qubits 0..t-1 pair tile rows, contiguous runs of 2^(c-t)
+amplitudes, where their blocks in the row hold 1 to 2^(t-1); qubits
+t..c-1 take their block dots on the chunk itself.  The row weights of the
+tile and of the chunk's (2^(c-t), 2^t) view, folded top bit first (each
+upper half added onto its lower half), give the weights of bits 0..c-1, and
+the chunk totals those of bits c and up and the norm.  How the rows are
+taken depends on their size:
 
-- Below 2^18 amplitudes, <sz> comes from one probability array folded M
-  times, top qubit first: the upper half (bit k = 1) is added onto the lower
-  half and left in place, so one segmented sum at the end gives every
-  qubit's weight of bit 1, after about 2 * 2^M adds per row.  Qubits whose
-  blocks hold at most 4 amplitudes (64 bytes) and are fewer than their count
-  take one strided dot per offset in the block, across all blocks, instead
-  of one dot per block, which halves the dot loop (median, 2-core Xeon:
-  174 vs 361 us on 35 rows of 9 qubits, 298 vs 610 us on 8 rows of 12).
-  The partial dots go into the spent probability buffer, half the states'
-  bytes, and a second segmented sum adds them up.
-- From 2^18 amplitudes on, each row is read one chunk of 2^c contiguous
-  amplitudes at a time, c = min(16, M - 4), so a chunk (1 MiB at most) sits
-  in a core's 2 MiB L2 cache while it is read, the way state-vector
-  simulators block their short-stride qubits (Haener and Steiger, SC'17,
-  arXiv:1704.01127).  A chunk is copied, transposed, into one reused
-  (2^8, 2^(c-8)) tile, so qubits 0..7 pair tile rows, contiguous runs of
-  2^(c-8) amplitudes, where their blocks in the row hold 1 to 128; qubits
-  8..c-1 take their block dots on the chunk itself.  The row weights of the
-  tile and of the chunk's (2^(c-8), 2^8) view, folded like the
-  probabilities, give the weights of bits 0..c-1, and the chunk totals those
-  of bits c and up and the norm.  Qubits c and up pair rows of the row's
-  (2^(M-c), 2^c) view, 1 MiB apart at 22 qubits, so they are read in one
-  more pass, one slab of 2^10 columns of that view at a time: the slab is
-  copied into one reused contiguous buffer, whose rows the top qubits pair
-  while it sits in L2.  One qubit's dots over a whole 64 MiB row took 1.4
-  to 2.7 ms, as more or less of the host's shared L3 cache was free, and
-  0.9 to 1.1 ms on the row's 64 slabs in L2.  Nothing the size of a state is
-  allocated: the tile, the slab buffer and the partial sums peak at 8% of a
-  state's bytes at 18 qubits and 2% at 22 (tracemalloc).
+- Below 2^18 amplitudes, every row of the array at once, in chunks of
+  2^c = min(2^M, 2^15) amplitudes with tiles of 2^(c//2) rows, all rows'
+  tiles in the scratch.  Qubits c and up (at 16 and 17 qubits) take block
+  dots over the whole array.  Against the probability fold and per-block
+  dots this replaced, a batch's read took 0.75x the time at 11 and 12
+  qubits, 0.82x at 15 and 0.66x at 17, but 1.1x to 1.65x at 2 to 8 qubits,
+  where its many short dots cost more than they save (40 to 115 us per
+  call; median of 60 alternating calls, as above).
+- From 2^18 amplitudes on, one row at a time, c = min(16, M - 4), so a chunk
+  is 1 MiB at most, with tiles of 2^8 rows.  Qubits c and up pair rows of
+  the row's (2^(M-c), 2^c) view, 1 MiB apart at 22 qubits, so they are read
+  in one more pass, one slab of 2^10 columns of that view at a time: the
+  slab is copied into one reused contiguous buffer, whose rows the top
+  qubits pair while it sits in L2.  One qubit's dots over a whole 64 MiB row
+  took 1.4 to 2.7 ms, as more or less of the host's shared L3 cache was
+  free, and 0.9 to 1.1 ms on the row's 64 slabs in L2.  Nothing the size of
+  a state is allocated: the tile, the slab buffer and the partial sums peak
+  at 8% of a state's bytes at 18 qubits and 2% at 22 (tracemalloc).
 
 Either way the weights' total is each row's norm, so a row that is not
 normalized is refused without a further pass over it.
@@ -145,38 +156,37 @@ __all__ = [
 # 2^22 complex amplitudes = 64 MiB: the CLI's default --max-qubits, and the
 # state size past which a build first probes the available memory.
 DEFAULT_MAX_QUBITS = 22
-# A qubit whose blocks hold at most this many amplitudes (64 bytes, one cache
-# line) is summed across its blocks.  Longer blocks are read block by block:
-# a strided dot loads each cache line once per offset it holds.  One qubit's
-# dots, across vs per block, median of alternating calls: blocks of 4 took
-# 18 vs 65 us on 35 rows of 9 qubits and 71 vs 468 us on one row of 17;
-# blocks of 16 took 19 vs 17 us and 298 vs 153 us.
-_ACROSS_BLOCKS = 4
 # Doubling steps past 2^_LOW_BITS amplitudes split each pair factor into a
 # low-bit and a high-bit table instead of gathering one factor per amplitude.
 _LOW_BITS = 11
-# A row of at least _CHUNKED_AMPLITUDES amplitudes is read in chunks of
-# 2^_CHUNK_BITS contiguous amplitudes (see `_read_chunks`) instead of through
-# a probability buffer.  Times below are medians of alternating one-row
-# calls, one BLAS thread, 2-core Xeon with 2 MiB of L2 per core.  Against a
-# 128 x 128 Gram read of qubits 0..5: 0.71x at 18 qubits, 0.62x at 20, 0.58x
-# at 22, faster in 15 of 15 calls each.  Against the probability pass: 1.76x
-# at 16 qubits; at 17, with the slab read, 0.97x, 1.04x and 1.12x in three
-# runs of 10 calls (faster in 10, 2 and 0 of them), so the switch stays.
+# A row of at least _CHUNKED_AMPLITUDES amplitudes is read on its own, in
+# chunks of up to 2^_CHUNK_BITS contiguous amplitudes (see `_read_chunks`)
+# and then in slabs; smaller rows are read all together.  Against a 128 x
+# 128 Gram read of qubits 0..5, the one-row chunked read took 0.71x the time
+# at 18 qubits, 0.62x at 20 and 0.58x at 22, faster in 15 of 15 alternating
+# one-row calls each (medians, one BLAS thread, 2-core Xeon with 2 MiB of L2
+# per core).
 _CHUNKED_AMPLITUDES = 1 << 18
 # Chunks of 2^16 amplitudes, 1 MiB, and the tile copied from them fill one
 # core's L2 cache: at 22 qubits chunks of 2^17 took 1.22x the time and
 # chunks of 2^14 1.18x.  A row of M qubits takes chunks of at most 2^(M-4)
 # amplitudes, so the tile is at most 1/16 of the row's bytes.
 _CHUNK_BITS = 16
-# Qubits below _TILE_BITS are read from the transposed tile.  At 22 qubits 6
-# took 1.07x the time of 8; 7 and 9 read within the noise (0.97x and 1.03x).
+# On the one-row read, qubits below _TILE_BITS are read from the transposed
+# tile.  At 22 qubits 6 took 1.07x the time of 8; 7 and 9 read within the
+# noise (0.97x and 1.03x).
 _TILE_BITS = 8
 # Qubits from the chunk bits up are read from slabs of 2^_SLAB_BITS places
 # per top-bit value (see `_read_slabs`), 1 MiB at 22 qubits.  At 22 qubits
 # the slab pass took 11.0 ms at 10, 12.0 ms at 9 and 12.6 ms at 8 (median of
 # 20 calls); wider slabs would outgrow a chunk.
 _SLAB_BITS = 10
+# Rows below _CHUNKED_AMPLITUDES are read all together in chunks of at most
+# 2^_BATCH_CHUNK_BITS amplitudes, BATCH_AMPLITUDES, so the tiles of a batch
+# fill at most the one-batch scratch of `ed_numeric_rows`, 512 KiB, and sit
+# in L2 with the chunks they are copied from.  Their tiles have 2^(c//2)
+# rows, so the tile and chunk qubits take about half the bits each.
+_BATCH_CHUNK_BITS = 15
 # Oracle rows are built and read in batches of at most max(2^15, 2^M)
 # amplitudes: one doubling loop and one Pauli pass per batch, not per state.
 BATCH_AMPLITUDES = 2**15
@@ -251,7 +261,8 @@ class StateRows:
         that wraps past int64 can only send good rows to that walk."""
         m, edges, counts = self.num_qubits, self.edges, self.edge_counts
         offsets = np.repeat(np.arange(len(counts)) * m, counts)
-        if ((edges >= 0) & (edges < m)).all() and _accepted(edges + offsets[:, None], len(counts) * m) is not None:
+        # A negative endpoint viewed as unsigned is 2^63 or more: one compare.
+        if (edges.view(np.uint64) < m).all() and _accepted(edges + offsets[:, None], len(counts) * m) is not None:
             return
         ends = self._edge_ends
         for r in range(len(counts)):
@@ -343,90 +354,117 @@ def build_graph_state_rows(
     rows: StateRows, *, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> np.ndarray:
     """Row r of the (R, 2^M) result holds the amplitudes of the state of row
-    r of `rows`; one doubling loop serves every row.  The states are
-    written into the first R rows of `out`, an (R', 2^M) complex array with
-    R' >= R, and the products and gathered pair factors of the steps up to
-    2^11 places into `scratch`, a flat float64 array of at least
-    R * 2^min(M + 1, 13) entries; each is allocated when not given."""
+    r of `rows`: the rows' tables (`_row_tables`) run through one doubling
+    loop (`_double_rows`).  The states are written into the first R rows of
+    `out`, an (R', 2^M) complex array with R' >= R, and the gathered factors
+    of the steps up to 2^11 places into `scratch`, a flat float64 array of at
+    least R * 2^min(M, 12) entries; each is allocated when not given."""
     count, m = len(rows), rows.num_qubits
     if out is None:
         out = _state_buffer(count, m)
     elif out.dtype != np.complex128 or out.shape[1:] != (1 << m,) or len(out) < count:
         raise ValueError(f"out must be a complex array of at least {count} rows of 2^{m}, got {out.shape}")
-    amps = out[:count]
     if not count:
-        return amps
-    if scratch is None:
-        scratch = np.empty(count << min(m + 1, _LOW_BITS + 2))
+        return out[:0]
+    return _double_rows(_row_tables(rows), out=out, scratch=scratch)
+
+
+def _row_tables(rows: StateRows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The doubling loop's tables of R rows, row first, so the tables of a
+    batch are their row slices: each vertex's mask of lower-numbered
+    neighbours, (R, M) ints; its high-half factor alpha1 *
+    exp(i*(theta - psi)*d_out(k)), (R, M); the pair factors exp(-2i*theta*c)
+    for c in [0, M), (R, M); and alpha0, (R, 1).  A row whose angles
+    overflow a phase is refused."""
+    count, m = len(rows), rows.num_qubits
     # int32 holds every index, mask and pair offset up to 32 qubits.
     itype = np.int32 if m <= 32 else np.int64
-    # Each vertex's bit mask of lower-numbered neighbours and its out-degree,
-    # row r's vertex k at r*M + k: one pass each over every row's edges.  A
-    # vertex's lower neighbours are distinct bits, so their sum is their OR;
-    # the float64 sum is exact below 2^53, and no state of 53 qubits fits.
+    # Row r's vertex k is at r*M + k: one bincount over every row's edges
+    # gives the masks and one the out-degrees.  A vertex's lower neighbours
+    # are distinct bits, so their sum is their OR; the float64 sum is exact
+    # below 2^53, and no state of 53 qubits fits.
     a, b = rows.edges.T
     row_starts = np.repeat(np.arange(0, count * m, m), rows.edge_counts)
     lower = np.bincount(
         np.maximum(a, b) + row_starts, weights=np.left_shift(1, np.minimum(a, b)), minlength=count * m
     ).astype(itype)
-    lower = lower.reshape(count, m).T[:, :, None]  # (M, R, 1)
-    d_out = np.bincount(a + row_starts, minlength=count * m).reshape(count, m).T  # (M, R)
+    d_out = np.bincount(a + row_starts, minlength=count * m).reshape(count, m)
     theta = rows.theta
     # Finite angles can still overflow a phase, (theta - psi) * d_out or
     # 2 * theta * c; that row's table entries come out inf or NaN.
     with np.errstate(over="ignore", invalid="ignore"):
         step = 1j * (theta - rows.psi)
-        high = rows.alpha1 * np.exp(step * d_out)
-        pair = np.exp(-2j * theta[:, None] * np.arange(m)).ravel()  # row r at [r*M : (r+1)*M]
-    finite = np.isfinite(high).all(axis=0) & np.isfinite(pair).reshape(count, m).all(axis=1)
+        high = rows.alpha1[:, None] * np.exp(step[:, None] * d_out)
+        pair = np.exp(-2j * theta[:, None] * np.arange(m))
+    finite = np.isfinite(high).all(axis=1) & np.isfinite(pair).all(axis=1)
     if not finite.all():
         r = int(np.argmin(finite))
         raise ValueError(
             f"edge phases overflow at theta={float(theta[r])}, psi={float(rows.psi[r])}; "
             "reduce the angles mod 2*pi"
         )
-    a0 = rows.alpha0[:, None]
-    offsets = np.arange(0, count * m, m, dtype=itype)[:, None]
+    return lower.reshape(count, m), high, pair, rows.alpha0[:, None]
+
+
+def _double_rows(
+    tables: Sequence[np.ndarray], *, out: np.ndarray, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Build the states of the R rows of `_row_tables`' tables into the first
+    R rows of `out`, (R', 2^M) complex, and return them; `scratch` is as for
+    `build_graph_state_rows`.  Every factor multiplies the lower half as its
+    first operand: complex multiply rounds its two cross products
+    differently when the operands swap, and a row must come out the same
+    whichever branch its batch takes."""
+    lower, high, pair, a0 = tables
+    count, m = lower.shape
+    amps = out[:count]
+    if scratch is None:
+        scratch = np.empty(count << min(m, _LOW_BITS + 1))
+    offsets = np.arange(0, count * m, m, dtype=lower.dtype)[:, None]
     amps[:, 0] = 1.0
     width = 1 << _LOW_BITS
-    index = np.arange(min(1 << (m - 1), width), dtype=itype)
+    index = np.arange(min(1 << (m - 1), width), dtype=lower.dtype)
     for k in range(m):
         n = 1 << k
         half = amps[:, n : 2 * n]
+        mask = lower[:, k, None]
         # The lower and upper halves of a batch of rows interleave in memory,
         # so numpy would copy the lower half before writing the upper one:
         # each step writes its upper half from the scratch, or row by row.
         if n > width:
-            if lower[k].any():
+            if mask.any():
                 # pair[c + c'] = pair[c] * pair[c']: the high bits of a place in
                 # the half pick one factor per block of `width` places, the low
                 # bits one factor per place in a block.
-                high_bits = np.arange(0, n, width, dtype=itype) & lower[k]
+                high_bits = np.arange(0, n, width, dtype=lower.dtype) & mask
                 np.bitwise_count(high_bits, out=high_bits)
                 high_bits += offsets
-                low_bits = index & lower[k]
+                low_bits = index & mask
                 np.bitwise_count(low_bits, out=low_bits)
                 low_bits += offsets
                 upper = half.reshape(count, -1, width)
-                per_block = high[k, :, None] * np.take(pair, high_bits)
+                per_block = high[:, k, None] * np.take(pair, high_bits)
                 for r in range(count):
-                    np.multiply(amps[r, :n].reshape(-1, width), per_block[r, :, None], out=upper[r])
+                    np.multiply(per_block[r, :, None], amps[r, :n].reshape(-1, width), out=upper[r])
                 upper *= np.take(pair, low_bits)[:, None, :]
             else:
                 for r in range(count):
-                    np.multiply(amps[r, :n], high[k, r], out=half[r])
+                    np.multiply(high[r, k], amps[r, :n], out=half[r])
         else:
-            product, factors = scratch[: 4 * count * n].view(np.complex128).reshape(2, count, n)
-            np.multiply(amps[:, :n], high[k, :, None], out=product)
-            if lower[k].any():
-                gather = index[:n] & lower[k]
+            factors = scratch[: 2 * count * n].view(np.complex128).reshape(count, n)
+            if mask.any():
+                # high_k folded into this step's pair table: place l of row r
+                # takes entry popcount(l & lower) of row r's table.
+                gather = index[:n] & mask
                 np.bitwise_count(gather, out=gather)
                 gather += offsets
                 # mode="clip" (the indices are in range) writes straight into
                 # the scratch; the default mode would buffer the output.
-                np.multiply(product, np.take(pair, gather, out=factors, mode="clip"), out=half)
+                np.take(high[:, k, None] * pair, gather, out=factors, mode="clip")
+                np.multiply(factors, amps[:, :n], out=factors)
             else:
-                np.copyto(half, product)
+                np.multiply(high[:, k, None], amps[:, :n], out=factors)
+            np.copyto(half, factors)
         amps[:, :n] *= a0
     return amps
 
@@ -441,42 +479,41 @@ def pauli_vectors(state: np.ndarray) -> np.ndarray:
 def pauli_vector_rows(amplitudes: np.ndarray, *, scratch: np.ndarray | None = None) -> np.ndarray:
     """Entry [r, i] is (<sx>, <sy>, <sz>) of qubit i in row r of an (R, 2^M)
     array of amplitudes; a row whose norm is off by more than 1e-8 is refused.
-    Any array or nested list of that shape is read as complex, and a complex
-    array, such as the oracle's own states, is read in place, not copied.
-    Below 2^18 amplitudes per row the probabilities go into `scratch`, a flat
-    float64 array of at least R * 2^M entries, allocated when not given."""
+    Any array or nested list of that shape is read as complex, and a
+    C-contiguous complex array, such as the oracle's own states, is read in
+    place, not copied.  Below 2^18 amplitudes per row the rows' tile goes into
+    `scratch`, a flat float64 array of at least R * 2^(min(M, 15) + 1)
+    entries, allocated when not given."""
     amplitudes = np.asarray(amplitudes, dtype=np.complex128)
     rows, size = amplitudes.shape if amplitudes.ndim == 2 else (0, 0)
     m = size.bit_length() - 1
     if m < 1 or size != 1 << m:
         raise ValueError(f"expected 2^M amplitudes per row with M >= 1, got shape {amplitudes.shape}")
     vectors = np.empty((rows, m, 3))
+    if not rows:
+        return vectors
     # xy views the first two columns as one complex column: each cross term
     # lands there and is doubled into (<sx>, <sy>) below.
     xy = vectors[:, :, :2].view(np.complex128)[:, :, 0]
+    weights = vectors[:, :, 2]
+    amplitudes = np.ascontiguousarray(amplitudes)
     if size < _CHUNKED_AMPLITUDES:
+        # Every row at once, one chunk of each at a time.
+        c = min(m, _BATCH_CHUNK_BITS)
         if scratch is None:
-            scratch = np.empty(rows * size)
-        prob = np.abs(amplitudes, out=scratch[: rows * size].reshape(rows, size))
-        np.square(prob, out=prob)
-        norms = _fold_weights(prob, vectors[:, :, 2])
-        # The spent probability buffer takes the partial dots.
-        blocks = prob.view(np.complex128)
-        starts = []
-        end = 0
-        for i in range(m):
-            # lo and hi are (R, blocks, 2^i): the block halves where bit i is clear and set.
-            lo, hi = amplitudes.reshape(rows, size >> (i + 1), 2, 1 << i).transpose(2, 0, 1, 3)
-            count, length = lo.shape[1:]
-            across = length <= _ACROSS_BLOCKS and length < count  # one dot per offset
-            starts.append(end)
-            end += length if across else count
-            np.vecdot(lo, hi, axis=1 if across else 2, out=blocks[:, starts[-1] : end])
-        np.add.reduceat(blocks[:, :end], starts, axis=1, out=xy)
+            scratch = np.empty(rows << (c + 1))
+        tile = scratch[: rows << (c + 1)].view(np.complex128).reshape(rows, 1 << c // 2, -1)
+        norms = _read_chunks(amplitudes, c, tile, xy, weights)
+        for i in range(c, m):
+            lo, hi = amplitudes.reshape(rows, -1, 2, 1 << i).transpose(2, 0, 1, 3)
+            xy[:, i] = np.vecdot(lo, hi).sum(axis=1)
     else:
+        # One row at a time.
         c = min(_CHUNK_BITS, m - 4)
-        amplitudes = np.ascontiguousarray(amplitudes)
-        norms = _read_chunks(amplitudes, c, xy, vectors[:, :, 2])
+        # The tile is freed before the slab buffer is allocated.
+        tile = np.empty((1, 1 << _TILE_BITS, 1 << (c - _TILE_BITS)), dtype=np.complex128)
+        norms = _read_chunks(amplitudes, c, tile, xy, weights)
+        del tile
         _read_slabs(amplitudes, c, xy[:, c:])
     error = np.max(np.abs(norms - 1.0), initial=0.0)
     if not error <= 1e-8:  # a NaN norm is refused too
@@ -486,60 +523,65 @@ def pauli_vector_rows(amplitudes: np.ndarray, *, scratch: np.ndarray | None = No
     return vectors
 
 
-def _read_chunks(amplitudes: np.ndarray, c: int, xy: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Read each row of a C-contiguous (R, 2^M) array one chunk of 2^c
-    contiguous amplitudes at a time, c >= _TILE_BITS: the cross terms of
+def _read_chunks(amplitudes: np.ndarray, c: int, tile: np.ndarray, xy: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Read a C-contiguous (R, 2^M) array one chunk of 2^c contiguous
+    amplitudes per row at a time, G rows together, where `tile` is a
+    (G, 2^t, 2^(c-t)) complex buffer and G divides R: the cross terms of
     qubits 0..c-1 go into xy[:, :c] and every qubit's weight of bit 1 into
     `weights`, both (R, M).  Returns the (R,) norms.
 
-    Chunk place h * 2^t + l, with t = _TILE_BITS, is copied to entry (l, h)
-    of one reused (2^t, 2^(c-t)) tile, so qubit i < t pairs tile rows l and
-    l + 2^i: contiguous runs of 2^(c-t) amplitudes.  Qubits t..c-1 take their
-    block dots on the chunk itself while it is still in cache.  The tile's
-    row weights give bits 0..t-1, the chunk's (2^(c-t), 2^t) row weights
-    bits t..c-1, and the chunk totals the bits from c up and the norm."""
+    Chunk place h * 2^t + l is copied to entry (l, h) of its row's tile, so
+    qubit i < t pairs tile rows l and l + 2^i: contiguous runs of 2^(c-t)
+    amplitudes.  Qubits t..c-1 take their block dots on the chunk itself
+    while it is still in cache.  The tile's row weights give bits 0..t-1,
+    the chunk's (2^(c-t), 2^t) row weights bits t..c-1, and the chunk totals
+    the bits from c up and the norm."""
     rows, size = amplitudes.shape
-    t = _TILE_BITS
+    group, tile_rows, _ = tile.shape
+    t = tile_rows.bit_length() - 1
     chunks = size >> c
-    tile = np.empty((1 << t, 1 << (c - t)), dtype=np.complex128)
-    counts = [1 << (t - 1)] * t + [1 << (c - i - 1) for i in range(t, c)]
+    counts = [(1 << t) // 2] * t + [1 << (c - i - 1) for i in range(t, c)]
     starts = np.cumsum([0, *counts[:-1]])
-    dots = np.empty(sum(counts), dtype=np.complex128)
+    dots = np.empty((group, sum(counts)), dtype=np.complex128)
     # lo and hi are the tile rows where bit i is clear and set, and out their dots.
     tile_pairs = [
-        (*tile.reshape(n >> i, 2, 1 << i, -1).transpose(1, 0, 2, 3), dots[start : start + n].reshape(n >> i, 1 << i))
+        (
+            *tile.reshape(group, n >> i, 2, 1 << i, -1).transpose(2, 0, 1, 3, 4),
+            dots[:, start : start + n].reshape(group, n >> i, 1 << i),
+        )
         for i, start, n in zip(range(t), starts, counts)
     ]
     tile_floats = tile.view(np.float64)
-    cross = np.empty((chunks, c), dtype=np.complex128)
-    tile_weights = np.empty((chunks, 1 << t))
-    square_weights = np.empty((chunks, 1 << (c - t)))
+    cross = np.empty((chunks, group, c), dtype=np.complex128)
+    tile_weights = np.empty((chunks, group, 1 << t))
+    square_weights = np.empty((chunks, group, 1 << (c - t)))
     norms = np.empty(rows)
-    for r in range(rows):
-        row = amplitudes[r].reshape(chunks, 1 << c)
-        square = row.reshape(chunks, 1 << (c - t), 1 << t)
-        square_floats = row.view(np.float64).reshape(chunks, 1 << (c - t), 2 << t)
-        # lo and hi are (chunks, blocks, 2^i): the block halves where bit i is clear and set.
+    for g in range(0, rows, group):
+        rows_g = slice(g, g + group)
+        row = amplitudes[rows_g].reshape(group, chunks, 1 << c)
+        square = row.reshape(group, chunks, 1 << (c - t), 1 << t)
+        square_floats = row.view(np.float64).reshape(group, chunks, 1 << (c - t), 2 << t)
+        # lo and hi are (G, chunks, blocks, 2^i): the block halves where bit i is clear and set.
         chunk_pairs = [
-            (*row.reshape(chunks, -1, 2, 1 << i).transpose(2, 0, 1, 3), dots[start : start + n])
+            (*row.reshape(group, chunks, -1, 2, 1 << i).transpose(3, 0, 1, 2, 4), dots[:, start : start + n])
             for i, start, n in zip(range(t, c), starts[t:], counts[t:])
         ]
         for j in range(chunks):
             # The first pass brings the chunk into cache, so the transposed
             # copy reads it from there: 6.5 ms per 22-qubit row, against 15
             # ms as the first pass.
-            np.vecdot(square_floats[j], square_floats[j], out=square_weights[j])
+            np.vecdot(square_floats[:, j], square_floats[:, j], out=square_weights[j])
             for lo, hi, out in chunk_pairs:
-                np.vecdot(lo[j], hi[j], out=out)
-            np.copyto(tile, square[j].T)
+                np.vecdot(lo[:, j], hi[:, j], out=out)
+            np.copyto(tile, square[:, j].transpose(0, 2, 1))
             for lo, hi, out in tile_pairs:
                 np.vecdot(lo, hi, out=out)
             np.vecdot(tile_floats, tile_floats, out=tile_weights[j])
-            np.add.reduceat(dots, starts, out=cross[j])
-        xy[r, :c] = cross.sum(axis=0)
-        _fold_weights(tile_weights.sum(axis=0)[None], weights[r : r + 1, :t])
-        _fold_weights(square_weights.sum(axis=0)[None], weights[r : r + 1, t:c])
-        norms[r] = _fold_weights(tile_weights.sum(axis=1)[None], weights[r : r + 1, c:])[0]
+            np.add.reduceat(dots, starts, axis=1, out=cross[j])
+        xy[rows_g, :c] = cross.sum(axis=0)
+        _fold_weights(tile_weights.sum(axis=0), weights[rows_g, :t])
+        _fold_weights(square_weights.sum(axis=0), weights[rows_g, t:c])
+        norms[rows_g] = _fold_weights(tile_weights.sum(axis=2).T, weights[rows_g, c:])
     return norms
 
 
@@ -582,7 +624,8 @@ def _fold_weights(prob: np.ndarray, out: np.ndarray) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         np.add(prob[:, : 1 << k], prob[:, 1 << k : 2 << k], out=prob[:, : 1 << k])
     # prob[:, 2^k : 2^(k+1)] still holds bit k's upper half; prob[:, 0] is the total.
-    np.add.reduceat(prob, 1 << np.arange(n), axis=1, out=out)
+    if n:
+        np.add.reduceat(prob, 1 << np.arange(n), axis=1, out=out)
     return prob[:, 0].copy()
 
 
@@ -627,22 +670,24 @@ def ed_numeric_rows(rows: StateRows) -> np.ndarray:
     """The brute-force ED per qubit of each row of `rows`, as an (R,) array,
     bit for bit `ed_numeric(build_graph_state(graph, theta=..., ...)).total`
     for the graph, angles and input qubit the row holds, but with no report
-    built.  The rows of M qubits are built and read in batches of at most
-    max(BATCH_AMPLITUDES, 2^M) amplitudes, every batch in the same state
-    buffer and, below 2^18 amplitudes per row, the same scratch buffer."""
+    built.  The rows' tables are formed once, and the rows of M qubits are
+    built and read in batches of at most max(BATCH_AMPLITUDES, 2^M)
+    amplitudes, every batch in the same state buffer and, below 2^18
+    amplitudes per row, the same scratch buffer."""
     count, m = len(rows), rows.num_qubits
     if not count:
         return np.empty(0)
     per_batch = min(max(BATCH_AMPLITUDES >> m, 1), count)
     states = _state_buffer(per_batch, m)
-    # The scratch takes the build's gather steps, R * 2^min(M + 1, 13) floats,
-    # and then the probabilities, R * 2^M.  Rows of 2^18 amplitudes or more
-    # take the Pauli pass's chunked read, which needs no probability buffer,
-    # and the build's own small buffer.
-    scratch = np.empty(per_batch << max(m, min(m + 1, _LOW_BITS + 2))) if 1 << m < _CHUNKED_AMPLITUDES else None
+    # The scratch takes the build's gathered factors, R * 2^min(M, 12) floats,
+    # and then the Pauli pass's tiles, R * 2^(min(M, 15) + 1).  Rows of 2^18
+    # amplitudes or more are read one at a time with a tile of their own, and
+    # the build allocates its own small buffer.
+    scratch = np.empty(per_batch << (min(m, _BATCH_CHUNK_BITS) + 1)) if 1 << m < _CHUNKED_AMPLITUDES else None
+    tables = _row_tables(rows)
     totals = np.empty(count)
     for start in range(0, count, per_batch):
-        batch = build_graph_state_rows(rows[start : start + per_batch], out=states, scratch=scratch)
+        batch = _double_rows([t[start : start + per_batch] for t in tables], out=states, scratch=scratch)
         for r, contributions in enumerate(_contribution_rows(batch, scratch).tolist(), start):
             totals[r] = _mean(contributions)
     return totals

@@ -511,15 +511,15 @@ closed: 0.5332851785281153
   vertex 9: 0.48358465547782153
 simulate: 0.53328517852811519
   vertex 0: 0.6078359631035557
-  vertex 1: 0.48358465547782115
-  vertex 2: 0.4835846554778217
+  vertex 1: 0.48358465547782159
+  vertex 2: 0.48358465547782159
   vertex 3: 0.6078359631035557
-  vertex 4: 0.48358465547782126
+  vertex 4: 0.48358465547782137
   vertex 5: 0.6078359631035557
   vertex 6: 0.48358465547782159
-  vertex 7: 0.48358465547782159
+  vertex 7: 0.48358465547782148
   vertex 8: 0.6078359631035557
-  vertex 9: 0.48358465547782137
+  vertex 9: 0.48358465547782148
 diff: 1.1102230246251565e-16
 """
 
@@ -529,24 +529,24 @@ diff: 1.1102230246251565e-16
 GOLDEN_VERIFY_RANDOM = """\
 graphs: 40 random (<= 12 vertices)
 check                                max deviation  status
-closed-form oracle          3.8996583739958623e-15  pass
-general-closed oracle       4.0193136362567938e-15  pass
-psi independence            2.0539125955565396e-15  pass
-orientation flip            6.1853733940298028e-16  pass
-vertex relabeling           5.2735593669694936e-16  pass
+closed-form oracle          4.0523140398818214e-15  pass
+general-closed oracle       4.0245584642661925e-15  pass
+psi independence             2.157996004115148e-15  pass
+orientation flip            3.3306690738754696e-16  pass
+vertex relabeling           3.6082248300317588e-16  pass
 result: PASS (tol 1e-10)
 """
 
 GOLDEN_VERIFY_FFNN = """\
 graphs: 1 (13 vertices, 36 edges)
 check                                max deviation  status
-closed-form oracle          7.7715611723760958e-16  pass
-general-closed oracle       8.8817841970012523e-16  pass
-psi independence            5.5511151231257827e-16  pass
-orientation flip            2.2204460492503131e-16  pass
-vertex relabeling           3.3306690738754696e-16  pass
-ffnn degree-distribution form vs oracle: 1.6653345369377348e-15
-ffnn output-self-exponent form vs oracle: 0.030425130407432333
+closed-form oracle          6.6613381477509392e-16  pass
+general-closed oracle       1.5543122344752192e-15  pass
+psi independence            1.1102230246251565e-16  pass
+orientation flip            1.1102230246251565e-16  pass
+vertex relabeling           1.1102230246251565e-16  pass
+ffnn degree-distribution form vs oracle: 1.3322676295501878e-15
+ffnn output-self-exponent form vs oracle: 0.030425130407432555
 result: PASS (tol 1e-10)
 """
 

@@ -585,6 +585,26 @@ def test_formulas_refuse_oversized_families(formula, args, message):
         formula(*args)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: vertex_share(10**400, 0.5, 0.3), "degree"),
+        (lambda: ed_closed_general({1: 10**400}, 0.5, 0.3), "vertex count"),
+        (lambda: ed_closed_general({10**400: 2}, 0.5, 0.3), "degree"),
+        (lambda: pauli_vector_closed(10**400, 0, theta=0.3), "d_out"),
+        (lambda: ed_closed_general({1: 10**308, 2: 10**308}, 0.5, 0.3), "vertex total"),
+        (lambda: pauli_vector_closed(10**308, 10**308, theta=0.3), r"degree d_out \+ d_in"),
+    ],
+    ids=["share-degree", "count", "degree", "d_out", "total", "d_out+d_in"],
+)
+def test_closed_forms_refuse_ints_past_the_largest_float(call, message):
+    # The closed forms compute in floats: these raised OverflowError ("int
+    # too large to convert to float") from pow or a product, not a
+    # ValueError naming what was too large.
+    with pytest.raises(ValueError, match=rf"^{message} [12]0+\.\.\.0+ is past the largest float$"):
+        call()
+
+
 def test_closed_total_ignores_labels_and_orientation():
     # fsum rounds once, so the order in which a graph lists its degrees
     # cannot move the closed total's bits.

@@ -403,9 +403,9 @@ def test_flip_edge_preserves_vector_norms():
 
 
 def test_pauli_vectors_copy_no_state_half():
-    # The amplitudes are read in place: the probability buffer (half the
-    # state's bytes) is the largest allocation, where copying both halves
-    # would reach the state's full size.
+    # The amplitudes are read in place: the tile of one chunk of 2^15 (half
+    # the state's bytes) is the largest allocation, where copying both
+    # halves would reach the state's full size.
     m = 16
     g = random_graph(m, np.random.default_rng(7), edge_prob=0.3)
     state = build_graph_state(g, theta=0.9, psi=0.4)
@@ -442,10 +442,19 @@ def _large_rows(m, count):
     ]))
 
 
-# 2^17 amplitudes per row take the probability fold; 2^18, 2^20 and 2^22
-# the chunked read, with chunks of 2^14, 2^16 and 2^16 amplitudes, and the
-# slab read of their top 4, 4 and 6 qubits.
-@pytest.mark.parametrize("count, m", [(1, 17), (1, 18), (1, 20), (2, 17), (2, 18), (2, 20), (1, 22)])
+# Below 2^18 amplitudes per row every row is read at once, in chunks of
+# 2^min(M, 15) with a (2^(c//2), 2^(c - c//2)) tile: one chunk and a tile of
+# (1, 2), (2, 2) or (2, 4) at 1 to 3 qubits, 2, 4 chunks with block dots for
+# the qubits >= 15 at 16 and 17.  2^18, 2^20 and 2^22 take the one-row
+# chunked read, with chunks of 2^14, 2^16 and 2^16 amplitudes, and the slab
+# read of their top 4, 4 and 6 qubits.
+@pytest.mark.parametrize(
+    "count, m",
+    [
+        (1, 17), (1, 18), (1, 20), (2, 17), (2, 18), (2, 20), (1, 22),
+        (1, 1), (3, 1), (1, 2), (3, 2), (1, 3), (3, 3), (1, 12), (3, 12), (1, 15), (2, 15), (1, 16), (2, 16),
+    ],
+)
 def test_large_rows_match_copied_halves(m, count):
     states = _large_rows(m, count)
     vectors = pauli_vector_rows(states)
@@ -456,14 +465,14 @@ def test_large_rows_match_copied_halves(m, count):
     assert np.max(np.abs(pauli_vectors(strided) - vectors[0])) <= 1e-13
 
 
-@pytest.mark.parametrize("m", [17, 18, 20])
+@pytest.mark.parametrize("m", [17, 18, 20, 1, 2, 3, 12, 15, 16])
 def test_large_rows_refuse_one_unnormalized_row(m):
     states = _large_rows(m, 2)
     states[1] *= 1.01
     with pytest.raises(ValueError, match="^state not normalized: norm error 2.01"):
         pauli_vector_rows(states)
     states[1] /= 1.01
-    states[0, 12345] = math.nan
+    states[0, 12345 % 2**m] = math.nan
     with pytest.raises(ValueError, match="^state not normalized: norm error nan"):
         pauli_vector_rows(states)
 
@@ -509,8 +518,8 @@ def test_clifford_point_matches_the_graph_state_signs(m):
     # state is the skeleton's graph state, amplitude x 2^(-M/2) (-1)^|E[x]|,
     # whatever the orientations.  An isolated vertex stays |+>, (1, 0, 0);
     # any other vertex is maximally mixed.  6 and 13 qubits take the gather
-    # and the table build steps and the probability pass, 18 and 20 the
-    # chunked Pauli read.
+    # and the table build steps and the batch-wide Pauli read, 18 and 20 the
+    # one-row chunked read.
     rng = np.random.default_rng(m)
     cut = set(rng.choice(m, size=2, replace=False).tolist())
     g = DirectedGraph(m, [e for e in random_graph(m, rng, edge_prob=0.3).edges if not set(e) & cut])
@@ -533,25 +542,37 @@ def _random_values(rng, p):
     return dict(theta=theta, psi=psi, p=p, delta0=delta0, delta1=delta1)
 
 
-def _mixed_rows():
-    """(graph, keywords) rows: different graphs of 7 vertices, the edgeless
+def _mixed_rows(m=7):
+    """(graph, keywords) rows: different graphs of m vertices, the edgeless
     one among them, with p in {0, 1/2, 1} and random p, input phases and
     angles."""
-    m = 7
     rng = np.random.default_rng(3)
     graphs = [random_graph(m, rng, edge_prob=q) for q in (0.2, 0.5, 1.0, 0.7, 0.4)]
     graphs.append(DirectedGraph(m, []))
-    graphs.append(flip_edge(graphs[1], 0))
+    flipped = graphs[1] if graphs[1].num_edges else graphs[2]  # edgeless only at m = 1
+    graphs.append(flip_edge(flipped, 0) if flipped.num_edges else flipped)
     ps = [0.0, 0.5, 1.0, *rng.uniform(0.0, 1.0, len(graphs) - 3)]
     return [(g, _random_values(rng, p)) for g, p in zip(graphs, ps)]
 
 
 def test_rows_equal_their_one_row_calls_bit_for_bit():
-    rows = _mixed_rows()
+    _assert_rows_equal_their_one_row_calls(7)
+
+
+# One chunk and tile qubits 0 and 0..1 (1 to 3 qubits), one chunk of a whole
+# row (12, 15), and chunks of 2^15 with block dots above them (16, 17).  Up
+# to 12 qubits the build takes only gather steps, from 13 on factored ones.
+@pytest.mark.parametrize("m", [1, 2, 3, 12, 15, 16, 17])
+def test_rows_equal_their_one_row_calls_bit_for_bit_at_every_read(m):
+    _assert_rows_equal_their_one_row_calls(m)
+
+
+def _assert_rows_equal_their_one_row_calls(m):
+    rows = _mixed_rows(m)
     states = build_graph_state_rows(_arrays_of(rows))
     vectors = pauli_vector_rows(states)
     totals = ed_numeric_rows(_arrays_of(rows))
-    assert states.shape == (len(rows), 2**7) and vectors.shape == (len(rows), 7, 3)
+    assert states.shape == (len(rows), 2**m) and vectors.shape == (len(rows), m, 3)
     assert totals.shape == (len(rows),)
     for r, (g, values) in enumerate(rows):
         state = build_graph_state(g, **values)
@@ -572,13 +593,14 @@ def test_oracle_rows_span_batches_bit_for_bit(monkeypatch):
     # Computed before the patch: the one-row builder calls the patched name too.
     expected = [ed_numeric(build_graph_state(g, **values)).total for g, values in rows]
     batches = []
+    double = statevector._double_rows
 
-    def build(batch, **kwargs):
-        batches.append(len(batch))
-        return build_graph_state_rows(batch, **kwargs)
+    def build(tables, **kwargs):
+        batches.append(len(tables[0]))
+        return double(tables, **kwargs)
 
     arrays = _arrays_of(rows)
-    monkeypatch.setattr(statevector, "build_graph_state_rows", build)
+    monkeypatch.setattr(statevector, "_double_rows", build)
     totals = ed_numeric_rows(arrays)
     assert batches == [8, 8, 4]
     assert totals.tolist() == expected
@@ -643,10 +665,10 @@ def test_zero_rows_give_empty_results():
 @pytest.mark.parametrize("m, count, batches", [(9, 150, [64, 64, 22]), (18, 2, [1, 1])])
 def test_batches_of_one_call_share_their_buffers(monkeypatch, m, count, batches):
     # Every batch is built into the same state buffer: the states stay alive
-    # here, so one data pointer means one buffer.  Up to 12 qubits the
-    # scratch is sized by the build's last gather step, a product and a
-    # factor per place of the upper half, twice the probabilities' R * 2^M.
-    # Rows of 2^18 amplitudes or more take no scratch buffer.
+    # here, so one data pointer means one buffer.  Up to 15 qubits the
+    # scratch is sized by the Pauli pass's tile, one complex per amplitude of
+    # a batch, R * 2^(M + 1) floats; the build's gathered factors take half
+    # of it at most.  Rows of 2^18 amplitudes or more take no scratch buffer.
     rng = np.random.default_rng(17)
     g = random_graph(m, rng, edge_prob=0.4)
     rows = StateRows(
@@ -658,13 +680,14 @@ def test_batches_of_one_call_share_their_buffers(monkeypatch, m, count, batches)
         rng.uniform(0.0, 1.0, count),
     )
     states, scratches = [], []
+    double = statevector._double_rows
 
-    def build(batch, **kwargs):
-        states.append(build_graph_state_rows(batch, **kwargs))
+    def build(tables, **kwargs):
+        states.append(double(tables, **kwargs))
         scratches.append(kwargs["scratch"])
         return states[-1]
 
-    monkeypatch.setattr(statevector, "build_graph_state_rows", build)
+    monkeypatch.setattr(statevector, "_double_rows", build)
     totals = ed_numeric_rows(rows)
     assert [len(s) for s in states] == batches
     assert len({s.__array_interface__["data"][0] for s in states}) == 1
