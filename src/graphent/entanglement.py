@@ -28,6 +28,12 @@ computed once per theta and (1-2p)^2 once per p, with `math` and Python's
 `**` and its sum over the degrees `math.fsum`.  numpy only combines the
 pieces by + - *, in the scalar expression's order, so 4p(1-p) and r^2 are
 numpy's.
+
+Rows: `ed_closed_general_rows` and `ed_closed_form_rows` take one
+distribution per leading row of p and theta, so the draws of many graphs
+take one call, and numpy's fixed cost per call is paid once.  The
+one-distribution forms are the one-row case of the same formula, and every
+row has their bits.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import operator
 import sys
 from collections import Counter
 from itertools import repeat
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -49,7 +55,9 @@ from .graphs import ffnn_degree_counts, ffnn_layer_sizes
 
 __all__ = [
     "ed_closed_form",
+    "ed_closed_form_rows",
     "ed_closed_general",
+    "ed_closed_general_rows",
     "vertex_share",
     "pauli_vector_closed",
     "interaction_expectation",
@@ -91,6 +99,12 @@ def ed_closed_form(dist: DistributionLike, theta: Real) -> Real:
     return ed_closed_general(dist, 0.5, theta)
 
 
+def ed_closed_form_rows(dists: Sequence[DistributionLike], theta: np.ndarray) -> np.ndarray:
+    """Row r is ``ed_closed_form(dists[r], theta[r])``, bit for bit: the
+    balanced case of :func:`ed_closed_general_rows`."""
+    return ed_closed_general_rows(dists, 0.5, theta)
+
+
 def _power(x: Real, k: int) -> Real:
     """x**k per element, with Python's `**`."""
     return _each_of(lambda xs: map(pow, xs, repeat(k)), x)
@@ -112,12 +126,16 @@ def _r_squared(q: Real, theta: Real) -> Real:
     return _cos2(theta) + _power(_each(math.sin, theta), 2) * q
 
 
-def _degree_means(counts: Mapping[int, int], r2s: list[float]) -> Iterable[float]:
-    """(1/M) sum_k n_k r2^k for each r2 in r2s: each term n_k * r2**k with
-    Python's `**` and each sum by `math.fsum`, all mapped in C."""
-    m = sum(counts.values())
-    terms = [map(operator.mul, repeat(n), map(pow, r2s, repeat(k))) for k, n in counts.items()]
-    return map(operator.truediv, map(math.fsum, zip(*terms)), repeat(m))
+def _degree_means(rows: Sequence[Mapping[int, int]], r2s: list[float]) -> Iterator[float]:
+    """(1/M) sum_k n_k r2^k for each r2 in r2s, taken as len(rows) runs of
+    equal length, run r with the counts rows[r]: each term n_k * r2**k with
+    Python's `**` and each sum by `math.fsum`, all mapped in C per run."""
+    size = len(r2s) // len(rows) if rows else 0
+    for r, counts in enumerate(rows):
+        run = r2s[r * size : (r + 1) * size]
+        m = sum(counts.values())
+        terms = [map(operator.mul, repeat(n), map(pow, run, repeat(k))) for k, n in counts.items()]
+        yield from map(operator.truediv, map(math.fsum, zip(*terms)), repeat(m))
 
 
 def ed_closed_general(dist: DistributionLike, p: Real, theta: Real) -> Real:
@@ -130,12 +148,31 @@ def ed_closed_general(dist: DistributionLike, p: Real, theta: Real) -> Real:
     The sum is `math.fsum`, rounded once, so it does not depend on the order
     of the degrees: a relabelled graph, and a family's degree-count rule and
     its built graph, give the same bits.  p and theta may be arrays that
-    broadcast (see the module docstring).
+    broadcast (see the module docstring).  It is the one-row case of the
+    formula that :func:`ed_closed_general_rows` runs.
     """
+    return _closed_general([dist], p, theta)
+
+
+def ed_closed_general_rows(dists: Sequence[DistributionLike], p: Real, theta: Real) -> np.ndarray:
+    """Row r is ``ed_closed_general(dists[r], p[r], theta[r])``, bit for bit:
+    p and theta broadcast to a shape whose leading axis has one entry per
+    distribution, so one call takes the draws of many graphs."""
+    shape = np.broadcast_shapes(np.shape(p), np.shape(theta))
+    if shape[:1] != (len(dists),):
+        raise ValueError(f"p and theta must broadcast to {len(dists)} leading rows, one per distribution, got {shape}")
+    return _closed_general(dists, p, theta)
+
+
+def _closed_general(dists: Sequence[DistributionLike], p: Real, theta: Real) -> Real:
+    """The general closed form of both calls: the r^2 of p and theta, in
+    C order, form len(dists) runs of equal length, run r read with dists[r].
+    With one distribution the run is all of them, a scalar included."""
     _check_p(p)
     _check_theta(theta)
     q, w = _p_factors(p)
-    mean = _each_of(functools.partial(_degree_means, _degree_counts(dist)), _r_squared(q, theta))
+    rows = [_degree_counts(dist) for dist in dists]
+    mean = _each_of(functools.partial(_degree_means, rows), _r_squared(q, theta))
     return w * (1.0 - mean)
 
 

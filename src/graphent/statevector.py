@@ -73,13 +73,19 @@ would make numpy copy its input first: 34.0 against 26.1 us at 8 rows of
 operand of its multiply, in every branch: complex multiply is not bitwise
 commutative (it rounds one cross product before the fused add), and a
 row's factor must meet its lower half the same way whichever branch its
-batch takes.  No step past the gather steps allocates anything the size of
-a half, so for large states the states themselves, 16 bytes per amplitude
-per row, are the build's peak.  Against building every batch's tables
-apart, with its own `StateRows` slice, and gathering high_k and the pair
-factor in two multiplies, one batch took 0.30x the time at 2 qubits (350
-rows), 0.54x at 6, 0.75x at 12 and 0.87x at 17 (median of 60 alternating
-calls, one BLAS thread, 2-core Xeon).
+batch takes.  The step then multiplies the lower half by alpha0, lower half
+first, row by row from 2^9 to 2^11 places: there numpy runs a broadcast
+(R, 1) operand through its buffered iterator, 33 against 13 us per step at
+8 rows of 2^11 places (median of 11 runs of 20 calls, one BLAS thread,
+2-core Xeon).  Below 2^9 places and above 2^11 the broadcast is as fast or
+faster; at one or two rows the loop costs about 1 us more per step.  No
+step past the gather steps allocates anything the size of a half, so for
+large states the states themselves, 16 bytes per amplitude per row, are the
+build's peak.  Against building every batch's tables apart, with its own
+`StateRows` slice, and gathering high_k and the pair factor in two
+multiplies, one batch took 0.30x the time at 2 qubits (350 rows), 0.54x at
+6, 0.75x at 12 and 0.87x at 17 (median of 60 alternating calls, one BLAS
+thread, 2-core Xeon).
 
 Pauli vectors: `pauli_vector_rows` returns every qubit's (<sx>, <sy>, <sz>)
 in one call and copies no half of a state.  The cross term
@@ -124,6 +130,10 @@ ED step: `ed_numeric` and `ed_numeric_rows` turn the Pauli vectors into the
 per-vertex contributions 1 - ||<sigma^(i)>||^2 and their mean, the ED per
 qubit, from the simulated state alone; the closed forms they are checked
 against live in `entanglement`, which this module never imports.
+`ed_numeric_rows` keeps every batch's (R, M) contributions and takes the
+means of all its rows in one `_mean` call: one `math.fsum` per row, one
+division and one range check, whose refusal names the row.  `EdReport` is
+its one-row call.
 """
 
 from __future__ import annotations
@@ -465,7 +475,13 @@ def _double_rows(
             else:
                 np.multiply(high[:, k, None], amps[:, :n], out=factors)
             np.copyto(half, factors)
-        amps[:, :n] *= a0
+        if width >> 2 <= n <= width:
+            # At these sizes numpy runs the broadcast (R, 1) operand through its
+            # buffered iterator, slower than one multiply per row.
+            for row, a in zip(amps[:, :n], a0[:, 0]):
+                row *= a
+        else:
+            amps[:, :n] *= a0
     return amps
 
 
@@ -640,18 +656,22 @@ class EdReport:
     def __post_init__(self) -> None:
         values = tuple(float(v) for v in self.per_vertex)
         object.__setattr__(self, "per_vertex", values)
-        object.__setattr__(self, "total", _mean(values))
+        object.__setattr__(self, "total", float(_mean(np.array([values]))[0]))
 
 
-def _mean(values: Sequence[float]) -> float:
-    """The ED per qubit: the mean of the per-vertex contributions, which
-    must lie in [0, 1] give or take 1e-9 of rounding."""
-    if not values:
+def _mean(contributions: np.ndarray) -> np.ndarray:
+    """The ED per qubit of each row of an (R, M) float array of per-vertex
+    contributions: each row's `math.fsum` over M, which must lie in [0, 1]
+    give or take 1e-9 of rounding; the first row outside is named."""
+    rows, m = contributions.shape
+    if not m:
         raise ValueError("report needs at least one vertex")
-    total = math.fsum(values) / len(values)
-    if not -1e-9 <= total <= 1.0 + 1e-9:
-        raise ValueError(f"total {total} outside [0, 1]")
-    return total
+    totals = np.fromiter(map(math.fsum, contributions.tolist()), np.float64, rows) / m
+    inside = (totals >= -1e-9) & (totals <= 1.0 + 1e-9)  # False at NaN
+    if not inside.all():
+        r = int(np.argmin(inside))
+        raise ValueError(f"row {r}: total {float(totals[r])} outside [0, 1]")
+    return totals
 
 
 def _contribution_rows(amplitudes: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -673,7 +693,8 @@ def ed_numeric_rows(rows: StateRows) -> np.ndarray:
     built.  The rows' tables are formed once, and the rows of M qubits are
     built and read in batches of at most max(BATCH_AMPLITUDES, 2^M)
     amplitudes, every batch in the same state buffer and, below 2^18
-    amplitudes per row, the same scratch buffer."""
+    amplitudes per row, the same scratch buffer; the means of all rows are
+    taken once, from their (R, M) contributions."""
     count, m = len(rows), rows.num_qubits
     if not count:
         return np.empty(0)
@@ -685,9 +706,8 @@ def ed_numeric_rows(rows: StateRows) -> np.ndarray:
     # the build allocates its own small buffer.
     scratch = np.empty(per_batch << (min(m, _BATCH_CHUNK_BITS) + 1)) if 1 << m < _CHUNKED_AMPLITUDES else None
     tables = _row_tables(rows)
-    totals = np.empty(count)
+    contributions = np.empty((count, m))
     for start in range(0, count, per_batch):
         batch = _double_rows([t[start : start + per_batch] for t in tables], out=states, scratch=scratch)
-        for r, contributions in enumerate(_contribution_rows(batch, scratch).tolist(), start):
-            totals[r] = _mean(contributions)
-    return totals
+        contributions[start : start + len(batch)] = _contribution_rows(batch, scratch)
+    return _mean(contributions)

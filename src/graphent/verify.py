@@ -3,11 +3,15 @@
 Five checks run over every supplied graph with freshly drawn parameters per
 sample: the balanced and general closed forms against the oracle's ED, and
 the three invariances (psi sweep, edge orientation flip, vertex relabeling).
-Every graph's draws are made first, in a fixed order; the oracle then runs
-once per qubit count, on the rows of every graph of that count as one
-`StateRows`, with each flipped or relabelled copy written straight into its
-edge array.  Its per-row totals are split into one table per graph, one row
-per sample, and each check is an array reduction over its columns.
+Every graph's draws are made first, in a fixed order, each sample's ten
+angles and inputs as raw doubles that one array pass maps to their bounds
+per op; the oracle then runs once per qubit count, on the rows of every
+graph of that count as one `StateRows`, with each flipped or relabelled copy
+written straight into its edge array.  Its per-row totals are split into
+one table per graph, one row per sample.  Each closed form is one call per
+op, one row per graph, and each check is an array reduction over its
+columns.  So the fixed costs of numpy calls are paid per op or per batch of
+oracle rows, not per sample, graph or row.
 Each check counts the samples it evaluated; one that evaluated none (the
 orientation flip on edgeless graphs) is reported as skipped, not passed.
 All randomness comes from one seeded generator, so a report is reproducible
@@ -42,8 +46,10 @@ BALANCED = (0.5, 0.0, 0.0)
 FFNN_THETAS = tuple(i * math.pi / 8 for i in range(1, 8))
 FFNN_PSI = 0.4
 # The bounds of a sample's ten uniform draws, in the stream order that
-# `run_verification` lists.  Array bounds draw each element as a scalar
-# `uniform(low, high)` call does, so the stream and its values are the same.
+# `run_verification` lists.  Each sample draws ten raw doubles u, and one
+# array pass per op maps them all to _LOW + (_HIGH - _LOW) * u, which is how
+# numpy's `uniform(low, high)` forms each value from the same u: the stream
+# and every value are the same as with one `uniform` call per element.
 _LOW = np.array([0.0, -math.pi, 0.0, 0.0] + [-math.pi] * 6)
 _HIGH = np.array([math.pi, math.pi, 1.0, math.pi] + [math.pi] * 6)
 
@@ -86,21 +92,7 @@ def run_verification(
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not graphs:
         raise ValueError("no graphs to verify")
-    rng = np.random.default_rng(seed)
-    # Every graph's draws, graph by graph and sample by sample in the order
-    # of the checks: per sample theta, psi, p, theta_g, psi_g, delta0,
-    # delta1 and three more psi, the flipped edge and the relabelling.
-    values = np.empty((len(graphs), samples, 10))
-    flips = np.zeros((len(graphs), samples), dtype=np.int64)
-    perms = []
-    for g, draws, flipped in zip(graphs, values, flips):
-        perm = np.empty((samples, g.num_vertices), dtype=np.int64)
-        for s in range(samples):
-            draws[s] = rng.uniform(_LOW, _HIGH)
-            if g.num_edges:
-                flipped[s] = rng.integers(g.num_edges)
-            perm[s] = rng.permutation(g.num_vertices)
-        perms.append(perm)
+    values, flips, perms = _draws(graphs, samples, np.random.default_rng(seed))
     # One oracle call per qubit count, its rows graph by graph.  A table has
     # one row per sample; columns base, general, three psi draws, then the
     # flip (only when the graph has an edge) and the relabelling.
@@ -116,15 +108,16 @@ def run_verification(
         totals = ed_numeric_rows(rows)
         for i, table in zip(indices, np.split(totals, ends[:-1])):
             tables[i] = table.reshape(samples, -1)
+    # One call per closed form for every graph's draws, one row per graph.
+    dists = [degree_distribution(g) for g in graphs]
+    closed_b = entanglement.ed_closed_form_rows(dists, values[:, :, 0])
+    closed_g = entanglement.ed_closed_general_rows(dists, values[:, :, 2], values[:, :, 3])
     found = []  # per graph, one array of deviations per check, in CHECK_ORDER
-    for g, table, draws in zip(graphs, tables, values):
+    for g, table, balanced, general in zip(graphs, tables, closed_b, closed_g):
         base = table[:, 0]
-        dist = degree_distribution(g)
-        closed_b = entanglement.ed_closed_form(dist, draws[:, 0])
-        closed_g = entanglement.ed_closed_general(dist, draws[:, 2], draws[:, 3])
         found.append((
-            abs(base - closed_b),
-            abs(table[:, 1] - closed_g),
+            abs(base - balanced),
+            abs(table[:, 1] - general),
             np.ptp(table[:, [0, 2, 3, 4]], axis=1),
             abs(base - table[:, 5]) if g.num_edges else np.empty(0),
             abs(base - table[:, -1]),
@@ -135,6 +128,28 @@ def run_verification(
         # np.max keeps a NaN, so it fails; a check with no samples reads 0.
         checks.append(CheckResult(name, float(np.max(deviations, initial=0.0)), deviations.size))
     return VerificationReport(tol, checks)
+
+
+def _draws(
+    graphs: Sequence[DirectedGraph], samples: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Every graph's draws, graph by graph and sample by sample in the order
+    of the checks: per sample theta, psi, p, theta_g, psi_g, delta0, delta1
+    and three more psi, as (G, S, 10) values, then the flipped edge, (G, S),
+    and the relabelling, one (S, M) array per graph.  Each sample draws its
+    ten values raw; they are mapped to their bounds once, after the loop."""
+    values = np.empty((len(graphs), samples, 10))
+    flips = np.zeros((len(graphs), samples), dtype=np.int64)
+    perms = []
+    for g, draws, flipped in zip(graphs, values, flips):
+        perm = np.empty((samples, g.num_vertices), dtype=np.int64)
+        for s in range(samples):
+            rng.random(out=draws[s])
+            if g.num_edges:
+                flipped[s] = rng.integers(g.num_edges)
+            perm[s] = rng.permutation(g.num_vertices)
+        perms.append(perm)
+    return _LOW + (_HIGH - _LOW) * values, flips, perms
 
 
 # The draws' columns of theta and psi in a sample's oracle rows: base,

@@ -916,7 +916,7 @@ def test_verify_ffnn_reports_variant_deviations(capsys):
 
 
 def test_verify_corrupted_closed_form_exit_1(capsys, monkeypatch):
-    monkeypatch.setattr(graphent.entanglement, "ed_closed_form", lambda dist, theta: 0.42)
+    monkeypatch.setattr(graphent.entanglement, "ed_closed_form_rows", lambda dists, theta: 0.0 * theta + 0.42)
     code, stdout, _ = run(
         capsys, "verify", "--topology", "btree", "--depth", "2", "--samples", "2", "--seed", "1"
     )

@@ -15,7 +15,9 @@ from graphent.entanglement import (
     ed_binary_tree_limit,
     ed_bridged_cycles,
     ed_closed_form,
+    ed_closed_form_rows,
     ed_closed_general,
+    ed_closed_general_rows,
     ed_ffnn,
     ed_ffnn_output_self_exponent,
     ed_young_fibonacci,
@@ -216,6 +218,58 @@ def test_closed_forms_on_arrays_have_the_scalar_bits(counts, ps, thetas):
                     assert same_bits(column[i], scalar), (name, p, theta)
                 if i == j:
                     assert same_bits(paired[i], scalar), (name, p, theta)
+
+
+def test_rows_forms_equal_their_one_row_calls_bit_for_bit():
+    # One distribution per leading row of p and theta; each row has the
+    # one-distribution call's bits, and each element the scalar call's.
+    rng = np.random.default_rng(34)
+    dists = [{0: 1}, {0: 5}, {1: 2}, degree_distribution(gen_full_binary_tree(4))]
+    dists += [degree_distribution(random_graph(int(m), rng)) for m in rng.integers(2, 13, 6)]
+    samples = 9
+    p = rng.random((len(dists), samples))
+    theta = rng.uniform(-math.pi, math.pi, (len(dists), samples))
+    p[:, :3] = [0.0, 0.5, 1.0]
+    theta[:, 3:5] = [0.0, math.pi]
+    p[::2, 5], theta[1::2, 6] = 0.5, -0.0
+    general = ed_closed_general_rows(dists, p, theta)
+    balanced = ed_closed_form_rows(dists, theta)
+    # A per-row p broadcast against a row of theta draws.
+    per_row = ed_closed_general_rows(dists, p[:, :1], theta)
+    assert general.shape == balanced.shape == per_row.shape == (len(dists), samples)
+    for r, dist in enumerate(dists):
+        assert np.array_equal(general[r].view(np.int64), ed_closed_general(dist, p[r], theta[r]).view(np.int64))
+        assert np.array_equal(balanced[r].view(np.int64), ed_closed_form(dist, theta[r]).view(np.int64))
+        assert np.array_equal(per_row[r].view(np.int64), ed_closed_general(dist, p[r, 0], theta[r]).view(np.int64))
+        for j in range(samples):
+            assert same_bits(general[r, j], ed_closed_general(dist, float(p[r, j]), float(theta[r, j])))
+            assert same_bits(balanced[r, j], ed_closed_form(dist, float(theta[r, j])))
+    assert (general[0] == 0.0).all() and (general[1] == 0.0).all()  # edgeless counts
+    assert ed_closed_general_rows([], np.empty((0, 3)), np.empty((0, 3))).shape == (0, 3)
+
+
+def test_rows_forms_refuse_with_the_one_row_guards():
+    dists = [{1: 2}, {2: 3}, {0: 1, 1: 2}]
+    p = np.full((3, 4), 0.3)
+    theta = np.full((3, 4), 0.7)
+    for bad in (math.nan, -0.1, 1.5):
+        refused = p.copy()
+        refused[2, 3] = bad
+        with pytest.raises(ValueError, match=re.escape(f"p must be in [0, 1], got {bad!r}")):
+            ed_closed_general_rows(dists, refused, theta)
+    for bad in (math.nan, math.inf, -math.inf):
+        refused = theta.copy()
+        refused[1, 2] = bad
+        with pytest.raises(ValueError, match=re.escape(f"theta must be finite, got {bad!r}")):
+            ed_closed_general_rows(dists, p, refused)
+        with pytest.raises(ValueError, match=re.escape(f"theta must be finite, got {bad!r}")):
+            ed_closed_form_rows(dists, refused)
+    # p and theta need one leading row per distribution.
+    for shape in ((4,), (2, 4), (4, 3)):
+        with pytest.raises(ValueError, match=r"3 leading rows, one per distribution"):
+            ed_closed_general_rows(dists, 0.3, np.full(shape, 0.7))
+    with pytest.raises(ValueError, match=r"3 leading rows, one per distribution"):
+        ed_closed_form_rows(dists, 0.7)
 
 
 def test_reports_match_distribution_forms():

@@ -607,6 +607,27 @@ def test_oracle_rows_span_batches_bit_for_bit(monkeypatch):
     assert ed_numeric_rows(arrays[:0]).shape == (0,) and batches == [8, 8, 4]
 
 
+def test_mean_refusal_names_its_row(monkeypatch):
+    # The means are taken once, from every row's contributions: a total
+    # outside [0, 1] is refused with the row of the call that holds it, here
+    # the first row of the second batch of 12-qubit rows.
+    rows = StateRows(12, np.array([[0, 1], [2, 3]] * 10), [2] * 10, 0.7, 0.2)
+    contributions = statevector._contribution_rows
+    batches = []
+
+    def corrupted(amplitudes, scratch=None):
+        values = contributions(amplitudes, scratch)
+        batches.append(len(values))
+        if len(batches) == 2:
+            values[0] = 1.5
+        return values
+
+    monkeypatch.setattr(statevector, "_contribution_rows", corrupted)
+    with pytest.raises(ValueError, match=r"^row 8: total 1\.5 outside \[0, 1\]$"):
+        ed_numeric_rows(rows)
+    assert batches == [8, 2]
+
+
 def test_rows_refuse_one_unnormalized_row():
     states = build_graph_state_rows(_arrays_of(_mixed_rows()))
     states[4] *= 1.001

@@ -10,6 +10,7 @@ import graphent.statevector
 from graphent import verify
 from graphent.entanglement import (
     ed_closed_form,
+    ed_closed_form_rows,
     ed_closed_general,
     ed_ffnn,
     ed_ffnn_output_self_exponent,
@@ -56,10 +57,10 @@ def test_report_is_deterministic():
 
 def test_corrupted_closed_form_is_caught(monkeypatch):
     # harness sanity: a wrong closed form must trip the oracle check
-    def corrupted(dist, theta):
-        return 0.123
+    def corrupted(dists, theta):
+        return np.full(theta.shape, 0.123)
 
-    monkeypatch.setattr(graphent.entanglement, "ed_closed_form", corrupted)
+    monkeypatch.setattr(graphent.entanglement, "ed_closed_form_rows", corrupted)
     report = run_verification([gen_full_binary_tree(3)], samples=3, seed=1, tol=1e-10)
     assert not report.passed
     by_name = {c.name: c.max_deviation for c in report.checks}
@@ -68,7 +69,7 @@ def test_corrupted_closed_form_is_caught(monkeypatch):
 
 
 def test_nan_deviation_fails(monkeypatch):
-    monkeypatch.setattr(graphent.entanglement, "ed_closed_form", lambda dist, theta: math.nan)
+    monkeypatch.setattr(graphent.entanglement, "ed_closed_form_rows", lambda dists, theta: np.full(theta.shape, math.nan))
     report = run_verification([gen_full_binary_tree(2)], samples=2, seed=0, tol=1e-10)
     assert not report.passed
     assert math.isnan(report.checks[0].max_deviation)
@@ -77,8 +78,10 @@ def test_nan_deviation_fails(monkeypatch):
     # max or np.nanmax would drop it.
     monkeypatch.setattr(
         graphent.entanglement,
-        "ed_closed_form",
-        lambda dist, theta: math.nan if dist.num_vertices == 7 else ed_closed_form(dist, theta),
+        "ed_closed_form_rows",
+        lambda dists, theta: np.where(
+            [[d.num_vertices == 7] for d in dists], math.nan, ed_closed_form_rows(dists, theta)
+        ),
     )
     graphs = [gen_full_binary_tree(2), gen_full_binary_tree(3)]
     report = run_verification(graphs, samples=2, seed=0, tol=1e-10)
@@ -86,6 +89,28 @@ def test_nan_deviation_fails(monkeypatch):
     assert math.isnan(report.checks[0].max_deviation)
     assert report.format_table().splitlines()[1].endswith("nan  FAIL")
     assert all(c.max_deviation <= 1e-10 for c in report.checks[1:])
+
+
+def test_raw_draws_keep_the_uniform_stream_bit_for_bit():
+    # Each sample draws ten raw doubles, mapped once per op as numpy's
+    # uniform(low, high) maps its own: low + (high - low) * u.  A numpy build
+    # that fused that multiply-add would fail here, where the pinned stdouts
+    # might not.  10^4 samples, interleaved with the flip and relabelling
+    # draws as run_verification makes them, against one uniform call each.
+    rng = np.random.default_rng(34)
+    graphs = [random_graph(int(m), rng, 0.4) for m in rng.integers(2, 13, 20)]
+    graphs.append(DirectedGraph(3, []))  # no flip draw on an edgeless graph
+    samples = 500
+    drawn, reference = np.random.default_rng(7), np.random.default_rng(7)
+    values, flips, perms = verify._draws(graphs, samples, drawn)
+    for g, draws, flipped, perm in zip(graphs, values, flips, perms):
+        for s in range(samples):
+            uniform = reference.uniform(verify._LOW, verify._HIGH)
+            assert np.array_equal(draws[s].view(np.int64), uniform.view(np.int64)), (g, s)
+            assert flipped[s] == (reference.integers(g.num_edges) if g.num_edges else 0)
+            assert np.array_equal(perm[s], reference.permutation(g.num_vertices))
+    # Both generators end in the same state: no draw was added or dropped.
+    assert drawn.bit_generator.state == reference.bit_generator.state
 
 
 def test_table_format():
