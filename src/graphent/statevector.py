@@ -69,23 +69,23 @@ lower half times one factor per block (high_k folded in), then times one
 factor per place in a block.  A batch's halves interleave in memory, so a
 multiply from the lower halves of several rows into their upper halves
 would make numpy copy its input first: 34.0 against 26.1 us at 8 rows of
-2^11 places (median of 2,000 alternating calls).  Every factor is the first
-operand of its multiply, in every branch: complex multiply is not bitwise
-commutative (it rounds one cross product before the fused add), and a
-row's factor must meet its lower half the same way whichever branch its
-batch takes.  The step then multiplies the lower half by alpha0, lower half
-first, row by row from 2^9 to 2^11 places: there numpy runs a broadcast
-(R, 1) operand through its buffered iterator, 33 against 13 us per step at
-8 rows of 2^11 places (median of 11 runs of 20 calls, one BLAS thread,
-2-core Xeon).  Below 2^9 places and above 2^11 the broadcast is as fast or
-faster; at one or two rows the loop costs about 1 us more per step.  No
-step past the gather steps allocates anything the size of a half, so for
-large states the states themselves, 16 bytes per amplitude per row, are the
-build's peak.  Against building every batch's tables apart, with its own
-`StateRows` slice, and gathering high_k and the pair factor in two
-multiplies, one batch took 0.30x the time at 2 qubits (350 rows), 0.54x at
-6, 0.75x at 12 and 0.87x at 17 (median of 60 alternating calls, one BLAS
-thread, 2-core Xeon).
+2^11 places (median of 2,000 alternating calls).  The path a step takes
+depends on its size alone, so a row's bits do not depend on the other rows
+of its batch.  Every factor is the first operand of its multiply: complex
+multiply is not bitwise commutative (it rounds one cross product before the
+fused add), and the pinned outputs hold the bits of that order.  The step
+then multiplies the lower half by alpha0, lower half first, row by row from
+2^9 to 2^11 places: there numpy runs a broadcast (R, 1) operand through its
+buffered iterator, 33 against 13 us per step at 8 rows of 2^11 places
+(median of 11 runs of 20 calls, one BLAS thread, 2-core Xeon).  Below 2^9
+places and above 2^11 the broadcast is as fast or faster; at one or two
+rows the loop costs about 1 us more per step.  No step past the gather
+steps allocates anything the size of a half, so for large states the
+states themselves, 16 bytes per amplitude per row, are the build's peak.
+Against building every batch's tables apart and gathering high_k and the
+pair factor in two multiplies, one batch took 0.30x the time at 2 qubits
+(350 rows), 0.54x at 6, 0.75x at 12 and 0.87x at 17 (median of 60
+alternating calls, one BLAS thread, 2-core Xeon).
 
 Pauli vectors: `pauli_vector_rows` returns every qubit's (<sx>, <sy>, <sz>)
 in one call and copies no half of a state.  The cross term
@@ -101,27 +101,31 @@ amplitudes, where their blocks in the row hold 1 to 2^(t-1); qubits
 t..c-1 take their block dots on the chunk itself.  The row weights of the
 tile and of the chunk's (2^(c-t), 2^t) view, folded top bit first (each
 upper half added onto its lower half), give the weights of bits 0..c-1, and
-the chunk totals those of bits c and up and the norm.  How the rows are
-taken depends on their size:
+the chunk totals those of bits c and up and the norm.  The rows' size picks
+only how many rows G are read together and the chunk bits c; every tile
+has 2^(c//2) rows:
 
-- Below 2^18 amplitudes, every row of the array at once, in chunks of
-  2^c = min(2^M, 2^15) amplitudes with tiles of 2^(c//2) rows, all rows'
-  tiles in the scratch.  Qubits c and up (at 16 and 17 qubits) take block
-  dots over the whole array.  Against the probability fold and per-block
-  dots this replaced, a batch's read took 0.75x the time at 11 and 12
-  qubits, 0.82x at 15 and 0.66x at 17, but 1.1x to 1.65x at 2 to 8 qubits,
-  where its many short dots cost more than they save (40 to 115 us per
-  call; median of 60 alternating calls, as above).
-- From 2^18 amplitudes on, one row at a time, c = min(16, M - 4), so a chunk
-  is 1 MiB at most, with tiles of 2^8 rows.  Qubits c and up pair rows of
-  the row's (2^(M-c), 2^c) view, 1 MiB apart at 22 qubits, so they are read
-  in one more pass, one slab of 2^10 columns of that view at a time: the
-  slab is copied into one reused contiguous buffer, whose rows the top
-  qubits pair while it sits in L2.  One qubit's dots over a whole 64 MiB row
-  took 1.4 to 2.7 ms, as more or less of the host's shared L3 cache was
-  free, and 0.9 to 1.1 ms on the row's 64 slabs in L2.  Nothing the size of
-  a state is allocated: the tile, the slab buffer and the partial sums peak
-  at 8% of a state's bytes at 18 qubits and 2% at 22 (tracemalloc).
+- Below 2^18 amplitudes, every row of the array at once, G = R, in chunks
+  of 2^c = min(2^M, 2^15) amplitudes, all rows' tiles in the scratch.
+  Against the probability fold and per-block dots this replaced, a batch's
+  read took 0.75x the time at 11 and 12 qubits, 0.82x at 15 and 0.66x at
+  17, but 1.1x to 1.65x at 2 to 8 qubits, where its many short dots cost
+  more than they save (40 to 115 us per call; median of 60 alternating
+  calls, as above).
+- From 2^18 amplitudes on, one row at a time, G = 1, c = min(16, M - 4), so
+  a chunk is 1 MiB at most and the tile 1/16 of a row at most.
+
+Qubits c and up, none up to 15 qubits, one or two at 16 and 17 and four to
+six from 18 to 22, pair rows of a row's (2^(M-c), 2^c) view, 1 MiB apart at
+22 qubits, so they are read in one more pass per row, one slab of 2^10
+columns of that view at a time (fewer when the view has more rows than
+2^(c-10)): the slab is copied into one reused contiguous buffer, whose rows
+the top qubits pair while it sits in L2.  One qubit's dots over a whole
+64 MiB row took 1.4 to 2.7 ms, as more or less of the host's shared L3
+cache was free, and 0.9 to 1.1 ms on the row's 64 slabs in L2.  From 2^18
+amplitudes on nothing the size of a state is allocated: the tile is freed
+before the slab buffer is allocated, and they and the partial sums peak at
+8% of a state's bytes at 18 qubits and 2% at 22 (tracemalloc).
 
 Either way the weights' total is each row's norm, so a row that is not
 normalized is refused without a further pass over it.
@@ -138,7 +142,6 @@ its one-row call.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -182,24 +185,19 @@ _CHUNKED_AMPLITUDES = 1 << 18
 # chunks of 2^14 1.18x.  A row of M qubits takes chunks of at most 2^(M-4)
 # amplitudes, so the tile is at most 1/16 of the row's bytes.
 _CHUNK_BITS = 16
-# On the one-row read, qubits below _TILE_BITS are read from the transposed
-# tile.  At 22 qubits 6 took 1.07x the time of 8; 7 and 9 read within the
-# noise (0.97x and 1.03x).
-_TILE_BITS = 8
 # Qubits from the chunk bits up are read from slabs of 2^_SLAB_BITS places
 # per top-bit value (see `_read_slabs`), 1 MiB at 22 qubits.  At 22 qubits
 # the slab pass took 11.0 ms at 10, 12.0 ms at 9 and 12.6 ms at 8 (median of
 # 20 calls); wider slabs would outgrow a chunk.
 _SLAB_BITS = 10
 # Rows below _CHUNKED_AMPLITUDES are read all together in chunks of at most
-# 2^_BATCH_CHUNK_BITS amplitudes, BATCH_AMPLITUDES, so the tiles of a batch
-# fill at most the one-batch scratch of `ed_numeric_rows`, 512 KiB, and sit
-# in L2 with the chunks they are copied from.  Their tiles have 2^(c//2)
-# rows, so the tile and chunk qubits take about half the bits each.
+# 2^_BATCH_CHUNK_BITS amplitudes, so the tiles of a batch fill at most the
+# one-batch scratch of `ed_numeric_rows`, 512 KiB, and sit in L2 with the
+# chunks they are copied from.
 _BATCH_CHUNK_BITS = 15
 # Oracle rows are built and read in batches of at most max(2^15, 2^M)
 # amplitudes: one doubling loop and one Pauli pass per batch, not per state.
-BATCH_AMPLITUDES = 2**15
+BATCH_AMPLITUDES = 1 << _BATCH_CHUNK_BITS
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,40 +272,15 @@ class StateRows:
         # A negative endpoint viewed as unsigned is 2^63 or more: one compare.
         if (edges.view(np.uint64) < m).all() and _accepted(edges + offsets[:, None], len(counts) * m) is not None:
             return
-        ends = self._edge_ends
+        ends = np.concatenate(([0], np.cumsum(counts)))
         for r in range(len(counts)):
             try:
                 _explained(edges[ends[r] : ends[r + 1]].tolist(), m)
             except ValueError as exc:
                 raise ValueError(f"row {r}: {exc}") from None
 
-    @classmethod
-    def _unchecked(cls, **fields: object) -> StateRows:
-        """Rows whose fields are already arrays of checked values."""
-        rows = cls.__new__(cls)
-        vars(rows).update(fields)
-        return rows
-
     def __len__(self) -> int:
         return len(self.edge_counts)
-
-    def __getitem__(self, rows: slice) -> StateRows:
-        """The rows of a step-1 slice, with nothing checked again."""
-        start, stop, step = rows.indices(len(self))
-        if step != 1:
-            raise ValueError(f"row slices take step 1, got {step}")
-        stop = max(start, stop)
-        first, last = self._edge_ends[[start, stop]]
-        return self._unchecked(
-            num_qubits=self.num_qubits,
-            edges=self.edges[first:last],
-            edge_counts=self.edge_counts[start:stop],
-            **{name: getattr(self, name)[start:stop] for name in self._PER_ROW},
-        )
-
-    @functools.cached_property
-    def _edge_ends(self) -> np.ndarray:
-        return np.concatenate(([0], np.cumsum(self.edge_counts)))
 
     # The input amplitudes per row: sqrt(1-p)*e^{i*delta0} and sqrt(p)*e^{i*delta1}.
     @property
@@ -360,23 +333,11 @@ def _state_buffer(count: int, m: int) -> np.ndarray:
     return np.empty((count, 1 << m), dtype=np.complex128)
 
 
-def build_graph_state_rows(
-    rows: StateRows, *, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
+def build_graph_state_rows(rows: StateRows) -> np.ndarray:
     """Row r of the (R, 2^M) result holds the amplitudes of the state of row
     r of `rows`: the rows' tables (`_row_tables`) run through one doubling
-    loop (`_double_rows`).  The states are written into the first R rows of
-    `out`, an (R', 2^M) complex array with R' >= R, and the gathered factors
-    of the steps up to 2^11 places into `scratch`, a flat float64 array of at
-    least R * 2^min(M, 12) entries; each is allocated when not given."""
-    count, m = len(rows), rows.num_qubits
-    if out is None:
-        out = _state_buffer(count, m)
-    elif out.dtype != np.complex128 or out.shape[1:] != (1 << m,) or len(out) < count:
-        raise ValueError(f"out must be a complex array of at least {count} rows of 2^{m}, got {out.shape}")
-    if not count:
-        return out[:0]
-    return _double_rows(_row_tables(rows), out=out, scratch=scratch)
+    loop (`_double_rows`)."""
+    return _double_rows(_row_tables(rows), out=_state_buffer(len(rows), rows.num_qubits))
 
 
 def _row_tables(rows: StateRows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -420,11 +381,12 @@ def _double_rows(
     tables: Sequence[np.ndarray], *, out: np.ndarray, scratch: np.ndarray | None = None
 ) -> np.ndarray:
     """Build the states of the R rows of `_row_tables`' tables into the first
-    R rows of `out`, (R', 2^M) complex, and return them; `scratch` is as for
-    `build_graph_state_rows`.  Every factor multiplies the lower half as its
-    first operand: complex multiply rounds its two cross products
-    differently when the operands swap, and a row must come out the same
-    whichever branch its batch takes."""
+    R rows of `out`, (R', 2^M) complex, and return them; the gathered factors
+    of the steps up to 2^11 places go into `scratch`, a flat float64 array of
+    at least R * 2^min(M, 12) entries, allocated when not given.  Every
+    factor multiplies the lower half as its first operand: complex multiply
+    rounds its two cross products differently when the operands swap, and
+    the pinned outputs hold the bits of that order."""
     lower, high, pair, a0 = tables
     count, m = lower.shape
     amps = out[:count]
@@ -442,38 +404,31 @@ def _double_rows(
         # so numpy would copy the lower half before writing the upper one:
         # each step writes its upper half from the scratch, or row by row.
         if n > width:
-            if mask.any():
-                # pair[c + c'] = pair[c] * pair[c']: the high bits of a place in
-                # the half pick one factor per block of `width` places, the low
-                # bits one factor per place in a block.
-                high_bits = np.arange(0, n, width, dtype=lower.dtype) & mask
-                np.bitwise_count(high_bits, out=high_bits)
-                high_bits += offsets
-                low_bits = index & mask
-                np.bitwise_count(low_bits, out=low_bits)
-                low_bits += offsets
-                upper = half.reshape(count, -1, width)
-                per_block = high[:, k, None] * np.take(pair, high_bits)
-                for r in range(count):
-                    np.multiply(per_block[r, :, None], amps[r, :n].reshape(-1, width), out=upper[r])
-                upper *= np.take(pair, low_bits)[:, None, :]
-            else:
-                for r in range(count):
-                    np.multiply(high[r, k], amps[r, :n], out=half[r])
+            # pair[c + c'] = pair[c] * pair[c']: the high bits of a place in
+            # the half pick one factor per block of `width` places, the low
+            # bits one factor per place in a block.
+            high_bits = np.arange(0, n, width, dtype=lower.dtype) & mask
+            np.bitwise_count(high_bits, out=high_bits)
+            high_bits += offsets
+            low_bits = index & mask
+            np.bitwise_count(low_bits, out=low_bits)
+            low_bits += offsets
+            upper = half.reshape(count, -1, width)
+            per_block = high[:, k, None] * np.take(pair, high_bits)
+            for r in range(count):
+                np.multiply(per_block[r, :, None], amps[r, :n].reshape(-1, width), out=upper[r])
+            upper *= np.take(pair, low_bits)[:, None, :]
         else:
+            # high_k folded into this step's pair table: place l of row r
+            # takes entry popcount(l & lower) of row r's table.
             factors = scratch[: 2 * count * n].view(np.complex128).reshape(count, n)
-            if mask.any():
-                # high_k folded into this step's pair table: place l of row r
-                # takes entry popcount(l & lower) of row r's table.
-                gather = index[:n] & mask
-                np.bitwise_count(gather, out=gather)
-                gather += offsets
-                # mode="clip" (the indices are in range) writes straight into
-                # the scratch; the default mode would buffer the output.
-                np.take(high[:, k, None] * pair, gather, out=factors, mode="clip")
-                np.multiply(factors, amps[:, :n], out=factors)
-            else:
-                np.multiply(high[:, k, None], amps[:, :n], out=factors)
+            gather = index[:n] & mask
+            np.bitwise_count(gather, out=gather)
+            gather += offsets
+            # mode="clip" (the indices are in range) writes straight into
+            # the scratch; the default mode would buffer the output.
+            np.take(high[:, k, None] * pair, gather, out=factors, mode="clip")
+            np.multiply(factors, amps[:, :n], out=factors)
             np.copyto(half, factors)
         if width >> 2 <= n <= width:
             # At these sizes numpy runs the broadcast (R, 1) operand through its
@@ -497,9 +452,9 @@ def pauli_vector_rows(amplitudes: np.ndarray, *, scratch: np.ndarray | None = No
     array of amplitudes; a row whose norm is off by more than 1e-8 is refused.
     Any array or nested list of that shape is read as complex, and a
     C-contiguous complex array, such as the oracle's own states, is read in
-    place, not copied.  Below 2^18 amplitudes per row the rows' tile goes into
-    `scratch`, a flat float64 array of at least R * 2^(min(M, 15) + 1)
-    entries, allocated when not given."""
+    place, not copied.  The tile goes into `scratch`, a flat float64 array of
+    at least G * 2^(c + 1) entries for G rows read together in chunks of 2^c
+    (see the module docstring), allocated when not given."""
     amplitudes = np.asarray(amplitudes, dtype=np.complex128)
     rows, size = amplitudes.shape if amplitudes.ndim == 2 else (0, 0)
     m = size.bit_length() - 1
@@ -514,23 +469,15 @@ def pauli_vector_rows(amplitudes: np.ndarray, *, scratch: np.ndarray | None = No
     weights = vectors[:, :, 2]
     amplitudes = np.ascontiguousarray(amplitudes)
     if size < _CHUNKED_AMPLITUDES:
-        # Every row at once, one chunk of each at a time.
-        c = min(m, _BATCH_CHUNK_BITS)
-        if scratch is None:
-            scratch = np.empty(rows << (c + 1))
-        tile = scratch[: rows << (c + 1)].view(np.complex128).reshape(rows, 1 << c // 2, -1)
-        norms = _read_chunks(amplitudes, c, tile, xy, weights)
-        for i in range(c, m):
-            lo, hi = amplitudes.reshape(rows, -1, 2, 1 << i).transpose(2, 0, 1, 3)
-            xy[:, i] = np.vecdot(lo, hi).sum(axis=1)
+        group, c = rows, min(m, _BATCH_CHUNK_BITS)  # every row at once
     else:
-        # One row at a time.
-        c = min(_CHUNK_BITS, m - 4)
-        # The tile is freed before the slab buffer is allocated.
-        tile = np.empty((1, 1 << _TILE_BITS, 1 << (c - _TILE_BITS)), dtype=np.complex128)
-        norms = _read_chunks(amplitudes, c, tile, xy, weights)
-        del tile
-        _read_slabs(amplitudes, c, xy[:, c:])
+        group, c = 1, min(_CHUNK_BITS, m - 4)  # one row at a time
+    if scratch is None:
+        scratch = np.empty(group << (c + 1))
+    tile = scratch[: group << (c + 1)].view(np.complex128).reshape(group, 1 << c // 2, -1)
+    norms = _read_chunks(amplitudes, c, tile, xy, weights)
+    del tile, scratch  # a tile of its own is freed before the slab buffer is allocated
+    _read_slabs(amplitudes, c, xy[:, c:])
     error = np.max(np.abs(norms - 1.0), initial=0.0)
     if not error <= 1e-8:  # a NaN norm is refused too
         raise ValueError(f"state not normalized: norm error {error:.3e}")
@@ -613,6 +560,8 @@ def _read_slabs(amplitudes: np.ndarray, c: int, xy: np.ndarray) -> None:
     cache; the dots of all slabs are added up once per row."""
     rows, size = amplitudes.shape
     top = size.bit_length() - 1 - c
+    if not top:
+        return
     w = max(min(_SLAB_BITS, c - top), 0)
     slabs = 1 << (c - w)
     half = 1 << (top - 1)

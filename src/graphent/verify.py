@@ -7,11 +7,12 @@ Every graph's draws are made first, in a fixed order, each sample's ten
 angles and inputs as raw doubles that one array pass maps to their bounds
 per op; the oracle then runs once per qubit count, on the rows of every
 graph of that count as one `StateRows`, with each flipped or relabelled copy
-written straight into its edge array.  Its per-row totals are split into
-one table per graph, one row per sample.  Each closed form is one call per
-op, one row per graph, and each check is an array reduction over its
-columns.  So the fixed costs of numpy calls are paid per op or per batch of
-oracle rows, not per sample, graph or row.
+written straight into its edge array.  Its per-row totals fill one
+(graphs, samples, 7) table, seven rows per sample; an edgeless graph's flip
+row is a copy of its base row, which the flip check skips.  Each closed
+form is one call per op, one row per graph, and each check is one array
+reduction over the table.  So the fixed costs of numpy calls are paid per
+op or per batch of oracle rows, not per sample, graph or row.
 Each check counts the samples it evaluated; one that evaluated none (the
 orientation flip on edgeless graphs) is reported as skipped, not passed.
 All randomness comes from one seeded generator, so a report is reproducible
@@ -93,40 +94,34 @@ def run_verification(
     if not graphs:
         raise ValueError("no graphs to verify")
     values, flips, perms = _draws(graphs, samples, np.random.default_rng(seed))
-    # One oracle call per qubit count, its rows graph by graph.  A table has
-    # one row per sample; columns base, general, three psi draws, then the
-    # flip (only when the graph has an edge) and the relabelling.
-    tables = [None] * len(graphs)
+    # One oracle call per qubit count, its rows graph by graph, filling the
+    # (G, S, 7) table: per sample base, general, three psi draws, the flip
+    # (a copy of the base row on an edgeless graph) and the relabelling.
+    table = np.empty((len(graphs), samples, 7))
     members = defaultdict(list)
     for i, g in enumerate(graphs):
         members[g.num_vertices].append(i)
     for m, indices in members.items():
-        parts = [_sample_rows(graphs[i], values[i], flips[i], perms[i]) for i in indices]
-        ends = np.cumsum([len(part[1]) for part in parts])
+        # No part outlives the StateRows call, so none is held while the
+        # oracle's buffers are allocated.
+        parts = (_sample_rows(graphs[i], values[i], flips[i], perms[i]) for i in indices)
         rows = StateRows(m, *map(np.concatenate, zip(*parts)))
-        del parts  # the rows hold a copy; freed before the oracle's buffers are allocated
-        totals = ed_numeric_rows(rows)
-        for i, table in zip(indices, np.split(totals, ends[:-1])):
-            tables[i] = table.reshape(samples, -1)
+        table[indices] = ed_numeric_rows(rows).reshape(len(indices), samples, 7)
     # One call per closed form for every graph's draws, one row per graph.
     dists = [degree_distribution(g) for g in graphs]
     closed_b = entanglement.ed_closed_form_rows(dists, values[:, :, 0])
     closed_g = entanglement.ed_closed_general_rows(dists, values[:, :, 2], values[:, :, 3])
-    found = []  # per graph, one array of deviations per check, in CHECK_ORDER
-    for g, table, balanced, general in zip(graphs, tables, closed_b, closed_g):
-        base = table[:, 0]
-        found.append((
-            abs(base - balanced),
-            abs(table[:, 1] - general),
-            np.ptp(table[:, [0, 2, 3, 4]], axis=1),
-            abs(base - table[:, 5]) if g.num_edges else np.empty(0),
-            abs(base - table[:, -1]),
-        ))
-    checks = []
-    for name, per_graph in zip(CHECK_ORDER, zip(*found)):
-        deviations = np.concatenate(per_graph)
-        # np.max keeps a NaN, so it fails; a check with no samples reads 0.
-        checks.append(CheckResult(name, float(np.max(deviations, initial=0.0)), deviations.size))
+    base = table[:, :, 0]
+    has_edges = np.array([g.num_edges > 0 for g in graphs])
+    deviations = (
+        abs(base - closed_b),
+        abs(table[:, :, 1] - closed_g),
+        np.ptp(table[:, :, [0, 2, 3, 4]], axis=2),
+        abs(base[has_edges] - table[has_edges, :, 5]),
+        abs(base - table[:, :, 6]),
+    )
+    # np.max keeps a NaN, so it fails; a check with no samples reads 0.
+    checks = [CheckResult(name, float(np.max(d, initial=0.0)), d.size) for name, d in zip(CHECK_ORDER, deviations)]
     return VerificationReport(tol, checks)
 
 
@@ -153,8 +148,8 @@ def _draws(
 
 
 # The draws' columns of theta and psi in a sample's oracle rows: base,
-# general, three psi draws, then the flip and the relabelling, or the
-# relabelling alone, with the base angles.
+# general, three psi draws, then the flip and the relabelling with the base
+# angles.
 _THETA_COLUMNS = [0, 3, 0, 0, 0, 0, 0]
 _PSI_COLUMNS = [1, 4, 7, 8, 9, 1, 1]
 
@@ -162,26 +157,26 @@ _PSI_COLUMNS = [1, 4, 7, 8, 9, 1, 1]
 def _sample_rows(
     g: DirectedGraph, values: np.ndarray, flips: np.ndarray, perms: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """The oracle rows of a graph's samples as the fields of `StateRows`
-    after the qubit count: edges, edge counts, theta, psi, p, delta0 and
-    delta1.  The flip is the graph's edges with one row reversed and the
-    relabelling perm[edges], with no graph built for either."""
+    """The seven oracle rows of each of a graph's samples as the fields of
+    `StateRows` after the qubit count: edges, edge counts, theta, psi, p,
+    delta0 and delta1.  The flip is the graph's edges with one row reversed,
+    or the graph itself when it has no edge, and the relabelling
+    perm[edges], with no graph built for either."""
     samples, e = len(values), g.num_edges
-    width = 7 if e else 6  # no flip row on an edgeless graph
-    edges = np.empty((samples, width, e, 2), dtype=np.int64)
+    edges = np.empty((samples, 7, e, 2), dtype=np.int64)
     edges[:, :-1] = g.edge_array
     if e:
         edges[np.arange(samples), 5, flips] = g.edge_array[flips, ::-1]
     edges[:, -1] = perms[:, g.edge_array]
     # (p, delta0, delta1) per row: the general row's draws, else the balanced input.
-    inputs = np.empty((3, samples, width))
+    inputs = np.empty((3, samples, 7))
     inputs[:] = np.array(BALANCED)[:, None, None]
     inputs[:, :, 1] = values[:, [2, 5, 6]].T
     return (
         edges.reshape(-1, 2),
-        np.full(samples * width, e),
-        values[:, _THETA_COLUMNS[:width]].ravel(),
-        values[:, _PSI_COLUMNS[:width]].ravel(),
+        np.full(samples * 7, e),
+        values[:, _THETA_COLUMNS].ravel(),
+        values[:, _PSI_COLUMNS].ravel(),
         *inputs.reshape(3, -1),
     )
 

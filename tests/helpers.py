@@ -83,6 +83,21 @@ def clifford_amplitudes(graph: DirectedGraph) -> np.ndarray:
     return np.where(parity & 1, -1.0, 1.0) * 2.0 ** (-m / 2)
 
 
+def gf2_rank(matrix) -> int:
+    """The rank over GF(2) of a 0/1 matrix: each row, read as a bit mask, is
+    reduced by the pivots kept so far, in falling order of their leading
+    bit, and kept as a pivot when anything is left."""
+    pivots = []
+    for row in np.asarray(matrix, dtype=bool):
+        x = sum(1 << int(j) for j in np.flatnonzero(row))
+        for pivot in pivots:
+            x = min(x, x ^ pivot)  # clears the pivot's leading bit when x has it set
+        if x:
+            pivots.append(x)
+            pivots.sort(reverse=True)
+    return len(pivots)
+
+
 def dense_pauli_expectations(vec: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
     return np.array([(vec.conj() @ lift(s, qubit, num_qubits) @ vec).real for s in PAULIS])
 

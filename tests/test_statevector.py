@@ -24,7 +24,8 @@ from graphent.statevector import (
 )
 
 from helpers import (
-    angles, clifford_amplitudes, dense_graph_state, dense_pauli_expectations, directed_graphs, probabilities,
+    angles, clifford_amplitudes, dense_graph_state, dense_pauli_expectations, directed_graphs, gf2_rank,
+    probabilities,
 )
 
 
@@ -190,7 +191,7 @@ def test_memory_estimate_above_default_cap(monkeypatch):
     rows = _arrays_of([(DirectedGraph(4, []), dict(theta=0.0))] * 2)
     with pytest.raises(ValueError, match="^4 qubits need about 544 bytes to build"):
         build_graph_state_rows(rows)
-    assert build_graph_state_rows(rows[:1]).shape == (1, 16)
+    assert build_graph_state_rows(_arrays_of([(DirectedGraph(4, []), dict(theta=0.0))])).shape == (1, 16)
     # So is a batch of rows at the default cap, once it holds more amplitudes than one such row.
     monkeypatch.setattr(statevector, "_available_bytes", lambda: 271)
     rows = _arrays_of([(DirectedGraph(3, []), dict(theta=0.0))] * 2)
@@ -442,16 +443,18 @@ def _large_rows(m, count):
     ]))
 
 
-# Below 2^18 amplitudes per row every row is read at once, in chunks of
-# 2^min(M, 15) with a (2^(c//2), 2^(c - c//2)) tile: one chunk and a tile of
-# (1, 2), (2, 2) or (2, 4) at 1 to 3 qubits, 2, 4 chunks with block dots for
-# the qubits >= 15 at 16 and 17.  2^18, 2^20 and 2^22 take the one-row
-# chunked read, with chunks of 2^14, 2^16 and 2^16 amplitudes, and the slab
-# read of their top 4, 4 and 6 qubits.
+# Every read takes chunks of 2^c with a (2^(c//2), 2^(c - c//2)) tile and
+# reads the qubits from c up in slabs.  Below 2^18 amplitudes per row every
+# row is read at once, c = min(M, 15): one chunk and a tile of (1, 2), (2, 2)
+# or (2, 4) at 1 to 3 qubits, no slab qubit up to 15 qubits, and 2 or 4
+# chunks with the slab read of the top 1 or 2 qubits at 16 and 17.  From
+# 2^18 on one row at a time, c = min(16, M - 4): 2^18 and 2^19 take chunks
+# of 2^14 and 2^15 with tiles of 2^7 rows, 2^20 and 2^22 chunks of 2^16 with
+# tiles of 2^8 rows, and the slab read of their top 4, 4, 4 and 6 qubits.
 @pytest.mark.parametrize(
     "count, m",
     [
-        (1, 17), (1, 18), (1, 20), (2, 17), (2, 18), (2, 20), (1, 22),
+        (1, 17), (1, 18), (1, 19), (1, 20), (2, 17), (2, 18), (2, 20), (1, 22),
         (1, 1), (3, 1), (1, 2), (3, 2), (1, 3), (3, 3), (1, 12), (3, 12), (1, 15), (2, 15), (1, 16), (2, 16),
     ],
 )
@@ -465,7 +468,7 @@ def test_large_rows_match_copied_halves(m, count):
     assert np.max(np.abs(pauli_vectors(strided) - vectors[0])) <= 1e-13
 
 
-@pytest.mark.parametrize("m", [17, 18, 20, 1, 2, 3, 12, 15, 16])
+@pytest.mark.parametrize("m", [17, 18, 19, 20, 1, 2, 3, 12, 15, 16])
 def test_large_rows_refuse_one_unnormalized_row(m):
     states = _large_rows(m, 2)
     states[1] *= 1.01
@@ -530,6 +533,41 @@ def test_clifford_point_matches_the_graph_state_signs(m):
     assert np.max(np.abs(pauli_vectors(state) - expected)) <= 1e-12
 
 
+def test_gf2_rank():
+    # The rows (1, 1, 0), (0, 1, 1) and (1, 0, 1) add up to zero mod 2 but
+    # are independent over the reals.
+    cycle = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    assert gf2_rank(cycle) == 2 and np.linalg.matrix_rank(cycle) == 3
+    assert gf2_rank(np.eye(5)) == 5 and gf2_rank(np.ones((4, 6))) == 1 and gf2_rank(np.zeros((3, 2))) == 0
+    assert gf2_rank(np.empty((0, 4))) == 0 and gf2_rank(np.empty((4, 0))) == 0
+
+
+@pytest.mark.parametrize("m", range(3, 14))
+def test_clifford_point_cut_entropies_are_gf2_ranks(m):
+    # At the Clifford point the state is the skeleton's graph state, whose
+    # entropy across a cut A|B is rank Gamma_AB over GF(2), in bits, Gamma
+    # the skeleton's adjacency matrix (Hein, Eisert and Briegel).  The
+    # entropy comes from the Schmidt coefficients of the amplitudes reshaped
+    # to (2^|A|, 2^|B|).  13 qubits take the gather and the factored build
+    # steps.
+    rng = np.random.default_rng(300 + m)
+    g = random_graph(m, rng, edge_prob=rng.uniform(0.2, 0.7))
+    state = build_graph_state(g, theta=math.pi / 2, psi=math.pi / 2, p=0.5)
+    adjacency = np.zeros((m, m), dtype=bool)
+    adjacency[tuple(g.edge_array.T)] = True
+    adjacency |= adjacency.T
+    # Axis j of the (2,) * M view holds qubit M - 1 - j.
+    tensor = state.reshape((2,) * m)
+    for _ in range(3):
+        a = np.sort(rng.choice(m, size=rng.integers(1, m), replace=False))
+        b = np.setdiff1d(np.arange(m), a)
+        matrix = tensor.transpose([m - 1 - i for i in (*a, *b)]).reshape(1 << len(a), -1)
+        weights = np.linalg.svd(matrix, compute_uv=False) ** 2
+        weights = weights[weights > 1e-30]
+        entropy = -np.sum(weights * np.log2(weights))
+        assert abs(entropy - gf2_rank(adjacency[np.ix_(a, b)])) <= 1e-12, (a.tolist(), b.tolist())
+
+
 # ----------------------------------------------------------------------
 # rows: many states of one qubit count in one call
 # ----------------------------------------------------------------------
@@ -560,8 +598,9 @@ def test_rows_equal_their_one_row_calls_bit_for_bit():
 
 
 # One chunk and tile qubits 0 and 0..1 (1 to 3 qubits), one chunk of a whole
-# row (12, 15), and chunks of 2^15 with block dots above them (16, 17).  Up
-# to 12 qubits the build takes only gather steps, from 13 on factored ones.
+# row (12, 15), and chunks of 2^15 with the slab read of the qubits above
+# them (16, 17).  Up to 12 qubits the build takes only gather steps, from 13
+# on factored ones.
 @pytest.mark.parametrize("m", [1, 2, 3, 12, 15, 16, 17])
 def test_rows_equal_their_one_row_calls_bit_for_bit_at_every_read(m):
     _assert_rows_equal_their_one_row_calls(m)
@@ -604,7 +643,7 @@ def test_oracle_rows_span_batches_bit_for_bit(monkeypatch):
     totals = ed_numeric_rows(arrays)
     assert batches == [8, 8, 4]
     assert totals.tolist() == expected
-    assert ed_numeric_rows(arrays[:0]).shape == (0,) and batches == [8, 8, 4]
+    assert ed_numeric_rows(_no_rows(m)).shape == (0,) and batches == [8, 8, 4]
 
 
 def test_mean_refusal_names_its_row(monkeypatch):
@@ -662,22 +701,15 @@ def _arrays_of(rows):
     )
 
 
-def test_array_row_slices_hold_their_rows():
-    rows = _mixed_rows()
-    arrays = _arrays_of(rows)
-    assert len(arrays) == len(rows)
-    states = build_graph_state_rows(arrays)
-    # A slice holds the rows it names, each with its own edges.
-    assert np.array_equal(build_graph_state_rows(arrays[2:5]), states[2:5])
-    assert len(arrays[5:2]) == 0
-    with pytest.raises(ValueError, match="^row slices take step 1"):
-        arrays[::2]
+def _no_rows(m):
+    """Zero rows of m qubits."""
+    return StateRows(m, np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64), [], [])
 
 
 def test_zero_rows_give_empty_results():
     assert pauli_vector_rows(np.empty((0, 8), complex)).shape == (0, 3, 3)
     assert pauli_vector_rows(np.empty((0, 2**18), complex)).shape == (0, 18, 3)
-    empty = StateRows(3, np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64), [], [])
+    empty = _no_rows(3)
     assert len(empty) == 0
     assert build_graph_state_rows(empty).shape == (0, 8)
     assert ed_numeric_rows(empty).shape == (0,)
@@ -718,7 +750,8 @@ def test_batches_of_one_call_share_their_buffers(monkeypatch, m, count, batches)
     else:
         assert scratches == [None] * len(batches)
     monkeypatch.undo()
-    assert np.array_equal(totals, np.concatenate([ed_numeric_rows(rows[r : r + 1]) for r in range(count)]))
+    one_row = [StateRows(m, g.edge_array, [g.num_edges], rows.theta[r], rows.psi[r], rows.p[r]) for r in range(count)]
+    assert np.array_equal(totals, np.concatenate([ed_numeric_rows(row) for row in one_row]))
 
 
 def test_array_rows_are_checked_by_the_guards_of_their_parts():

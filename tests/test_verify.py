@@ -236,4 +236,4 @@ def test_flipped_and_relabelled_rows_pass_the_row_check(g, seed):
     flips = rng.integers(max(g.num_edges, 1), size=samples)
     perms = np.array([rng.permutation(g.num_vertices) for _ in range(samples)])
     rows = StateRows(g.num_vertices, *verify._sample_rows(g, values, flips, perms))
-    assert len(rows) == samples * (7 if g.num_edges else 6)
+    assert len(rows) == samples * 7
