@@ -42,20 +42,25 @@ array, and `build_graph_state` and `pauli_vectors` are the one-row calls of
 the same code.  How many rows go into one call is the caller's choice;
 `ed_numeric_rows` holds the batch rule the oracle's callers use.
 
-Buffers: `ed_numeric_rows` forms the tables of all its rows once and
-allocates one state buffer, one batch in size, per call; every batch takes
-its row slices of the tables and is built into that buffer.  Below 2^18
-amplitudes per row one scratch buffer, the states' bytes up to 15 qubits
-(half at 16, a quarter at 17), takes the build's gathered factors and then
-the Pauli pass's tile, so no batch allocates an array of its size.  A batch
-array freed after each batch was returned to the system by glibc (unmapped,
-or trimmed off the heap top) and faulted back in by the next: a `verify` op
-of 120 graphs of at most 12 vertices, 5 samples, took 18,621 minor page
-faults in a bare process with new arrays per batch and 1,920 with the
-buffers of one call per qubit count (16 ops).  Rows of 2^18 amplitudes or
-more are built one per batch and read one row at a time, so they take no
-scratch: the read allocates one tile, then one slab buffer, each at most
-1/16 of a row, and their partial sums.
+Buffers: `ed_numeric_rows` pays what is not tied to a batch's data once
+per call.  It forms the tables of all its rows, allocates one state buffer,
+one batch in size, and one read plan, `_ReadPlan`, whose flat buffer, the
+tile of one batch (the states' bytes up to 15 qubits, half at 16, a quarter
+at 17, at most 1/16 of a row from 2^18 amplitudes on), takes the build's
+gathered factors, then the tile, then the slab buffer, so the tile and the
+slab buffer never take memory at once.  The first s steps of the doubling
+loop, s the largest with R * 2^s <= BATCH_AMPLITUDES / 4, run once over
+all R rows into one prefix of at most 2^13 amplitudes; each batch copies
+its rows' prefix into the state buffer, takes its row slices of the
+tables and goes on from step s.  The plan makes the tile, the dot buffers
+and every view list of the read once per batch length, and a call has at
+most two lengths, the full one and the last batch's.
+Every batch writes its cross terms and its unfolded weights into its rows
+of per-call arrays, and the folds, the norm check, the scaling and the
+means run once, over all R rows.  No buffer is held past the call: arrays
+freed after each batch were returned to the system by glibc and faulted
+back in by the next, and buffers held across calls add resident memory
+that a call of one qubit count does not use again.
 
 Build: the step that appends qubit k multiplies each place l of the new
 half by high_k * pair[popcount(l & lower_k)].  Up to 2^11 places (every
@@ -105,46 +110,38 @@ the chunk totals those of bits c and up and the norm.  The rows' size picks
 only how many rows G are read together and the chunk bits c; every tile
 has 2^(c//2) rows:
 
-- Below 2^18 amplitudes, every row of the array at once, G = R, in chunks
-  of 2^c = min(2^M, 2^15) amplitudes, all rows' tiles in the scratch.
-  Against the probability fold and per-block dots this replaced, a batch's
-  read took 0.75x the time at 11 and 12 qubits, 0.82x at 15 and 0.66x at
-  17, but 1.1x to 1.65x at 2 to 8 qubits, where its many short dots cost
-  more than they save (40 to 115 us per call; median of 60 alternating
-  calls, as above).
-- From 2^18 amplitudes on, one row at a time, G = 1, c = min(16, M - 4), so
+- Below 2^18 amplitudes, every row of a batch at once, G = R, in chunks of
+  2^c = min(2^M, 2^15) amplitudes, all rows' tiles in the plan's buffer.
+- From 2^18 amplitudes on, one row per batch, G = 1, c = min(16, M - 4), so
   a chunk is 1 MiB at most and the tile 1/16 of a row at most.
 
-Qubits c and up, none up to 15 qubits, one or two at 16 and 17 and four to
-six from 18 to 22, pair rows of a row's (2^(M-c), 2^c) view, 1 MiB apart at
-22 qubits, so they are read in one more pass per row, one slab of 2^10
+`pauli_vector_rows` is the one-batch call of that plan: below 2^18
+amplitudes its R rows are one batch, from there each row is one.  Qubits c
+and up, none up to 15 qubits, one or two at 16 and 17 and four to six from
+18 to 22, pair rows of a row's (2^(M-c), 2^c) view, 1 MiB apart at 22
+qubits, so they are read in one more pass per row, one slab of 2^10
 columns of that view at a time (fewer when the view has more rows than
-2^(c-10)): the slab is copied into one reused contiguous buffer, whose rows
-the top qubits pair while it sits in L2.  One qubit's dots over a whole
-64 MiB row took 1.4 to 2.7 ms, as more or less of the host's shared L3
-cache was free, and 0.9 to 1.1 ms on the row's 64 slabs in L2.  From 2^18
-amplitudes on nothing the size of a state is allocated: the tile is freed
-before the slab buffer is allocated, and they and the partial sums peak at
-8% of a state's bytes at 18 qubits and 2% at 22 (tracemalloc).
-
-Either way the weights' total is each row's norm, so a row that is not
-normalized is refused without a further pass over it.
+2^(c-10)): the slab is copied into the plan's buffer, whose rows the top
+qubits pair while it sits in L2.  From 2^18 amplitudes on nothing the size
+of a state is allocated.  The weights' total is each row's norm, so a row
+that is not normalized is refused without a further pass over it, once per
+call, with the worst norm error of its rows.
 
 ED step: `ed_numeric` and `ed_numeric_rows` turn the Pauli vectors into the
 per-vertex contributions 1 - ||<sigma^(i)>||^2 and their mean, the ED per
 qubit, from the simulated state alone; the closed forms they are checked
 against live in `entanglement`, which this module never imports.
-`ed_numeric_rows` keeps every batch's (R, M) contributions and takes the
-means of all its rows in one `_mean` call: one `math.fsum` per row, one
-division and one range check, whose refusal names the row.  `EdReport` is
-its one-row call.
+`ed_numeric_rows` takes the (R, M) contributions of all its rows from the
+plan's finished Pauli vectors and their means in one `_mean` call: one
+`math.fsum` per row, one division and one range check, whose refusal names
+the row of the call.  `EdReport` is its one-row call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -173,7 +170,7 @@ DEFAULT_MAX_QUBITS = 22
 # low-bit and a high-bit table instead of gathering one factor per amplitude.
 _LOW_BITS = 11
 # A row of at least _CHUNKED_AMPLITUDES amplitudes is read on its own, in
-# chunks of up to 2^_CHUNK_BITS contiguous amplitudes (see `_read_chunks`)
+# chunks of up to 2^_CHUNK_BITS contiguous amplitudes (see `_ReadPlan.reader`)
 # and then in slabs; smaller rows are read all together.  Against a 128 x
 # 128 Gram read of qubits 0..5, the one-row chunked read took 0.71x the time
 # at 18 qubits, 0.62x at 20 and 0.58x at 22, faster in 15 of 15 alternating
@@ -186,17 +183,19 @@ _CHUNKED_AMPLITUDES = 1 << 18
 # amplitudes, so the tile is at most 1/16 of the row's bytes.
 _CHUNK_BITS = 16
 # Qubits from the chunk bits up are read from slabs of 2^_SLAB_BITS places
-# per top-bit value (see `_read_slabs`), 1 MiB at 22 qubits.  At 22 qubits
-# the slab pass took 11.0 ms at 10, 12.0 ms at 9 and 12.6 ms at 8 (median of
-# 20 calls); wider slabs would outgrow a chunk.
+# per top-bit value (see `_ReadPlan._slab_reader`), 1 MiB at 22 qubits.  At
+# 22 qubits the slab pass took 11.0 ms at 10, 12.0 ms at 9 and 12.6 ms at 8
+# (median of 20 calls); wider slabs would outgrow a chunk.
 _SLAB_BITS = 10
-# Rows below _CHUNKED_AMPLITUDES are read all together in chunks of at most
-# 2^_BATCH_CHUNK_BITS amplitudes, so the tiles of a batch fill at most the
-# one-batch scratch of `ed_numeric_rows`, 512 KiB, and sit in L2 with the
-# chunks they are copied from.
+# Rows below _CHUNKED_AMPLITUDES are read a batch at a time in chunks of at
+# most 2^_BATCH_CHUNK_BITS amplitudes, so the tiles of a batch fill at most
+# the read plan's buffer, 512 KiB, and sit in L2 with the chunks they are
+# copied from.
 _BATCH_CHUNK_BITS = 15
 # Oracle rows are built and read in batches of at most max(2^15, 2^M)
 # amplitudes: one doubling loop and one Pauli pass per batch, not per state.
+# The first doubling steps of all rows of a call run once, into a prefix of
+# at most a quarter of this.
 BATCH_AMPLITUDES = 1 << _BATCH_CHUNK_BITS
 
 
@@ -378,25 +377,30 @@ def _row_tables(rows: StateRows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 
 
 def _double_rows(
-    tables: Sequence[np.ndarray], *, out: np.ndarray, scratch: np.ndarray | None = None
+    tables: Sequence[np.ndarray], *, out: np.ndarray, scratch: np.ndarray | None = None, start: int = 0
 ) -> np.ndarray:
-    """Build the states of the R rows of `_row_tables`' tables into the first
-    R rows of `out`, (R', 2^M) complex, and return them; the gathered factors
-    of the steps up to 2^11 places go into `scratch`, a flat float64 array of
-    at least R * 2^min(M, 12) entries, allocated when not given.  Every
-    factor multiplies the lower half as its first operand: complex multiply
-    rounds its two cross products differently when the operands swap, and
-    the pinned outputs hold the bits of that order."""
+    """Build the states of the R rows of `_row_tables`' tables, as far as
+    the 2^n amplitudes per row of `out`, (R', 2^n) complex, into its first R
+    rows, and return them: the steps that append qubits start..n-1.  With
+    start > 0 each row's first 2^start amplitudes already hold its state of
+    qubits 0..start-1, made by the same steps.  The gathered factors of the
+    steps up to 2^11 places go into `scratch`, a flat float64 array of at
+    least R * 2^min(n, 12) entries, allocated when not given.  Every factor
+    multiplies the lower half as its first operand: complex multiply rounds
+    its two cross products differently when the operands swap, and the
+    pinned outputs hold the bits of that order."""
     lower, high, pair, a0 = tables
     count, m = lower.shape
     amps = out[:count]
+    stop = amps.shape[1].bit_length() - 1
     if scratch is None:
-        scratch = np.empty(count << min(m, _LOW_BITS + 1))
+        scratch = np.empty(count << min(stop, _LOW_BITS + 1))
     offsets = np.arange(0, count * m, m, dtype=lower.dtype)[:, None]
-    amps[:, 0] = 1.0
+    if not start:
+        amps[:, 0] = 1.0
     width = 1 << _LOW_BITS
-    index = np.arange(min(1 << (m - 1), width), dtype=lower.dtype)
-    for k in range(m):
+    index = np.arange(min(amps.shape[1] >> 1, width), dtype=lower.dtype)
+    for k in range(start, stop):
         n = 1 << k
         half = amps[:, n : 2 * n]
         mask = lower[:, k, None]
@@ -447,138 +451,190 @@ def pauli_vectors(state: np.ndarray) -> np.ndarray:
     return pauli_vector_rows(np.asarray(state)[None])[0]
 
 
-def pauli_vector_rows(amplitudes: np.ndarray, *, scratch: np.ndarray | None = None) -> np.ndarray:
+def pauli_vector_rows(amplitudes: np.ndarray) -> np.ndarray:
     """Entry [r, i] is (<sx>, <sy>, <sz>) of qubit i in row r of an (R, 2^M)
     array of amplitudes; a row whose norm is off by more than 1e-8 is refused.
     Any array or nested list of that shape is read as complex, and a
     C-contiguous complex array, such as the oracle's own states, is read in
-    place, not copied.  The tile goes into `scratch`, a flat float64 array of
-    at least G * 2^(c + 1) entries for G rows read together in chunks of 2^c
-    (see the module docstring), allocated when not given."""
+    place, not copied.  The one-batch call of the read plan that
+    `ed_numeric_rows` runs: below 2^18 amplitudes the R rows are one batch,
+    from there each row is a batch of its own."""
     amplitudes = np.asarray(amplitudes, dtype=np.complex128)
     rows, size = amplitudes.shape if amplitudes.ndim == 2 else (0, 0)
     m = size.bit_length() - 1
     if m < 1 or size != 1 << m:
         raise ValueError(f"expected 2^M amplitudes per row with M >= 1, got shape {amplitudes.shape}")
-    vectors = np.empty((rows, m, 3))
     if not rows:
-        return vectors
-    # xy views the first two columns as one complex column: each cross term
-    # lands there and is doubled into (<sx>, <sy>) below.
-    xy = vectors[:, :, :2].view(np.complex128)[:, :, 0]
-    weights = vectors[:, :, 2]
+        return np.empty((0, m, 3))
     amplitudes = np.ascontiguousarray(amplitudes)
-    if size < _CHUNKED_AMPLITUDES:
-        group, c = rows, min(m, _BATCH_CHUNK_BITS)  # every row at once
-    else:
-        group, c = 1, min(_CHUNK_BITS, m - 4)  # one row at a time
-    if scratch is None:
-        scratch = np.empty(group << (c + 1))
-    tile = scratch[: group << (c + 1)].view(np.complex128).reshape(group, 1 << c // 2, -1)
-    norms = _read_chunks(amplitudes, c, tile, xy, weights)
-    del tile, scratch  # a tile of its own is freed before the slab buffer is allocated
-    _read_slabs(amplitudes, c, xy[:, c:])
-    error = np.max(np.abs(norms - 1.0), initial=0.0)
-    if not error <= 1e-8:  # a NaN norm is refused too
-        raise ValueError(f"state not normalized: norm error {error:.3e}")
-    vectors *= (2.0, 2.0, -2.0)
-    vectors[:, :, 2] += norms[:, None]  # <sz> = norm - 2 * weight of bit 1
-    return vectors
+    plan = _ReadPlan(rows, m, rows)
+    for start in range(0, rows, plan.group):
+        plan.reader(amplitudes[start : start + plan.group])(start)
+    return plan.vectors()
 
 
-def _read_chunks(amplitudes: np.ndarray, c: int, tile: np.ndarray, xy: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Read a C-contiguous (R, 2^M) array one chunk of 2^c contiguous
-    amplitudes per row at a time, G rows together, where `tile` is a
-    (G, 2^t, 2^(c-t)) complex buffer and G divides R: the cross terms of
-    qubits 0..c-1 go into xy[:, :c] and every qubit's weight of bit 1 into
-    `weights`, both (R, M).  Returns the (R,) norms.
+class _ReadPlan:
+    """The Pauli read of one call over R rows of M qubits (see the module
+    docstring): the chunk bits c, how many rows a batch reads together, one
+    flat buffer and the per-call sums.  `reader` makes the views of one
+    batch length once; each batch then writes its cross terms and its
+    unfolded tile and square weights into its rows of the sums, and
+    `vectors` folds, checks and scales all R rows at once.
 
-    Chunk place h * 2^t + l is copied to entry (l, h) of its row's tile, so
-    qubit i < t pairs tile rows l and l + 2^i: contiguous runs of 2^(c-t)
-    amplitudes.  Qubits t..c-1 take their block dots on the chunk itself
-    while it is still in cache.  The tile's row weights give bits 0..t-1,
-    the chunk's (2^(c-t), 2^t) row weights bits t..c-1, and the chunk totals
-    the bits from c up and the norm."""
-    rows, size = amplitudes.shape
-    group, tile_rows, _ = tile.shape
-    t = tile_rows.bit_length() - 1
-    chunks = size >> c
-    counts = [(1 << t) // 2] * t + [1 << (c - i - 1) for i in range(t, c)]
-    starts = np.cumsum([0, *counts[:-1]])
-    dots = np.empty((group, sum(counts)), dtype=np.complex128)
-    # lo and hi are the tile rows where bit i is clear and set, and out their dots.
-    tile_pairs = [
-        (
-            *tile.reshape(group, n >> i, 2, 1 << i, -1).transpose(2, 0, 1, 3, 4),
-            dots[:, start : start + n].reshape(group, n >> i, 1 << i),
-        )
-        for i, start, n in zip(range(t), starts, counts)
-    ]
-    tile_floats = tile.view(np.float64)
-    cross = np.empty((chunks, group, c), dtype=np.complex128)
-    tile_weights = np.empty((chunks, group, 1 << t))
-    square_weights = np.empty((chunks, group, 1 << (c - t)))
-    norms = np.empty(rows)
-    for g in range(0, rows, group):
-        rows_g = slice(g, g + group)
-        row = amplitudes[rows_g].reshape(group, chunks, 1 << c)
-        square = row.reshape(group, chunks, 1 << (c - t), 1 << t)
-        square_floats = row.view(np.float64).reshape(group, chunks, 1 << (c - t), 2 << t)
-        # lo and hi are (G, chunks, blocks, 2^i): the block halves where bit i is clear and set.
+    The buffer, `group` * 2^(c + 1) floats, takes a batch's tile and then its
+    slab buffer, so the two never take memory at once; `ed_numeric_rows`
+    lends it to the build for its gathered factors first."""
+
+    def __init__(self, rows: int, m: int, group: int) -> None:
+        if 1 << m < _CHUNKED_AMPLITUDES:
+            c = min(m, _BATCH_CHUNK_BITS)  # every row of a batch at once
+        else:
+            group, c = 1, min(_CHUNK_BITS, m - 4)  # one row at a time
+        t = c // 2
+        self.m, self.c, self.t, self.group = m, c, t, group
+        # A tile pair's dots, then a chunk pair's, qubit by qubit.
+        self.counts = [(1 << t) // 2] * t + [1 << (c - i - 1) for i in range(t, c)]
+        self.starts = np.cumsum([0, *self.counts[:-1]])
+        self.buffer = np.empty(group << (c + 1))
+        chunks = 1 << (m - c)
+        self.cross = np.empty((chunks, rows, c), dtype=np.complex128)
+        self.tile_weights = np.empty((chunks, rows, 1 << t))
+        self.square_weights = np.empty((chunks, rows, 1 << (c - t)))
+        self.pauli = np.empty((rows, m, 3))
+        # xy views the first two columns as one complex column: each cross
+        # term lands there and is doubled into (<sx>, <sy>) by `vectors`.
+        self.xy = self.pauli[:, :, :2].view(np.complex128)[:, :, 0]
+
+    def reader(self, amplitudes: np.ndarray) -> Callable[[int], None]:
+        """The read of a C-contiguous (L, 2^M) array, L at most `group`, into
+        rows start..start+L-1 of the sums, as a function of start.  The tile,
+        the dot buffers and every view it reads through are made here.
+
+        Each row is read one chunk of 2^c contiguous amplitudes at a time, the
+        L rows together.  Chunk place h * 2^t + l is copied to entry (l, h) of
+        its row's (2^t, 2^(c-t)) tile, so qubit i < t pairs tile rows l and
+        l + 2^i: contiguous runs of 2^(c-t) amplitudes.  Qubits t..c-1 take
+        their block dots on the chunk itself while it is still in cache.  The
+        tile's row weights give bits 0..t-1, the chunk's (2^(c-t), 2^t) row
+        weights bits t..c-1, and the chunk totals the bits from c up and the
+        norm.  Qubits c and up are read by `_slab_reader`."""
+        length = len(amplitudes)
+        m, c, t, counts, starts = self.m, self.c, self.t, self.counts, self.starts
+        chunks = 1 << (m - c)
+        tile = self.buffer[: length << (c + 1)].view(np.complex128).reshape(length, 1 << t, -1)
+        tile_floats = tile.view(np.float64)
+        dots = np.empty((length, sum(counts)), dtype=np.complex128)
+        # lo and hi are the tile rows where bit i is clear and set, and out their dots.
+        tile_pairs = [
+            (
+                *tile.reshape(length, n >> i, 2, 1 << i, -1).transpose(2, 0, 1, 3, 4),
+                dots[:, start : start + n].reshape(length, n >> i, 1 << i),
+            )
+            for i, start, n in zip(range(t), starts, counts)
+        ]
+        row = amplitudes.reshape(length, chunks, 1 << c)
+        square = row.reshape(length, chunks, 1 << (c - t), 1 << t)
+        square_floats = row.view(np.float64).reshape(length, chunks, 1 << (c - t), 2 << t)
+        # lo and hi are (L, chunks, blocks, 2^i): the block halves where bit i is clear and set.
         chunk_pairs = [
-            (*row.reshape(group, chunks, -1, 2, 1 << i).transpose(3, 0, 1, 2, 4), dots[:, start : start + n])
+            (*row.reshape(length, chunks, -1, 2, 1 << i).transpose(3, 0, 1, 2, 4), dots[:, start : start + n])
             for i, start, n in zip(range(t, c), starts[t:], counts[t:])
         ]
-        for j in range(chunks):
-            # The first pass brings the chunk into cache, so the transposed
-            # copy reads it from there: 6.5 ms per 22-qubit row, against 15
-            # ms as the first pass.
-            np.vecdot(square_floats[:, j], square_floats[:, j], out=square_weights[j])
-            for lo, hi, out in chunk_pairs:
-                np.vecdot(lo[:, j], hi[:, j], out=out)
-            np.copyto(tile, square[:, j].transpose(0, 2, 1))
-            for lo, hi, out in tile_pairs:
-                np.vecdot(lo, hi, out=out)
-            np.vecdot(tile_floats, tile_floats, out=tile_weights[j])
-            np.add.reduceat(dots, starts, axis=1, out=cross[j])
-        xy[rows_g, :c] = cross.sum(axis=0)
-        _fold_weights(tile_weights.sum(axis=0), weights[rows_g, :t])
-        _fold_weights(square_weights.sum(axis=0), weights[rows_g, t:c])
-        norms[rows_g] = _fold_weights(tile_weights.sum(axis=2).T, weights[rows_g, c:])
-    return norms
+        # Per chunk: its rows as floats, its block pairs and its transposed square.
+        chunk_views = [
+            (
+                square_floats[:, j],
+                [(lo[:, j], hi[:, j], out) for lo, hi, out in chunk_pairs],
+                square[:, j].transpose(0, 2, 1),
+            )
+            for j in range(chunks)
+        ]
+        read_slabs = self._slab_reader(amplitudes)
 
+        def read(start: int) -> None:
+            rows = slice(start, start + length)
+            for j, (floats, pairs, transposed) in enumerate(chunk_views):
+                # The first pass brings the chunk into cache, so the transposed
+                # copy reads it from there: 6.5 ms per 22-qubit row, against 15
+                # ms as the first pass.
+                np.vecdot(floats, floats, out=self.square_weights[j, rows])
+                for lo, hi, out in pairs:
+                    np.vecdot(lo, hi, out=out)
+                np.copyto(tile, transposed)
+                for lo, hi, out in tile_pairs:
+                    np.vecdot(lo, hi, out=out)
+                np.vecdot(tile_floats, tile_floats, out=self.tile_weights[j, rows])
+                np.add.reduceat(dots, starts, axis=1, out=self.cross[j, rows])
+            read_slabs(start)
 
-def _read_slabs(amplitudes: np.ndarray, c: int, xy: np.ndarray) -> None:
-    """Read the cross terms of qubits c..M-1 of each row of a C-contiguous
-    (R, 2^M) array into xy, (R, M - c), one slab at a time.
+        return read
 
-    In a row's (2^(M-c), 2^c) view qubit c + j pairs view rows h and
-    h + 2^j.  A slab is 2^w columns of that view, every view row's run of
-    2^w places, w = min(_SLAB_BITS, 2c - M), so a slab holds at most 2^c
-    amplitudes, a chunk's worth.  Each slab is copied into one reused
-    contiguous buffer, whose rows the top qubits pair while it sits in
-    cache; the dots of all slabs are added up once per row."""
-    rows, size = amplitudes.shape
-    top = size.bit_length() - 1 - c
-    if not top:
-        return
-    w = max(min(_SLAB_BITS, c - top), 0)
-    slabs = 1 << (c - w)
-    half = 1 << (top - 1)
-    buffer = np.empty((1 << top, 1 << w), dtype=np.complex128)
-    dots = np.empty((slabs, top, half), dtype=np.complex128)
-    # lo and hi are the buffer rows where bit j is clear and set, and out their dots per slab.
-    pairs = [
-        (*buffer.reshape(half >> j, 2, 1 << j, -1).transpose(1, 0, 2, 3), dots[:, j].reshape(slabs, half >> j, 1 << j))
-        for j in range(top)
-    ]
-    for r in range(rows):
-        view = amplitudes[r].reshape(1 << top, slabs, 1 << w)
-        for s in range(slabs):
-            np.copyto(buffer, view[:, s])
-            for lo, hi, out in pairs:
-                np.vecdot(lo, hi, out=out[s])
-        dots.sum(axis=(0, 2), out=xy[r])
+    def _slab_reader(self, amplitudes: np.ndarray) -> Callable[[int], None]:
+        """The read of the cross terms of qubits c..M-1 of each row of a
+        C-contiguous (L, 2^M) array into rows start..start+L-1 of the sums,
+        one slab at a time, as a function of start.
+
+        In a row's (2^(M-c), 2^c) view qubit c + j pairs view rows h and
+        h + 2^j.  A slab is 2^w columns of that view, every view row's run of
+        2^w places, w = min(_SLAB_BITS, 2c - M), so a slab holds at most 2^c
+        amplitudes, a chunk's worth.  Each slab is copied into the buffer,
+        whose rows the top qubits pair while it sits in cache; the dots of
+        all slabs are added up once per row."""
+        m, c = self.m, self.c
+        top = m - c
+        if not top:
+            return lambda start: None
+        w = max(min(_SLAB_BITS, c - top), 0)
+        slabs = 1 << (c - w)
+        half = 1 << (top - 1)
+        buffer = self.buffer[: 2 << (top + w)].view(np.complex128).reshape(1 << top, 1 << w)
+        dots = np.empty((slabs, top, half), dtype=np.complex128)
+        # lo and hi are the buffer rows where bit j is clear and set, and out their dots per slab.
+        pairs = [
+            (
+                *buffer.reshape(half >> j, 2, 1 << j, -1).transpose(1, 0, 2, 3),
+                dots[:, j].reshape(slabs, half >> j, 1 << j),
+            )
+            for j in range(top)
+        ]
+        # Per row, its slabs: the (2^(M-c), 2^w) columns s of its view.
+        slab_views = [list(row.reshape(1 << top, slabs, 1 << w).transpose(1, 0, 2)) for row in amplitudes]
+
+        def read(start: int) -> None:
+            for r, row_slabs in enumerate(slab_views, start):
+                for s, slab in enumerate(row_slabs):
+                    np.copyto(buffer, slab)
+                    for lo, hi, out in pairs:
+                        np.vecdot(lo, hi, out=out[s])
+                dots.sum(axis=(0, 2), out=self.xy[r, c:])
+
+        return read
+
+    def vectors(self) -> np.ndarray:
+        """The (R, M, 3) Pauli vectors from the sums, once for all R rows
+        after the last batch: the cross terms added over the chunks, the
+        weights folded, the norms checked, and the scaling.  The weights'
+        total is each row's norm, so a row that is not normalized is refused
+        without a further pass over it; the refusal gives the worst norm
+        error of the call."""
+        c, t, weights = self.c, self.t, self.pauli[:, :, 2]
+        cross, tile, square = self.cross, self.tile_weights, self.square_weights
+        # The norms are the chunks' pairwise tile totals, taken before the
+        # chunks are added up in place, in the order of a sum over axis 0.
+        norms = _fold_weights(tile.sum(axis=2).T, weights[:, c:])
+        for j in range(1, len(cross)):
+            cross[0] += cross[j]
+            tile[0] += tile[j]
+            square[0] += square[j]
+        self.xy[:, :c] = cross[0]
+        _fold_weights(tile[0], weights[:, :t])
+        _fold_weights(square[0], weights[:, t:c])
+        error = np.max(np.abs(norms - 1.0), initial=0.0)
+        if not error <= 1e-8:  # a NaN norm is refused too
+            raise ValueError(f"state not normalized: norm error {error:.3e}")
+        self.pauli *= (2.0, 2.0, -2.0)
+        self.pauli[:, :, 2] += norms[:, None]  # <sz> = norm - 2 * weight of bit 1
+        return self.pauli
 
 
 def _fold_weights(prob: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -623,40 +679,45 @@ def _mean(contributions: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _contribution_rows(amplitudes: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Entry [r, i] is 1 - ||<sigma^(i)>||^2 of qubit i in row r."""
-    vectors = pauli_vector_rows(amplitudes, scratch=scratch)
+def _contribution_rows(vectors: np.ndarray) -> np.ndarray:
+    """Entry [r, i] is 1 - ||<sigma^(i)>||^2 of qubit i in row r of (R, M, 3)
+    Pauli vectors."""
     return 1.0 - np.vecdot(vectors, vectors)
 
 
 def ed_numeric(state: np.ndarray) -> EdReport:
     """Brute-force Entanglement Distance from a simulated state of 2^M
     amplitudes, with its per-vertex contributions."""
-    return EdReport(_contribution_rows(np.asarray(state)[None])[0].tolist())
+    return EdReport(_contribution_rows(pauli_vectors(state)).tolist())
 
 
 def ed_numeric_rows(rows: StateRows) -> np.ndarray:
     """The brute-force ED per qubit of each row of `rows`, as an (R,) array,
     bit for bit `ed_numeric(build_graph_state(graph, theta=..., ...)).total`
     for the graph, angles and input qubit the row holds, but with no report
-    built.  The rows' tables are formed once, and the rows of M qubits are
-    built and read in batches of at most max(BATCH_AMPLITUDES, 2^M)
-    amplitudes, every batch in the same state buffer and, below 2^18
-    amplitudes per row, the same scratch buffer; the means of all rows are
-    taken once, from their (R, M) contributions."""
+    built.  The rows of M qubits are built and read in batches of at most
+    max(BATCH_AMPLITUDES, 2^M) amplitudes; what is not tied to a batch's
+    data runs once per call (see the module docstring): the tables, the
+    first doubling steps of all rows, one read plan, and the finish, the
+    folds, norm check and scaling of every row's Pauli vectors and the
+    means of their (R, M) contributions."""
     count, m = len(rows), rows.num_qubits
     if not count:
         return np.empty(0)
     per_batch = min(max(BATCH_AMPLITUDES >> m, 1), count)
     states = _state_buffer(per_batch, m)
-    # The scratch takes the build's gathered factors, R * 2^min(M, 12) floats,
-    # and then the Pauli pass's tiles, R * 2^(min(M, 15) + 1).  Rows of 2^18
-    # amplitudes or more are read one at a time with a tile of their own, and
-    # the build allocates its own small buffer.
-    scratch = np.empty(per_batch << (min(m, _BATCH_CHUNK_BITS) + 1)) if 1 << m < _CHUNKED_AMPLITUDES else None
+    plan = _ReadPlan(count, m, per_batch)
     tables = _row_tables(rows)
-    contributions = np.empty((count, m))
+    # The first s steps of all R rows run once, where s is the largest with
+    # R * 2^s <= BATCH_AMPLITUDES / 4, into a prefix that each batch copies.
+    s = min(m, max(((BATCH_AMPLITUDES >> 2) // count).bit_length() - 1, 0))
+    prefix = _double_rows(tables, out=np.empty((count, 1 << s), dtype=np.complex128), scratch=plan.buffer)
+    # Every batch but the last is per_batch rows long: one reader per length.
+    readers = {n: (states[:n], plan.reader(states[:n])) for n in {per_batch, (count - 1) % per_batch + 1}}
     for start in range(0, count, per_batch):
-        batch = _double_rows([t[start : start + per_batch] for t in tables], out=states, scratch=scratch)
-        contributions[start : start + len(batch)] = _contribution_rows(batch, scratch)
-    return _mean(contributions)
+        stop = min(start + per_batch, count)
+        batch, read = readers[stop - start]
+        batch[:, : 1 << s] = prefix[start:stop]
+        _double_rows([t[start:stop] for t in tables], out=batch, scratch=plan.buffer, start=s)
+        read(start)
+    return _mean(_contribution_rows(plan.vectors()))

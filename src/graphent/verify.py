@@ -6,10 +6,10 @@ the three invariances (psi sweep, edge orientation flip, vertex relabeling).
 Every graph's draws are made first, in a fixed order, each sample's ten
 angles and inputs as raw doubles that one array pass maps to their bounds
 per op; the oracle then runs once per qubit count, on the rows of every
-graph of that count as one `StateRows`, with each flipped or relabelled copy
-written straight into its edge array.  Its per-row totals fill one
-(graphs, samples, 7) table, seven rows per sample; an edgeless graph's flip
-row is a copy of its base row, which the flip check skips.  Each closed
+graph of that count as one `StateRows`, written in one array pass with each
+flipped or relabelled copy straight in its edge array.  Its per-row totals
+fill one (graphs, samples, 7) table, seven rows per sample; an edgeless
+graph's flip row is a copy of its base row, which the flip check skips.  Each closed
 form is one call per op, one row per graph, and each check is one array
 reduction over the table.  So the fixed costs of numpy calls are paid per
 op or per batch of oracle rows, not per sample, graph or row.
@@ -102,10 +102,10 @@ def run_verification(
     for i, g in enumerate(graphs):
         members[g.num_vertices].append(i)
     for m, indices in members.items():
-        # No part outlives the StateRows call, so none is held while the
-        # oracle's buffers are allocated.
-        parts = (_sample_rows(graphs[i], values[i], flips[i], perms[i]) for i in indices)
-        rows = StateRows(m, *map(np.concatenate, zip(*parts)))
+        # The rows' fields do not outlive the StateRows call, so none is held
+        # while the oracle's buffers are allocated.
+        group, relabellings = [graphs[i] for i in indices], np.stack([perms[i] for i in indices])
+        rows = StateRows(m, *_sample_rows(group, values[indices], flips[indices], relabellings))
         table[indices] = ed_numeric_rows(rows).reshape(len(indices), samples, 7)
     # One call per closed form for every graph's draws, one row per graph.
     dists = [degree_distribution(g) for g in graphs]
@@ -155,28 +155,38 @@ _PSI_COLUMNS = [1, 4, 7, 8, 9, 1, 1]
 
 
 def _sample_rows(
-    g: DirectedGraph, values: np.ndarray, flips: np.ndarray, perms: np.ndarray
+    graphs: Sequence[DirectedGraph], values: np.ndarray, flips: np.ndarray, perms: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """The seven oracle rows of each of a graph's samples as the fields of
-    `StateRows` after the qubit count: edges, edge counts, theta, psi, p,
-    delta0 and delta1.  The flip is the graph's edges with one row reversed,
-    or the graph itself when it has no edge, and the relabelling
-    perm[edges], with no graph built for either."""
-    samples, e = len(values), g.num_edges
-    edges = np.empty((samples, 7, e, 2), dtype=np.int64)
-    edges[:, :-1] = g.edge_array
-    if e:
-        edges[np.arange(samples), 5, flips] = g.edge_array[flips, ::-1]
-    edges[:, -1] = perms[:, g.edge_array]
+    """The seven oracle rows of each sample of each of G graphs of one vertex
+    count M, graph by graph, as the fields of `StateRows` after the qubit
+    count: edges, edge counts, theta, psi, p, delta0 and delta1, from the
+    graphs' (G, S, 10) values, (G, S) flipped edges and (G, S, M)
+    relabellings, in one pass over all their edges.  The flip is the
+    graph's edges with one row reversed, or the graph itself when it has no
+    edge, and the relabelling perm[edges], with no graph built for either."""
+    count, samples = flips.shape
+    counts = np.array([g.num_edges for g in graphs])
+    # Each graph's edges padded with (0, 0) to the largest count, which is at
+    # least 1 so that the flip of an edgeless graph lands in the padding.
+    width = max(counts.max(), 1)
+    valid = np.arange(width) < counts[:, None]
+    padded = np.zeros((count, width, 2), dtype=np.int64)
+    padded[valid] = np.concatenate([g.edge_array for g in graphs])
+    edges = np.empty((count, samples, 7, width, 2), dtype=np.int64)
+    edges[:, :, :-1] = padded[:, None, None]
+    graph, sample = np.ogrid[:count, :samples]
+    edges[graph, sample, 5, flips] = padded[graph, flips, ::-1]
+    relabelled = perms[graph[..., None], sample[..., None], padded.reshape(count, 1, -1)]
+    edges[:, :, -1] = relabelled.reshape(count, samples, width, 2)
     # (p, delta0, delta1) per row: the general row's draws, else the balanced input.
-    inputs = np.empty((3, samples, 7))
-    inputs[:] = np.array(BALANCED)[:, None, None]
-    inputs[:, :, 1] = values[:, [2, 5, 6]].T
+    inputs = np.empty((3, count, samples, 7))
+    inputs[:] = np.array(BALANCED)[:, None, None, None]
+    inputs[:, :, :, 1] = np.moveaxis(values[:, :, [2, 5, 6]], 2, 0)
     return (
-        edges.reshape(-1, 2),
-        np.full(samples * 7, e),
-        values[:, _THETA_COLUMNS].ravel(),
-        values[:, _PSI_COLUMNS].ravel(),
+        np.compress(np.broadcast_to(valid[:, None, None], edges.shape[:-1]).ravel(), edges.reshape(-1, 2), axis=0),
+        np.repeat(counts, 7 * samples),
+        values[:, :, _THETA_COLUMNS].ravel(),
+        values[:, :, _PSI_COLUMNS].ravel(),
         *inputs.reshape(3, -1),
     )
 

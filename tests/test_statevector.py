@@ -631,40 +631,60 @@ def test_oracle_rows_span_batches_bit_for_bit(monkeypatch):
     ]
     # Computed before the patch: the one-row builder calls the patched name too.
     expected = [ed_numeric(build_graph_state(g, **values)).total for g, values in rows]
-    batches = []
+    calls = []
     double = statevector._double_rows
 
     def build(tables, **kwargs):
-        batches.append(len(tables[0]))
+        calls.append((len(tables[0]), kwargs["out"].shape[1], kwargs.get("start", 0)))
         return double(tables, **kwargs)
 
     arrays = _arrays_of(rows)
     monkeypatch.setattr(statevector, "_double_rows", build)
     totals = ed_numeric_rows(arrays)
-    assert batches == [8, 8, 4]
+    # The first 8 steps of all 20 rows run once (20 * 2^8 <= 2^15 / 4 <
+    # 20 * 2^9); each batch copies its rows' prefix and goes on from step 8.
+    assert calls == [(20, 2**8, 0), (8, 2**12, 8), (8, 2**12, 8), (4, 2**12, 8)]
     assert totals.tolist() == expected
-    assert ed_numeric_rows(_no_rows(m)).shape == (0,) and batches == [8, 8, 4]
+    assert ed_numeric_rows(_no_rows(m)).shape == (0,) and len(calls) == 4
+
+
+# 2 * per_batch + 3 rows, so the last batch is short: the first s steps of
+# all rows run once (s = 3, 5, 8 and 10 at 7, 9, 12 and 15 qubits), then each
+# batch goes on from its rows' prefix.  At 18 qubits each of 2 rows is a
+# batch of its own (s = 12), and one row alone takes s = 13, a factored step
+# among the first ones.
+@pytest.mark.parametrize("m", [7, 9, 12, 15, 18])
+def test_oracle_rows_equal_their_one_row_calls_across_the_prefix_split(m):
+    per_batch = max(statevector.BATCH_AMPLITUDES >> m, 1)
+    count = 2 * per_batch + 3 if m < 18 else 2
+    rng = np.random.default_rng(40 + m)
+    graphs = [DirectedGraph(m, []), *(random_graph(m, rng, edge_prob=rng.uniform(0.1, 0.6)) for _ in range(count - 1))]
+    ps = [0.0, 1.0, *rng.uniform(0.0, 1.0, count - 2)]
+    rows = [(g, _random_values(rng, p)) for g, p in zip(graphs, ps)]
+    totals = ed_numeric_rows(_arrays_of(rows))
+    assert totals.tolist() == [ed_numeric(build_graph_state(g, **values)).total for g, values in rows]
+    assert ed_numeric_rows(_arrays_of(rows[-1:])).tolist() == totals[-1:].tolist()
 
 
 def test_mean_refusal_names_its_row(monkeypatch):
-    # The means are taken once, from every row's contributions: a total
-    # outside [0, 1] is refused with the row of the call that holds it, here
-    # the first row of the second batch of 12-qubit rows.
+    # The contributions and means are taken once, from the Pauli vectors of
+    # every row of the call: a total outside [0, 1] is refused with the row
+    # of the call that holds it, here the first row of the second batch of
+    # 12-qubit rows.
     rows = StateRows(12, np.array([[0, 1], [2, 3]] * 10), [2] * 10, 0.7, 0.2)
     contributions = statevector._contribution_rows
-    batches = []
+    calls = []
 
-    def corrupted(amplitudes, scratch=None):
-        values = contributions(amplitudes, scratch)
-        batches.append(len(values))
-        if len(batches) == 2:
-            values[0] = 1.5
+    def corrupted(vectors):
+        values = contributions(vectors)
+        calls.append(len(values))
+        values[8] = 1.5
         return values
 
     monkeypatch.setattr(statevector, "_contribution_rows", corrupted)
     with pytest.raises(ValueError, match=r"^row 8: total 1\.5 outside \[0, 1\]$"):
         ed_numeric_rows(rows)
-    assert batches == [8, 2]
+    assert calls == [10]
 
 
 def test_rows_refuse_one_unnormalized_row():
@@ -718,10 +738,11 @@ def test_zero_rows_give_empty_results():
 @pytest.mark.parametrize("m, count, batches", [(9, 150, [64, 64, 22]), (18, 2, [1, 1])])
 def test_batches_of_one_call_share_their_buffers(monkeypatch, m, count, batches):
     # Every batch is built into the same state buffer: the states stay alive
-    # here, so one data pointer means one buffer.  Up to 15 qubits the
-    # scratch is sized by the Pauli pass's tile, one complex per amplitude of
-    # a batch, R * 2^(M + 1) floats; the build's gathered factors take half
-    # of it at most.  Rows of 2^18 amplitudes or more take no scratch buffer.
+    # here, so one data pointer means one buffer.  One scratch buffer, the
+    # read plan's, takes the gathered factors of the first steps of all rows
+    # and of every batch: up to 15 qubits it is sized by the Pauli pass's
+    # tile, one complex per amplitude of a batch, R * 2^(M + 1) floats; at 18
+    # qubits by the one-row tile of a chunk of 2^14 amplitudes.
     rng = np.random.default_rng(17)
     g = random_graph(m, rng, edge_prob=0.4)
     rows = StateRows(
@@ -742,13 +763,13 @@ def test_batches_of_one_call_share_their_buffers(monkeypatch, m, count, batches)
 
     monkeypatch.setattr(statevector, "_double_rows", build)
     totals = ed_numeric_rows(rows)
+    prefix, *states = states  # the first steps of all rows, then the batches
+    assert len(prefix) == count
     assert [len(s) for s in states] == batches
     assert len({s.__array_interface__["data"][0] for s in states}) == 1
-    if m < 18:
-        assert scratches[0].size == batches[0] << (m + 1)
-        assert all(s is scratches[0] for s in scratches)
-    else:
-        assert scratches == [None] * len(batches)
+    tile = batches[0] << m if m < 18 else 1 << 14
+    assert scratches[0].size == 2 * tile
+    assert all(s is scratches[0] for s in scratches)
     monkeypatch.undo()
     one_row = [StateRows(m, g.edge_array, [g.num_edges], rows.theta[r], rows.psi[r], rows.p[r]) for r in range(count)]
     assert np.array_equal(totals, np.concatenate([ed_numeric_rows(row) for row in one_row]))

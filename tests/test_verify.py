@@ -235,5 +235,5 @@ def test_flipped_and_relabelled_rows_pass_the_row_check(g, seed):
     values = rng.uniform(0.0, 1.0, (samples, 10))
     flips = rng.integers(max(g.num_edges, 1), size=samples)
     perms = np.array([rng.permutation(g.num_vertices) for _ in range(samples)])
-    rows = StateRows(g.num_vertices, *verify._sample_rows(g, values, flips, perms))
+    rows = StateRows(g.num_vertices, *verify._sample_rows([g], values[None], flips[None], perms[None]))
     assert len(rows) == samples * 7
